@@ -1,4 +1,4 @@
-"""Walks to constraints: SSA numbering, SMT-LIB 2 emission, solver access.
+"""Walks to constraints: SSA numbering, solver terms, solver access.
 
 ``ssa_number`` reverses a walk into execution order and forward-numbers it:
 state variables keep one version chain across the whole walk, locals and the
@@ -13,13 +13,18 @@ A transaction segment that runs through a revert sink has its storage
 versions rolled back at the tx_processed boundary: its path constraints
 hold but its writes are discarded, matching EVM revert semantics.
 
-``encode`` renders the clause list as SMT-LIB 2 text: scalars become
-fixed-width bitvectors, mappings/arrays become one uninterpreted function
-per generation, and each write emits the point update plus the quantified
-one-key frame axiom.  The safety condition is conjoined over the versions
-live at the walk root (the target point), before the target instruction's
-own effect; the replay oracle mirrors this by stopping at the first
-arrival that satisfies the condition.
+``encode`` builds the clause list as ``smt`` terms in a fresh ``Ctx``:
+scalars become fixed-width bitvectors, mappings/arrays become one
+uninterpreted function per generation, and each write emits the point
+update plus the quantified one-key frame axiom.  The safety condition is
+conjoined over the versions live at the walk root (the target point),
+before the target instruction's own effect; the replay oracle mirrors this
+by stopping at the first arrival that satisfies the condition.
+
+The bundled solver reads those terms in process.  SMT-LIB 2 text is
+rendered from them (``SmtScript.text``) only when something reads it: the
+``--emit-smt`` dumps and an external ``--solver-cmd`` process, whose answer
+``parse_solver_output`` reads back.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import shlex
 import subprocess
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .errors import EncodeError, SolverError
@@ -36,7 +42,8 @@ from .lang import (ADDRESS, BOOL, ENV_NAMES, ENV_TYPES, NUM_ACCOUNTS, U256,
                    Binary, BoolLit, AddressLit, EnvRead, Ident, Index, IntLit,
                    Unary)
 from . import smt
-from .smt.parse import read_sexprs, tokenize as smt_tokenize
+from .smt import terms as smt_terms
+from .smt.parse import Script, read_sexprs, tokenize as smt_tokenize
 
 GAS = "gas"
 
@@ -79,18 +86,6 @@ def e_conv(a, to_type):
 
 def expr_type(e):
     return e[-1]
-
-
-def expr_syms(e):
-    if e[0] == "sym":
-        yield e[1]
-    elif e[0] == "bin":
-        yield from expr_syms(e[2])
-        yield from expr_syms(e[3])
-    elif e[0] in ("not", "zext", "trunc"):
-        yield from expr_syms(e[1])
-    elif e[0] == "read":
-        yield from expr_syms(e[3])
 
 
 # Clause kinds: ('def', sym, type, expr, pos) | ('assume', expr, pos)
@@ -444,179 +439,137 @@ def resolve_safety(script, safety, program):
 
 
 # ---------------------------------------------------------------------------
-# SMT-LIB rendering
+# Solver input: one term DAG per check
 # ---------------------------------------------------------------------------
 
-_BV_OPS = {"+": "bvadd", "-": "bvsub", "*": "bvmul", "/": "bvudiv",
-           "%": "bvurem", "<": "bvult", "<=": "bvule", ">": "bvugt",
-           ">=": "bvuge"}
+_OPS = {"+": "bvadd", "-": "bvsub", "*": "bvmul", "/": "bvudiv",
+        "%": "bvurem", "<": "bvult", "<=": "bvule", ">": "bvugt",
+        ">=": "bvuge", "==": "=", "!=": "distinct", "&&": "and", "||": "or"}
+
+_KEY = "%k"                        # the frame axioms' bound key
 
 
-def _sort_text(type_):
-    if type_ is BOOL:
-        return "Bool"
-    return "(_ BitVec %d)" % type_.bit_width
-
-
-def _lit_text(value, type_):
-    if type_ is BOOL:
-        return "true" if value else "false"
-    width = type_.bit_width
-    return "#x%0*x" % (width // 4, value & ((1 << width) - 1))
-
-
-def render_expr(e):
-    tag = e[0]
-    if tag == "sym":
-        return e[1]
-    if tag == "lit":
-        return _lit_text(e[1], e[2])
-    if tag == "not":
-        return "(not %s)" % render_expr(e[1])
-    if tag == "zext":
-        return "((_ zero_extend %d) %s)" % (e[2], render_expr(e[1]))
-    if tag == "trunc":
-        return "((_ extract %d 0) %s)" % (e[2], render_expr(e[1]))
-    if tag == "read":
-        return "(%s!%d %s)" % (e[1], e[2], render_expr(e[3]))
-    if tag == "bin":
-        op, a, b = e[1], e[2], e[3]
-        if op == "&&":
-            return "(and %s %s)" % (render_expr(a), render_expr(b))
-        if op == "||":
-            return "(or %s %s)" % (render_expr(a), render_expr(b))
-        if op == "==":
-            return "(= %s %s)" % (render_expr(a), render_expr(b))
-        if op == "!=":
-            return "(distinct %s %s)" % (render_expr(a), render_expr(b))
-        return "(%s %s %s)" % (_BV_OPS[op], render_expr(a), render_expr(b))
-    raise EncodeError("cannot render %r" % (e,))
+def _sort(type_):
+    return smt_terms.BOOL if type_ is BOOL else smt_terms.bv(type_.bit_width)
 
 
 @dataclass
 class SmtScript:
-    text: str
+    """One check's solver input: the terms ``smt.solve_commands`` reads, in
+    a fresh ``Ctx``, and the typed symbols the model must value.  ``text``
+    is the same script as SMT-LIB 2, rendered on first use."""
+    ctx: smt_terms.Ctx
+    commands: Script
     manifest: list                 # (symbol, MsType) in declaration order
-    queries: list                  # what each get-value answer position holds
-    map_reads: list
+
+    @cached_property
+    def text(self):
+        return smt_terms.print_script(self.commands)
+
+    @property
+    def queries(self):
+        """What each get-value answer position holds."""
+        return [("sym", sym) for sym, _type in self.manifest]
 
 
 @dataclass
 class Model:
     values: dict                   # symbol -> int (bools as 0/1)
-    map_values: list               # (rendered application, int)
 
     def __getitem__(self, sym):
         return self.values[sym]
 
 
-def _collect_symbols(e, symbols, map_syms):
-    """Record every symbol and map generation an expression mentions (the
-    safety condition can reference pre-state versions no clause declared)."""
-    tag = e[0]
-    if tag == "sym":
-        symbols.setdefault(e[1], e[2])
-    elif tag == "read":
-        if (e[1], e[2]) not in map_syms:
-            map_syms.append((e[1], e[2]))
-        _collect_symbols(e[3], symbols, map_syms)
-    elif tag == "bin":
-        _collect_symbols(e[2], symbols, map_syms)
-        _collect_symbols(e[3], symbols, map_syms)
-    elif tag in ("not", "zext", "trunc"):
-        _collect_symbols(e[1], symbols, map_syms)
-
-
 def encode(script: SsaScript, safety=None, program=None) -> SmtScript:
-    """Render an SsaScript (plus the optional safety condition) to SMT-LIB 2
-    text.  Deterministic: identical scripts render byte-identically."""
+    """Build the solver input for an SsaScript (plus the optional safety
+    condition).  Deterministic: identical scripts render byte-identically."""
+    ctx = smt_terms.Ctx()
     symbols = dict(script.symbols)
-    map_syms = list(script.map_syms)
+    funs = {}
 
-    map_reads = []
+    def fun(map_name, gen):
+        name = "%s!%d" % (map_name, gen)
+        if name not in funs:
+            funs[name] = (_sort(script.map_key_types[map_name]), _sort(U256))
+        return name
 
-    def note_read(e):
-        if e[0] == "read":
-            map_reads.append((e[1], e[2], e[3]))
-            note_read(e[3])
-        elif e[0] == "bin":
-            note_read(e[2])
-            note_read(e[3])
-        elif e[0] in ("not", "zext", "trunc"):
-            note_read(e[1])
+    for map_name, gen in script.map_syms:
+        fun(map_name, gen)
 
-    safety_expr = None
-    if safety is not None:
-        if program is None:
-            raise EncodeError("safety resolution needs the program")
-        safety_expr = resolve_safety(script, safety, program)
-        _collect_symbols(safety_expr, symbols, map_syms)
+    def lit(value, type_):
+        if type_ is BOOL:
+            return ctx.cbool(bool(value))
+        return ctx.const(value, type_.bit_width)
 
-    lines = []
+    def var(name, type_):
+        # the safety condition can reference pre-state versions no clause
+        # declared; they are declared on first use
+        return ctx.var(name, _sort(symbols.setdefault(name, type_)))
+
+    def app(name, key):
+        return ctx.checked("app", key, val=name, sig=funs[name])
+
+    def term(e):
+        tag = e[0]
+        if tag == "sym":
+            return var(e[1], e[2])
+        if tag == "lit":
+            return lit(e[1], e[2])
+        if tag == "not":
+            return ctx.mk("not", term(e[1]))
+        if tag == "zext":
+            return ctx.mk("zero_extend", term(e[1]), val=e[2])
+        if tag == "trunc":
+            return ctx.mk("extract", term(e[1]), val=(e[2], 0))
+        if tag == "read":
+            name = fun(e[1], e[2])
+            return app(name, term(e[3]))
+        if tag == "bin":
+            return ctx.checked(_OPS[e[1]], term(e[2]), term(e[3]))
+        raise EncodeError("cannot encode %r" % (e,))
+
+    def forall(map_name, body):
+        key_sort = _sort(script.map_key_types[map_name])
+        return ctx.mk("forall", body(ctx.var(_KEY, key_sort)),
+                      val=(_KEY, key_sort))
+
+    asserts = []
     for clause in script.clauses:
         kind = clause[0]
         if kind == "def":
-            _, sym, _type, expr, _pos = clause
-            note_read(expr)
-            lines.append("(assert (= %s %s))" % (sym, render_expr(expr)))
+            _, sym, type_, expr, _pos = clause
+            asserts.append(ctx.mk("=", var(sym, type_), term(expr)))
         elif kind == "assume":
-            note_read(clause[1])
-            lines.append("(assert %s)" % render_expr(clause[1]))
+            asserts.append(term(clause[1]))
         elif kind == "scalar_zero":
             _, sym, type_, _pos = clause
-            lines.append("(assert (= %s %s))" % (sym, _lit_text(0, type_)))
+            asserts.append(ctx.mk("=", var(sym, type_), lit(0, type_)))
         elif kind == "map_zero":
             map_name = clause[1]
-            key_type = script.map_key_types[map_name]
-            lines.append(
-                "(assert (forall ((%%k %s)) (= (%s!0 %%k) %s)))"
-                % (_sort_text(key_type), map_name, _lit_text(0, U256)))
+            asserts.append(forall(map_name, lambda k: ctx.mk(
+                "=", app(fun(map_name, 0), k), lit(0, U256))))
         elif kind == "map_write":
             _, map_name, g_from, g_to, key, val, _pos = clause
-            note_read(key)
-            note_read(val)
-            key_text = render_expr(key)
-            key_type = script.map_key_types[map_name]
-            lines.append("(assert (= (%s!%d %s) %s))"
-                         % (map_name, g_to, key_text, render_expr(val)))
-            lines.append(
-                "(assert (forall ((%%k %s)) (=> (distinct %%k %s) "
-                "(= (%s!%d %%k) (%s!%d %%k)))))"
-                % (_sort_text(key_type), key_text, map_name, g_to,
-                   map_name, g_from))
-            map_reads.append((map_name, g_to, key))
+            key = term(key)
+            f_from, f_to = fun(map_name, g_from), fun(map_name, g_to)
+            asserts.append(ctx.mk("=", app(f_to, key), term(val)))
+            asserts.append(forall(map_name, lambda k: ctx.mk(
+                "=>", ctx.mk("distinct", k, key),
+                ctx.mk("=", app(f_to, k), app(f_from, k)))))
         else:
             raise EncodeError("unknown clause kind %r" % kind)
 
-    if safety_expr is not None:
-        note_read(safety_expr)
-        lines.append("; safety condition at the target point")
-        lines.append("(assert %s)" % render_expr(safety_expr))
+    if safety is not None:
+        if program is None:
+            raise EncodeError("safety resolution needs the program")
+        asserts.append(term(resolve_safety(script, safety, program)))
 
-    head = ["(set-option :produce-models true)", "(set-logic UFBV)"]
-    for sym, type_ in symbols.items():
-        head.append("(declare-const %s %s)" % (sym, _sort_text(type_)))
-    for map_name, gen in map_syms:
-        key_type = script.map_key_types[map_name]
-        head.append("(declare-fun %s!%d (%s) %s)"
-                    % (map_name, gen, _sort_text(key_type), _sort_text(U256)))
-    lines = head + lines
-
-    lines.append("(check-sat)")
-    queries = [("sym", sym) for sym in symbols]
-    query_texts = list(symbols.keys())
-    seen = set()
-    for map_name, gen, key in map_reads:
-        text = "(%s!%d %s)" % (map_name, gen, render_expr(key))
-        if text in seen:
-            continue
-        seen.add(text)
-        queries.append(("map", map_name, gen, text))
-        query_texts.append(text)
-    if query_texts:
-        lines.append("(get-value (%s))" % " ".join(query_texts))
-    manifest = list(symbols.items())
-    return SmtScript("\n".join(lines) + "\n", manifest, queries, map_reads)
+    decls = {name: _sort(type_) for name, type_ in symbols.items()}
+    commands = Script(decls=decls, funs=funs,
+                      asserts=[ctx.checked("assert", a) for a in asserts],
+                      queries=[ctx.var(n, s) for n, s in decls.items()],
+                      query_texts=list(decls), has_check=True)
+    return SmtScript(ctx, commands, list(symbols.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -653,17 +606,27 @@ class SolverSession:
                                 "%06d.smt2" % self.n_submissions)
             with open(path, "w") as fh:
                 fh.write(smt_script.text)
-        output = self._run(smt_script.text)
-        return parse_solver_output(output, smt_script)
+        if self.config.command is None:
+            return self._solve(smt_script)
+        return parse_solver_output(self._run(smt_script.text), smt_script)
+
+    def _solve(self, smt_script):
+        """The bundled solver, in process, on the script's terms."""
+        commands = smt_script.commands
+        try:
+            result = smt.solve.solve_commands(
+                smt_script.ctx, commands, smt.solve.DEFAULT_CONFLICT_BUDGET)
+        except smt.SmtUnknown as exc:
+            return SatResult("unknown", reason=str(exc))
+        except smt.SmtError as exc:
+            raise SolverError("crash", str(exc)) from exc
+        if result.status != "sat":
+            return SatResult(result.status, reason=result.reason)
+        return SatResult("sat", Model(
+            {sym: int(v) for sym, v in zip(commands.query_texts,
+                                           result.values)}))
 
     def _run(self, text):
-        if self.config.command is None:
-            try:
-                return smt.solve_text(text)
-            except smt.SmtUnknown as exc:
-                return 'unknown\n(:reason-unknown "%s")\n' % exc
-            except smt.SmtError as exc:
-                raise SolverError("crash", str(exc)) from exc
         argv = shlex.split(self.config.command)
         try:
             proc = subprocess.run(argv, input=text, capture_output=True,
@@ -697,7 +660,6 @@ def parse_solver_output(output, smt_script) -> SatResult:
         raise SolverError("malformed", "unrecognized solver output %r"
                           % output[:200])
     values = {}
-    map_values = []
     if smt_script.queries:
         try:
             forms = read_sexprs(smt_tokenize(rest))
@@ -713,15 +675,8 @@ def parse_solver_output(output, smt_script) -> SatResult:
                               "expected %d model values, got %d"
                               % (len(smt_script.queries), len(pairs)))
         for query, pair in zip(smt_script.queries, pairs):
-            value = _parse_value(pair[-1])
-            if query[0] == "sym":
-                values[query[1]] = value
-            else:
-                map_values.append((query[3], value))
-    for sym, _type in smt_script.manifest:
-        if sym not in values:
-            raise SolverError("malformed", "model misses symbol %r" % sym)
-    return SatResult("sat", Model(values, map_values))
+            values[query[1]] = _parse_value(pair[-1])
+    return SatResult("sat", Model(values))
 
 
 def _parse_value(sexp):

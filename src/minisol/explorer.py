@@ -10,8 +10,10 @@ extension that lands on the start node with a SAT script is the answer.
 Heuristics are cost functions ``h(tree, leaf, option) -> float``; infinity
 means "never pick while any finite option exists".  Two ship built in:
 
-* ``floyd-warshall``: walk length so far plus the all-pairs shortest-path
-  distance from the option to the start node on the reversed graph.
+* ``floyd-warshall``: walk length so far plus the shortest-path distance
+  from the option to the start node on the reversed graph (the name is
+  historical: one breadth-first search from the start node gives every
+  distance the heuristic reads).
 * ``state-var``: like the above, but infinite for options inside functions
   that cannot write any state variable the walk has read without a
   later-in-walk (earlier-in-execution) write.
@@ -20,11 +22,11 @@ means "never pick while any finite option exists".  Two ship built in:
 from __future__ import annotations
 
 import heapq
+import math
 import time
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from .cfg import CfgPlus, ReversedView
 from .errors import ConfigError, TargetError
@@ -33,7 +35,6 @@ from .errors import ConfigError, TargetError
 @dataclass
 class Walk:
     nodes: tuple
-    sat_status: str = "unknown"            # 'unknown' | 'sat' | 'unsat'
     graph: Optional[CfgPlus] = None
 
     def __len__(self):
@@ -52,26 +53,21 @@ class Limits:
             raise ConfigError("limits must be positive")
 
 
-class DistanceTable:
-    def __init__(self, matrix):
-        self.matrix = matrix
-
-    def dist(self, a, b):
-        return float(self.matrix[a, b])
-
-
-def precompute_distances(rv: ReversedView) -> DistanceTable:
-    """All-pairs shortest path lengths (edge count) on the reversed graph,
-    by Floyd-Warshall with a vectorized inner relaxation."""
-    n = len(rv.nodes)
-    matrix = np.full((n, n), np.inf)
-    np.fill_diagonal(matrix, 0.0)
-    for a, b in rv.edges():
-        matrix[a, b] = 1.0
-    for k in range(n):
-        np.minimum(matrix, matrix[:, k:k + 1] + matrix[k:k + 1, :],
-                   out=matrix)
-    return DistanceTable(matrix)
+def distances_to_start(rv: ReversedView) -> list:
+    """Shortest path length (edge count) from every node to the start node
+    on the reversed graph, indexed by node id; infinity where there is no
+    path.  One breadth-first search backward from the start node."""
+    start = rv.plus.start_id
+    dist = [math.inf] * len(rv.nodes)
+    dist[start] = 0.0
+    queue = deque([start])
+    while queue:
+        node = queue.popleft()
+        for prev in rv.predecessors(node):
+            if dist[prev] == math.inf:
+                dist[prev] = dist[node] + 1
+                queue.append(prev)
+    return dist
 
 
 # ---------------------------------------------------------------------------
@@ -82,19 +78,19 @@ def precompute_distances(rv: ReversedView) -> DistanceTable:
 class ExplorationContext:
     graph: CfgPlus
     rv: ReversedView
-    distances: DistanceTable
+    to_start: list                         # node id -> distance to start
     fn_writes: dict                        # function name -> set of state vars
     safety_reads: frozenset = frozenset()
 
 
 def build_context(graph: CfgPlus, safety=None) -> ExplorationContext:
     rv = ReversedView(graph)
-    distances = precompute_distances(rv)
+    to_start = distances_to_start(rv)
     fn_writes = {fn.name: fn.state_writes()
                  for fn in graph.program.all_functions()}
     safety_reads = frozenset(safety_state_reads(safety)) if safety is not None \
         else frozenset()
-    return ExplorationContext(graph, rv, distances, fn_writes, safety_reads)
+    return ExplorationContext(graph, rv, to_start, fn_writes, safety_reads)
 
 
 def safety_state_reads(expr):
@@ -109,10 +105,10 @@ def safety_state_reads(expr):
 
 
 def heuristic_floyd_warshall(ctx: ExplorationContext):
-    start = ctx.graph.start_id
+    to_start = ctx.to_start
 
     def cost(tree, leaf, option):
-        return leaf.depth + ctx.distances.dist(option, start)
+        return leaf.depth + to_start[option]
 
     return cost
 
@@ -155,7 +151,6 @@ class TreeNode:
     depth: int
     pending: frozenset
     status: str = "unknown"
-    dead: bool = False                     # doNotContinue
 
 
 class WalkTree:
@@ -182,8 +177,7 @@ class WalkTree:
         leaf = self.nodes[leaf_idx]
         pending = (leaf.pending - self._writes(cfg_node)) | self._reads(cfg_node)
         child = TreeNode(len(self.nodes), cfg_node, leaf_idx, leaf.depth + 1,
-                         pending, status=status, dead=(status == "unsat"
-                                                       or status == "unknown"))
+                         pending, status=status)
         self.nodes.append(child)
         return child
 
@@ -195,11 +189,11 @@ class WalkTree:
         out.reverse()
         return tuple(out)                  # target first, frontier last
 
-    def walk(self, idx, extra=None, status="unknown"):
+    def walk(self, idx, extra=None):
         nodes = self.path(idx)
         if extra is not None:
             nodes = nodes + (extra,)
-        return Walk(nodes, status, self.ctx.graph)
+        return Walk(nodes, self.ctx.graph)
 
 
 @dataclass
@@ -266,7 +260,6 @@ def find_minimal_satisfiable_walk(graph: CfgPlus, target, heuristic, limits,
         result = check(candidate)
         explored += 1
         if result.status == "sat" and complete:
-            candidate.sat_status = "sat"
             return ExploreResult("found", candidate, result.model, explored,
                                  elapsed=time.monotonic() - t0)
         child = tree.extend(leaf_idx, option, result.status)

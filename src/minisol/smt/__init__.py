@@ -1,6 +1,9 @@
 """Bundled SMT solver for the bitvector + uninterpreted-function fragment
-the encoder emits.  Usable in process via :func:`solve_text` or as a
-standalone SMT-LIB 2 process via ``python -m minisol.smt``."""
+the encoder builds.  In process, ``solve.solve_commands`` solves a
+``parse.Script`` of hash-consed terms (the encoder builds one directly);
+:func:`solve_text` and the standalone process ``python -m minisol.smt``
+take SMT-LIB 2 text.  The text format lives here alone: ``parse`` reads
+it and ``terms.print_script`` writes it."""
 
 from .solve import SmtInternalError, SmtUnknown, solve_text
 from .parse import SmtParseError

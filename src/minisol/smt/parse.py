@@ -7,6 +7,8 @@ single-variable forall bodies.  Anything else raises :class:`SmtParseError`.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 from .terms import BOOL, BV_BINOPS, BV_CMPS, BV_UNOPS, Ctx, SmtError, bv
 
 
@@ -76,14 +78,16 @@ def parse_sort(sexp):
     raise SmtParseError("unsupported sort %r" % (sexp,))
 
 
+@dataclass
 class Script:
-    def __init__(self):
-        self.decls = {}            # name -> sort (scalars)
-        self.funs = {}             # name -> (arg sort, ret sort)
-        self.asserts = []
-        self.queries = []          # get-value terms, in order
-        self.query_texts = []
-        self.has_check = False
+    """A script's commands as terms; what ``solve.solve_commands`` reads
+    and ``terms.print_script`` renders."""
+    decls: dict = field(default_factory=dict)    # name -> sort (scalars)
+    funs: dict = field(default_factory=dict)     # name -> (arg sort, ret sort)
+    asserts: list = field(default_factory=list)
+    queries: list = field(default_factory=list)  # get-value terms, in order
+    query_texts: list = field(default_factory=list)
+    has_check: bool = False
 
 
 def parse_script(text, ctx=None):
@@ -107,10 +111,8 @@ def parse_script(text, ctx=None):
             else:
                 raise SmtParseError("only unary functions are supported")
         elif head == "assert":
-            term = parse_term(ctx, script, form[1], {})
-            if term.sort != BOOL:
-                raise SmtParseError("assert needs a Bool term")
-            script.asserts.append(term)
+            script.asserts.append(
+                ctx.checked("assert", parse_term(ctx, script, form[1], {})))
         elif head == "check-sat":
             script.has_check = True
         elif head == "get-value":
@@ -179,10 +181,7 @@ def parse_term(ctx, script, sexp, bound):
     args = [parse_term(ctx, script, x, bound) for x in sexp[1:]]
 
     if head in script.funs:
-        arg_sort, ret = script.funs[head]
-        if len(args) != 1 or args[0].sort != arg_sort:
-            raise SmtParseError("bad application of %r" % head)
-        return ctx.app(head, args[0], ret)
+        return ctx.checked("app", *args, val=head, sig=script.funs[head])
 
     if head in ("and", "or"):
         if not args:
@@ -210,9 +209,7 @@ def parse_term(ctx, script, sexp, bound):
     if head == "ite":
         return ctx.mk("ite", *args)
     if head in BV_BINOPS or head in BV_CMPS:
-        if args[0].sort != args[1].sort:
-            raise SmtParseError("width mismatch in %s" % head)
-        return ctx.mk(head, *args)
+        return ctx.checked(head, *args)
     if head in BV_UNOPS:
         return ctx.mk(head, args[0])
     if head == "concat":

@@ -384,7 +384,7 @@ class _Maps:
 class Result:
     def __init__(self, status, values=None, reason=""):
         self.status = status       # 'sat' | 'unsat' | 'unknown'
-        self.values = values or []  # (query text, value term text)
+        self.values = values or []  # per query: int, or bool for a Bool
         self.reason = reason
 
 
@@ -487,14 +487,7 @@ def solve_commands(ctx, script, conflict_budget=None):
         if evaluator.eval(a) is not True:
             raise SmtInternalError("model fails %s" % print_term(a))
 
-    values = []
-    for text, q in zip(script.query_texts, queries):
-        v = evaluator.eval(q)
-        if isinstance(v, bool):
-            values.append((text, "true" if v else "false"))
-        else:
-            values.append((text, "(_ bv%d %d)" % (v, q.sort[1])))
-    return Result("sat", values)
+    return Result("sat", [evaluator.eval(q) for q in queries])
 
 
 def _lit_value(assignment, lit):
@@ -835,6 +828,14 @@ def solve_text(text, conflict_budget=DEFAULT_CONFLICT_BUDGET):
         return "unknown\n(:reason-unknown \"%s\")\n" % result.reason
     out = ["sat"]
     if result.values:
-        out.append("(%s)" % " ".join("(%s %s)" % pair
-                                     for pair in result.values))
+        out.append("(%s)" % " ".join(
+            "(%s %s)" % (text, _value_text(v, q.sort))
+            for text, q, v in zip(script.query_texts, script.queries,
+                                  result.values)))
     return "\n".join(out) + "\n"
+
+
+def _value_text(value, sort):
+    if sort == BOOL:
+        return "true" if value else "false"
+    return "(_ bv%d %d)" % (value, sort[1])

@@ -95,6 +95,24 @@ class Ctx:
     def mk(self, op, *args, val=None):
         return self.node(op, val, args)
 
+    def checked(self, op, *args, val=None, sig=None):
+        """``mk`` behind the sort checks every script must pass: an
+        ``assert`` (which returns its one argument) is Bool, the operands of
+        a bitvector operator have one width, and an ``app`` of the function
+        ``val`` declared as ``sig`` = (argument sort, result sort) gets an
+        argument of the declared sort."""
+        if op == "assert":
+            if args[0].sort != BOOL:
+                raise SmtError("assert needs a Bool term")
+            return args[0]
+        if op == "app":
+            if len(args) != 1 or args[0].sort != sig[0]:
+                raise SmtError("bad application of %r" % val)
+            return self.app(val, args[0], sig[1])
+        if (op in BV_BINOPS or op in BV_CMPS) and args[0].sort != args[1].sort:
+            raise SmtError("width mismatch in %s" % op)
+        return self.node(op, val, args)
+
 
 def const_value(term):
     if term.op == "const":
@@ -113,6 +131,8 @@ def print_term(t):
         return "true" if t.val else "false"
     if t.op == "const":
         value, width = t.val
+        if width % 4 == 0:
+            return "#x%0*x" % (width // 4, value)
         return "(_ bv%d %d)" % (value, width)
     if t.op == "var":
         return t.val
@@ -134,3 +154,19 @@ def print_sort(sort):
     if sort == BOOL:
         return "Bool"
     return "(_ BitVec %d)" % sort[1]
+
+
+def print_script(script):
+    """SMT-LIB 2 text of a ``parse.Script``: declarations, assertions,
+    check-sat and one get-value over the script's queries."""
+    lines = ["(set-option :produce-models true)", "(set-logic UFBV)"]
+    for name, sort in script.decls.items():
+        lines.append("(declare-const %s %s)" % (name, print_sort(sort)))
+    for name, (arg, ret) in script.funs.items():
+        lines.append("(declare-fun %s (%s) %s)"
+                     % (name, print_sort(arg), print_sort(ret)))
+    lines.extend("(assert %s)" % print_term(a) for a in script.asserts)
+    lines.append("(check-sat)")
+    if script.query_texts:
+        lines.append("(get-value (%s))" % " ".join(script.query_texts))
+    return "\n".join(lines) + "\n"

@@ -509,3 +509,52 @@ def test_parse_solver_output_rejects_truncated_model(corpus):
     assert err.value.kind == "malformed"
     with pytest.raises(SolverError):
         parse_solver_output("flub\n", smt)
+
+
+@pytest.mark.parametrize("name", ["guess_check", "multi_tx", "token"])
+def test_in_process_answers_equal_rendered_text_answers(name, corpus):
+    """Every check of a bounded search gets the same status, and on sat the
+    same value for every symbol, from the in-process terms as from the
+    rendered SMT-LIB text solved and parsed back."""
+    from minisol import smt
+    from minisol.encoder import parse_solver_output
+    from minisol.explorer import (HEURISTICS, Limits,
+                                  find_minimal_satisfiable_walk)
+    source = corpus[name]
+    target = extract_targets(source)[0]
+    _ast, program, graph = prepare(source)
+    session = SolverSession()
+    statuses = []
+
+    def check(walk):
+        script = encode(ssa_number(walk, program), safety=target.safety,
+                        program=program)
+        direct = session.check(script)
+        via_text = parse_solver_output(smt.solve_text(script.text), script)
+        assert via_text.status == direct.status
+        if direct.status == "sat":
+            assert direct.model.values == via_text.model.values
+            assert set(direct.model.values) == {s for s, _t in
+                                                script.manifest}
+        statuses.append(direct.status)
+        return direct
+
+    find_minimal_satisfiable_walk(graph, target, HEURISTICS["floyd-warshall"],
+                                  Limits(max_walks=200), check=check)
+    assert "sat" in statuses
+
+
+def test_checked_constructor_rejects_ill_sorted_encoder_terms():
+    from minisol.encoder import SsaScript, e_bin, e_sym
+    from minisol.lang import U8, U256
+    from minisol.smt import SmtError
+    mismatch = SsaScript(symbols={"a": U8, "b": U256, "c": U256})
+    mismatch.clauses.append(("def", "c", U256,
+                             e_bin("+", e_sym("a", U8), e_sym("b", U256),
+                                   U256), 0))
+    with pytest.raises(SmtError, match="width mismatch in bvadd"):
+        encode(mismatch)
+    not_bool = SsaScript(symbols={"b": U256})
+    not_bool.clauses.append(("assume", e_sym("b", U256), 0))
+    with pytest.raises(SmtError, match="assert needs a Bool term"):
+        encode(not_bool)

@@ -8,7 +8,7 @@ from minisol.engine import prepare, synthesize
 from minisol.errors import ConfigError
 from minisol.explorer import (HEURISTICS, Limits, build_context,
                               find_minimal_satisfiable_walk,
-                              precompute_distances, register_heuristic)
+                              distances_to_start, register_heuristic)
 from minisol.frontend import extract_targets
 
 
@@ -35,14 +35,12 @@ def explore(source, *, heuristic="floyd-warshall", limits=None,
 def test_distance_table_basics():
     _ast, _program, graph = prepare("contract C {}")
     rv = ReversedView(graph)
-    table = precompute_distances(rv)
-    assert table.dist(graph.start_id, graph.start_id) == 0
+    to_start = distances_to_start(rv)
+    assert to_start[graph.start_id] == 0
     # hand count on the six-node graph: constructed -> ctor exit -> ctor
     # entry -> start on the reversed edges
-    assert table.dist(graph.constructed_id, graph.start_id) == 3
-    # directed: nothing reaches 'end' backward except tx_processed
-    assert math.isinf(table.dist(graph.start_id, graph.end_id))
-    assert table.dist(graph.end_id, graph.start_id) > 0
+    assert to_start[graph.constructed_id] == 3
+    assert to_start[graph.end_id] > 0
 
 
 def test_fw_cost_depth_plus_distance(corpus):
@@ -57,7 +55,7 @@ def test_fw_cost_depth_plus_distance(corpus):
         pending = frozenset()
 
     start = graph.start_id
-    expected = 4 + ctx.distances.dist(graph.constructed_id, start)
+    expected = 4 + ctx.to_start[graph.constructed_id]
     assert h(None, Leaf(), graph.constructed_id) == expected
     # start node itself: cost reduces to the walk depth
     assert h(None, Leaf(), start) == 4
@@ -218,7 +216,7 @@ def test_all_sat_prefixes_give_shortest_walk():
     assert result.status == "found"
     ctx = build_context(graph, None)
     root = graph.target_node(4)
-    shortest = ctx.distances.dist(root, graph.start_id)
+    shortest = ctx.to_start[root]
     assert len(result.walk.nodes) == shortest + 1
 
 
