@@ -598,7 +598,9 @@ class SolverSession:
         self.config = config or SolverConfig()
         self.n_submissions = 0
 
-    def check(self, smt_script: SmtScript) -> SatResult:
+    def check(self, smt_script: SmtScript, deadline=None) -> SatResult:
+        """Decide one script.  The bundled solver gives up with ``unknown``
+        (reason ``deadline``) once ``time.monotonic()`` passes `deadline`."""
         self.n_submissions += 1
         if self.config.emit_dir:
             import os
@@ -607,15 +609,16 @@ class SolverSession:
             with open(path, "w") as fh:
                 fh.write(smt_script.text)
         if self.config.command is None:
-            return self._solve(smt_script)
+            return self._solve(smt_script, deadline)
         return parse_solver_output(self._run(smt_script.text), smt_script)
 
-    def _solve(self, smt_script):
+    def _solve(self, smt_script, deadline):
         """The bundled solver, in process, on the script's terms."""
         commands = smt_script.commands
         try:
             result = smt.solve.solve_commands(
-                smt_script.ctx, commands, smt.solve.DEFAULT_CONFLICT_BUDGET)
+                smt_script.ctx, commands, smt.solve.DEFAULT_CONFLICT_BUDGET,
+                deadline)
         except smt.SmtUnknown as exc:
             return SatResult("unknown", reason=str(exc))
         except smt.SmtError as exc:

@@ -74,15 +74,16 @@ def synthesize(source, *, target=None, target_line=None,
     factory = HEURISTICS[heuristic]
     session = SolverSession(solver)
     context = build_context(graph, target.safety)
+    deadline = t0 + limits.wall_timeout
 
     def check(walk):
         script = ssa_number(walk, program)
         smt_script = encode(script, safety=target.safety, program=program)
-        return session.check(smt_script)
+        return session.check(smt_script, deadline)
 
     result = find_minimal_satisfiable_walk(
         graph, target, factory, limits, check=check, context=context,
-        lazy_check=lazy_check)
+        lazy_check=lazy_check, deadline=deadline)
     elapsed_ms = int((time.monotonic() - t0) * 1000)
 
     if result.status != "found":

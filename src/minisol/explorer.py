@@ -207,16 +207,20 @@ class ExploreResult:
 
 
 def find_minimal_satisfiable_walk(graph: CfgPlus, target, heuristic, limits,
-                                  *, check, context=None,
-                                  lazy_check=False) -> ExploreResult:
+                                  *, check, context=None, lazy_check=False,
+                                  deadline=None) -> ExploreResult:
     """Grow backward walks from the target line's node until one reaches the
     start node with a satisfiable script (plus safety condition).
 
     `check` is the solver callback: Walk -> SatResult.  With `lazy_check`,
     satisfiability is only decided at transaction boundaries instead of on
-    every extension.
+    every extension.  The search ends with reason ``timeout`` once
+    ``time.monotonic()`` passes `deadline` (default: `limits.wall_timeout`
+    from now), also when a check gave up on ``unknown`` because of it.
     """
     t0 = time.monotonic()
+    if deadline is None:
+        deadline = t0 + limits.wall_timeout
     root = graph.target_node(target.line)
     if root is None:
         raise TargetError("target line %d has no IR node" % target.line)
@@ -238,11 +242,13 @@ def find_minimal_satisfiable_walk(graph: CfgPlus, target, heuristic, limits,
 
     push_options(tree.nodes[0])
 
+    def timed_out():
+        return ExploreResult("notfound", walks_explored=explored,
+                             reason="timeout", elapsed=time.monotonic() - t0)
+
     while heap:
-        if time.monotonic() - t0 > limits.wall_timeout:
-            return ExploreResult("notfound", walks_explored=explored,
-                                 reason="timeout",
-                                 elapsed=time.monotonic() - t0)
+        if time.monotonic() > deadline:
+            return timed_out()
         _cost, option, leaf_idx, _age = heapq.heappop(heap)
         complete = option == graph.start_id
         boundary = graph.is_boundary(option)
@@ -262,6 +268,8 @@ def find_minimal_satisfiable_walk(graph: CfgPlus, target, heuristic, limits,
         if result.status == "sat" and complete:
             return ExploreResult("found", candidate, result.model, explored,
                                  elapsed=time.monotonic() - t0)
+        if result.status == "unknown" and time.monotonic() > deadline:
+            return timed_out()
         child = tree.extend(leaf_idx, option, result.status)
         if result.status == "sat":
             push_options(child)

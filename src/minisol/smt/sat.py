@@ -6,6 +6,9 @@ and phase saving.  Clauses are lists of non-zero ints (DIMACS convention).
 from __future__ import annotations
 
 import heapq
+import time
+
+DEADLINE_STRIDE = 256            # decisions between clock reads
 
 
 class SatSolver:
@@ -184,11 +187,16 @@ class SatSolver:
                 return v
         return 0
 
-    def solve(self, max_conflicts=None):
-        """None if UNSAT, otherwise a model list (index by var, [0] unused)."""
+    def solve(self, max_conflicts=None, deadline=None):
+        """None if UNSAT, otherwise a model list (index by var, [0] unused).
+
+        Raises SatBudgetExceeded after `max_conflicts` conflicts, or once
+        `time.monotonic()` passes `deadline`; the clock is read once per
+        conflict and once every DEADLINE_STRIDE decisions."""
         if not self.ok:
             return None
         conflicts = 0
+        decisions = 0
         luby_idx = 1
         budget = 64 * _luby(luby_idx)
         while True:
@@ -208,7 +216,9 @@ class SatSolver:
                         return None
                 self.var_inc /= 0.95
                 if max_conflicts is not None and conflicts > max_conflicts:
-                    raise SatBudgetExceeded()
+                    raise SatBudgetExceeded("conflict budget exceeded")
+                if deadline is not None and time.monotonic() > deadline:
+                    raise SatBudgetExceeded("deadline")
                 if conflicts >= budget:
                     luby_idx += 1
                     budget = conflicts + 64 * _luby(luby_idx)
@@ -218,6 +228,10 @@ class SatSolver:
                 if v == 0:
                     return [False] + [self.assign[u] == 1
                                       for u in range(1, self.nvars + 1)]
+                decisions += 1
+                if deadline is not None and decisions % DEADLINE_STRIDE == 0 \
+                        and time.monotonic() > deadline:
+                    raise SatBudgetExceeded("deadline")
                 self.trail_lim.append(len(self.trail))
                 lit = v if self.phase[v] else -v
                 self.enqueue(lit, -1)
@@ -231,7 +245,7 @@ class SatSolver:
 
 
 class SatBudgetExceeded(Exception):
-    pass
+    """The search stopped early; the message says which bound ran out."""
 
 
 def _luby(i):

@@ -1,5 +1,15 @@
-"""Solving pipeline: map axioms -> ground rewrite -> word-level reduction ->
-bit-blasting -> CDCL -> model.
+"""Solving pipeline, in order: fold/demote -> word-level reduction -> linear
+refutation -> greedy model -> bit-blast -> CDCL -> model self-check.
+
+Fold/demote constant-folds every assertion, compiles the map axioms (below)
+and replaces map reads by terms over fresh cell variables.  Word-level
+reduction substitutes definitional conjuncts (``x = t``) until none is
+left.  Linear refutation answers unsat when a remaining conjunct is a
+bitvector (dis)equality whose sides differ only by a constant; it never
+rewrites or drops a conjunct, so satisfiable checks pass through it
+unchanged.  The greedy model search assigns variables at word level;
+only when it fails are the remaining conjuncts bit-blasted to CNF for
+the CDCL solver.
 
 Mappings and arrays arrive as unary uninterpreted functions whose updates
 are described by quantified frame axioms; those two axiom shapes (point
@@ -388,7 +398,10 @@ class Result:
         self.reason = reason
 
 
-def solve_commands(ctx, script, conflict_budget=None):
+def solve_commands(ctx, script, conflict_budget=None, deadline=None):
+    """Decide one script.  `conflict_budget` bounds the CDCL search and
+    `deadline` (a ``time.monotonic()`` value) the time spent in bit-blasting
+    and CDCL; running out of either gives ``unknown``."""
     maps = _Maps(ctx)
     ground = []
     for a in script.asserts:
@@ -457,11 +470,16 @@ def solve_commands(ctx, script, conflict_budget=None):
         if not new_binds:
             break
 
+    if _refuted_linear(residual):
+        return Result("unsat")
+
     # cheap word-level model search first; bit-blast only when it fails
     model_env = {}
     if residual:
         model_env = _greedy_model(residual)
         if model_env is None:
+            if deadline is not None and time.monotonic() > deadline:
+                return Result("unknown", reason="deadline")
             model_env = {}
             blaster = Blaster()
             for a in residual:
@@ -470,9 +488,9 @@ def solve_commands(ctx, script, conflict_budget=None):
             for clause in blaster.cnf.clauses:
                 solver.add_clause(clause)
             try:
-                assignment = solver.solve(conflict_budget)
-            except SatBudgetExceeded:
-                return Result("unknown", reason="conflict budget exceeded")
+                assignment = solver.solve(conflict_budget, deadline)
+            except SatBudgetExceeded as exc:
+                return Result("unknown", reason=str(exc))
             if assignment is None:
                 return Result("unsat")
             for name, lits in blaster.var_bits.items():
@@ -488,6 +506,76 @@ def solve_commands(ctx, script, conflict_budget=None):
             raise SmtInternalError("model fails %s" % print_term(a))
 
     return Result("sat", [evaluator.eval(q) for q in queries])
+
+
+# ---------------------------------------------------------------------------
+# Word-level linear refutation
+# ---------------------------------------------------------------------------
+
+def _linear(term, memo):
+    """The linear form of a bitvector term, modulo 2^width: a pair
+    (coefficients, constant) whose coefficients map atoms to non-zero
+    multipliers.  bvadd, bvsub, bvneg and bvmul by a constant are linear;
+    every other term (var, ite, extract, ...) is an atom, keyed by the
+    hash-consed term itself."""
+    hit = memo.get(id(term))
+    if hit is not None:
+        return hit
+    op = term.op
+    mask = _mask(term.sort[1])
+    if op == "const":
+        out = ({}, term.val[0])
+    elif op in ("bvadd", "bvsub"):
+        sign = 1 if op == "bvadd" else -1
+        (ca, ka), (cb, kb) = (_linear(a, memo) for a in term.args)
+        coeffs = dict(ca)
+        for atom, c in cb.items():
+            c = (coeffs.get(atom, 0) + sign * c) & mask
+            if c:
+                coeffs[atom] = c
+            else:
+                coeffs.pop(atom, None)
+        out = (coeffs, (ka + sign * kb) & mask)
+    elif op == "bvneg":
+        coeffs, k = _linear(term.args[0], memo)
+        out = ({atom: -c & mask for atom, c in coeffs.items()}, -k & mask)
+    elif op == "bvmul" and any(a.op == "const" for a in term.args):
+        a, b = term.args
+        scale, other = (a.val[0], b) if a.op == "const" else (b.val[0], a)
+        coeffs, k = _linear(other, memo)
+        scaled = {}
+        for atom, c in coeffs.items():
+            c = c * scale & mask
+            if c:
+                scaled[atom] = c
+        out = (scaled, k * scale & mask)
+    else:
+        out = ({term: 1}, 0)
+    memo[id(term)] = out
+    return out
+
+
+def _linear_truth(term, memo):
+    """True/False when a bitvector (dis)equality, or its negation, is
+    decided by its sides' linear forms alone (equal coefficients on every
+    atom, so only the constants differ); None otherwise."""
+    want = True
+    if term.op == "not":
+        term, want = term.args[0], False
+    if term.op not in ("=", "distinct") or term.args[0].sort == BOOL:
+        return None
+    (ca, ka), (cb, kb) = (_linear(a, memo) for a in term.args)
+    if ca != cb:
+        return None
+    return ((ka == kb) == (term.op == "=")) == want
+
+
+def _refuted_linear(residual):
+    """True when some conjunct is false on every assignment because its two
+    sides differ only by a constant (x + 2 = x).  Refutation only: a
+    conjunct found true stays in the residual and nothing is rewritten."""
+    memo = {}
+    return any(_linear_truth(a, memo) is False for a in residual)
 
 
 def _lit_value(assignment, lit):

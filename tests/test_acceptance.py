@@ -12,13 +12,14 @@ import sys
 from conftest import CORPUS, corpus_source
 from genprog import (eval_straight_line, random_source, random_walk,
                      straight_line_program, straight_line_walk)
+from ref_oracles import SearchBounds, exhaustive_search
 
 from minisol.cfg import to_dot, expected_plus_edges
 from minisol.encoder import SolverSession, encode, ssa_number
 from minisol.engine import prepare, synthesize
 from minisol.frontend import extract_targets
 from minisol.mutation import MutantSpec, run_mutants
-from minisol.oracle import SearchBounds, exhaustive_search, replay
+from minisol.oracle import replay
 
 
 def _report(criterion, ok, detail):

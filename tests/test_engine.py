@@ -5,7 +5,9 @@ import pytest
 from minisol.concretize import from_json, to_json
 from minisol.engine import pick_target, prepare, replay_file, synthesize
 from minisol.errors import TargetError
+from minisol.explorer import Limits
 from minisol import oracle
+from minisol.smt import solve as smt_solve
 
 TIMESTAMP_SRC = """contract Timed {
     bool opened = false;
@@ -137,3 +139,56 @@ def test_safety_call_rejected():
 """
     with pytest.raises(TargetError):
         synthesize(source)
+
+
+def _outcome(result):
+    """What a run reports, less its timing."""
+    seq = None
+    if result.sequence is not None:
+        seq = json.loads(to_json(result.sequence))
+        seq.pop("time_ms")
+    return result.status, result.walks_explored, result.reason, seq
+
+
+@pytest.mark.parametrize("heuristic", ["floyd-warshall", "state-var"])
+@pytest.mark.parametrize("name", ["guess_check", "two_tx_overflow",
+                                  "loop_sum", "multi_tx"])
+def test_linear_refuter_changes_no_answer(corpus, monkeypatch, name,
+                                          heuristic):
+    """The word-level refuter only answers unsat early.  With it patched
+    out, every residual it would reject goes on to greedy, Blaster and
+    SatSolver and must come out unsat there, and the run's status, walk
+    count and sequence stay the same."""
+    with_refuter = synthesize(corpus[name], heuristic=heuristic,
+                              lazy_check=True)
+
+    refute = smt_solve._refuted_linear
+    solve_commands = smt_solve.solve_commands
+    would_refute = []
+    cross_checked = 0
+
+    def record(residual):
+        would_refute.append(refute(residual))
+        return False
+
+    def solve_and_compare(*args, **kwargs):
+        nonlocal cross_checked
+        would_refute.clear()
+        result = solve_commands(*args, **kwargs)
+        if any(would_refute):
+            assert result.status == "unsat"
+            cross_checked += 1
+        return result
+
+    monkeypatch.setattr(smt_solve, "_refuted_linear", record)
+    monkeypatch.setattr(smt_solve, "solve_commands", solve_and_compare)
+    without = synthesize(corpus[name], heuristic=heuristic, lazy_check=True)
+    assert _outcome(without) == _outcome(with_refuter)
+    if (name, heuristic) == ("multi_tx", "floyd-warshall"):
+        assert cross_checked > 0
+
+
+def test_wall_timeout_ends_the_search_with_timeout(corpus):
+    result = synthesize(corpus["multi_tx"],
+                        limits=Limits(wall_timeout=0.05))
+    assert (result.status, result.reason) == ("notfound", "timeout")

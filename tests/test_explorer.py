@@ -1,9 +1,10 @@
 import math
+import time
 
 import pytest
 
 from minisol.cfg import ReversedView
-from minisol.encoder import SolverSession, encode, ssa_number
+from minisol.encoder import SatResult, SolverSession, encode, ssa_number
 from minisol.engine import prepare, synthesize
 from minisol.errors import ConfigError
 from minisol.explorer import (HEURISTICS, Limits, build_context,
@@ -150,6 +151,24 @@ def test_walk_budget_respected(corpus):
                              limits=Limits(max_walks=5))
     assert result.status == "notfound" and result.reason == "budget"
     assert result.walks_explored <= 5
+
+
+def test_check_out_of_time_ends_the_search_with_timeout(corpus):
+    """A check that gives up at the deadline ends the search at once, not
+    after the rest of the frontier is tried."""
+    _ast, _program, graph = prepare(corpus["multi_tx"])
+    target = extract_targets(corpus["multi_tx"])[0]
+    deadline = time.monotonic() + 0.05
+
+    def check(walk):
+        time.sleep(max(0.0, deadline - time.monotonic()) + 0.01)
+        return SatResult("unknown", reason="deadline")
+
+    result = find_minimal_satisfiable_walk(
+        graph, target, HEURISTICS["floyd-warshall"], Limits(), check=check,
+        deadline=deadline)
+    assert (result.status, result.reason) == ("notfound", "timeout")
+    assert result.walks_explored == 1
 
 
 def test_walk_length_budget(corpus):

@@ -10,6 +10,7 @@ from minisol.concretize import TransactionSequence
 from minisol import oracle
 
 from genprog import random_calls, random_source
+from ref_oracles import AstInterpreter
 
 
 def lower_src(source):
@@ -158,7 +159,7 @@ def test_semantic_preservation_ast_vs_ir(seed):
         txs = random_calls(rng, ast, rng.randint(1, 4))
         seq = TransactionSequence(list(txs))
         ir_report = oracle.replay(program, seq)
-        ast_state, ast_reverted = oracle.AstInterpreter(ast).run(seq)
+        ast_state, ast_reverted = AstInterpreter(ast).run(seq)
         assert ir_report.reverted == ast_reverted, source
         ir_storage = dict(ir_report.final_storage)
         ast_storage = dict(ast_state.storage)

@@ -5,7 +5,9 @@ from minisol.engine import prepare
 from minisol.errors import ReplayError
 from minisol.frontend import extract_targets
 from minisol.ir import CONSTRUCTOR
-from minisol.oracle import SearchBounds, exhaustive_search, replay
+from minisol.oracle import replay
+
+from ref_oracles import SearchBounds, exhaustive_search
 
 
 def seq(*txs):

@@ -2,11 +2,15 @@ import itertools
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
-from minisol.smt import solve_text
+from minisol.smt import solve as solve_mod, solve_text
 from minisol.smt.parse import SmtParseError, parse_script
+from minisol.smt.solve import (DEFAULT_CONFLICT_BUDGET, _linear_truth,
+                               _refuted_linear, solve_commands)
+from minisol.smt.terms import Ctx, bv
 
 
 def solve(text):
@@ -253,6 +257,153 @@ def test_random_store_chains_match_dict_semantics(seed):
     pairs = read_sexprs(tokenize(out.splitlines()[1]))[0]
     got = [int(p[-1][1][2:]) for p in pairs]
     assert got == [table.get(p, 0) for p in probes]
+
+
+# -- word-level linear refutation ---------------------------------------------
+
+def evaluate(term, env):
+    """Plain evaluation of the linear fragment the refuter reads."""
+    op = term.op
+    if op == "var":
+        return env[term.val]
+    if op == "const":
+        return term.val[0]
+    args = [evaluate(a, env) for a in term.args]
+    if op == "not":
+        return not args[0]
+    if op == "=":
+        return args[0] == args[1]
+    if op == "distinct":
+        return args[0] != args[1]
+    if op == "ite":
+        return args[1] if args[0] else args[2]
+    width = term.sort[1]
+    if op == "bvneg":
+        return -args[0] & ((1 << width) - 1)
+    return py_arith(op, args[0], args[1], width)
+
+
+def random_linear_term(rng, ctx, atoms, width, depth):
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.3:
+            return ctx.const(rng.randrange(1 << width), width)
+        return rng.choice(atoms)
+    op = rng.choice(["bvadd", "bvsub", "bvneg", "bvmul"])
+    sub = random_linear_term(rng, ctx, atoms, width, depth - 1)
+    if op == "bvneg":
+        return ctx.mk(op, sub)
+    if op == "bvmul":
+        scale = ctx.const(rng.randrange(1 << width), width)
+        return ctx.mk(op, *((scale, sub) if rng.random() < 0.5
+                            else (sub, scale)))
+    return ctx.mk(op, sub, random_linear_term(rng, ctx, atoms, width,
+                                              depth - 1))
+
+
+def random_comparison(rng, ctx, atoms, width):
+    """A (dis)equality, sometimes negated, whose right side is often the
+    left side plus a constant, possibly with a term added and taken away."""
+    lhs = random_linear_term(rng, ctx, atoms, width, 3)
+    shift = ctx.const(rng.randrange(1 << width), width)
+    kind = rng.randrange(3)
+    if kind == 0:
+        rhs = random_linear_term(rng, ctx, atoms, width, 3)
+    elif kind == 1:
+        rhs = ctx.mk(rng.choice(["bvadd", "bvsub"]), lhs, shift)
+    else:
+        extra = random_linear_term(rng, ctx, atoms, width, 2)
+        rhs = ctx.mk("bvadd", ctx.mk("bvsub", lhs, extra),
+                     ctx.mk("bvadd", extra, shift))
+    if rng.random() < 0.5:
+        lhs, rhs = rhs, lhs
+    term = ctx.mk(rng.choice(["=", "distinct"]), lhs, rhs)
+    return ctx.mk("not", term) if rng.random() < 0.3 else term
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_linear_refuter_matches_brute_force(seed):
+    """Whenever the linear form decides a comparison, it holds (or fails)
+    on every assignment of its variables."""
+    rng = random.Random(seed)
+    ctx = Ctx()
+    width = rng.randint(1, 4)
+    names = ["x", "y", "z"][:rng.randint(2, 3)]
+    atoms = [ctx.var(n, bv(width)) for n in names]
+    envs = [dict(zip(names, values)) for values in
+            itertools.product(range(1 << width), repeat=len(names))]
+    decided = 0
+    for _ in range(8):
+        term = random_comparison(rng, ctx, atoms, width)
+        truth = _linear_truth(term, {})
+        assert _refuted_linear([term]) == (truth is False)
+        if truth is None:
+            continue
+        decided += 1
+        assert all(evaluate(term, env) == truth for env in envs), term
+    assert decided
+
+
+def test_linear_refuter_fixed_cases():
+    ctx = Ctx()
+    x = ctx.var("x", bv(8))
+    c = ctx.var("c", ("bool",))
+    one = ctx.const(1, 8)
+
+    def plus(a, k):
+        return ctx.mk("bvadd", a, ctx.const(k, 8))
+
+    assert _refuted_linear([ctx.mk("=", plus(plus(x, 1), 1), x)])
+    # x + 255 + 1 wraps back to x: true, so not refuted
+    wraps = ctx.mk("=", plus(plus(x, 255), 1), x)
+    assert _linear_truth(wraps, {}) is True
+    assert not _refuted_linear([wraps])
+    assert _refuted_linear([ctx.mk("distinct",
+                                   ctx.mk("bvsub", plus(x, 1), x), one)])
+    # an ite is an atom: the same one on both sides cancels
+    ite = ctx.mk("ite", c, x, ctx.var("y", bv(8)))
+    assert _refuted_linear([ctx.mk("=", ctx.mk("bvadd", ite, one), ite)])
+    assert _refuted_linear([ctx.mk("not", ctx.mk(
+        "=", ctx.mk("bvsub", ctx.mk("bvadd", ite, x), x), ite))])
+    # a different atom on one side leaves the comparison undecided
+    assert _linear_truth(ctx.mk("=", plus(ite, 1), plus(x, 1)), {}) is None
+
+
+def test_offset_cancelling_check_is_unsat_without_bit_blasting(monkeypatch):
+    def no_blaster():
+        raise AssertionError("bit-blasted a check the refuter decides")
+    monkeypatch.setattr(solve_mod, "Blaster", no_blaster)
+    one = "#x" + "0" * 63 + "1"
+    assert solve("""
+(declare-const threshold!0 (_ BitVec 256))
+(declare-const b Bool)
+(assert (or b (bvult threshold!0 %s)))
+(assert (= (bvadd (bvadd threshold!0 %s) %s) threshold!0))
+(check-sat)
+""" % (one, one, one)) == "unsat\n"
+
+
+# -- deadlines -----------------------------------------------------------------
+
+FACTORING = """
+(declare-const x (_ BitVec 32))
+(declare-const y (_ BitVec 32))
+(assert (bvugt x (_ bv1 32)))
+(assert (bvugt y (_ bv1 32)))
+(assert (= (bvmul ((_ zero_extend 32) x) ((_ zero_extend 32) y))
+           (_ bv%d 64)))
+(check-sat)
+""" % (65521 * 65519)
+
+
+def test_deadline_ends_a_hard_check_with_unknown():
+    """Factoring a 32-bit semiprime is far beyond the CDCL search in a
+    fifth of a second; the deadline stops it."""
+    ctx, script = parse_script(FACTORING)
+    start = time.monotonic()
+    result = solve_commands(ctx, script, DEFAULT_CONFLICT_BUDGET,
+                            start + 0.2)
+    assert (result.status, result.reason) == ("unknown", "deadline")
+    assert time.monotonic() - start < 2.0
 
 
 def test_deterministic_output():
