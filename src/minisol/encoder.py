@@ -32,6 +32,7 @@ from __future__ import annotations
 import shlex
 import subprocess
 import sys
+import time
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -586,7 +587,6 @@ class SatResult:
 @dataclass
 class SolverConfig:
     command: Optional[str] = None  # None = run the bundled solver in process
-    timeout: Optional[float] = None
     emit_dir: Optional[str] = None
 
 
@@ -599,8 +599,9 @@ class SolverSession:
         self.n_submissions = 0
 
     def check(self, smt_script: SmtScript, deadline=None) -> SatResult:
-        """Decide one script.  The bundled solver gives up with ``unknown``
-        (reason ``deadline``) once ``time.monotonic()`` passes `deadline`."""
+        """Decide one script.  The solver, bundled or external, gives up
+        with ``unknown`` (reason ``deadline``) once ``time.monotonic()``
+        passes `deadline`."""
         self.n_submissions += 1
         if self.config.emit_dir:
             import os
@@ -610,7 +611,7 @@ class SolverSession:
                 fh.write(smt_script.text)
         if self.config.command is None:
             return self._solve(smt_script, deadline)
-        return parse_solver_output(self._run(smt_script.text), smt_script)
+        return self._run(smt_script, deadline)
 
     def _solve(self, smt_script, deadline):
         """The bundled solver, in process, on the script's terms."""
@@ -629,22 +630,25 @@ class SolverSession:
             {sym: int(v) for sym, v in zip(commands.query_texts,
                                            result.values)}))
 
-    def _run(self, text):
+    def _run(self, smt_script, deadline):
+        """The external solver, as a process given the time left."""
         argv = shlex.split(self.config.command)
+        timeout = None if deadline is None \
+            else max(0.0, deadline - time.monotonic())
         try:
-            proc = subprocess.run(argv, input=text, capture_output=True,
-                                  text=True, timeout=self.config.timeout)
+            proc = subprocess.run(argv, input=smt_script.text,
+                                  capture_output=True, text=True,
+                                  timeout=timeout)
         except FileNotFoundError as exc:
             raise SolverError("missing", "solver executable %r not found"
                               % argv[0]) from exc
-        except subprocess.TimeoutExpired as exc:
-            raise SolverError("timeout", "solver exceeded %.1f s"
-                              % self.config.timeout) from exc
+        except subprocess.TimeoutExpired:
+            return SatResult("unknown", reason="deadline")
         output = proc.stdout
         if not output.strip():
             raise SolverError("crash", "no output (exit %d): %s"
                               % (proc.returncode, proc.stderr[:500]))
-        return output
+        return parse_solver_output(output, smt_script)
 
 
 def bundled_solver_command():

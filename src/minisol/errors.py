@@ -32,7 +32,7 @@ class EncodeError(MiniSolError):
 
 
 class SolverError(MiniSolError):
-    """External solver trouble. ``kind`` is one of missing/crash/malformed/timeout."""
+    """External solver trouble. ``kind`` is one of missing/crash/malformed."""
 
     def __init__(self, kind, message):
         super().__init__("solver %s: %s" % (kind, message))

@@ -90,8 +90,8 @@ class Script:
     has_check: bool = False
 
 
-def parse_script(text, ctx=None):
-    ctx = ctx or Ctx()
+def parse_script(text):
+    ctx = Ctx()
     script = Script()
     for form in read_sexprs(tokenize(text)):
         if not isinstance(form, list) or not form:

@@ -1,15 +1,18 @@
 """Solving pipeline, in order: fold/demote -> word-level reduction -> linear
 refutation -> greedy model -> bit-blast -> CDCL -> model self-check.
 
-Fold/demote constant-folds every assertion, compiles the map axioms (below)
-and replaces map reads by terms over fresh cell variables.  Word-level
-reduction substitutes definitional conjuncts (``x = t``) until none is
-left.  Linear refutation answers unsat when a remaining conjunct is a
-bitvector (dis)equality whose sides differ only by a constant; it never
-rewrites or drops a conjunct, so satisfiable checks pass through it
-unchanged.  The greedy model search assigns variables at word level;
-only when it fails are the remaining conjuncts bit-blasted to CNF for
-the CDCL solver.
+Folding is a function of the hash-consed term: each distinct term is folded
+once per :class:`~.terms.Ctx` and the result kept in ``Ctx.folded``.
+Fold/demote folds every assertion, compiles the map axioms (below) and
+replaces map reads by terms over fresh cell variables.  Word-level reduction
+substitutes definitional conjuncts (``x = t``) until none is left.  Demotion
+and substitution are one ``rewrite`` pass, which first resolves map reads
+and then substitutes definitions, refolding each node it rebuilds.  Linear
+refutation answers unsat when a remaining conjunct is a bitvector
+(dis)equality whose sides differ only by a constant; it never rewrites or
+drops a conjunct, so satisfiable checks pass through it unchanged.  The
+greedy model search assigns variables at word level; only when it fails are
+the remaining conjuncts bit-blasted to CNF for the CDCL solver.
 
 Mappings and arrays arrive as unary uninterpreted functions whose updates
 are described by quantified frame axioms; those two axiom shapes (point
@@ -47,23 +50,37 @@ def _mask(width):
     return (1 << width) - 1
 
 
-def fold(ctx, term, memo):
-    hit = memo.get(id(term))
-    if hit is not None:
-        return hit
-    out = _fold(ctx, term, memo)
-    memo[id(term)] = out
+_CMP_HOLDS = {"bvult": lambda a, b: a < b, "bvule": lambda a, b: a <= b,
+              "bvugt": lambda a, b: a > b, "bvuge": lambda a, b: a >= b}
+
+
+def _sign_extend(value, width, extra):
+    """The `width`-bit `value` sign-extended by `extra` bits."""
+    if value >> (width - 1):
+        value |= _mask(extra) << width
+    return value
+
+
+def fold(ctx, term):
+    """The constant-folded form of `term`, computed once per context:
+    ``ctx.folded`` records the result for the term and, since folding is
+    idempotent, for the result itself."""
+    folded = ctx.folded
+    out = folded.get(id(term))
+    if out is None:
+        out = _fold(ctx, term)
+        folded[id(term)] = out
+        folded[id(out)] = out
     return out
 
 
-def _fold(ctx, term, memo):
+def _fold(ctx, term):
     op = term.op
     if op in ("const", "cbool", "var"):
         return term
     if op == "forall":
-        return ctx.node("forall", term.val,
-                        (fold(ctx, term.args[0], memo),))
-    args = tuple(fold(ctx, a, memo) for a in term.args)
+        return ctx.node("forall", term.val, (fold(ctx, term.args[0]),))
+    args = tuple(fold(ctx, a) for a in term.args)
     if op == "app":
         return ctx.node("app", term.val, args, term.sort)
 
@@ -101,7 +118,7 @@ def _fold(ctx, term, memo):
         result = keep[0] if len(keep) == 1 else ctx.mk("xor", *keep)
         return ctx.mk("not", result) if const else result
     if op == "=>":
-        return _fold(ctx, ctx.mk("or", ctx.mk("not", args[0]), args[1]), memo)
+        return fold(ctx, ctx.mk("or", ctx.mk("not", args[0]), args[1]))
     if op == "=":
         a, b = args
         if a is b:
@@ -110,10 +127,10 @@ def _fold(ctx, term, memo):
             return ctx.cbool(a.val == b.val)
         if a.sort == BOOL:
             if a.op == "cbool":
-                return b if a.val else _fold(ctx, ctx.mk("not", b), memo)
+                return b if a.val else fold(ctx, ctx.mk("not", b))
             if b.op == "cbool":
-                return a if b.val else _fold(ctx, ctx.mk("not", a), memo)
-        distributed = _distribute_cmp(ctx, "=", a, b, memo)
+                return a if b.val else fold(ctx, ctx.mk("not", a))
+        distributed = _distribute_cmp(ctx, "=", a, b)
         if distributed is not None:
             return distributed
         return ctx.mk("=", a, b)
@@ -132,15 +149,15 @@ def _fold(ctx, term, memo):
             return t
         if t.sort == BOOL:
             if t.op == "cbool" and e.op == "cbool":
-                return c if t.val else _fold(ctx, ctx.mk("not", c), memo)
+                return c if t.val else fold(ctx, ctx.mk("not", c))
             if t.op == "cbool":
                 rule = ctx.mk("or", c, e) if t.val \
                     else ctx.mk("and", ctx.mk("not", c), e)
-                return _fold(ctx, rule, memo)
+                return fold(ctx, rule)
             if e.op == "cbool":
                 rule = ctx.mk("or", ctx.mk("not", c), t) if e.val \
                     else ctx.mk("and", c, t)
-                return _fold(ctx, rule, memo)
+                return fold(ctx, rule)
         return ctx.mk("ite", c, t, e)
 
     if op in BV_BINOPS:
@@ -173,10 +190,8 @@ def _fold(ctx, term, memo):
     if op in BV_CMPS:
         a, b = args
         if a.op == "const" and b.op == "const":
-            x, y = a.val[0], b.val[0]
-            return ctx.cbool({"bvult": x < y, "bvule": x <= y,
-                              "bvugt": x > y, "bvuge": x >= y}[op])
-        distributed = _distribute_cmp(ctx, op, a, b, memo)
+            return ctx.cbool(_CMP_HOLDS[op](a.val[0], b.val[0]))
+        distributed = _distribute_cmp(ctx, op, a, b)
         if distributed is not None:
             return distributed
         return ctx.mk(op, a, b)
@@ -193,9 +208,7 @@ def _fold(ctx, term, memo):
             return a
         if a.op == "const":
             v, w = a.val
-            if v >> (w - 1):
-                v |= _mask(term.val) << w
-            return ctx.const(v, w + term.val)
+            return ctx.const(_sign_extend(v, w, term.val), w + term.val)
         return ctx.mk(op, a, val=term.val)
     if op == "extract":
         hi, lo = term.val
@@ -214,7 +227,7 @@ def _fold(ctx, term, memo):
     raise SmtError("cannot fold %r" % op)
 
 
-def _distribute_cmp(ctx, op, a, b, memo):
+def _distribute_cmp(ctx, op, a, b):
     """Push a comparison against a constant through an ite so map-read
     chains fold into boolean structure over their conditions; None when
     the rule does not apply."""
@@ -226,10 +239,9 @@ def _distribute_cmp(ctx, op, a, b, memo):
             continue
         args_t = (t, other) if left else (other, t)
         args_e = (e, other) if left else (other, e)
-        return _fold(ctx, ctx.mk("ite", ite_side.args[0],
-                                 _fold(ctx, ctx.mk(op, *args_t), memo),
-                                 _fold(ctx, ctx.mk(op, *args_e), memo)),
-                     memo)
+        return fold(ctx, ctx.mk("ite", ite_side.args[0],
+                                fold(ctx, ctx.mk(op, *args_t)),
+                                fold(ctx, ctx.mk(op, *args_e))))
     return None
 
 
@@ -258,28 +270,30 @@ def _bv_arith(op, x, y, width):
 
 
 # ---------------------------------------------------------------------------
-# Substitution
+# Rewriting: map reads and substitution
 # ---------------------------------------------------------------------------
 
-def rewrite(ctx, term, subst, memo):
-    """Substitute bound variables (through chains) and fold, bottom up."""
+def rewrite(ctx, term, subst, maps, memo):
+    """Replace variables through `subst` (following chains) and map reads
+    through `maps.resolve`, folding every rebuilt node, bottom up."""
     hit = memo.get(id(term))
     if hit is not None:
         return hit
-    if term.op == "var":
+    op = term.op
+    if op == "var":
         value = subst.get(term)
-        out = term if value is None else rewrite(ctx, value, subst, memo)
-    elif term.op in ("const", "cbool"):
-        out = term
-    elif term.op == "app":
-        out = ctx.node("app", term.val,
-                       (rewrite(ctx, term.args[0], subst, memo),), term.sort)
-    elif term.op == "forall":
-        out = ctx.node("forall", term.val,
-                       (rewrite(ctx, term.args[0], subst, memo),))
+        out = term if value is None \
+            else rewrite(ctx, value, subst, maps, memo)
+    elif op == "app":
+        arg = rewrite(ctx, term.args[0], subst, maps, memo)
+        out = maps.resolve(term.val, arg, term.sort)
+    elif op == "forall":
+        raise SmtUnknown("nested quantifier")
+    elif term.args:
+        args = tuple(rewrite(ctx, a, subst, maps, memo) for a in term.args)
+        out = fold(ctx, ctx.node(op, term.val, args, term.sort))
     else:
-        args = tuple(rewrite(ctx, a, subst, memo) for a in term.args)
-        out = _fold(ctx, ctx.node(term.op, term.val, args, term.sort), {})
+        out = term
     memo[id(term)] = out
     return out
 
@@ -300,7 +314,6 @@ class _Maps:
         self.defs = {}             # fname -> ('store', base, idx) | ('const', t)
         self.cells = {}            # fname -> cell var term
         self.apps = {}             # base fname -> {arg term -> ack var term}
-        self.ret_sorts = {}
 
     def match_forall(self, term, funs):
         """Recognize the two supported axiom shapes; returns True if consumed."""
@@ -327,7 +340,7 @@ class _Maps:
                 guard, eq = body.args
             else:
                 guard, eq = ctx.mk("not", body.args[0]), body.args[1]
-                guard = fold(ctx, guard, {})
+                guard = fold(ctx, guard)
             cond = None
             if guard.op == "distinct":
                 cond = guard.args
@@ -362,17 +375,16 @@ class _Maps:
             if arg not in table:
                 table[arg] = ctx.var("%%ack!%s!%d" % (fname, len(table)),
                                      ret_sort)
-                self.ret_sorts[fname] = ret_sort
             return table[arg]
         if d[0] == "const":
             return d[1]
         base, idx = d[1], d[2]
-        hit = fold(ctx, ctx.mk("=", arg, idx), {})
+        hit = fold(ctx, ctx.mk("=", arg, idx))
         below = self.resolve(base, arg, ret_sort, depth + 1)
         cell = self.cell(fname, ret_sort)
         if hit.op == "cbool":
             return cell if hit.val else below
-        return fold(ctx, ctx.mk("ite", hit, cell, below), {})
+        return fold(ctx, ctx.mk("ite", hit, cell, below))
 
     def congruence_assertions(self):
         out = []
@@ -405,7 +417,7 @@ def solve_commands(ctx, script, conflict_budget=None, deadline=None):
     maps = _Maps(ctx)
     ground = []
     for a in script.asserts:
-        a = fold(ctx, a, {})
+        a = fold(ctx, a)
         if a.op == "forall":
             if not maps.match_forall(a, script.funs):
                 raise SmtUnknown("unsupported quantified assertion %s"
@@ -416,28 +428,11 @@ def solve_commands(ctx, script, conflict_budget=None, deadline=None):
         else:
             ground.append(a)
 
-    demoted = {}                   # app term -> resolved term
-
-    def demote(term, memo):
-        hit = memo.get(id(term))
-        if hit is not None:
-            return hit
-        if term.op == "app":
-            arg = demote(term.args[0], memo)
-            out = maps.resolve(term.val, arg, term.sort)
-        elif term.op == "forall":
-            raise SmtUnknown("nested quantifier")
-        elif term.args:
-            args = tuple(demote(a, memo) for a in term.args)
-            out = fold(ctx, ctx.node(term.op, term.val, args, term.sort), {})
-        else:
-            out = term
-        memo[id(term)] = out
-        return out
-
-    rewritten = [demote(a, demoted) for a in ground]
-    rewritten += [fold(ctx, a, {}) for a in maps.congruence_assertions()]
-    queries = [demote(fold(ctx, q, {}), demoted) for q in script.queries]
+    demoted = {}                   # term -> term with map reads resolved
+    rewritten = [rewrite(ctx, a, {}, maps, demoted) for a in ground]
+    rewritten += [fold(ctx, a) for a in maps.congruence_assertions()]
+    queries = [rewrite(ctx, fold(ctx, q), {}, maps, demoted)
+               for q in script.queries]
 
     checked = [a for a in rewritten if a.op != "cbool" or not a.val]
     if any(a.op == "cbool" and not a.val for a in checked):
@@ -446,13 +441,12 @@ def solve_commands(ctx, script, conflict_budget=None, deadline=None):
     # word-level reduction: propagate single definitions
     residual = checked
     subst = {}
-    bindings = []
     while True:
         new_binds = 0
         keep = []
         memo = {}
         for a in residual:
-            a2 = rewrite(ctx, a, subst, memo)
+            a2 = rewrite(ctx, a, subst, maps, memo)
             if a2.op == "cbool":
                 if not a2.val:
                     return Result("unsat")
@@ -461,7 +455,6 @@ def solve_commands(ctx, script, conflict_budget=None, deadline=None):
             if bind is not None:
                 var, value = bind
                 subst[var] = value
-                bindings.append((var, value))
                 new_binds += 1
                 memo = {}
                 continue
@@ -500,7 +493,7 @@ def solve_commands(ctx, script, conflict_budget=None, deadline=None):
                 else:
                     model_env[name] = _lit_value(assignment, lits)
 
-    evaluator = _Evaluator(ctx, model_env, subst)
+    evaluator = _Evaluator(model_env, subst)
     for a in rewritten:
         if evaluator.eval(a) is not True:
             raise SmtInternalError("model fails %s" % print_term(a))
@@ -593,7 +586,7 @@ def _lit_value(assignment, lit):
 
 def _eval_plain(term, env):
     """Evaluate a ground term under a total env (missing vars are 0)."""
-    return _Evaluator(None, env, {}).eval(term)
+    return _Evaluator(env, {}).eval(term)
 
 
 def _collect_vars(term, out, seen):
@@ -719,10 +712,6 @@ def _force_eq(x, y, equal, env, depth):
     return False
 
 
-_CMP_HOLDS = {"bvult": lambda a, b: a < b, "bvule": lambda a, b: a <= b,
-              "bvugt": lambda a, b: a > b, "bvuge": lambda a, b: a >= b}
-
-
 def _force_cmp(x, y, op, env, depth):
     for side, other, left in ((x, y, True), (y, x, False)):
         bound = _eval_plain(other, env)
@@ -763,10 +752,6 @@ def _force_cmp_side(term, bound, op, left, env, depth):
     return False
 
 
-def _repair(a, env):
-    return _force(a, True, env)
-
-
 def _greedy_model(residual):
     """Deterministic best-effort assignment; returns a full env that makes
     every conjunct true, or None to fall back to bit-blasting."""
@@ -783,7 +768,7 @@ def _greedy_model(residual):
             if _eval_plain(a, env):
                 continue
             all_ok = False
-            if _repair(a, env):
+            if _force(a, True, env):
                 progressed = True
             else:
                 return None
@@ -814,8 +799,7 @@ def _match_binding(ctx, term, subst):
 
 
 class _Evaluator:
-    def __init__(self, ctx, env, subst):
-        self.ctx = ctx
+    def __init__(self, env, subst):
         self.env = env             # var name -> int/bool (residual model)
         self.subst = subst         # var term -> term
         self.memo = {}
@@ -865,9 +849,8 @@ class _Evaluator:
             return _bv_arith(op, self.eval(term.args[0]),
                              self.eval(term.args[1]), width) & _mask(width)
         if op in BV_CMPS:
-            x, y = self.eval(term.args[0]), self.eval(term.args[1])
-            return {"bvult": x < y, "bvule": x <= y,
-                    "bvugt": x > y, "bvuge": x >= y}[op]
+            return _CMP_HOLDS[op](self.eval(term.args[0]),
+                                  self.eval(term.args[1]))
         if op == "bvnot":
             return ~self.eval(term.args[0]) & _mask(term.sort[1])
         if op == "bvneg":
@@ -875,11 +858,8 @@ class _Evaluator:
         if op == "zero_extend":
             return self.eval(term.args[0])
         if op == "sign_extend":
-            v = self.eval(term.args[0])
-            w = term.args[0].sort[1]
-            if v >> (w - 1):
-                v |= _mask(term.val) << w
-            return v
+            return _sign_extend(self.eval(term.args[0]),
+                                term.args[0].sort[1], term.val)
         if op == "extract":
             hi, lo = term.val
             return (self.eval(term.args[0]) >> lo) & _mask(hi - lo + 1)

@@ -2,7 +2,9 @@
 
 Terms are immutable and hash-consed through a :class:`Ctx`, so structural
 equality is identity equality and memo tables can key on ``id(term)``.
-Sorts are ``('bool',)`` or ``('bv', width)``.
+``Ctx.folded`` is the one constant-folding memo of the context: it maps the
+id of every term ``solve.fold`` has seen, and of every folded result, to
+the folded term.  Sorts are ``('bool',)`` or ``('bv', width)``.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ BOOL_OPS = {"and", "or", "xor", "not", "=>"}
 class Ctx:
     def __init__(self):
         self._intern = {}
+        self.folded = {}           # id(term) -> folded term, see solve.fold
         self.TRUE = self.node("cbool", True, ())
         self.FALSE = self.node("cbool", False, ())
 

@@ -1,8 +1,12 @@
 import json
+import shlex
+import sys
+import time
 
 import pytest
 
 from minisol.concretize import from_json, to_json
+from minisol.encoder import SolverConfig
 from minisol.engine import pick_target, prepare, replay_file, synthesize
 from minisol.errors import TargetError
 from minisol.explorer import Limits
@@ -192,3 +196,16 @@ def test_wall_timeout_ends_the_search_with_timeout(corpus):
     result = synthesize(corpus["multi_tx"],
                         limits=Limits(wall_timeout=0.05))
     assert (result.status, result.reason) == ("notfound", "timeout")
+
+
+def test_wall_timeout_bounds_an_external_solver(corpus):
+    """A --solver-cmd process still running at the deadline is killed and
+    the search ends with ``timeout``, as with the bundled solver."""
+    sleeper = "%s -c %s" % (shlex.quote(sys.executable),
+                            shlex.quote("import time; time.sleep(30)"))
+    start = time.monotonic()
+    result = synthesize(corpus["guess_check"],
+                        solver=SolverConfig(command=sleeper),
+                        limits=Limits(wall_timeout=0.5))
+    assert (result.status, result.reason) == ("notfound", "timeout")
+    assert time.monotonic() - start < 5.0

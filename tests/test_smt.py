@@ -6,6 +6,8 @@ import time
 
 import pytest
 
+from minisol.engine import synthesize
+from minisol.explorer import Limits
 from minisol.smt import solve as solve_mod, solve_text
 from minisol.smt.parse import SmtParseError, parse_script
 from minisol.smt.solve import (DEFAULT_CONFLICT_BUDGET, _linear_truth,
@@ -380,6 +382,50 @@ def test_offset_cancelling_check_is_unsat_without_bit_blasting(monkeypatch):
 (assert (= (bvadd (bvadd threshold!0 %s) %s) threshold!0))
 (check-sat)
 """ % (one, one, one)) == "unsat\n"
+
+
+# -- folding -------------------------------------------------------------------
+
+@pytest.mark.parametrize("name, options", [
+    ("guess_check", {}),
+    ("token", {"heuristic": "state-var", "limits": Limits(max_walks=200)}),
+    ("multi_tx", {"lazy_check": True}),
+])
+def test_each_term_is_folded_once_per_check(corpus, monkeypatch, name,
+                                            options):
+    """No term reaches ``_fold`` twice within one check, and refolding any
+    folded term from an empty ``ctx.folded`` gives the term back: the
+    idempotence that lets ``fold`` record a result as its own fold."""
+    real_fold, real_solve = solve_mod._fold, solve_mod.solve_commands
+    seen = set()
+    repeats, not_idempotent = [], []
+    checks = 0
+
+    def fold_once(ctx, term):
+        if id(term) in seen:
+            repeats.append(term)
+        seen.add(id(term))
+        return real_fold(ctx, term)
+
+    def solve_and_refold(ctx, script, *args):
+        nonlocal checks
+        seen.clear()
+        checks += 1
+        try:
+            return real_solve(ctx, script, *args)
+        finally:
+            outputs = {id(t): t for t in ctx.folded.values()}
+            ctx.folded = {}
+            seen.clear()
+            not_idempotent.extend(t for t in outputs.values()
+                                  if solve_mod.fold(ctx, t) is not t)
+
+    monkeypatch.setattr(solve_mod, "_fold", fold_once)
+    monkeypatch.setattr(solve_mod, "solve_commands", solve_and_refold)
+    result = synthesize(corpus[name], **options)
+    assert checks == result.walks_explored > 0
+    assert repeats == []
+    assert not_idempotent == []
 
 
 # -- deadlines -----------------------------------------------------------------
