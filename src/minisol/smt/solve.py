@@ -11,8 +11,13 @@ and then substitutes definitions, refolding each node it rebuilds.  Linear
 refutation answers unsat when a remaining conjunct is a bitvector
 (dis)equality whose sides differ only by a constant; it never rewrites or
 drops a conjunct, so satisfiable checks pass through it unchanged.  The
-greedy model search assigns variables at word level; only when it fails are
-the remaining conjuncts bit-blasted to CNF for the CDCL solver.
+greedy model search assigns variables at word level, forcing one false
+conjunct at a time: it keeps the ite branch a condition already selects,
+gives a variable forced to differ a value no other variable of its sort
+holds, solves one-variable linear terms (c*x + k = v modulo 2^width) in
+closed form, and tries maximum values when both sides of a comparison
+share a variable (``a + v < a``).  Only when it fails are the remaining
+conjuncts bit-blasted to CNF for the CDCL solver.
 
 Mappings and arrays arrive as unary uninterpreted functions whose updates
 are described by quantified frame axioms; those two axiom shapes (point
@@ -299,9 +304,18 @@ def rewrite(ctx, term, subst, maps, memo):
 
 
 def occurs(var, term):
-    if term is var:
-        return True
-    return any(occurs(var, a) for a in term.args)
+    """True when `var` is `term` or one of its subterms; each shared
+    subterm of the DAG is visited once."""
+    seen = set()
+    stack = [term]
+    while stack:
+        term = stack.pop()
+        if term is var:
+            return True
+        if id(term) not in seen:
+            seen.add(id(term))
+            stack.extend(term.args)
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -616,9 +630,10 @@ _CMP_NEG = {"bvult": "bvuge", "bvule": "bvugt", "bvugt": "bvule",
             "bvuge": "bvult"}
 
 
-def _force(term, want, env, depth=0):
+def _force(term, want, env, sorts, depth=0):
     """Best effort at making a boolean term evaluate to `want` by assigning
-    variables; every candidate model is re-verified afterwards."""
+    variables; every candidate model is re-verified afterwards.  `sorts`
+    maps each variable name of the residual to its sort."""
     if depth > 12:
         return False
     op = term.op
@@ -627,33 +642,45 @@ def _force(term, want, env, depth=0):
     if op == "var":
         return _set_var(env, term, want)
     if op == "not":
-        return _force(term.args[0], not want, env, depth + 1)
+        return _force(term.args[0], not want, env, sorts, depth + 1)
     if (op == "and" and want) or (op == "or" and not want):
         for sub in term.args:
             if _eval_plain(sub, env) != want:
-                if not _force(sub, want, env, depth + 1):
+                if not _force(sub, want, env, sorts, depth + 1):
                     return False
         return True
     if (op == "or" and want) or (op == "and" and not want):
-        return any(_force(sub, want, env, depth + 1) for sub in term.args)
+        return any(_force(sub, want, env, sorts, depth + 1)
+                   for sub in term.args)
     if op == "=>":
         if want:
-            return (_force(term.args[0], False, env, depth + 1)
-                    or _force(term.args[1], True, env, depth + 1))
-        return (_force(term.args[0], True, env, depth + 1)
-                and _force(term.args[1], False, env, depth + 1))
+            return (_force(term.args[0], False, env, sorts, depth + 1)
+                    or _force(term.args[1], True, env, sorts, depth + 1))
+        return (_force(term.args[0], True, env, sorts, depth + 1)
+                and _force(term.args[1], False, env, sorts, depth + 1))
     if op in ("=", "distinct"):
         equal = (op == "=") == want
-        return _force_eq(term.args[0], term.args[1], equal, env, depth)
+        return _force_eq(term.args[0], term.args[1], equal, env, sorts,
+                         depth)
     if op in BV_CMPS:
         cmp_op = op if want else _CMP_NEG[op]
-        return _force_cmp(term.args[0], term.args[1], cmp_op, env, depth)
+        return _force_cmp(term.args[0], term.args[1], cmp_op, env, sorts,
+                          depth)
     return False
 
 
-def _solve_to_value(term, value, env, depth=0):
-    """Assign variables so that `term` evaluates to `value`, inverting
-    ite/add/sub/extend chains one free side at a time."""
+def _branches(cond, then, els, env):
+    """The two (pick, branch) pairs of an ite, the one its condition
+    selects under `env` first, so a branch already taken is kept."""
+    taken, other = (True, then), (False, els)
+    return (taken, other) if _eval_plain(cond, env) else (other, taken)
+
+
+def _solve_to_value(term, value, env, sorts, depth=0):
+    """Assign variables so that `term` evaluates to `value`: a linear term
+    over one variable is solved in closed form, otherwise ite/add/sub/extend
+    chains are inverted one free side at a time, the ite branch the
+    condition selects first."""
     if depth > 16:
         return False
     op = term.op
@@ -667,15 +694,23 @@ def _solve_to_value(term, value, env, depth=0):
         inner = term.args[0]
         if value > _mask(inner.sort[1]):
             return False
-        return _solve_to_value(inner, value, env, depth + 1)
+        return _solve_to_value(inner, value, env, sorts, depth + 1)
     if op == "ite":
         cond, then, els = term.args
-        for pick, sub in ((True, then), (False, els)):
+        for pick, sub in _branches(cond, then, els, env):
             if _eval_plain(sub, env) == value or _solvable_leaf(sub):
-                if _solve_to_value(sub, value, env, depth + 1) \
-                        and _force(cond, pick, env, depth + 1):
+                if _solve_to_value(sub, value, env, sorts, depth + 1) \
+                        and _force(cond, pick, env, sorts, depth + 1):
                     return True
         return False
+    if op in ("bvadd", "bvsub", "bvneg", "bvmul"):
+        coeffs, k = _linear(term, {})
+        if len(coeffs) == 1 and next(iter(coeffs)).op == "var":
+            (atom, c), = coeffs.items()
+            width = term.sort[1]
+            x = _solve_linear(c, (value - k) & _mask(width), width)
+            if x is not None:
+                return _set_var(env, atom, x)
     if op in ("bvadd", "bvsub"):
         width = term.sort[1]
         a, b = term.args
@@ -687,10 +722,21 @@ def _solve_to_value(term, value, env, depth=0):
                 want = (value + fixed_val) & _mask(width)
             else:                            # solve b in a - b = value
                 want = (fixed_val - value) & _mask(width)
-            if _solve_to_value(free, want, env, depth + 1):
+            if _solve_to_value(free, want, env, sorts, depth + 1):
                 return True
         return False
     return _eval_plain(term, env) == value
+
+
+def _solve_linear(c, r, width):
+    """The least x with c*x = r (mod 2^width), for c non-zero modulo
+    2^width, or None: a solution exists iff 2^t divides r, where 2^t is the
+    largest power of two dividing c."""
+    t = (c & -c).bit_length() - 1
+    if r & _mask(t):
+        return None
+    modulus = 1 << (width - t)
+    return (r >> t) * pow(c >> t, -1, modulus) % modulus
 
 
 def _solvable_leaf(term):
@@ -699,20 +745,41 @@ def _solvable_leaf(term):
     return term.op in ("var", "ite")
 
 
-def _force_eq(x, y, equal, env, depth):
+def _force_eq(x, y, equal, env, sorts, depth):
     for side, other in ((x, y), (y, x)):
         value = _eval_plain(other, env)
         if not equal:
             if other.sort == BOOL:
                 value = not value
+            elif side.op == "var":
+                return _set_var(env, side, _fresh_value(side, value, env,
+                                                        sorts))
             else:
                 value = (value ^ 1) & _mask(side.sort[1])
-        if _solve_to_value(side, value, env, depth + 1):
+        if _solve_to_value(side, value, env, sorts, depth + 1):
             return True
     return False
 
 
-def _force_cmp(x, y, op, env, depth):
+def _fresh_value(var, value, env, sorts):
+    """A value for the bitvector `var` other than `value` that no other
+    variable of its sort holds, trying ``value ^ 1`` first; ``value ^ 1``
+    when every value of the sort is taken."""
+    mask = _mask(var.sort[1])
+    taken = {env[name] for name, sort in sorts.items()
+             if sort == var.sort and name != var.val}
+    taken.add(value)
+    candidate = (value ^ 1) & mask
+    if len(taken) > mask:
+        return candidate
+    while candidate in taken:
+        candidate = (candidate + 1) & mask
+    return candidate
+
+
+def _force_cmp(x, y, op, env, sorts, depth):
+    if _wrap_around(x, y, op, env):
+        return True
     for side, other, left in ((x, y, True), (y, x, False)):
         bound = _eval_plain(other, env)
         if left:
@@ -723,14 +790,35 @@ def _force_cmp(x, y, op, env, depth):
                     "bvugt": bound - 1, "bvuge": bound}[op]
         width = side.sort[1]
         if 0 <= want <= _mask(width) \
-                and _solve_to_value(side, want, env, depth + 1):
+                and _solve_to_value(side, want, env, sorts, depth + 1):
             return True
-        if _force_cmp_side(side, bound, op, left, env, depth + 1):
+        if _force_cmp_side(side, bound, op, left, env, sorts, depth + 1):
             return True
     return False
 
 
-def _force_cmp_side(term, bound, op, left, env, depth):
+def _wrap_around(x, y, op, env):
+    """When both sides of `x <op> y` share a variable (the overflow idioms
+    ``a + v < a`` and ``x >= x + 3``), set the comparison's bitvector
+    variables to their maximum values one at a time on a trial env; keep
+    the trial env, and answer True, as soon as the comparison holds."""
+    left, right = {}, {}
+    _collect_vars(x, left, set())
+    _collect_vars(y, right, set())
+    if left.keys().isdisjoint(right):
+        return False
+    trial = dict(env)
+    for name, sort in {**left, **right}.items():
+        if sort == BOOL:
+            continue
+        trial[name] = _mask(sort[1])
+        if _CMP_HOLDS[op](_eval_plain(x, trial), _eval_plain(y, trial)):
+            env.update(trial)
+            return True
+    return False
+
+
+def _force_cmp_side(term, bound, op, left, env, sorts, depth):
     """Make `term <op> bound` (or `bound <op> term`) hold by steering ite
     conditions toward a branch that already satisfies the comparison."""
     if depth > 12:
@@ -742,12 +830,13 @@ def _force_cmp_side(term, bound, op, left, env, depth):
         return _CMP_HOLDS[op](value, bound) if left \
             else _CMP_HOLDS[op](bound, value)
     cond, then, els = term.args
-    for pick, sub in ((True, then), (False, els)):
+    for pick, sub in _branches(cond, then, els, env):
         value = _eval_plain(sub, env)
         ok = _CMP_HOLDS[op](value, bound) if left \
             else _CMP_HOLDS[op](bound, value)
-        if (ok or _force_cmp_side(sub, bound, op, left, env, depth + 1)) \
-                and _force(cond, pick, env, depth + 1):
+        if (ok or _force_cmp_side(sub, bound, op, left, env, sorts,
+                                  depth + 1)) \
+                and _force(cond, pick, env, sorts, depth + 1):
             return True
     return False
 
@@ -755,12 +844,12 @@ def _force_cmp_side(term, bound, op, left, env, depth):
 def _greedy_model(residual):
     """Deterministic best-effort assignment; returns a full env that makes
     every conjunct true, or None to fall back to bit-blasting."""
-    vars_ = {}
+    sorts = {}
     seen = set()
     for a in residual:
-        _collect_vars(a, vars_, seen)
+        _collect_vars(a, sorts, seen)
     env = {name: (False if sort == BOOL else 0)
-           for name, sort in vars_.items()}
+           for name, sort in sorts.items()}
     for _round in range(8):
         all_ok = True
         progressed = False
@@ -768,7 +857,7 @@ def _greedy_model(residual):
             if _eval_plain(a, env):
                 continue
             all_ok = False
-            if _force(a, True, env):
+            if _force(a, True, env, sorts):
                 progressed = True
             else:
                 return None

@@ -9,7 +9,7 @@ import pytest
 from minisol.engine import synthesize
 from minisol.explorer import Limits
 from minisol.smt import solve as solve_mod, solve_text
-from minisol.smt.parse import SmtParseError, parse_script
+from minisol.smt.parse import Script, SmtParseError, parse_script
 from minisol.smt.solve import (DEFAULT_CONFLICT_BUDGET, _linear_truth,
                                _refuted_linear, solve_commands)
 from minisol.smt.terms import Ctx, bv
@@ -384,6 +384,123 @@ def test_offset_cancelling_check_is_unsat_without_bit_blasting(monkeypatch):
 """ % (one, one, one)) == "unsat\n"
 
 
+# -- greedy model search ------------------------------------------------------
+
+@pytest.fixture
+def no_bit_blasting(monkeypatch):
+    def no_blaster():
+        raise AssertionError("bit-blasted a check greedy should decide")
+    monkeypatch.setattr(solve_mod, "Blaster", no_blaster)
+
+
+# A token (state-var) residual: conjunct 3 wants the else branch, which
+# needs msg.sender!t1 != owner!0; greedy must keep that branch taken while
+# it raises %ack!balances!0!1, not swap in the free $t4!t0!0 branch.
+TOKEN_TAKEN_BRANCH = """
+(declare-const $t4!t0!0 (_ BitVec 256))
+(declare-const %ack!balances!0!0 (_ BitVec 256))
+(declare-const %ack!balances!0!1 (_ BitVec 256))
+(declare-const msg.sender!t0 (_ BitVec 160))
+(declare-const msg.sender!t1 (_ BitVec 160))
+(declare-const owner!0 (_ BitVec 160))
+(assert (bvule msg.sender!t0 (_ bv7 160)))
+(assert (bvule msg.sender!t1 (_ bv7 160)))
+(assert (bvugt (ite (= msg.sender!t1 owner!0) $t4!t0!0 %ack!balances!0!1)
+               (_ bv500000 256)))
+(assert (distinct msg.sender!t1 owner!0))
+(assert (or (distinct owner!0 msg.sender!t1)
+            (= %ack!balances!0!0 %ack!balances!0!1)))
+(check-sat)
+"""
+
+# A token (state-var) residual: msg.sender!t2 != owner!0 must not make
+# msg.sender!t2 collide with msg.sender!t1, or the balances congruence of
+# the last conjunct breaks conjunct 3.
+TOKEN_FRESH_SENDER = """
+(declare-const %ack!balances!0!0 (_ BitVec 256))
+(declare-const %ack!balances!0!1 (_ BitVec 256))
+(declare-const %ack!balances!0!2 (_ BitVec 256))
+(declare-const amount!t1!0 (_ BitVec 256))
+(declare-const msg.sender!t0 (_ BitVec 160))
+(declare-const msg.sender!t1 (_ BitVec 160))
+(declare-const msg.sender!t2 (_ BitVec 160))
+(declare-const owner!0 (_ BitVec 160))
+(assert (bvule msg.sender!t0 (_ bv7 160)))
+(assert (bvule msg.sender!t1 (_ bv7 160)))
+(assert (not (bvuge (ite (= msg.sender!t1 msg.sender!t0)
+                         (_ bv1000000 256) %ack!balances!0!1)
+                    (bvadd amount!t1!0 (_ bv1 256)))))
+(assert (bvule msg.sender!t2 (_ bv7 160)))
+(assert (bvugt (ite (= msg.sender!t2 msg.sender!t0)
+                    (_ bv1000000 256) %ack!balances!0!2)
+               (_ bv500000 256)))
+(assert (distinct msg.sender!t2 owner!0))
+(assert (or (distinct msg.sender!t0 msg.sender!t1)
+            (= %ack!balances!0!0 %ack!balances!0!1)))
+(assert (or (distinct msg.sender!t0 msg.sender!t2)
+            (= %ack!balances!0!0 %ack!balances!0!2)))
+(assert (or (distinct msg.sender!t1 msg.sender!t2)
+            (= %ack!balances!0!1 %ack!balances!0!2)))
+(check-sat)
+"""
+
+
+def test_greedy_keeps_a_taken_ite_branch(no_bit_blasting):
+    assert solve(TOKEN_TAKEN_BRANCH) == "sat\n"
+
+
+def test_greedy_gives_a_distinct_variable_a_fresh_value(no_bit_blasting):
+    assert solve(TOKEN_FRESH_SENDER) == "sat\n"
+
+
+def test_greedy_solves_one_variable_linear_equations(no_bit_blasting):
+    """For c*x + k = v at 8 bits, every coefficient 1-255: whenever brute
+    force finds an x, the greedy search does."""
+    solved = 0
+    for c in range(1, 256):
+        rng = random.Random(c)
+        k = rng.randrange(256)
+        for r in (c * rng.randrange(256) % 256, rng.randrange(256)):
+            v = (r + k) % 256
+            if all((c * x + k) % 256 != v for x in range(256)):
+                continue
+            ctx = Ctx()
+            x = ctx.var("x", bv(8))
+            lhs = ctx.mk("bvadd", ctx.mk("bvmul", ctx.const(c, 8), x),
+                         ctx.const(k, 8))
+            script = Script(asserts=[ctx.mk("=", lhs, ctx.const(v, 8))],
+                            queries=[x])
+            result = solve_commands(ctx, script)
+            assert result.status == "sat"
+            assert (c * result.values[0] + k) % 256 == v
+            solved += 1
+    assert solved > 255
+
+
+def test_greedy_solves_a_doubled_variable(no_bit_blasting):
+    assert model_dict(solve("""
+(declare-const p (_ BitVec 8))
+(assert (= (bvadd p p) (_ bv6 8)))
+(check-sat)
+(get-value (p))
+""")) == {"p": 3}
+
+
+@pytest.mark.parametrize("condition, holds", [
+    ("(bvuge x (bvadd x (_ bv3 8)))", lambda x, v: x >= (x + 3) % 256),
+    ("(bvult (bvadd x v) x)", lambda x, v: (x + v) % 256 < x),
+])
+def test_greedy_tries_wrap_around_values(no_bit_blasting, condition, holds):
+    model = model_dict(solve("""
+(declare-const x (_ BitVec 8))
+(declare-const v (_ BitVec 8))
+(assert %s)
+(check-sat)
+(get-value (x v))
+""" % condition))
+    assert holds(model["x"], model["v"])
+
+
 # -- folding -------------------------------------------------------------------
 
 @pytest.mark.parametrize("name, options", [
@@ -450,6 +567,21 @@ def test_deadline_ends_a_hard_check_with_unknown():
                             start + 0.2)
     assert (result.status, result.reason) == ("unknown", "deadline")
     assert time.monotonic() - start < 2.0
+
+
+def test_long_doubling_chain_is_decided_quickly():
+    """a_i = a_(i-1) + a_(i-1) for 40 levels: after substitution a_40 is a
+    DAG of 40 nodes but 2^40 tree paths, which the occurs check of each
+    binding must not walk."""
+    lines = ["(declare-const a0 (_ BitVec 8))"]
+    for i in range(1, 41):
+        lines.append("(declare-const a%d (_ BitVec 8))" % i)
+        lines.append("(assert (= a%d (bvadd a%d a%d)))" % (i, i - 1, i - 1))
+    lines.append("(assert (= a40 (_ bv0 8)))")
+    ctx, script = parse_script("\n".join(lines))
+    start = time.monotonic()
+    assert solve_commands(ctx, script).status == "sat"
+    assert time.monotonic() - start < 1.0
 
 
 def test_deterministic_output():
