@@ -250,26 +250,6 @@ class ReversedView:
         return self.plus.successors(node_id)
 
 
-def reverse(plus: CfgPlus) -> ReversedView:
-    return ReversedView(plus)
-
-
-def expected_plus_edges(plus: CfgPlus):
-    """The edge set the auxiliary-node chaining must produce, recomputed
-    from the per-function graphs; used by structural tests."""
-    expected = set(plus.ctor_cfg.edges)
-    for cfg in plus.fn_cfgs.values():
-        expected.update(cfg.edges)
-    expected.update((plus.start_id, s) for s in plus.ctor_cfg.initial)
-    expected.update((t, plus.constructed_id) for t in plus.ctor_cfg.final)
-    for cfg in plus.fn_cfgs.values():
-        expected.update((plus.constructed_id, s) for s in cfg.initial)
-        expected.update((t, plus.tx_processed_id) for t in cfg.final)
-    expected.add((plus.tx_processed_id, plus.constructed_id))
-    expected.add((plus.tx_processed_id, plus.end_id))
-    return expected
-
-
 def to_dot(plus: CfgPlus) -> str:
     """Deterministic DOT rendering; auxiliary nodes are double circles and
     every function body sits in its own cluster."""

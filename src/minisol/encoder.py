@@ -13,6 +13,14 @@ A transaction segment that runs through a revert sink has its storage
 versions rolled back at the tx_processed boundary: its path constraints
 hold but its writes are discarded, matching EVM revert semantics.
 
+The clauses of the walk's earliest node come first (``frontier_end``
+counts them).  A one-node extension's other clauses are then its parent
+walk's clauses renamed: segment indices shift up when the new node opens a
+transaction, and the versions it writes shift up by one.
+``frontier_script`` cuts the new node's clauses out as a script of their
+own when they share no symbol with the rest or with the safety condition;
+if the parent was SAT, they alone decide the extension.
+
 ``encode`` builds the clause list as ``smt`` terms in a fresh ``Ctx``:
 scalars become fixed-width bitvectors, mappings/arrays become one
 uninterpreted function per generation, and each write emits the point
@@ -122,7 +130,6 @@ class TargetPoint:
     locals: dict
     maps: dict
     env: dict
-    node_pos: int
 
 
 @dataclass
@@ -134,10 +141,7 @@ class SsaScript:
     target_point: Optional[TargetPoint] = None
     complete: bool = False
     map_key_types: dict = field(default_factory=dict)
-
-    def definition_symbols(self):
-        """Assignment targets, in clause order (single-assignment scans)."""
-        return [c[1] for c in self.clauses if c[0] == "def"]
+    frontier_end: int = 0          # clauses[:frontier_end] number position 0
 
 
 class _Numberer:
@@ -294,13 +298,15 @@ class _Numberer:
                 if pos == last:
                     # the walk root is the target node; the safety condition
                     # binds to the versions live here, before its effect
-                    self.capture_target(node, pos)
+                    self.capture_target(node)
 
             if pos < last and node.kind == "instr":
                 self.apply_instr(node, nodes[pos + 1], pos)
+            if pos == 0:
+                self.script.frontier_end = len(self.script.clauses)
         return self.script
 
-    def capture_target(self, node, pos):
+    def capture_target(self, node):
         self.script.target_point = TargetPoint(
             fn=self.seg_fn, seg=self.seg,
             inline_suffix=node.instr.inline_suffix,
@@ -310,8 +316,7 @@ class _Numberer:
             env={"msg.sender": self.seg_env.sender,
                  "msg.value": self.seg_env.value,
                  "tx.origin": self.seg_env.origin,
-                 "block.timestamp": self.seg_env.timestamp},
-            node_pos=pos)
+                 "block.timestamp": self.seg_env.timestamp})
 
     def apply_instr(self, node, succ, pos):
         ins = node.instr
@@ -437,6 +442,74 @@ def resolve_safety(script, safety, program):
         raise EncodeError("unsupported expression in safety condition: %r" % e)
 
     return resolve(safety)
+
+
+# ---------------------------------------------------------------------------
+# The frontier node's clauses, when they decide an extension alone
+# ---------------------------------------------------------------------------
+
+def _expr_symbols(e, out):
+    tag = e[0]
+    if tag == "sym":
+        out.add(e[1])
+    elif tag == "bin":
+        _expr_symbols(e[2], out)
+        _expr_symbols(e[3], out)
+    elif tag in ("not", "zext", "trunc"):
+        _expr_symbols(e[1], out)
+    elif tag == "read":
+        out.add("%s!%d" % (e[1], e[2]))
+        _expr_symbols(e[3], out)
+
+
+def _clause_symbols(clause, out):
+    """Add the symbols a clause mentions to `out`; map generations count
+    as symbols named as their functions are (``m!g``)."""
+    kind = clause[0]
+    if kind == "def":
+        out.add(clause[1])
+        _expr_symbols(clause[3], out)
+    elif kind == "assume":
+        _expr_symbols(clause[1], out)
+    elif kind == "map_write":
+        _, map_name, g_from, g_to, key, val, _pos = clause
+        out.add("%s!%d" % (map_name, g_from))
+        out.add("%s!%d" % (map_name, g_to))
+        _expr_symbols(key, out)
+        _expr_symbols(val, out)
+    elif kind == "scalar_zero":
+        out.add(clause[1])
+    elif kind == "map_zero":
+        out.add("%s!0" % clause[1])
+
+
+def frontier_script(script, safety=None, program=None):
+    """The clauses of the frontier node (execution position 0) as a script
+    of their own, or None when they share a symbol with the walk's other
+    clauses or with the resolved safety condition.
+
+    Map generations count as symbols.  The safety condition is resolved
+    only once the clauses pass; a walk it cannot be resolved on raises
+    here, or in `encode` when None sends the check to a full solve."""
+    front = set()
+    for clause in script.clauses[:script.frontier_end]:
+        _clause_symbols(clause, front)
+    syms = set()
+    for clause in script.clauses[script.frontier_end:]:
+        _clause_symbols(clause, syms)
+        if not front.isdisjoint(syms):
+            return None
+        syms.clear()
+    if safety is not None:
+        _expr_symbols(resolve_safety(script, safety, program), syms)
+        if not front.isdisjoint(syms):
+            return None
+    return SsaScript(
+        clauses=script.clauses[:script.frontier_end],
+        symbols={s: t for s, t in script.symbols.items() if s in front},
+        map_syms=[(m, g) for m, g in script.map_syms
+                  if "%s!%d" % (m, g) in front],
+        map_key_types=script.map_key_types)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ from typing import Optional
 from . import concretize as conc
 from . import oracle
 from .cfg import build_cfg_plus
-from .encoder import SolverConfig, SolverSession, encode, ssa_number
+from .encoder import (SatResult, SolverConfig, SolverSession, encode,
+                      frontier_script, ssa_number)
 from .errors import ConfigError, MiniSolError, TargetError
 from .explorer import (HEURISTICS, Limits, build_context,
                        find_minimal_satisfiable_walk)
@@ -78,6 +79,17 @@ def synthesize(source, *, target=None, target_line=None,
 
     def check(walk):
         script = ssa_number(walk, program)
+        # the rest of a SAT parent's extension is SAT: if the new node's
+        # clauses are independent of it, they decide; a complete walk
+        # needs the whole model
+        if walk.parent_sat and not script.complete:
+            front = frontier_script(script, target.safety, program)
+            if front is not None:
+                if not front.clauses:
+                    return SatResult("sat", reason="inherited")
+                result = session.check(encode(front), deadline)
+                if result.status != "unknown":
+                    return SatResult(result.status, reason="inherited")
         smt_script = encode(script, safety=target.safety, program=program)
         return session.check(smt_script, deadline)
 

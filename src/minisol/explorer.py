@@ -3,9 +3,11 @@
 A tree of partial walks grows from the target node toward the start node.
 Every tree node keeps its untried reversed-graph neighbours; the frontier
 option with the lowest heuristic cost is extended next (ties broken by the
-smallest stable graph node id, then tree age), each extension is submitted
-to the solver, and UNSAT extensions are never grown again.  The first
-extension that lands on the start node with a SAT script is the answer.
+smallest stable graph node id, then tree age), each extension is checked,
+and UNSAT extensions are never grown again.  The first extension that
+lands on the start node with a SAT script is the answer.  A candidate walk
+says whether its tree leaf was checked SAT (``Walk.parent_sat``), so the
+check callback can decide it from the new node's clauses alone.
 
 Heuristics are cost functions ``h(tree, leaf, option) -> float``; infinity
 means "never pick while any finite option exists".  Two ship built in:
@@ -36,6 +38,7 @@ from .errors import ConfigError, TargetError
 class Walk:
     nodes: tuple
     graph: Optional[CfgPlus] = None
+    parent_sat: bool = False       # the walk less its frontier checked SAT
 
     def __len__(self):
         return len(self.nodes)
@@ -203,7 +206,6 @@ class ExploreResult:
     model: Optional[object] = None
     walks_explored: int = 0
     reason: str = ""
-    elapsed: float = 0.0
 
 
 def find_minimal_satisfiable_walk(graph: CfgPlus, target, heuristic, limits,
@@ -218,9 +220,8 @@ def find_minimal_satisfiable_walk(graph: CfgPlus, target, heuristic, limits,
     ``time.monotonic()`` passes `deadline` (default: `limits.wall_timeout`
     from now), also when a check gave up on ``unknown`` because of it.
     """
-    t0 = time.monotonic()
     if deadline is None:
-        deadline = t0 + limits.wall_timeout
+        deadline = time.monotonic() + limits.wall_timeout
     root = graph.target_node(target.line)
     if root is None:
         raise TargetError("target line %d has no IR node" % target.line)
@@ -244,7 +245,7 @@ def find_minimal_satisfiable_walk(graph: CfgPlus, target, heuristic, limits,
 
     def timed_out():
         return ExploreResult("notfound", walks_explored=explored,
-                             reason="timeout", elapsed=time.monotonic() - t0)
+                             reason="timeout")
 
     while heap:
         if time.monotonic() > deadline:
@@ -260,14 +261,13 @@ def find_minimal_satisfiable_walk(graph: CfgPlus, target, heuristic, limits,
 
         if explored >= limits.max_walks:
             return ExploreResult("notfound", walks_explored=explored,
-                                 reason="budget",
-                                 elapsed=time.monotonic() - t0)
+                                 reason="budget")
         candidate = tree.walk(leaf_idx, extra=option)
+        candidate.parent_sat = tree.nodes[leaf_idx].status == "sat"
         result = check(candidate)
         explored += 1
         if result.status == "sat" and complete:
-            return ExploreResult("found", candidate, result.model, explored,
-                                 elapsed=time.monotonic() - t0)
+            return ExploreResult("found", candidate, result.model, explored)
         if result.status == "unknown" and time.monotonic() > deadline:
             return timed_out()
         child = tree.extend(leaf_idx, option, result.status)
@@ -275,4 +275,4 @@ def find_minimal_satisfiable_walk(graph: CfgPlus, target, heuristic, limits,
             push_options(child)
 
     return ExploreResult("notfound", walks_explored=explored,
-                         reason="exhausted", elapsed=time.monotonic() - t0)
+                         reason="exhausted")

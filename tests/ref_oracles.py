@@ -8,6 +8,10 @@ one hits the target.
 ``AstInterpreter`` executes the checked AST directly with the replay
 interpreter's semantics; lowering bugs show up as AST-vs-IR divergence on
 random programs.
+
+``expected_plus_edges`` recomputes the CFG+ edge set from the per-function
+graphs, and ``definition_symbols`` lists an SSA script's assignment
+targets for the single-assignment scans.
 """
 
 import itertools
@@ -22,6 +26,31 @@ from minisol.lang import (BOOL, U256 as _U256, Assign, AssertStmt, Binary,
                           Require, Return, Unary, VarDecl, While, mask)
 from minisol.oracle import (EvmState, Interpreter, _binary, _Env,
                             _eval_expr, _Revert, _wrap)
+
+
+# ---------------------------------------------------------------------------
+# Structural references
+# ---------------------------------------------------------------------------
+
+def expected_plus_edges(plus):
+    """The edge set the auxiliary-node chaining must produce, recomputed
+    from the per-function graphs."""
+    expected = set(plus.ctor_cfg.edges)
+    for cfg in plus.fn_cfgs.values():
+        expected.update(cfg.edges)
+    expected.update((plus.start_id, s) for s in plus.ctor_cfg.initial)
+    expected.update((t, plus.constructed_id) for t in plus.ctor_cfg.final)
+    for cfg in plus.fn_cfgs.values():
+        expected.update((plus.constructed_id, s) for s in cfg.initial)
+        expected.update((t, plus.tx_processed_id) for t in cfg.final)
+    expected.add((plus.tx_processed_id, plus.constructed_id))
+    expected.add((plus.tx_processed_id, plus.end_id))
+    return expected
+
+
+def definition_symbols(script):
+    """Assignment targets of an SsaScript, in clause order."""
+    return [c[1] for c in script.clauses if c[0] == "def"]
 
 
 # ---------------------------------------------------------------------------

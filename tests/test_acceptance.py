@@ -12,9 +12,10 @@ import sys
 from conftest import CORPUS, corpus_source
 from genprog import (eval_straight_line, random_source, random_walk,
                      straight_line_program, straight_line_walk)
-from ref_oracles import SearchBounds, exhaustive_search
+from ref_oracles import (SearchBounds, definition_symbols,
+                         exhaustive_search, expected_plus_edges)
 
-from minisol.cfg import to_dot, expected_plus_edges
+from minisol.cfg import to_dot
 from minisol.encoder import SolverSession, encode, ssa_number
 from minisol.engine import prepare, synthesize
 from minisol.frontend import extract_targets
@@ -90,13 +91,13 @@ def test_criterion_3_mutant_kill():
 # -- criterion 4: SSA property suite ------------------------------------------
 
 def _scan_single_assignment(script):
-    defs = script.definition_symbols()
+    defs = definition_symbols(script)
     return len(defs) == len(set(defs))
 
 
 def _scan_monotone(script):
     last = {}
-    for sym in script.definition_symbols():
+    for sym in definition_symbols(script):
         base, _, ver = sym.rpartition("!")
         ver = int(ver)
         if ver <= last.get(base, -1):

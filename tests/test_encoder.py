@@ -5,13 +5,15 @@ import pytest
 
 from minisol.cfg import ReversedView
 from minisol.encoder import (SolverConfig, SolverSession,
-                             bundled_solver_command, encode, ssa_number)
+                             bundled_solver_command, encode, frontier_script,
+                             resolve_safety, ssa_number)
 from minisol.engine import prepare
-from minisol.errors import SolverError
+from minisol.errors import EncodeError, SolverError
 from minisol.explorer import Walk
 from minisol.frontend import extract_targets
 
 from genprog import random_source, random_walk
+from ref_oracles import definition_symbols
 
 TWO_ASSIGN = """contract T {
     uint256 var_ = 0;
@@ -64,17 +66,17 @@ def test_ssa_single_assignment_x_equals_5():
     _ast, program, graph = prepare(src)
     walk = forward_walk(graph, "f")
     script = ssa_number(walk, program)
-    assert script.definition_symbols().count("x!2") == 1
+    assert definition_symbols(script).count("x!2") == 1
 
 
 def single_assignment_ok(script):
-    defs = script.definition_symbols()
+    defs = definition_symbols(script)
     return len(defs) == len(set(defs))
 
 
 def versions_monotone(script):
     last = {}
-    for sym in script.definition_symbols():
+    for sym in definition_symbols(script):
         base, _, ver = sym.rpartition("!")
         ver = int(ver)
         if base in last and ver <= last[base]:
@@ -314,15 +316,15 @@ def test_aborted_segment_rolls_back_state(corpus):
     tp = script.target_point
     assert tp.state["g"] == 1
     # but the aborted write still owns a unique, higher version
-    assert "g!2" in script.definition_symbols()
+    assert "g!2" in definition_symbols(script)
 
 
 def _sym_maps(pre_name, full_name, rename):
-    known = rename.get(pre_name)
-    if known is None:
-        rename[pre_name] = full_name
-        return True
-    return known == full_name
+    """Pair a prefix symbol with its full-walk counterpart.  The renaming
+    must stay injective: no name on either side gets a second partner."""
+    known = rename.setdefault(pre_name, full_name)
+    back = rename.setdefault(("image of", full_name), pre_name)
+    return known == full_name and back == pre_name
 
 
 def _expr_aligns(pre, full, rename):
@@ -414,6 +416,120 @@ def test_prefix_unsat_stays_unsat_and_assertions_nest(corpus):
                     assert r_full.status == "unsat"
 
 
+def _image_renaming(parent_clauses, child_clauses, rename):
+    """Extend `rename` to one injective renaming under which every child
+    clause is the image of a parent clause; None if there is none.  A clause
+    anchored at position p pairs with a parent clause at p - 1; segment
+    clauses (position -1) with any parent segment clause."""
+    order = sorted(child_clauses, key=lambda c: c[-1] < 0)
+
+    def search(i, rename):
+        if i == len(order):
+            return rename
+        clause = order[i]
+        for pc in parent_clauses:
+            if pc[0] != clause[0] or (pc[-1] + 1 if pc[-1] >= 0 else -1) \
+                    != clause[-1]:
+                continue
+            trial = dict(rename)
+            if _aligns(pc, clause, trial):
+                found = search(i + 1, trial)
+                if found is not None:
+                    return found
+        return None
+
+    return search(0, rename)
+
+
+def _random_backward_walk(rng, graph, root, max_len):
+    rv = ReversedView(graph)
+    nodes = [root]
+    for _ in range(rng.randrange(1, max_len)):
+        succs = rv.successors(nodes[-1])
+        if not succs:
+            break
+        nodes.append(rng.choice(sorted(succs)))
+        if nodes[-1] == graph.start_id:
+            break
+    return Walk(tuple(nodes), graph=graph)
+
+
+def test_extension_renames_parent_clauses_injectively(corpus):
+    """The basis for deciding an extension by its frontier clauses alone:
+    the child's clauses after `frontier_end`, and its resolved safety
+    condition, are images of the parent's under one injective renaming
+    (the segment and version shifts of forward numbering)."""
+    rng = random.Random(11)
+    checked = 0
+    for name in ("guess_check", "overflow", "two_tx_overflow", "token",
+                 "multi_tx"):
+        target = extract_targets(corpus[name])[0]
+        _ast, program, graph = prepare(corpus[name])
+        instrs = [n.id for n in graph.nodes if n.kind == "instr"]
+        for i in range(24):
+            root = graph.target_node(target.line) if i % 2 \
+                else rng.choice(instrs)
+            walk = _random_backward_walk(rng, graph, root, 40)
+            for k in range(1, len(walk.nodes)):
+                try:
+                    parent = ssa_number(Walk(walk.nodes[:k], graph), program)
+                    child = ssa_number(Walk(walk.nodes[:k + 1], graph),
+                                       program)
+                except EncodeError:
+                    continue
+                rename = {}
+                if target.safety is not None:
+                    try:
+                        p_safety = resolve_safety(parent, target.safety,
+                                                  program)
+                        c_safety = resolve_safety(child, target.safety,
+                                                  program)
+                    except EncodeError:
+                        pass
+                    else:
+                        assert _expr_aligns(p_safety, c_safety, rename), \
+                            (name, walk.nodes[:k + 1])
+                assert _image_renaming(
+                    parent.clauses, child.clauses[child.frontier_end:],
+                    rename) is not None, (name, walk.nodes[:k + 1])
+                checked += 1
+    assert checked > 1000
+
+
+def test_write_in_a_reverted_segment_splits_a_symbol_and_is_solved(corpus):
+    """The one extension that is no injective renaming: a state write in a
+    transaction that later reverts.  The parent's `g!0` becomes `g!1`
+    before the revert and stays `g!0` after it.  The frontier then defines
+    `g!1`, which the rest reads, so it is never decided alone."""
+    src = """contract R {
+    uint256 g = 0;
+    uint256 x = 0;
+    function f(uint256 v) public {
+        g = v;
+        require(g > 10);
+    }
+    function h() public {
+        uint256 y = g;
+        x = y;
+    }
+}
+"""
+    _ast, program, graph = prepare(src)
+    f, h = graph.fn_cfgs["f"], graph.fn_cfgs["h"]
+    sink = next(n.id for n in f.nodes if n.is_revert_sink)
+    body = [n.id for n in f.nodes if n.kind == "instr" and n.id != sink]
+    h_body = [n.id for n in h.nodes if n.kind == "instr"]
+    # executed: g = v; $t1 = g > 10; require fails; revert; then h
+    exec_order = body + [sink, graph.tx_processed_id, graph.constructed_id,
+                         h.entry_id] + h_body
+    nodes = tuple(reversed(exec_order))
+    parent = ssa_number(Walk(nodes[:-1], graph), program)
+    child = ssa_number(Walk(nodes, graph), program)
+    rest = child.clauses[child.frontier_end:]
+    assert _image_renaming(parent.clauses, rest, {}) is None
+    assert frontier_script(child) is None
+
+
 def test_emit_smt_dumps_are_deterministic(tmp_path, corpus):
     src = corpus["ctor_target"]
     _ast, program, graph = prepare(src)
@@ -500,7 +616,7 @@ def test_parse_solver_output_accepts_hex_and_binary_values(corpus):
 
 def test_parse_solver_output_rejects_truncated_model(corpus):
     from minisol.encoder import parse_solver_output
-    from minisol.errors import SolverError
+    from minisol.errors import EncodeError, SolverError
     _ast, program, graph = prepare(corpus["ctor_target"])
     walk = forward_walk(graph, "touch")
     smt = encode(ssa_number(walk, program))

@@ -7,6 +7,7 @@ import pytest
 
 from minisol.concretize import from_json, to_json
 from minisol.encoder import SolverConfig
+from minisol import engine
 from minisol.engine import pick_target, prepare, replay_file, synthesize
 from minisol.errors import TargetError
 from minisol.explorer import Limits
@@ -190,6 +191,53 @@ def test_linear_refuter_changes_no_answer(corpus, monkeypatch, name,
     assert _outcome(without) == _outcome(with_refuter)
     if (name, heuristic) == ("multi_tx", "floyd-warshall"):
         assert cross_checked > 0
+
+
+def _recording_checks(monkeypatch):
+    """Record (walk, status, reason) for every check the engine makes."""
+    checks = []
+    search = engine.find_minimal_satisfiable_walk
+
+    def recorded_search(*args, check, **kwargs):
+        def recorded(walk):
+            result = check(walk)
+            checks.append((walk.nodes, result.status, result.reason))
+            return result
+        return search(*args, check=recorded, **kwargs)
+
+    monkeypatch.setattr(engine, "find_minimal_satisfiable_walk",
+                        recorded_search)
+    return checks
+
+
+@pytest.mark.parametrize("lazy_check", [False, True])
+@pytest.mark.parametrize("heuristic", ["floyd-warshall", "state-var"])
+@pytest.mark.parametrize("name", ["guess_check", "two_tx_overflow", "token",
+                                  "multi_tx"])
+def test_frontier_shortcut_changes_no_answer(corpus, monkeypatch, name,
+                                             heuristic, lazy_check):
+    """An extension decided by its frontier clauses alone gets the answer
+    the full solve gives.  With the shortcut patched out every check is a
+    full solve, and the same walks are checked in the same order with the
+    same answers; the run's status, walk count, reason and sequence stay
+    the same.  No complete walk is decided by its frontier."""
+    checks = _recording_checks(monkeypatch)
+    with_shortcut = synthesize(corpus[name], heuristic=heuristic,
+                               lazy_check=lazy_check)
+    shortcut_checks = list(checks)
+    checks.clear()
+    monkeypatch.setattr(engine, "frontier_script", lambda *a, **k: None)
+    without = synthesize(corpus[name], heuristic=heuristic,
+                         lazy_check=lazy_check)
+    assert _outcome(without) == _outcome(with_shortcut)
+    assert [c[:2] for c in shortcut_checks] == [c[:2] for c in checks]
+    inherited = [nodes for nodes, _status, reason in shortcut_checks
+                 if reason == "inherited"]
+    _ast, _program, graph = prepare(corpus[name])
+    assert all(nodes[-1] != graph.start_id for nodes in inherited)
+    assert not any(reason == "inherited" for *_c, reason in checks)
+    if (name, lazy_check) == ("multi_tx", False):
+        assert inherited
 
 
 def test_wall_timeout_ends_the_search_with_timeout(corpus):
