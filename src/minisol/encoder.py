@@ -21,13 +21,15 @@ transaction, and the versions it writes shift up by one.
 own when they share no symbol with the rest or with the safety condition;
 if the parent was SAT, they alone decide the extension.
 
-``encode`` builds the clause list as ``smt`` terms in a fresh ``Ctx``:
-scalars become fixed-width bitvectors, mappings/arrays become one
-uninterpreted function per generation, and each write emits the point
-update plus the quantified one-key frame axiom.  The safety condition is
-conjoined over the versions live at the walk root (the target point),
-before the target instruction's own effect; the replay oracle mirrors this
-by stopping at the first arrival that satisfies the condition.
+``encode`` builds the clause list as ``smt`` terms in the ``Ctx`` it is
+given (``synthesize`` passes one context for the whole run, so a term that
+recurs across checks is built and folded once): scalars become fixed-width
+bitvectors, mappings/arrays become one uninterpreted function per
+generation, and each write emits the point update plus the quantified
+one-key frame axiom.  The safety condition is conjoined over the versions
+live at the walk root (the target point), before the target instruction's
+own effect; the replay oracle mirrors this by stopping at the first arrival
+that satisfies the condition.
 
 The bundled solver reads those terms in process.  SMT-LIB 2 text is
 rendered from them (``SmtScript.text``) only when something reads it: the
@@ -47,9 +49,9 @@ from typing import Optional
 
 from .errors import EncodeError, SolverError
 from .ir import BRANCH_KINDS, CONSTRUCTOR
-from .lang import (ADDRESS, BOOL, ENV_NAMES, ENV_TYPES, NUM_ACCOUNTS, U256,
-                   Binary, BoolLit, AddressLit, EnvRead, Ident, Index, IntLit,
-                   Unary)
+from .lang import (ADDRESS, BOOL, ENV_NAMES, ENV_TYPES, NUM_ACCOUNTS,
+                   SCALAR_TYPES, U256, Binary, BoolLit, AddressLit, EnvRead,
+                   Ident, Index, IntLit, Unary)
 from . import smt
 from .smt import terms as smt_terms
 from .smt.parse import Script, read_sexprs, tokenize as smt_tokenize
@@ -396,52 +398,54 @@ def resolve_safety(script, safety, program):
         raise EncodeError("walk never reaches the target line")
     fn = program.function(tp.fn)
     params = {p for p, _ in (fn.params if fn else [])}
+    return _resolve(safety, tp, params, script.map_key_types)
 
-    def resolve(e):
-        if isinstance(e, IntLit):
-            return e_lit(e.value, e.type_ if e.type_ is not None else U256)
-        if isinstance(e, BoolLit):
-            return e_lit(int(e.value), BOOL)
-        if isinstance(e, AddressLit):
-            return e_lit(e.index, ADDRESS)
-        if isinstance(e, EnvRead):
-            return e_sym(tp.env[e.which], e.type_)
-        if isinstance(e, Ident):
-            if e.binding == "state":
-                ver = tp.state.get(e.name, 0)
-                return e_sym("%s!%d" % (e.name, ver), e.type_)
-            slot = e.slot + tp.inline_suffix
-            ver = tp.locals.get(slot)
-            if ver is None:
-                if e.binding == "param" or slot in params or tp.partial_seg:
-                    ver = 0
-                else:
-                    raise EncodeError("safety reads local %r before its "
-                                      "definition" % e.name)
-            return e_sym("%s!t%d!%d" % (slot, tp.seg, ver), e.type_)
-        if isinstance(e, Index):
-            gen = tp.maps.get(e.base.name, 0)
-            key_type = script.map_key_types[e.base.name]
-            key = e_conv(resolve(e.index), key_type)
-            return e_read(e.base.name, gen, key)
-        if isinstance(e, Unary):
-            return e_not(resolve(e.operand))
-        if isinstance(e, Binary):
-            a, b = resolve(e.lhs), resolve(e.rhs)
-            if e.op in ("&&", "||") or expr_type(a) is BOOL:
-                return e_bin(e.op, a, b, BOOL)
-            if expr_type(a).kind == "address" or expr_type(b).kind == "address":
-                return e_bin(e.op, a, b, BOOL)
-            width = getattr(e, "width", 256)
-            from .lang import SCALAR_TYPES
-            target = SCALAR_TYPES["uint%d" % width]
-            a, b = e_conv(a, target), e_conv(b, target)
-            result = BOOL if e.op in ("==", "!=", "<", "<=", ">", ">=") \
-                else target
-            return e_bin(e.op, a, b, result)
-        raise EncodeError("unsupported expression in safety condition: %r" % e)
 
-    return resolve(safety)
+def _resolve(e, tp, params, key_types):
+    """The clause expression of safety expression `e` over the versions
+    of target point `tp`."""
+    if isinstance(e, IntLit):
+        return e_lit(e.value, e.type_ if e.type_ is not None else U256)
+    if isinstance(e, BoolLit):
+        return e_lit(int(e.value), BOOL)
+    if isinstance(e, AddressLit):
+        return e_lit(e.index, ADDRESS)
+    if isinstance(e, EnvRead):
+        return e_sym(tp.env[e.which], e.type_)
+    if isinstance(e, Ident):
+        if e.binding == "state":
+            ver = tp.state.get(e.name, 0)
+            return e_sym("%s!%d" % (e.name, ver), e.type_)
+        slot = e.slot + tp.inline_suffix
+        ver = tp.locals.get(slot)
+        if ver is None:
+            if e.binding == "param" or slot in params or tp.partial_seg:
+                ver = 0
+            else:
+                raise EncodeError("safety reads local %r before its "
+                                  "definition" % e.name)
+        return e_sym("%s!t%d!%d" % (slot, tp.seg, ver), e.type_)
+    if isinstance(e, Index):
+        gen = tp.maps.get(e.base.name, 0)
+        key = e_conv(_resolve(e.index, tp, params, key_types),
+                     key_types[e.base.name])
+        return e_read(e.base.name, gen, key)
+    if isinstance(e, Unary):
+        return e_not(_resolve(e.operand, tp, params, key_types))
+    if isinstance(e, Binary):
+        a = _resolve(e.lhs, tp, params, key_types)
+        b = _resolve(e.rhs, tp, params, key_types)
+        if e.op in ("&&", "||") or expr_type(a) is BOOL:
+            return e_bin(e.op, a, b, BOOL)
+        if expr_type(a).kind == "address" or expr_type(b).kind == "address":
+            return e_bin(e.op, a, b, BOOL)
+        width = getattr(e, "width", 256)
+        target = SCALAR_TYPES["uint%d" % width]
+        a, b = e_conv(a, target), e_conv(b, target)
+        result = BOOL if e.op in ("==", "!=", "<", "<=", ">", ">=") \
+            else target
+        return e_bin(e.op, a, b, result)
+    raise EncodeError("unsupported expression in safety condition: %r" % e)
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +517,7 @@ def frontier_script(script, safety=None, program=None):
 
 
 # ---------------------------------------------------------------------------
-# Solver input: one term DAG per check
+# Solver input: terms in a context that may serve a whole run
 # ---------------------------------------------------------------------------
 
 _OPS = {"+": "bvadd", "-": "bvsub", "*": "bvmul", "/": "bvudiv",
@@ -530,8 +534,9 @@ def _sort(type_):
 @dataclass
 class SmtScript:
     """One check's solver input: the terms ``smt.solve_commands`` reads, in
-    a fresh ``Ctx``, and the typed symbols the model must value.  ``text``
-    is the same script as SMT-LIB 2, rendered on first use."""
+    the ``Ctx`` they were built in, and the typed symbols the model must
+    value.  ``text`` is the same script as SMT-LIB 2, rendered on first
+    use."""
     ctx: smt_terms.Ctx
     commands: Script
     manifest: list                 # (symbol, MsType) in declaration order
@@ -554,96 +559,107 @@ class Model:
         return self.values[sym]
 
 
-def encode(script: SsaScript, safety=None, program=None) -> SmtScript:
-    """Build the solver input for an SsaScript (plus the optional safety
-    condition).  Deterministic: identical scripts render byte-identically."""
-    ctx = smt_terms.Ctx()
-    symbols = dict(script.symbols)
-    funs = {}
+class _Terms:
+    """Builds one script's terms in `ctx` from clause expressions, and
+    collects the symbols and map functions they use."""
 
-    def fun(map_name, gen):
+    def __init__(self, ctx, script):
+        self.ctx = ctx
+        self.key_types = script.map_key_types
+        self.symbols = dict(script.symbols)
+        self.funs = {}
+        for map_name, gen in script.map_syms:
+            self.fun(map_name, gen)
+
+    def fun(self, map_name, gen):
         name = "%s!%d" % (map_name, gen)
-        if name not in funs:
-            funs[name] = (_sort(script.map_key_types[map_name]), _sort(U256))
+        if name not in self.funs:
+            self.funs[name] = (_sort(self.key_types[map_name]), _sort(U256))
         return name
 
-    for map_name, gen in script.map_syms:
-        fun(map_name, gen)
-
-    def lit(value, type_):
+    def lit(self, value, type_):
         if type_ is BOOL:
-            return ctx.cbool(bool(value))
-        return ctx.const(value, type_.bit_width)
+            return self.ctx.cbool(bool(value))
+        return self.ctx.const(value, type_.bit_width)
 
-    def var(name, type_):
+    def var(self, name, type_):
         # the safety condition can reference pre-state versions no clause
         # declared; they are declared on first use
-        return ctx.var(name, _sort(symbols.setdefault(name, type_)))
+        return self.ctx.var(name, _sort(self.symbols.setdefault(name, type_)))
 
-    def app(name, key):
-        return ctx.checked("app", key, val=name, sig=funs[name])
+    def app(self, name, key):
+        return self.ctx.checked("app", key, val=name, sig=self.funs[name])
 
-    def term(e):
+    def term(self, e):
         tag = e[0]
         if tag == "sym":
-            return var(e[1], e[2])
+            return self.var(e[1], e[2])
         if tag == "lit":
-            return lit(e[1], e[2])
+            return self.lit(e[1], e[2])
+        ctx = self.ctx
         if tag == "not":
-            return ctx.mk("not", term(e[1]))
+            return ctx.mk("not", self.term(e[1]))
         if tag == "zext":
-            return ctx.mk("zero_extend", term(e[1]), val=e[2])
+            return ctx.mk("zero_extend", self.term(e[1]), val=e[2])
         if tag == "trunc":
-            return ctx.mk("extract", term(e[1]), val=(e[2], 0))
+            return ctx.mk("extract", self.term(e[1]), val=(e[2], 0))
         if tag == "read":
-            name = fun(e[1], e[2])
-            return app(name, term(e[3]))
+            return self.app(self.fun(e[1], e[2]), self.term(e[3]))
         if tag == "bin":
-            return ctx.checked(_OPS[e[1]], term(e[2]), term(e[3]))
+            return ctx.checked(_OPS[e[1]], self.term(e[2]), self.term(e[3]))
         raise EncodeError("cannot encode %r" % (e,))
 
-    def forall(map_name, body):
-        key_sort = _sort(script.map_key_types[map_name])
-        return ctx.mk("forall", body(ctx.var(_KEY, key_sort)),
-                      val=(_KEY, key_sort))
+    def forall(self, map_name, body):
+        """The frame axiom ``forall k. body(k)`` over `map_name`'s keys."""
+        key_sort = _sort(self.key_types[map_name])
+        return self.ctx.mk("forall", body(self.ctx.var(_KEY, key_sort)),
+                           val=(_KEY, key_sort))
 
+
+def encode(script: SsaScript, safety=None, program=None,
+           ctx=None) -> SmtScript:
+    """Build the solver input for an SsaScript (plus the optional safety
+    condition) in `ctx`, a fresh ``Ctx`` by default.  Deterministic:
+    identical scripts render byte-identically, in any context."""
+    ctx = ctx if ctx is not None else smt_terms.Ctx()
+    t = _Terms(ctx, script)
     asserts = []
     for clause in script.clauses:
         kind = clause[0]
         if kind == "def":
             _, sym, type_, expr, _pos = clause
-            asserts.append(ctx.mk("=", var(sym, type_), term(expr)))
+            asserts.append(ctx.mk("=", t.var(sym, type_), t.term(expr)))
         elif kind == "assume":
-            asserts.append(term(clause[1]))
+            asserts.append(t.term(clause[1]))
         elif kind == "scalar_zero":
             _, sym, type_, _pos = clause
-            asserts.append(ctx.mk("=", var(sym, type_), lit(0, type_)))
+            asserts.append(ctx.mk("=", t.var(sym, type_), t.lit(0, type_)))
         elif kind == "map_zero":
             map_name = clause[1]
-            asserts.append(forall(map_name, lambda k: ctx.mk(
-                "=", app(fun(map_name, 0), k), lit(0, U256))))
+            asserts.append(t.forall(map_name, lambda k: ctx.mk(
+                "=", t.app(t.fun(map_name, 0), k), t.lit(0, U256))))
         elif kind == "map_write":
             _, map_name, g_from, g_to, key, val, _pos = clause
-            key = term(key)
-            f_from, f_to = fun(map_name, g_from), fun(map_name, g_to)
-            asserts.append(ctx.mk("=", app(f_to, key), term(val)))
-            asserts.append(forall(map_name, lambda k: ctx.mk(
+            key = t.term(key)
+            f_from, f_to = t.fun(map_name, g_from), t.fun(map_name, g_to)
+            asserts.append(ctx.mk("=", t.app(f_to, key), t.term(val)))
+            asserts.append(t.forall(map_name, lambda k: ctx.mk(
                 "=>", ctx.mk("distinct", k, key),
-                ctx.mk("=", app(f_to, k), app(f_from, k)))))
+                ctx.mk("=", t.app(f_to, k), t.app(f_from, k)))))
         else:
             raise EncodeError("unknown clause kind %r" % kind)
 
     if safety is not None:
         if program is None:
             raise EncodeError("safety resolution needs the program")
-        asserts.append(term(resolve_safety(script, safety, program)))
+        asserts.append(t.term(resolve_safety(script, safety, program)))
 
-    decls = {name: _sort(type_) for name, type_ in symbols.items()}
-    commands = Script(decls=decls, funs=funs,
+    decls = {name: _sort(type_) for name, type_ in t.symbols.items()}
+    commands = Script(decls=decls, funs=t.funs,
                       asserts=[ctx.checked("assert", a) for a in asserts],
                       queries=[ctx.var(n, s) for n, s in decls.items()],
                       query_texts=list(decls), has_check=True)
-    return SmtScript(ctx, commands, list(symbols.items()))
+    return SmtScript(ctx, commands, list(t.symbols.items()))
 
 
 # ---------------------------------------------------------------------------

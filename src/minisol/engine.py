@@ -18,6 +18,7 @@ from .explorer import (HEURISTICS, Limits, build_context,
                        find_minimal_satisfiable_walk)
 from .frontend import extract_targets, parse_contract
 from .ir import inline_internal_calls, lower
+from .smt.terms import Ctx
 
 
 @dataclass
@@ -76,6 +77,24 @@ def synthesize(source, *, target=None, target_line=None,
     session = SolverSession(solver)
     context = build_context(graph, target.safety)
     deadline = t0 + limits.wall_timeout
+    # one term context for the run: a term that recurs across checks is
+    # built and folded once, and equal assertion lists are the same terms
+    terms = Ctx()
+    answers = {}    # an incomplete walk's script's asserts -> sat | unsat
+
+    def solve(smt_script, complete):
+        """Submit `smt_script`, or answer it from `answers`: an incomplete
+        walk needs only sat or unsat, which an earlier script with the same
+        assertions has settled.  A complete walk needs a model and is
+        always solved; ``unknown`` settles nothing."""
+        key = None if complete else tuple(smt_script.commands.asserts)
+        status = answers.get(key)
+        if status is not None:
+            return SatResult(status, reason="repeated")
+        result = session.check(smt_script, deadline)
+        if key is not None and result.status != "unknown":
+            answers[key] = result.status
+        return result
 
     def check(walk):
         script = ssa_number(walk, program)
@@ -87,11 +106,14 @@ def synthesize(source, *, target=None, target_line=None,
             if front is not None:
                 if not front.clauses:
                     return SatResult("sat", reason="inherited")
-                result = session.check(encode(front), deadline)
+                result = solve(encode(front, ctx=terms), False)
+                if result.reason == "repeated":
+                    return result
                 if result.status != "unknown":
                     return SatResult(result.status, reason="inherited")
-        smt_script = encode(script, safety=target.safety, program=program)
-        return session.check(smt_script, deadline)
+        smt_script = encode(script, safety=target.safety, program=program,
+                            ctx=terms)
+        return solve(smt_script, script.complete)
 
     result = find_minimal_satisfiable_walk(
         graph, target, factory, limits, check=check, context=context,

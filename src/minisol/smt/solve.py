@@ -2,7 +2,9 @@
 refutation -> greedy model -> bit-blast -> CDCL -> model self-check.
 
 Folding is a function of the hash-consed term: each distinct term is folded
-once per :class:`~.terms.Ctx` and the result kept in ``Ctx.folded``.
+once per :class:`~.terms.Ctx` and the result kept in ``Ctx.folded``.  A
+context may serve many scripts (``minisol.synthesize`` solves every check of
+a run in one), so a term that recurs across checks is folded once.
 Fold/demote folds every assertion, compiles the map axioms (below) and
 replaces map reads by terms over fresh cell variables.  Word-level reduction
 substitutes definitional conjuncts (``x = t``) until none is left.  Demotion

@@ -4,7 +4,9 @@ Terms are immutable and hash-consed through a :class:`Ctx`, so structural
 equality is identity equality and memo tables can key on ``id(term)``.
 ``Ctx.folded`` is the one constant-folding memo of the context: it maps the
 id of every term ``solve.fold`` has seen, and of every folded result, to
-the folded term.  Sorts are ``('bool',)`` or ``('bv', width)``.
+the folded term.  A context may serve many scripts (``minisol.synthesize``
+keeps one for a whole run), so every distinct term is built and folded once
+for all of them.  Sorts are ``('bool',)`` or ``('bv', width)``.
 """
 
 from __future__ import annotations
@@ -50,6 +52,10 @@ class Ctx:
 
     def node(self, op, val, args, sort=None):
         key = (op, val, tuple(id(a) for a in args))
+        if op == "var" or op == "app":
+            # one name may have different sorts in the scripts that share
+            # the context; every other op's sort follows from the key
+            key += (sort,)
         hit = self._intern.get(key)
         if hit is not None:
             return hit

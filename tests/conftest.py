@@ -2,6 +2,7 @@ import pathlib
 
 import pytest
 
+from minisol import engine
 from minisol.engine import prepare, synthesize
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -38,3 +39,21 @@ class _EngineCache:
 @pytest.fixture(scope="session")
 def engine_cache():
     return _EngineCache()
+
+
+@pytest.fixture
+def check_log(monkeypatch):
+    """(walk nodes, status, reason) of every check ``synthesize`` makes."""
+    checks = []
+    search = engine.find_minimal_satisfiable_walk
+
+    def recorded_search(*args, check, **kwargs):
+        def recorded(walk):
+            result = check(walk)
+            checks.append((walk.nodes, result.status, result.reason))
+            return result
+        return search(*args, check=recorded, **kwargs)
+
+    monkeypatch.setattr(engine, "find_minimal_satisfiable_walk",
+                        recorded_search)
+    return checks

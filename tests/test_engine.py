@@ -1,3 +1,4 @@
+import gc
 import json
 import shlex
 import sys
@@ -6,13 +7,14 @@ import time
 import pytest
 
 from minisol.concretize import from_json, to_json
-from minisol.encoder import SolverConfig
+from minisol.encoder import SolverConfig, SolverSession
 from minisol import engine
 from minisol.engine import pick_target, prepare, replay_file, synthesize
 from minisol.errors import TargetError
 from minisol.explorer import Limits
 from minisol import oracle
 from minisol.smt import solve as smt_solve
+from minisol.smt.terms import Ctx
 
 TIMESTAMP_SRC = """contract Timed {
     bool opened = false;
@@ -193,51 +195,146 @@ def test_linear_refuter_changes_no_answer(corpus, monkeypatch, name,
         assert cross_checked > 0
 
 
-def _recording_checks(monkeypatch):
-    """Record (walk, status, reason) for every check the engine makes."""
-    checks = []
-    search = engine.find_minimal_satisfiable_walk
-
-    def recorded_search(*args, check, **kwargs):
-        def recorded(walk):
-            result = check(walk)
-            checks.append((walk.nodes, result.status, result.reason))
-            return result
-        return search(*args, check=recorded, **kwargs)
-
-    monkeypatch.setattr(engine, "find_minimal_satisfiable_walk",
-                        recorded_search)
-    return checks
+@pytest.mark.parametrize("lazy_check", [False, True])
+@pytest.mark.parametrize("heuristic", ["floyd-warshall", "state-var"])
+@pytest.mark.parametrize("name", ["guess_check", "two_tx_overflow", "token",
+                                  "multi_tx"])
+def test_frontier_shortcut_changes_no_answer(corpus, monkeypatch, check_log,
+                                             name, heuristic, lazy_check):
+    """An extension decided by its frontier clauses alone gets the answer
+    the full solve gives.  With the shortcut patched out every check is a
+    full solve, and the same walks are checked in the same order with the
+    same answers; the run's status, walk count, reason and sequence stay
+    the same.  No complete walk is decided by its frontier."""
+    with_shortcut = synthesize(corpus[name], heuristic=heuristic,
+                               lazy_check=lazy_check)
+    shortcut_checks = list(check_log)
+    check_log.clear()
+    monkeypatch.setattr(engine, "frontier_script", lambda *a, **k: None)
+    without = synthesize(corpus[name], heuristic=heuristic,
+                         lazy_check=lazy_check)
+    assert _outcome(without) == _outcome(with_shortcut)
+    assert [c[:2] for c in shortcut_checks] == [c[:2] for c in check_log]
+    inherited = [nodes for nodes, _status, reason in shortcut_checks
+                 if reason == "inherited"]
+    _ast, _program, graph = prepare(corpus[name])
+    assert all(nodes[-1] != graph.start_id for nodes in inherited)
+    assert not any(reason == "inherited" for *_c, reason in check_log)
+    if (name, lazy_check) == ("multi_tx", False):
+        assert inherited
 
 
 @pytest.mark.parametrize("lazy_check", [False, True])
 @pytest.mark.parametrize("heuristic", ["floyd-warshall", "state-var"])
 @pytest.mark.parametrize("name", ["guess_check", "two_tx_overflow", "token",
                                   "multi_tx"])
-def test_frontier_shortcut_changes_no_answer(corpus, monkeypatch, name,
-                                             heuristic, lazy_check):
-    """An extension decided by its frontier clauses alone gets the answer
-    the full solve gives.  With the shortcut patched out every check is a
-    full solve, and the same walks are checked in the same order with the
-    same answers; the run's status, walk count, reason and sequence stay
-    the same.  No complete walk is decided by its frontier."""
-    checks = _recording_checks(monkeypatch)
-    with_shortcut = synthesize(corpus[name], heuristic=heuristic,
-                               lazy_check=lazy_check)
-    shortcut_checks = list(checks)
-    checks.clear()
-    monkeypatch.setattr(engine, "frontier_script", lambda *a, **k: None)
-    without = synthesize(corpus[name], heuristic=heuristic,
-                         lazy_check=lazy_check)
-    assert _outcome(without) == _outcome(with_shortcut)
-    assert [c[:2] for c in shortcut_checks] == [c[:2] for c in checks]
-    inherited = [nodes for nodes, _status, reason in shortcut_checks
-                 if reason == "inherited"]
+def test_run_context_changes_no_answer(corpus, monkeypatch, check_log, name,
+                                       heuristic, lazy_check):
+    """One term context per run, and the answers it lets the engine reuse,
+    change nothing.  With `encode` patched to a fresh ``Ctx`` per call no
+    term is shared and no script repeats another's, yet the same walks are
+    checked in the same order with the same answers, and the run's status,
+    walk count, reason and sequence stay the same.  A complete walk is
+    never answered from the table: it needs a model."""
+    shared = synthesize(corpus[name], heuristic=heuristic,
+                        lazy_check=lazy_check)
+    shared_checks = list(check_log)
+    check_log.clear()
+    real_encode = engine.encode
+    monkeypatch.setattr(engine, "encode", lambda *args, **kwargs: real_encode(
+        *args, **dict(kwargs, ctx=Ctx())))
+    fresh = synthesize(corpus[name], heuristic=heuristic,
+                       lazy_check=lazy_check)
+    assert _outcome(fresh) == _outcome(shared)
+    assert [c[:2] for c in shared_checks] == [c[:2] for c in check_log]
+    assert not any(reason == "repeated" for *_c, reason in check_log)
+    repeated = [nodes for nodes, _status, reason in shared_checks
+                if reason == "repeated"]
     _ast, _program, graph = prepare(corpus[name])
-    assert all(nodes[-1] != graph.start_id for nodes in inherited)
-    assert not any(reason == "inherited" for *_c, reason in checks)
-    if (name, lazy_check) == ("multi_tx", False):
-        assert inherited
+    assert all(nodes[-1] != graph.start_id for nodes in repeated)
+    if (name, heuristic) == ("token", "state-var"):
+        assert repeated
+
+
+@pytest.mark.parametrize("solver_answers", [True, False])
+def test_only_a_decided_answer_is_reused(corpus, monkeypatch, solver_answers):
+    """Every walk is checked twice in a row.  The second check of an
+    incomplete walk whose whole script was answered sat or unsat takes
+    that answer from the table, unsubmitted.  A complete walk is solved
+    again, and with a solver that answers only ``unknown`` every check is
+    submitted again."""
+    search = engine.find_minimal_satisfiable_walk
+    pairs = []
+
+    def check_twice(*args, check, **kwargs):
+        def checked(walk):
+            first = check(walk)
+            pairs.append((walk, first, check(walk)))
+            return first
+        return search(*args, check=checked, **kwargs)
+
+    submitted = 0
+    real_solve = smt_solve.solve_commands
+
+    def counted(*args):
+        nonlocal submitted
+        submitted += 1
+        if solver_answers:
+            return real_solve(*args)
+        return smt_solve.Result("unknown", reason="no answer")
+
+    monkeypatch.setattr(engine, "find_minimal_satisfiable_walk", check_twice)
+    monkeypatch.setattr(smt_solve, "solve_commands", counted)
+    synthesize(corpus["token"], heuristic="state-var",
+               limits=Limits(max_walks=200))
+    assert pairs
+    for walk, first, second in pairs:
+        assert second.status == first.status
+        if first.status == "unknown" or walk.nodes[-1] == walk.graph.start_id:
+            assert second.reason != "repeated"
+        elif first.reason != "inherited":
+            assert second.reason == "repeated"
+    if not solver_answers:
+        assert submitted == 2 * len(pairs)
+
+
+def test_emit_smt_dumps_every_submission_deterministically(
+        corpus, monkeypatch, tmp_path):
+    """Two runs dump the same files, byte for byte, one per submission; a
+    script answered from the run's table is not submitted and dumps
+    nothing."""
+    sessions = []
+
+    def recorded_session(config):
+        sessions.append(SolverSession(config))
+        return sessions[-1]
+
+    monkeypatch.setattr(engine, "SolverSession", recorded_session)
+    dumps = []
+    for run in ("a", "b"):
+        out_dir = tmp_path / run
+        out_dir.mkdir()
+        result = synthesize(corpus["token"], heuristic="state-var",
+                            solver=SolverConfig(emit_dir=str(out_dir)),
+                            limits=Limits(max_walks=200))
+        paths = sorted(out_dir.iterdir())
+        dumps.append([(p.name, p.read_bytes()) for p in paths])
+        assert len(paths) == sessions[-1].n_submissions
+        assert len(paths) < result.walks_explored
+    assert dumps[0] == dumps[1]
+
+
+def test_a_run_leaves_no_cyclic_garbage(corpus):
+    """A check's terms, scripts and closures are freed by reference
+    counting alone.  A multi_tx run used to leave about a million objects
+    in reference cycles; 61 are left now, all built once per run."""
+    gc.collect()
+    gc.disable()
+    try:
+        synthesize(corpus["multi_tx"])
+        assert gc.collect() < 1000
+    finally:
+        gc.enable()
 
 
 def test_wall_timeout_ends_the_search_with_timeout(corpus):

@@ -502,6 +502,37 @@ def test_greedy_tries_wrap_around_values(no_bit_blasting, condition, holds):
     assert holds(model["x"], model["v"])
 
 
+# -- interning -----------------------------------------------------------------
+
+def test_var_and_app_are_interned_on_their_sort():
+    """One name can have different widths in the scripts that share a
+    context, for example a local slot in two functions."""
+    ctx = Ctx()
+    assert ctx.var("x", bv(8)) is ctx.var("x", bv(8))
+    assert ctx.var("x", bv(8)) is not ctx.var("x", bv(256))
+    assert ctx.var("x", bv(256)).sort == bv(256)
+    key = ctx.var("k", bv(8))
+    assert ctx.app("f", key, bv(8)) is not ctx.app("f", key, bv(256))
+
+
+def test_a_node_rebuilt_with_its_sort_is_the_one_built():
+    """``fold`` and ``rewrite`` rebuild nodes through ``ctx.node`` with the
+    old node's sort; interning must hand back the object ``mk`` built."""
+    ctx = Ctx()
+    x = ctx.var("x", bv(8))
+    built = [ctx.mk("bvadd", x, ctx.const(1, 8)),
+             ctx.mk("extract", x, val=(3, 0)),
+             ctx.mk("zero_extend", x, val=8),
+             ctx.mk("bvult", x, ctx.const(7, 8)),
+             ctx.mk("not", ctx.mk("=", x, ctx.const(2, 8))),
+             ctx.mk("ite", ctx.TRUE, x, ctx.const(0, 8)),
+             ctx.mk("forall", ctx.mk("bvuge", x, x), val=("x", bv(8))),
+             ctx.app("f", x, bv(16)),
+             x]
+    for term in built:
+        assert ctx.node(term.op, term.val, term.args, term.sort) is term
+
+
 # -- folding -------------------------------------------------------------------
 
 @pytest.mark.parametrize("name, options", [
@@ -509,17 +540,19 @@ def test_greedy_tries_wrap_around_values(no_bit_blasting, condition, holds):
     ("token", {"heuristic": "state-var", "limits": Limits(max_walks=200)}),
     ("multi_tx", {"lazy_check": True}),
 ])
-def test_each_term_is_folded_once_per_check(corpus, monkeypatch, name,
-                                            options):
-    """No term reaches ``_fold`` twice within one check, and refolding any
-    folded term from an empty ``ctx.folded`` gives the term back: the
-    idempotence that lets ``fold`` record a result as its own fold.  Every
-    explored walk is one solver check, except those whose new node adds
-    no clause to a SAT parent."""
+def test_each_term_is_folded_once_per_run(corpus, monkeypatch, check_log,
+                                          name, options):
+    """Every check of a run is solved in one term context, and no term
+    reaches ``_fold`` twice in the whole run.  Refolding any folded term
+    from an empty ``ctx.folded`` gives the term back: the idempotence that
+    lets ``fold`` record a result as its own fold.  Every explored walk is
+    one solver check, except those whose new node adds no clause to a SAT
+    parent and those whose script repeats an earlier one's."""
     real_fold, real_solve = solve_mod._fold, solve_mod.solve_commands
     real_frontier = engine.frontier_script
     seen = set()
-    repeats, not_idempotent = [], []
+    repeats = []
+    contexts = {}
     checks = 0
     no_clauses = 0
 
@@ -535,26 +568,25 @@ def test_each_term_is_folded_once_per_check(corpus, monkeypatch, name,
         seen.add(id(term))
         return real_fold(ctx, term)
 
-    def solve_and_refold(ctx, script, *args):
+    def solve_counted(ctx, script, *args):
         nonlocal checks
-        seen.clear()
         checks += 1
-        try:
-            return real_solve(ctx, script, *args)
-        finally:
-            outputs = {id(t): t for t in ctx.folded.values()}
-            ctx.folded = {}
-            seen.clear()
-            not_idempotent.extend(t for t in outputs.values()
-                                  if solve_mod.fold(ctx, t) is not t)
+        contexts[id(ctx)] = ctx
+        return real_solve(ctx, script, *args)
 
     monkeypatch.setattr(solve_mod, "_fold", fold_once)
-    monkeypatch.setattr(solve_mod, "solve_commands", solve_and_refold)
+    monkeypatch.setattr(solve_mod, "solve_commands", solve_counted)
     monkeypatch.setattr(engine, "frontier_script", count_empty_frontiers)
     result = synthesize(corpus[name], **options)
-    assert checks == result.walks_explored - no_clauses > 0
+    hits = sum(reason == "repeated" for *_c, reason in check_log)
+    assert checks == result.walks_explored - no_clauses - hits > 0
     assert repeats == []
-    assert not_idempotent == []
+
+    (ctx,) = contexts.values()
+    outputs = {id(t): t for t in ctx.folded.values()}
+    ctx.folded = {}
+    assert [t for t in outputs.values() if solve_mod.fold(ctx, t) is not t] \
+        == []
 
 
 # -- deadlines -----------------------------------------------------------------
