@@ -51,11 +51,11 @@ class Ctx:
         self.FALSE = self.node("cbool", False, ())
 
     def node(self, op, val, args, sort=None):
-        key = (op, val, tuple(id(a) for a in args))
-        if op == "var" or op == "app":
-            # one name may have different sorts in the scripts that share
-            # the context; every other op's sort follows from the key
-            key += (sort,)
+        ids = tuple(id(a) for a in args)
+        # one name may have different sorts in the scripts that share the
+        # context; every other op's sort follows from op, val and args
+        key = (op, val, ids, sort) if op == "var" or op == "app" \
+            else (op, val, ids)
         hit = self._intern.get(key)
         if hit is not None:
             return hit
