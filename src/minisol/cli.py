@@ -6,9 +6,9 @@ sequence against the contract; ``--mutants`` solves kill queries from a
 mutant-list JSON file.
 
 Exit codes: 0 found (or replay hit / mutants processed), 1 not found
-(or replay miss), 2 usage, parse or solver errors.  stderr always carries
-one machine-parseable line: ``result=<found|notfound|error> walks=<n>
-time_ms=<t>``.
+(or replay miss), 2 usage, parse, solver or file errors (a path that
+cannot be read or written).  stderr always carries one machine-parseable
+line: ``result=<found|notfound|error> walks=<n> time_ms=<t>``.
 """
 
 from __future__ import annotations
@@ -128,15 +128,15 @@ def main(argv=None):
                             replay_check=not args.no_replay_check)
         walks = result.walks_explored
         if result.status == "found":
-            result_word = "found"
             _write_out(args.out, to_json(result.sequence))
+            result_word = "found"
             summary()
             return 0
         result_word = "notfound"
         sys.stderr.write("no satisfiable walk: %s\n" % result.reason)
         summary()
         return 1
-    except MiniSolError as exc:
+    except (MiniSolError, OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         summary()
         return 2

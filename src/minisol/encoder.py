@@ -1,35 +1,48 @@
 """Walks to constraints: SSA numbering, solver terms, solver access.
 
-``ssa_number`` reverses a walk into execution order and forward-numbers it:
-state variables keep one version chain across the whole walk, locals and the
-transaction environment restart per transaction, and mapping writes advance
-a per-mapping generation.  Version 0 of anything is its value before the
-walk's first write; the zero-initialization clauses (scalars = 0, all map
-cells = 0) attach only when the walk contains the start node, so partial
-walks leave their pre-state free and an UNSAT prefix can never become SAT
-by extension.
+``ssa_number`` numbers a walk backward, from its root (the target point)
+toward its frontier, one node per step (``Numbering.step``), and builds
+each node's clauses as ``smt`` terms straight into the run's ``Ctx``.  The
+versions live at the target point are fixed: state variable ``x`` is
+``x!0``, mapping ``m`` is the function ``m!0``, and the target's
+transaction is segment ``t0``.  A write defines the version live after it
+and leaves a fresh one live before it; each earlier transaction gets the
+next segment index.  A node's names therefore depend only on the walk from
+the target to it, and a numbered node's clauses never change: a one-node
+extension's clauses are its parent's, term for term, plus the new node's.
+The walk tree keeps each checked node's ``Numbering`` for its children,
+and ``ssa_number`` numbers only the nodes after the numbered prefix a walk
+carries (``Walk.numbered``).  Locals and the transaction environment
+belong to their segment; a local read with no earlier write in a complete
+segment is an error, found when the backward walk reaches the entry.
 
-A transaction segment that runs through a revert sink has its storage
-versions rolled back at the tx_processed boundary: its path constraints
-hold but its writes are discarded, matching EVM revert semantics.
+Two kinds of clause move with the frontier and come first: the account
+clauses of the segment the frontier is in, until its entry is numbered,
+and the link of a reverting segment.  A segment reverts when the backward
+walk passes tx_processed from its revert sink.  Its path constraints hold
+but its writes are discarded, as in the EVM: inside it every state
+variable and mapping it touches gets private versions, and the link
+equates the versions live after the segment with the private ones live at
+its start (at the frontier while it is open, at its entry once numbered).
+The zero-initialization clauses (scalars = 0, all map cells = 0) attach to
+the start node, so partial walks leave their pre-state free and an UNSAT
+prefix can never become SAT by extension.
 
-The clauses of the walk's earliest node come first (``frontier_end``
-counts them).  A one-node extension's other clauses are then its parent
-walk's clauses renamed: segment indices shift up when the new node opens a
-transaction, and the versions it writes shift up by one.
-``frontier_script`` cuts the new node's clauses out as a script of their
-own when they share no symbol with the rest or with the safety condition;
-if the parent was SAT, they alone decide the extension.
+``frontier_script`` cuts the frontier's clauses (the moving ones and the
+new node's) out as a script of their own when they mention no symbol that
+the rest of the walk or the safety condition mentions; if the parent was
+SAT, they alone decide the extension.  Each numbering marks which of its
+live symbols its clauses mention, so the test reads only the new node's
+symbols.  ``clause_shape`` keys such scripts up to a renaming of their
+symbols, so the engine answers a repeat from its table.
 
-``encode`` builds the clause list as ``smt`` terms in the ``Ctx`` it is
-given (``synthesize`` passes one context for the whole run, so a term that
-recurs across checks is built and folded once): scalars become fixed-width
-bitvectors, mappings/arrays become one uninterpreted function per
-generation, and each write emits the point update plus the quantified
-one-key frame axiom.  The safety condition is conjoined over the versions
-live at the walk root (the target point), before the target instruction's
-own effect; the replay oracle mirrors this by stopping at the first arrival
-that satisfies the condition.
+Scalars are fixed-width bitvectors, each mapping generation is an
+uninterpreted function, and each write emits the point update plus the
+quantified one-key frame axiom.  ``encode`` assembles one check's script:
+the numbered clauses plus the safety condition, over the versions live at
+the target point, before the target instruction's own effect; the replay
+oracle mirrors this by stopping at the first arrival that satisfies the
+condition.
 
 The bundled solver reads those terms in process.  SMT-LIB 2 text is
 rendered from them (``SmtScript.text``) only when something reads it: the
@@ -50,58 +63,45 @@ from typing import Optional
 from .errors import EncodeError, SolverError
 from .ir import BRANCH_KINDS, CONSTRUCTOR
 from .lang import (ADDRESS, BOOL, ENV_NAMES, ENV_TYPES, NUM_ACCOUNTS,
-                   SCALAR_TYPES, U256, Binary, BoolLit, AddressLit, EnvRead,
+                   U256, Binary, BoolLit, AddressLit, EnvRead,
                    Ident, Index, IntLit, Unary)
 from . import smt
 from .smt import terms as smt_terms
 from .smt.parse import Script, read_sexprs, tokenize as smt_tokenize
 
 GAS = "gas"
+_ENV = ENV_NAMES + (GAS,)
+
+_OPS = {"+": "bvadd", "-": "bvsub", "*": "bvmul", "/": "bvudiv",
+        "%": "bvurem", "<": "bvult", "<=": "bvule", ">": "bvugt",
+        ">=": "bvuge", "==": "=", "!=": "distinct", "&&": "and", "||": "or"}
+
+_KEY = "%k"                        # the frame axioms' bound key
+_ADDRESS_SORT = smt_terms.bv(ADDRESS.bit_width)
 
 
-# ---------------------------------------------------------------------------
-# Clause expressions: small tagged tuples, type in the last slot
-# ---------------------------------------------------------------------------
-
-def e_sym(name, type_):
-    return ("sym", name, type_)
+def _sort(type_):
+    return smt_terms.BOOL if type_ is BOOL else smt_terms.bv(type_.bit_width)
 
 
-def e_lit(value, type_):
-    return ("lit", value, type_)
+def _lit(ctx, value, type_):
+    if type_ is BOOL:
+        return ctx.cbool(bool(value))
+    return ctx.const(value, type_.bit_width)
 
 
-def e_bin(op, a, b, type_):
-    return ("bin", op, a, b, type_)
-
-
-def e_not(a):
-    return ("not", a, BOOL)
-
-
-def e_read(map_name, gen, key):
-    return ("read", map_name, gen, key, U256)
-
-
-def e_conv(a, to_type):
-    from_w = expr_type(a).bit_width
-    to_w = to_type.bit_width
-    if a[0] == "lit":
-        return e_lit(a[1] & ((1 << to_w) - 1), to_type)
+def _conv(ctx, term, to_w):
+    """`term` at width `to_w`: zero-extended, truncated, or a constant
+    masked."""
+    if term.op in ("const", "cbool"):
+        value = term.val[0] if term.op == "const" else int(term.val)
+        return ctx.const(value, to_w)
+    from_w = term.sort[1]
     if from_w == to_w:
-        return a
+        return term
     if from_w < to_w:
-        return ("zext", a, to_w - from_w, to_type)
-    return ("trunc", a, to_w - 1, to_type)
-
-
-def expr_type(e):
-    return e[-1]
-
-
-# Clause kinds: ('def', sym, type, expr, pos) | ('assume', expr, pos)
-# | ('safety', expr, pos) | ('map_write', map, g_from, g_to, key, val, pos)
-# | ('scalar_zero', sym, type, pos) | ('map_zero', map, pos)
+        return ctx.mk("zero_extend", term, val=to_w - from_w)
+    return ctx.mk("extract", term, val=(to_w - 1, 0))
 
 
 @dataclass
@@ -123,254 +123,442 @@ class TxEnv:
 
 @dataclass
 class TargetPoint:
-    """Version environment captured at the first target-line arrival."""
-    fn: str
-    seg: int
+    """Where the walk root sits: its function and inline suffix.  The
+    versions live there are fixed (``x!0``, ``m!0``, segment ``t0``)."""
+    fn: Optional[str]
     inline_suffix: str
-    partial_seg: bool
-    state: dict
-    locals: dict
-    maps: dict
-    env: dict
 
 
-@dataclass
-class SsaScript:
-    clauses: list = field(default_factory=list)
-    symbols: dict = field(default_factory=dict)      # name -> MsType
-    map_syms: list = field(default_factory=list)     # (map, gen) decl order
-    transactions: list = field(default_factory=list)
-    target_point: Optional[TargetPoint] = None
-    complete: bool = False
-    map_key_types: dict = field(default_factory=dict)
-    frontier_end: int = 0          # clauses[:frontier_end] number position 0
+# ---------------------------------------------------------------------------
+# Backward numbering
+# ---------------------------------------------------------------------------
 
+class _Run:
+    """What every numbering of one walk tree shares: the term context, the
+    program and graph, and caches over them."""
 
-class _Numberer:
-    def __init__(self, walk, program, graph):
-        self.walk = walk
+    def __init__(self, ctx, program, graph):
+        self.ctx = ctx
         self.program = program
         self.graph = graph
-        self.script = SsaScript()
-        self.state_cur = {}
-        self.state_high = {}
-        self.map_cur = {}
-        self.map_high = {}
-        self.seg = -1
-        self.seg_env = None
-        self.seg_fn = None
-        self.seg_partial = False
-        self.seg_snapshot = None
-        self.local_ver = {}
-        self.fn_params = {}
-        for name, type_ in program.state_vars:
-            if type_.kind in ("mapping", "array"):
-                self.script.map_key_types[name] = \
-                    type_.key if type_.kind == "mapping" else U256
+        self.key_types = {
+            name: type_.key if type_.kind == "mapping" else U256
+            for name, type_ in program.state_vars if not type_.is_scalar}
+        self.key_sorts = {name: _sort(type_)
+                          for name, type_ in self.key_types.items()}
+        self.params = {}               # function name -> its parameters
+        self.safety = None             # the last safety condition resolved
+
+    def fn_params(self, fn_name):
+        params = self.params.get(fn_name)
+        if params is None:
+            fn = self.program.function(fn_name)
+            params = self.params[fn_name] = tuple(fn.params) if fn else ()
+        return params
+
+    def fun(self, map_name, gen):
+        """The function of generation `gen` of `map_name`, and its
+        signature."""
+        return ("%s!%d" % (map_name, gen),
+                (self.key_sorts[map_name], smt_terms.bv(256)))
+
+    def app(self, fun, key):
+        return self.ctx.checked("app", key, val=fun[0], sig=fun[1])
+
+    def frame(self, map_name, body):
+        """The axiom ``forall k. body(k)`` over `map_name`'s keys."""
+        sort = self.key_sorts[map_name]
+        return self.ctx.mk("forall", body(self.ctx.var(_KEY, sort)),
+                           val=(_KEY, sort))
+
+    def link(self, cur, saved):
+        """A reverting segment's link: for every state variable and mapping
+        whose live version `cur` differs from the one live after the
+        segment (`saved`), the clause equating them, with both names."""
+        ctx = self.ctx
+        out = []
+        for name, type_ in self.program.state_vars:
+            inside, after = cur.get(name, 0), saved.get(name, 0)
+            if inside == after:
+                continue
+            if type_.is_scalar:
+                sort = _sort(type_)
+                a = ctx.var("%s!%d" % (name, after), sort)
+                c = ctx.var("%s!%d" % (name, inside), sort)
+                out.append((ctx.mk("=", a, c), a.val, c.val))
+            else:
+                f_a, f_c = self.fun(name, after), self.fun(name, inside)
+                out.append((self.frame(name, lambda k: ctx.mk(
+                    "=", self.app(f_a, k), self.app(f_c, k))),
+                    f_a[0], f_c[0]))
+        return out
+
+
+class _Link:
+    """The persistent part of one numbered node: its clauses in execution
+    order, the symbols and map functions it declares, the symbol it
+    defines, the transaction its entry completes, and the link of the node
+    after it in execution order."""
+    __slots__ = ("parent", "clauses", "decls", "funs", "defined", "tx")
+
+    def __init__(self, parent, clauses, decls, funs, defined, tx):
+        self.parent = parent
+        self.clauses = clauses
+        self.decls = decls
+        self.funs = funs
+        self.defined = defined
+        self.tx = tx
+
+
+class _Seg:
+    """The transaction segment the frontier is in: its index, function and
+    environment, the version of every local it has touched, the symbols of
+    its own that its clauses mention, and, for a reverting segment, the
+    state versions live after it (`saved`)."""
+    __slots__ = ("index", "fn", "env", "env_clauses", "locals", "marks",
+                 "saved")
+
+    def copy(self):
+        seg = _Seg()
+        seg.index, seg.fn, seg.env, seg.env_clauses = \
+            self.index, self.fn, self.env, self.env_clauses
+        seg.locals, seg.marks, seg.saved = self.locals, self.marks, self.saved
+        return seg
+
+    def tx(self, params, partial):
+        """The segment's transaction; its parameters' live symbols are the
+        inputs."""
+        env = self.env
+        return TxEnv(self.index, self.fn, env["msg.sender"].val,
+                     env["msg.value"].val, env["tx.origin"].val,
+                     env["block.timestamp"].val, env[GAS].val,
+                     [(p, "%s!t%d!%d" % (p, self.index, self.locals.get(p, 0)))
+                      for p, _t in params],
+                     is_deployment=(self.fn == CONSTRUCTOR), partial=partial,
+                     aborted=self.saved is not None)
+
+
+class Numbering:
+    """The numbering of a walk's first `length` nodes, root first.
+
+    Immutable: ``step`` returns the numbering one node longer and shares
+    every part it leaves unchanged.  `cur` and `high` map each state
+    variable and mapping to its live and its highest version, `marks` holds
+    the live state symbols and map functions the clauses mention, and
+    `front_shared` says whether the last node's clauses, or the moving
+    ones, mention a symbol the clauses before it mention."""
+    __slots__ = ("run", "link", "length", "node", "cur", "high", "marks",
+                 "nseg", "seg", "target", "written0", "front_shared",
+                 "complete")
+
+    @classmethod
+    def empty(cls, program, graph, ctx):
+        n = cls()
+        n.run = _Run(ctx, program, graph)
+        n.link = None
+        n.length = 0
+        n.node = None
+        n.cur, n.high = {}, {}
+        n.marks = frozenset()
+        n.nseg = 0
+        n.seg = None
+        n.target = None
+        n.written0 = None              # slots the root segment writes
+        n.front_shared = False
+        n.complete = False
+        return n
+
+    def step(self, node_id):
+        """The numbering of the walk extended by `node_id`, which executes
+        just before the nodes numbered so far."""
+        return _Step(self, node_id).result()
+
+    def moving(self):
+        """The clauses that move with the frontier, with the names they
+        mention: the open segment's account clauses and, if it reverts,
+        its link."""
+        seg = self.seg
+        if seg is None:
+            return [], ()
+        clauses = list(seg.env_clauses)
+        names = [seg.env["msg.sender"].val, seg.env["tx.origin"].val]
+        if seg.saved is not None:
+            for clause, a, c in self.run.link(self.cur, seg.saved):
+                clauses.append(clause)
+                names += (a, c)
+        return clauses, names
+
+
+class _Step:
+    """Numbers one node onto a parent numbering, copying each part of the
+    parent's state it changes."""
+
+    def __init__(self, parent, node_id):
+        self.parent = parent
+        self.run = parent.run
+        self.ctx = parent.run.ctx
+        self.node_id = node_id
+        self.node = parent.run.graph.node(node_id)
+        self.cur, self.high, self.seg = parent.cur, parent.high, parent.seg
+        self.nseg = parent.nseg
+        self.target, self.written0 = parent.target, parent.written0
+        self.complete = parent.complete
+        self.clauses = []
+        self.decls = {}                # name -> var term
+        self.funs = {}                 # map function -> signature
+        self.defined = None
+        self.tx = None
+        self.mentioned, self.dead = set(), set()           # state symbols
+        self.seg_mentioned, self.seg_dead = set(), set()   # locals and env
 
     # -- symbols ---------------------------------------------------------------
 
     def declare(self, name, type_):
-        if name not in self.script.symbols:
-            self.script.symbols[name] = type_
+        term = self.ctx.var(name, _sort(type_))
+        self.decls.setdefault(name, term)
+        return term
 
-    def map_sym(self, map_name, gen):
-        if (map_name, gen) not in self.script.map_syms:
-            self.script.map_syms.append((map_name, gen))
-        return gen
+    def state_term(self, name, ver, type_):
+        term = self.declare("%s!%d" % (name, ver), type_)
+        self.mentioned.add(term.val)
+        return term
 
-    def state_sym(self, name, ver, type_):
-        sym = "%s!%d" % (name, ver)
-        self.declare(sym, type_)
-        return sym
+    def local_term(self, slot, ver, type_):
+        term = self.declare("%s!t%d!%d" % (slot, self.seg.index, ver), type_)
+        self.seg_mentioned.add(term.val)
+        return term
 
-    def local_sym(self, slot, ver, type_):
-        sym = "%s!t%d!%d" % (slot, self.seg, ver)
-        self.declare(sym, type_)
-        return sym
+    def map_fun(self, map_name, gen):
+        fun = self.run.fun(map_name, gen)
+        self.funs.setdefault(*fun)
+        self.mentioned.add(fun[0])
+        return fun
 
-    # -- segments ----------------------------------------------------------------
+    def own_seg(self):
+        if self.seg is self.parent.seg:
+            self.seg = self.seg.copy()
+        return self.seg
 
-    def begin_segment(self, fn_name, partial):
-        self.seg += 1
-        self.seg_fn = fn_name
-        self.seg_partial = partial
-        self.local_ver = {}
-        self.seg_snapshot = (dict(self.state_cur), dict(self.map_cur))
-        env = {}
-        for which in ENV_NAMES + (GAS,):
-            sym = "%s!t%d" % (which, self.seg)
-            self.declare(sym, ENV_TYPES.get(which, U256))
-            env[which] = sym
-        fn = self.program.function(fn_name)
-        params = []
-        if fn is not None:
-            for pname, ptype in fn.params:
-                params.append((pname, self.local_sym(pname, 0, ptype)))
-        self.fn_params[self.seg] = {p for p, _ in (fn.params if fn else [])}
-        tx = TxEnv(self.seg, fn_name, env["msg.sender"], env["msg.value"],
-                   env["tx.origin"], env["block.timestamp"], env[GAS],
-                   params, is_deployment=(fn_name == CONSTRUCTOR),
-                   partial=partial)
-        self.seg_env = tx
-        self.script.transactions.append(tx)
-        # finite account universe; single-contract world: origin == sender
-        sender = e_sym(env["msg.sender"], ADDRESS)
-        self.assume(e_bin("<=", sender,
-                          e_lit(NUM_ACCOUNTS - 1, ADDRESS), BOOL), -1)
-        self.assume(e_bin("==", e_sym(env["tx.origin"], ADDRESS), sender,
-                          BOOL), -1)
+    def set_local(self, slot, ver):
+        seg = self.own_seg()
+        if self.parent.seg is not None \
+                and seg.locals is self.parent.seg.locals:
+            seg.locals = dict(seg.locals)
+        seg.locals[slot] = ver
 
-    def end_segment(self):
-        if self.seg_env is None:
-            return
-        if self.seg_env.aborted:
-            self.state_cur, self.map_cur = self.seg_snapshot
-        self.seg_env = None
-        self.seg_fn = None
+    def bump(self, name):
+        """Make the next version of state variable or mapping `name` live."""
+        if self.high is self.parent.high:
+            self.high = dict(self.high)
+        if self.cur is self.parent.cur:
+            self.cur = dict(self.cur)
+        ver = self.high[name] = self.cur[name] = self.high.get(name, 0) + 1
+        return ver
 
-    # -- operands ---------------------------------------------------------------
+    def live(self, name):
+        """The live version of `name`; the first time a reverting segment
+        touches it, a private one."""
+        ver = self.cur.get(name, 0)
+        seg = self.seg
+        if seg is not None and seg.saved is not None \
+                and ver == seg.saved.get(name, 0):
+            ver = self.bump(name)
+        return ver
 
-    def read_operand(self, op):
+    # -- operands --------------------------------------------------------------
+
+    def read(self, op):
         if op.kind == "lit":
-            return e_lit(op.value, op.type_)
+            return _lit(self.ctx, op.value, op.type_)
         if op.kind == "env":
-            return e_sym(self.seg_env.__dict__[
-                {"msg.sender": "sender", "msg.value": "value",
-                 "tx.origin": "origin", "block.timestamp": "timestamp"}
-                [op.name]], op.type_)
+            term = self.seg.env[op.name]
+            self.seg_mentioned.add(term.val)
+            return term
         if op.kind == "state":
-            ver = self.state_cur.get(op.name, 0)
-            return e_sym(self.state_sym(op.name, ver, op.type_), op.type_)
-        # local or param
-        ver = self.local_ver.get(op.name)
+            return self.state_term(op.name, self.live(op.name), op.type_)
+        ver = self.seg.locals.get(op.name)       # a local or a parameter
         if ver is None:
-            if op.kind == "param" or op.name in self.fn_params.get(self.seg,
-                                                                   set()):
-                return e_sym(self.local_sym(op.name, 0, op.type_), op.type_)
-            if self.seg_partial:
-                return e_sym(self.local_sym(op.name, 0, op.type_), op.type_)
-            raise EncodeError("local %r read before any write on the walk"
-                              % op.name)
-        return e_sym(self.local_sym(op.name, ver, op.type_), op.type_)
+            ver = 0
+            self.set_local(op.name, ver)
+        return self.local_term(op.name, ver, op.type_)
 
-    def write_operand(self, op, pos):
+    def write(self, op):
+        """The symbol `op` is defined as here; an earlier one is live now."""
         if op.kind == "state":
-            ver = self.state_high.get(op.name, 0) + 1
-            self.state_high[op.name] = ver
-            self.state_cur[op.name] = ver
-            return self.state_sym(op.name, ver, op.type_)
-        ver = self.local_ver.get(op.name, 0) + 1
-        self.local_ver[op.name] = ver
-        return self.local_sym(op.name, ver, op.type_)
+            term = self.state_term(op.name, self.live(op.name), op.type_)
+            self.dead.add(term.val)
+            self.bump(op.name)
+        else:
+            ver = self.seg.locals.get(op.name, 0)
+            term = self.local_term(op.name, ver, op.type_)
+            self.seg_dead.add(term.val)
+            self.set_local(op.name, ver + 1)
+        self.defined = term.val
+        return term
 
-    def assume(self, expr, pos):
-        self.script.clauses.append(("assume", expr, pos))
+    def assume(self, term):
+        self.clauses.append(self.ctx.checked("assert", term))
 
-    def define(self, sym, type_, expr, pos):
-        self.script.clauses.append(("def", sym, type_, expr, pos))
+    def define(self, sym, term):
+        self.clauses.append(self.ctx.mk("=", sym, term))
 
-    # -- the pass -----------------------------------------------------------------
+    # -- the step --------------------------------------------------------------
 
-    def run(self):
-        nodes = [self.graph.node(n) for n in reversed(self.walk.nodes)]
-        self.script.complete = bool(nodes) and nodes[0].kind == "start"
+    def result(self):
+        node = self.node
+        parent = self.parent
+        if node.fn is not None and self.seg is None:
+            self.open_segment(node)
+        if node.kind == "instr":
+            if parent.length == 0:
+                # the walk root is the target node; the safety condition
+                # binds to the versions live here, before its effect
+                self.target = TargetPoint(node.fn, node.instr.inline_suffix)
+            else:
+                self.apply_instr(node, parent.node)
+        elif node.kind == "entry":
+            self.close_segment()
+        elif node.kind == "start":
+            self.zero_state()
 
-        if self.script.complete:
-            for name, type_ in self.program.state_vars:
-                if type_.is_scalar:
-                    sym = self.state_sym(name, 0, type_)
-                    self.script.clauses.append(("scalar_zero", sym, type_, -1))
-                else:
-                    self.map_sym(name, 0)
-                    self.script.clauses.append(("map_zero", name, -1))
+        n = Numbering()
+        n.run, n.length, n.node = self.run, parent.length + 1, self.node_id
+        n.cur, n.high, n.nseg, n.seg = self.cur, self.high, self.nseg, self.seg
+        n.target, n.written0 = self.target, self.written0
+        n.complete = self.complete
+        n.link = _Link(parent.link, tuple(self.clauses),
+                       tuple(self.decls.values()), tuple(self.funs.items()),
+                       self.defined, self.tx)
+        n.marks = parent.marks
+        if self.mentioned or self.dead:
+            n.marks = (n.marks | self.mentioned) - self.dead
+        if n.seg is not None and (self.seg_mentioned or self.seg_dead):
+            seg = self.own_seg()
+            seg.marks = (seg.marks | self.seg_mentioned) - self.seg_dead
+            n.seg = seg
+        _moving, names = n.moving()
+        front = self.mentioned.union(self.seg_mentioned, names)
+        seg_marks = parent.seg.marks if parent.seg is not None else ()
+        n.front_shared = any(name in parent.marks or name in seg_marks
+                             for name in front)
+        return n
 
-        last = len(nodes) - 1
-        for pos, node in enumerate(nodes):
-            if pos == 0 and node.fn is not None and node.kind != "entry":
-                self.begin_segment(node.fn, partial=True)
-            if node.kind == "entry":
-                self.begin_segment(node.fn, partial=False)
-            elif node.kind == "tx_processed":
-                self.end_segment()
+    def open_segment(self, node):
+        """The backward walk enters a transaction at its last node; it
+        reverts when that node is a revert sink (reached from
+        tx_processed)."""
+        ctx = self.ctx
+        index = self.nseg
+        self.nseg += 1
+        seg = self.seg = _Seg()
+        seg.index, seg.fn = index, node.fn
+        seg.env = {which: self.declare("%s!t%d" % (which, index),
+                                       ENV_TYPES.get(which, U256))
+                   for which in _ENV}
+        # finite account universe; single-contract world: origin == sender
+        sender = seg.env["msg.sender"]
+        seg.env_clauses = (
+            ctx.checked("bvule", sender,
+                        ctx.const(NUM_ACCOUNTS - 1, ADDRESS.bit_width)),
+            ctx.checked("=", seg.env["tx.origin"], sender))
+        seg.locals = {}
+        seg.marks = frozenset()
+        seg.saved = self.cur if node.is_revert_sink \
+            and self.parent.length > 0 else None
 
-            if node.kind == "instr":
-                if node.instr.kind == "revert_sink" and self.seg_env is not None:
-                    self.seg_env.aborted = True
-                if pos == last:
-                    # the walk root is the target node; the safety condition
-                    # binds to the versions live here, before its effect
-                    self.capture_target(node)
+    def close_segment(self):
+        """The backward walk reaches the segment's entry: its moving
+        clauses become the entry's, and its parameters are its inputs."""
+        seg = self.seg
+        params = self.run.fn_params(seg.fn)
+        names = {p for p, _ in params}
+        for slot, ver in seg.locals.items():
+            if slot not in names and \
+                    "%s!t%d!%d" % (slot, seg.index, ver) in seg.marks:
+                raise EncodeError("local %r read before any write on the "
+                                  "walk" % slot)
+        self.clauses.extend(seg.env_clauses)
+        self.seg_mentioned.update((seg.env["msg.sender"].val,
+                                   seg.env["tx.origin"].val))
+        if seg.saved is not None:
+            for clause, a, c in self.run.link(self.cur, seg.saved):
+                self.clauses.append(clause)
+                _symbols([clause], self.decls, self.funs)
+                self.mentioned.update((a, c))
+                self.dead.add(a)
+        self.tx = seg.tx(params, partial=False)
+        for (_, sym), (_, type_) in zip(self.tx.params, params):
+            self.declare(sym, type_)
+        if seg.index == 0:
+            self.written0 = frozenset(s for s, v in seg.locals.items() if v)
+        self.seg = None
 
-            if pos < last and node.kind == "instr":
-                self.apply_instr(node, nodes[pos + 1], pos)
-            if pos == 0:
-                self.script.frontier_end = len(self.script.clauses)
-        return self.script
+    def zero_state(self):
+        """The start node: every state variable and map cell is 0."""
+        self.complete = True
+        ctx = self.ctx
+        for name, type_ in self.run.program.state_vars:
+            ver = self.live(name)
+            if type_.is_scalar:
+                self.clauses.append(ctx.mk(
+                    "=", self.state_term(name, ver, type_),
+                    _lit(ctx, 0, type_)))
+            else:
+                fun = self.map_fun(name, ver)
+                self.clauses.append(self.run.frame(name, lambda k: ctx.mk(
+                    "=", self.run.app(fun, k), _lit(ctx, 0, U256))))
 
-    def capture_target(self, node):
-        self.script.target_point = TargetPoint(
-            fn=self.seg_fn, seg=self.seg,
-            inline_suffix=node.instr.inline_suffix,
-            partial_seg=self.seg_partial,
-            state=dict(self.state_cur), locals=dict(self.local_ver),
-            maps=dict(self.map_cur),
-            env={"msg.sender": self.seg_env.sender,
-                 "msg.value": self.seg_env.value,
-                 "tx.origin": self.seg_env.origin,
-                 "block.timestamp": self.seg_env.timestamp})
-
-    def apply_instr(self, node, succ, pos):
+    def apply_instr(self, node, succ):
         ins = node.instr
         kind = ins.kind
+        ctx = self.ctx
         if kind in BRANCH_KINDS:
-            cond = self.read_operand(ins.args[0])
-            t_succ, f_succ = self.graph.branch[node.id]
-            if succ.id == t_succ:
-                self.assume(cond, pos)
-            elif succ.id == f_succ:
-                self.assume(e_not(cond), pos)
+            cond = self.read(ins.args[0])
+            t_succ, f_succ = self.run.graph.branch[node.id]
+            if succ == t_succ:
+                self.assume(cond)
+            elif succ == f_succ:
+                self.assume(ctx.mk("not", cond))
             else:
                 raise EncodeError("walk leaves condition node %d without "
                                   "taking a branch" % node.id)
             return
         if kind == "assign":
-            src = e_conv(self.read_operand(ins.args[0]), ins.dest.type_) \
-                if ins.dest.type_.is_numeric or ins.dest.type_.kind == "address" \
-                else self.read_operand(ins.args[0])
-            sym = self.write_operand(ins.dest, pos)
-            self.define(sym, ins.dest.type_, src, pos)
+            dest = self.write(ins.dest)
+            src = ins.args[0]
+            if ins.dest.type_.is_numeric or ins.dest.type_.kind == "address":
+                src = _conv(ctx, self.read(src), ins.dest.type_.bit_width)
+            else:
+                src = self.read(src)
+            self.define(dest, src)
             return
         if kind == "binary":
-            a = self.read_operand(ins.args[0])
-            b = self.read_operand(ins.args[1])
-            sym = self.write_operand(ins.dest, pos)
-            self.define(sym, ins.dest.type_,
-                        e_bin(ins.op, a, b, ins.dest.type_), pos)
+            dest = self.write(ins.dest)
+            a, b = self.read(ins.args[0]), self.read(ins.args[1])
+            self.define(dest, ctx.checked(_OPS[ins.op], a, b))
             return
         if kind == "unary":
-            a = self.read_operand(ins.args[0])
-            sym = self.write_operand(ins.dest, pos)
-            self.define(sym, ins.dest.type_, e_not(a), pos)
+            dest = self.write(ins.dest)
+            self.define(dest, ctx.mk("not", self.read(ins.args[0])))
             return
         if kind == "index_read":
-            key = self.read_operand(ins.args[0])
-            gen = self.map_cur.get(ins.map, 0)
-            self.map_sym(ins.map, gen)
-            sym = self.write_operand(ins.dest, pos)
-            self.define(sym, ins.dest.type_, e_read(ins.map, gen, key), pos)
+            dest = self.write(ins.dest)
+            key = self.read(ins.args[0])
+            fun = self.map_fun(ins.map, self.live(ins.map))
+            self.define(dest, self.run.app(fun, key))
             return
         if kind == "index_write":
-            key = self.read_operand(ins.args[0])
-            val = self.read_operand(ins.args[1])
-            g_from = self.map_cur.get(ins.map, 0)
-            g_to = self.map_high.get(ins.map, 0) + 1
-            self.map_sym(ins.map, g_from)
-            self.map_sym(ins.map, g_to)
-            self.map_high[ins.map] = g_to
-            self.map_cur[ins.map] = g_to
-            self.script.clauses.append(("map_write", ins.map, g_from, g_to,
-                                        key, val, pos))
+            f_to = self.map_fun(ins.map, self.live(ins.map))
+            self.dead.add(f_to[0])
+            self.defined = f_to[0]
+            f_from = self.map_fun(ins.map, self.bump(ins.map))
+            key = self.read(ins.args[0])
+            val = self.read(ins.args[1])
+            run = self.run
+            self.clauses.append(ctx.mk("=", run.app(f_to, key), val))
+            self.clauses.append(run.frame(ins.map, lambda k: ctx.mk(
+                "=>", ctx.mk("distinct", k, key),
+                ctx.mk("=", run.app(f_to, k), run.app(f_from, k)))))
             return
         if kind in ("return", "revert_sink"):
             return
@@ -379,13 +567,111 @@ class _Numberer:
         raise EncodeError("cannot encode instruction kind %r" % kind)
 
 
-def ssa_number(walk, program, graph=None):
-    """Number a walk into an SsaScript.  The graph defaults to the one the
-    walk was found on (walks carry it)."""
+def _symbols(terms, symbols=None, funs=None):
+    """The free symbols (name -> var term) and map functions (name ->
+    signature) of `terms`, in first-occurrence order."""
+    symbols = {} if symbols is None else symbols
+    funs = {} if funs is None else funs
+    seen = set()
+    stack = list(reversed(terms))
+    while stack:
+        t = stack.pop()
+        if id(t) in seen:
+            continue
+        seen.add(id(t))
+        if t.op == "var":
+            if t.val != _KEY:
+                symbols.setdefault(t.val, t)
+        elif t.op == "app":
+            funs.setdefault(t.val, (t.args[0].sort, t.sort))
+        stack.extend(reversed(t.args))
+    return symbols, funs
+
+
+class SsaScript:
+    """A numbered walk.  Its clause list is assembled on demand from the
+    numbering: the frontier's moving clauses, then each numbered node's
+    clauses from the frontier to the root, which is execution order."""
+
+    def __init__(self, numbering):
+        self.numbering = numbering
+
+    @property
+    def ctx(self):
+        return self.numbering.run.ctx
+
+    @property
+    def complete(self):
+        return self.numbering.complete
+
+    @cached_property
+    def moving(self):
+        return self.numbering.moving()[0]
+
+    @property
+    def frontier_end(self):
+        """How many clauses the frontier contributes: the moving ones and
+        the last numbered node's."""
+        link = self.numbering.link
+        return len(self.moving) + (len(link.clauses) if link else 0)
+
+    def links(self):
+        """The numbered nodes' links, frontier first."""
+        link = self.numbering.link
+        while link is not None:
+            yield link
+            link = link.parent
+
+    @cached_property
+    def _assembled(self):
+        clauses = list(self.moving)
+        symbols, funs = _symbols(clauses)
+        for link in self.links():
+            clauses.extend(link.clauses)
+            for term in link.decls:
+                symbols.setdefault(term.val, term)
+            for name, sig in link.funs:
+                funs.setdefault(name, sig)
+        return clauses, symbols, funs
+
+    @property
+    def clauses(self):
+        return self._assembled[0]
+
+    @property
+    def symbols(self):
+        return self._assembled[1]
+
+    @property
+    def funs(self):
+        return self._assembled[2]
+
+    @cached_property
+    def transactions(self):
+        """The walk's transaction segments, in execution order."""
+        n = self.numbering
+        out = [] if n.seg is None \
+            else [n.seg.tx(n.run.fn_params(n.seg.fn), partial=True)]
+        out.extend(link.tx for link in self.links() if link.tx is not None)
+        return out
+
+
+def ssa_number(walk, program, graph=None, ctx=None):
+    """Number a walk into an SsaScript, resuming from the numbering of a
+    prefix the walk carries (``walk.numbered``) if any, else from the walk
+    root in `ctx` (a fresh ``Ctx`` by default).  The graph defaults to the
+    one the walk was found on (walks carry it)."""
     graph = graph if graph is not None else walk.graph
     if graph is None:
         raise EncodeError("walk carries no graph")
-    return _Numberer(walk, program, graph).run()
+    numbering = walk.numbered
+    if numbering is None:
+        numbering = Numbering.empty(program, graph,
+                                    ctx if ctx is not None
+                                    else smt_terms.Ctx())
+    for node_id in walk.nodes[numbering.length:]:
+        numbering = numbering.step(node_id)
+    return SsaScript(numbering)
 
 
 # ---------------------------------------------------------------------------
@@ -393,153 +679,162 @@ def ssa_number(walk, program, graph=None):
 # ---------------------------------------------------------------------------
 
 def resolve_safety(script, safety, program):
-    tp = script.target_point
+    """The safety condition as a term over the versions live at the target
+    point.  It may read a local only if the target's segment defines it
+    before the target, unless that segment is still open."""
+    n = script.numbering
+    tp = n.target
     if tp is None:
         raise EncodeError("walk never reaches the target line")
-    fn = program.function(tp.fn)
-    params = {p for p, _ in (fn.params if fn else [])}
-    return _resolve(safety, tp, params, script.map_key_types)
+    run = n.run
+    cached = run.safety
+    if cached is None or cached[0] is not safety or cached[1] is not tp:
+        params = {p for p, _ in run.fn_params(tp.fn)}
+        reads = []
+        term = _resolve(run, safety, tp, params, reads)
+        run.safety = cached = (safety, tp, term, reads, _symbols([term]))
+    term, reads = cached[2], cached[3]
+    if n.written0 is not None:
+        for slot, name in reads:
+            if slot not in n.written0:
+                raise EncodeError("safety reads local %r before its "
+                                  "definition" % name)
+    return term
 
 
-def _resolve(e, tp, params, key_types):
-    """The clause expression of safety expression `e` over the versions
-    of target point `tp`."""
+def _safety_symbols(script):
+    """The symbols and map functions of the safety condition
+    `resolve_safety` last resolved for this script's run."""
+    return script.numbering.run.safety[4]
+
+
+def _resolve(run, e, tp, params, reads):
+    """The term of safety expression `e` at target point `tp`; the locals
+    it reads that are not parameters go to `reads`."""
+    ctx = run.ctx
     if isinstance(e, IntLit):
-        return e_lit(e.value, e.type_ if e.type_ is not None else U256)
+        return _lit(ctx, e.value, e.type_ if e.type_ is not None else U256)
     if isinstance(e, BoolLit):
-        return e_lit(int(e.value), BOOL)
+        return ctx.cbool(e.value)
     if isinstance(e, AddressLit):
-        return e_lit(e.index, ADDRESS)
+        return _lit(ctx, e.index, ADDRESS)
     if isinstance(e, EnvRead):
-        return e_sym(tp.env[e.which], e.type_)
+        return ctx.var("%s!t0" % e.which, _sort(e.type_))
     if isinstance(e, Ident):
         if e.binding == "state":
-            ver = tp.state.get(e.name, 0)
-            return e_sym("%s!%d" % (e.name, ver), e.type_)
+            return ctx.var("%s!0" % e.name, _sort(e.type_))
         slot = e.slot + tp.inline_suffix
-        ver = tp.locals.get(slot)
-        if ver is None:
-            if e.binding == "param" or slot in params or tp.partial_seg:
-                ver = 0
-            else:
-                raise EncodeError("safety reads local %r before its "
-                                  "definition" % e.name)
-        return e_sym("%s!t%d!%d" % (slot, tp.seg, ver), e.type_)
+        if e.binding != "param" and slot not in params:
+            reads.append((slot, e.name))
+        return ctx.var("%s!t0!0" % slot, _sort(e.type_))
     if isinstance(e, Index):
-        gen = tp.maps.get(e.base.name, 0)
-        key = e_conv(_resolve(e.index, tp, params, key_types),
-                     key_types[e.base.name])
-        return e_read(e.base.name, gen, key)
+        key = _conv(ctx, _resolve(run, e.index, tp, params, reads),
+                    run.key_types[e.base.name].bit_width)
+        return run.app(run.fun(e.base.name, 0), key)
     if isinstance(e, Unary):
-        return e_not(_resolve(e.operand, tp, params, key_types))
+        return ctx.mk("not", _resolve(run, e.operand, tp, params, reads))
     if isinstance(e, Binary):
-        a = _resolve(e.lhs, tp, params, key_types)
-        b = _resolve(e.rhs, tp, params, key_types)
-        if e.op in ("&&", "||") or expr_type(a) is BOOL:
-            return e_bin(e.op, a, b, BOOL)
-        if expr_type(a).kind == "address" or expr_type(b).kind == "address":
-            return e_bin(e.op, a, b, BOOL)
+        a = _resolve(run, e.lhs, tp, params, reads)
+        b = _resolve(run, e.rhs, tp, params, reads)
+        if e.op in ("&&", "||") or a.sort == smt_terms.BOOL \
+                or _ADDRESS_SORT in (a.sort, b.sort):
+            return ctx.checked(_OPS[e.op], a, b)
         width = getattr(e, "width", 256)
-        target = SCALAR_TYPES["uint%d" % width]
-        a, b = e_conv(a, target), e_conv(b, target)
-        result = BOOL if e.op in ("==", "!=", "<", "<=", ">", ">=") \
-            else target
-        return e_bin(e.op, a, b, result)
+        return ctx.checked(_OPS[e.op], _conv(ctx, a, width),
+                           _conv(ctx, b, width))
     raise EncodeError("unsupported expression in safety condition: %r" % e)
 
 
 # ---------------------------------------------------------------------------
-# The frontier node's clauses, when they decide an extension alone
+# The frontier's clauses, when they decide an extension alone
 # ---------------------------------------------------------------------------
 
-def _expr_symbols(e, out):
-    tag = e[0]
-    if tag == "sym":
-        out.add(e[1])
-    elif tag == "bin":
-        _expr_symbols(e[2], out)
-        _expr_symbols(e[3], out)
-    elif tag in ("not", "zext", "trunc"):
-        _expr_symbols(e[1], out)
-    elif tag == "read":
-        out.add("%s!%d" % (e[1], e[2]))
-        _expr_symbols(e[3], out)
-
-
-def _clause_symbols(clause, out):
-    """Add the symbols a clause mentions to `out`; map generations count
-    as symbols named as their functions are (``m!g``)."""
-    kind = clause[0]
-    if kind == "def":
-        out.add(clause[1])
-        _expr_symbols(clause[3], out)
-    elif kind == "assume":
-        _expr_symbols(clause[1], out)
-    elif kind == "map_write":
-        _, map_name, g_from, g_to, key, val, _pos = clause
-        out.add("%s!%d" % (map_name, g_from))
-        out.add("%s!%d" % (map_name, g_to))
-        _expr_symbols(key, out)
-        _expr_symbols(val, out)
-    elif kind == "scalar_zero":
-        out.add(clause[1])
-    elif kind == "map_zero":
-        out.add("%s!0" % clause[1])
+@dataclass
+class FrontierScript:
+    """The frontier's clauses as a script of their own."""
+    ctx: smt_terms.Ctx
+    clauses: list
+    symbols: dict
+    funs: dict
 
 
 def frontier_script(script, safety=None, program=None):
-    """The clauses of the frontier node (execution position 0) as a script
-    of their own, or None when they share a symbol with the walk's other
-    clauses or with the resolved safety condition.
+    """The frontier's clauses (the moving ones and the last numbered
+    node's) as a script of their own, or None when they mention a symbol
+    that the walk's other clauses or the resolved safety condition
+    mention.
 
-    Map generations count as symbols.  The safety condition is resolved
-    only once the clauses pass; a walk it cannot be resolved on raises
-    here, or in `encode` when None sends the check to a full solve."""
-    front = set()
-    for clause in script.clauses[:script.frontier_end]:
-        _clause_symbols(clause, front)
-    syms = set()
-    for clause in script.clauses[script.frontier_end:]:
-        _clause_symbols(clause, syms)
-        if not front.isdisjoint(syms):
-            return None
-        syms.clear()
+    Map functions count as symbols.  The safety condition is resolved only
+    once the clauses pass; a walk it cannot be resolved on raises here, or
+    in `encode` when None sends the check to a full solve."""
+    n = script.numbering
+    if n.front_shared:
+        return None
+    clauses = list(script.moving) + list(n.link.clauses)
+    symbols, funs = _symbols(clauses)
     if safety is not None:
-        _expr_symbols(resolve_safety(script, safety, program), syms)
-        if not front.isdisjoint(syms):
+        resolve_safety(script, safety, program)
+        s_symbols, s_funs = _safety_symbols(script)
+        if not (s_symbols.keys().isdisjoint(symbols)
+                and s_funs.keys().isdisjoint(funs)):
             return None
-    return SsaScript(
-        clauses=script.clauses[:script.frontier_end],
-        symbols={s: t for s, t in script.symbols.items() if s in front},
-        map_syms=[(m, g) for m, g in script.map_syms
-                  if "%s!%d" % (m, g) in front],
-        map_key_types=script.map_key_types)
+    return FrontierScript(script.ctx, clauses, symbols, funs)
+
+
+SHAPE_LIMIT = 8                    # assertions of a script keyed by shape
+
+
+def answer_key(asserts):
+    """What a run keys a script's answer on: a script of at most
+    SHAPE_LIMIT assertions (a frontier script is one, as a rule) on its
+    shape, any other on its very terms."""
+    if len(asserts) <= SHAPE_LIMIT:
+        return clause_shape(asserts)
+    return tuple(asserts)
+
+
+def clause_shape(clauses):
+    """`clauses` up to a consistent renaming of their symbols and map
+    functions, sorts kept.  Two clause lists of one shape are renamings of
+    each other, so one is satisfiable exactly when the other is."""
+    names, memo = {}, {}
+    return tuple(_shape(c, names, memo) for c in clauses)
+
+
+def _shape(t, names, memo):
+    """The shape of term `t`: symbols and functions numbered in order of
+    first occurrence (`names`), shared subterms shaped once (`memo`)."""
+    out = memo.get(id(t))
+    if out is not None:
+        return out
+    op = t.op
+    if op == "var":
+        out = ("var", names.setdefault(("var", t.val), len(names)), t.sort)
+    elif op == "app":
+        out = ("app", names.setdefault(("fun", t.val), len(names)), t.sort,
+               _shape(t.args[0], names, memo))
+    elif op == "forall":
+        name, sort = t.val
+        out = ("forall", names.setdefault(("var", name), len(names)), sort,
+               _shape(t.args[0], names, memo))
+    else:
+        out = (op, t.val) + tuple(_shape(a, names, memo) for a in t.args)
+    memo[id(t)] = out
+    return out
 
 
 # ---------------------------------------------------------------------------
-# Solver input: terms in a context that may serve a whole run
+# Solver input
 # ---------------------------------------------------------------------------
-
-_OPS = {"+": "bvadd", "-": "bvsub", "*": "bvmul", "/": "bvudiv",
-        "%": "bvurem", "<": "bvult", "<=": "bvule", ">": "bvugt",
-        ">=": "bvuge", "==": "=", "!=": "distinct", "&&": "and", "||": "or"}
-
-_KEY = "%k"                        # the frame axioms' bound key
-
-
-def _sort(type_):
-    return smt_terms.BOOL if type_ is BOOL else smt_terms.bv(type_.bit_width)
-
 
 @dataclass
 class SmtScript:
     """One check's solver input: the terms ``smt.solve_commands`` reads, in
-    the ``Ctx`` they were built in, and the typed symbols the model must
-    value.  ``text`` is the same script as SMT-LIB 2, rendered on first
-    use."""
+    the ``Ctx`` they were built in, and the symbols the model must value.
+    ``text`` is the same script as SMT-LIB 2, rendered on first use."""
     ctx: smt_terms.Ctx
     commands: Script
-    manifest: list                 # (symbol, MsType) in declaration order
+    manifest: list                 # (symbol, sort) in declaration order
 
     @cached_property
     def text(self):
@@ -548,7 +843,7 @@ class SmtScript:
     @property
     def queries(self):
         """What each get-value answer position holds."""
-        return [("sym", sym) for sym, _type in self.manifest]
+        return [("sym", sym) for sym, _sort in self.manifest]
 
 
 @dataclass
@@ -559,107 +854,27 @@ class Model:
         return self.values[sym]
 
 
-class _Terms:
-    """Builds one script's terms in `ctx` from clause expressions, and
-    collects the symbols and map functions they use."""
-
-    def __init__(self, ctx, script):
-        self.ctx = ctx
-        self.key_types = script.map_key_types
-        self.symbols = dict(script.symbols)
-        self.funs = {}
-        for map_name, gen in script.map_syms:
-            self.fun(map_name, gen)
-
-    def fun(self, map_name, gen):
-        name = "%s!%d" % (map_name, gen)
-        if name not in self.funs:
-            self.funs[name] = (_sort(self.key_types[map_name]), _sort(U256))
-        return name
-
-    def lit(self, value, type_):
-        if type_ is BOOL:
-            return self.ctx.cbool(bool(value))
-        return self.ctx.const(value, type_.bit_width)
-
-    def var(self, name, type_):
-        # the safety condition can reference pre-state versions no clause
-        # declared; they are declared on first use
-        return self.ctx.var(name, _sort(self.symbols.setdefault(name, type_)))
-
-    def app(self, name, key):
-        return self.ctx.checked("app", key, val=name, sig=self.funs[name])
-
-    def term(self, e):
-        tag = e[0]
-        if tag == "sym":
-            return self.var(e[1], e[2])
-        if tag == "lit":
-            return self.lit(e[1], e[2])
-        ctx = self.ctx
-        if tag == "not":
-            return ctx.mk("not", self.term(e[1]))
-        if tag == "zext":
-            return ctx.mk("zero_extend", self.term(e[1]), val=e[2])
-        if tag == "trunc":
-            return ctx.mk("extract", self.term(e[1]), val=(e[2], 0))
-        if tag == "read":
-            return self.app(self.fun(e[1], e[2]), self.term(e[3]))
-        if tag == "bin":
-            return ctx.checked(_OPS[e[1]], self.term(e[2]), self.term(e[3]))
-        raise EncodeError("cannot encode %r" % (e,))
-
-    def forall(self, map_name, body):
-        """The frame axiom ``forall k. body(k)`` over `map_name`'s keys."""
-        key_sort = _sort(self.key_types[map_name])
-        return self.ctx.mk("forall", body(self.ctx.var(_KEY, key_sort)),
-                           val=(_KEY, key_sort))
-
-
-def encode(script: SsaScript, safety=None, program=None,
-           ctx=None) -> SmtScript:
-    """Build the solver input for an SsaScript (plus the optional safety
-    condition) in `ctx`, a fresh ``Ctx`` by default.  Deterministic:
-    identical scripts render byte-identically, in any context."""
-    ctx = ctx if ctx is not None else smt_terms.Ctx()
-    t = _Terms(ctx, script)
-    asserts = []
-    for clause in script.clauses:
-        kind = clause[0]
-        if kind == "def":
-            _, sym, type_, expr, _pos = clause
-            asserts.append(ctx.mk("=", t.var(sym, type_), t.term(expr)))
-        elif kind == "assume":
-            asserts.append(t.term(clause[1]))
-        elif kind == "scalar_zero":
-            _, sym, type_, _pos = clause
-            asserts.append(ctx.mk("=", t.var(sym, type_), t.lit(0, type_)))
-        elif kind == "map_zero":
-            map_name = clause[1]
-            asserts.append(t.forall(map_name, lambda k: ctx.mk(
-                "=", t.app(t.fun(map_name, 0), k), t.lit(0, U256))))
-        elif kind == "map_write":
-            _, map_name, g_from, g_to, key, val, _pos = clause
-            key = t.term(key)
-            f_from, f_to = t.fun(map_name, g_from), t.fun(map_name, g_to)
-            asserts.append(ctx.mk("=", t.app(f_to, key), t.term(val)))
-            asserts.append(t.forall(map_name, lambda k: ctx.mk(
-                "=>", ctx.mk("distinct", k, key),
-                ctx.mk("=", t.app(f_to, k), t.app(f_from, k)))))
-        else:
-            raise EncodeError("unknown clause kind %r" % kind)
-
+def encode(script, safety=None, program=None) -> SmtScript:
+    """The solver input for a numbered walk or a frontier script, plus the
+    optional safety condition, in the context its clauses were built in.
+    Deterministic: identical walks render byte-identically."""
+    asserts = list(script.clauses)
+    symbols, funs = dict(script.symbols), dict(script.funs)
     if safety is not None:
         if program is None:
             raise EncodeError("safety resolution needs the program")
-        asserts.append(t.term(resolve_safety(script, safety, program)))
-
-    decls = {name: _sort(type_) for name, type_ in t.symbols.items()}
-    commands = Script(decls=decls, funs=t.funs,
-                      asserts=[ctx.checked("assert", a) for a in asserts],
-                      queries=[ctx.var(n, s) for n, s in decls.items()],
+        asserts.append(resolve_safety(script, safety, program))
+        # the safety condition can read versions no clause mentions
+        s_symbols, s_funs = _safety_symbols(script)
+        for name, term in s_symbols.items():
+            symbols.setdefault(name, term)
+        for name, sig in s_funs.items():
+            funs.setdefault(name, sig)
+    decls = {name: term.sort for name, term in symbols.items()}
+    commands = Script(decls=decls, funs=funs, asserts=asserts,
+                      queries=list(symbols.values()),
                       query_texts=list(decls), has_check=True)
-    return SmtScript(ctx, commands, list(t.symbols.items()))
+    return SmtScript(script.ctx, commands, list(decls.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ from typing import Optional
 from . import concretize as conc
 from . import oracle
 from .cfg import build_cfg_plus
-from .encoder import (SatResult, SolverConfig, SolverSession, encode,
-                      frontier_script, ssa_number)
+from .encoder import (SatResult, SolverConfig, SolverSession, answer_key,
+                      encode, frontier_script, ssa_number)
 from .errors import ConfigError, MiniSolError, TargetError
 from .explorer import (HEURISTICS, Limits, build_context,
                        find_minimal_satisfiable_walk)
@@ -77,17 +77,17 @@ def synthesize(source, *, target=None, target_line=None,
     session = SolverSession(solver)
     context = build_context(graph, target.safety)
     deadline = t0 + limits.wall_timeout
-    # one term context for the run: a term that recurs across checks is
-    # built and folded once, and equal assertion lists are the same terms
+    # one term context for the run: a walk's numbering builds its new
+    # node's clauses into it, and every check's script is made of them
     terms = Ctx()
-    answers = {}    # an incomplete walk's script's asserts -> sat | unsat
+    answers = {}    # an incomplete walk's script's key -> sat | unsat
 
     def solve(smt_script, complete):
         """Submit `smt_script`, or answer it from `answers`: an incomplete
-        walk needs only sat or unsat, which an earlier script with the same
-        assertions has settled.  A complete walk needs a model and is
-        always solved; ``unknown`` settles nothing."""
-        key = None if complete else tuple(smt_script.commands.asserts)
+        walk needs only sat or unsat, which an earlier script of the same
+        key has settled.  A complete walk needs a model and is always
+        solved; ``unknown`` settles nothing."""
+        key = None if complete else answer_key(smt_script.commands.asserts)
         status = answers.get(key)
         if status is not None:
             return SatResult(status, reason="repeated")
@@ -97,7 +97,8 @@ def synthesize(source, *, target=None, target_line=None,
         return result
 
     def check(walk):
-        script = ssa_number(walk, program)
+        script = ssa_number(walk, program, ctx=terms)
+        walk.numbered = script.numbering       # kept for the extensions
         # the rest of a SAT parent's extension is SAT: if the new node's
         # clauses are independent of it, they decide; a complete walk
         # needs the whole model
@@ -106,13 +107,12 @@ def synthesize(source, *, target=None, target_line=None,
             if front is not None:
                 if not front.clauses:
                     return SatResult("sat", reason="inherited")
-                result = solve(encode(front, ctx=terms), False)
+                result = solve(encode(front), False)
                 if result.reason == "repeated":
                     return result
                 if result.status != "unknown":
                     return SatResult(result.status, reason="inherited")
-        smt_script = encode(script, safety=target.safety, program=program,
-                            ctx=terms)
+        smt_script = encode(script, safety=target.safety, program=program)
         return solve(smt_script, script.complete)
 
     result = find_minimal_satisfiable_walk(

@@ -9,6 +9,14 @@ lands on the start node with a SAT script is the answer.  A candidate walk
 says whether its tree leaf was checked SAT (``Walk.parent_sat``), so the
 check callback can decide it from the new node's clauses alone.
 
+The walks are numbered backward from the target (``encoder.Numbering``),
+so a walk's numbering extends its parent's by one node.  A tree node holds
+its numbering (or, unchecked in lazy mode, its nearest numbered
+ancestor's) while some of its options wait in the heap, and hands it to
+the check of each extension as ``Walk.numbered``: a check numbers only the
+nodes after it, one in eager mode.  A check may leave the candidate's own
+numbering there for the tree to keep; the last option popped releases it.
+
 Heuristics are cost functions ``h(tree, leaf, option) -> float``; infinity
 means "never pick while any finite option exists".  Two ship built in:
 
@@ -39,6 +47,9 @@ class Walk:
     nodes: tuple
     graph: Optional[CfgPlus] = None
     parent_sat: bool = False       # the walk less its frontier checked SAT
+    # the numbering of a prefix of the walk (``encoder.Numbering``): the
+    # nearest numbered ancestor's, or the walk's own once a check left it
+    numbered: Optional[object] = None
 
     def __len__(self):
         return len(self.nodes)
@@ -154,6 +165,10 @@ class TreeNode:
     depth: int
     pending: frozenset
     status: str = "unknown"
+    # while some of its options wait in the heap: its numbering, or its
+    # nearest numbered ancestor's, for the checks of its extensions
+    numbered: Optional[object] = None
+    options: int = 0
 
 
 class WalkTree:
@@ -232,7 +247,7 @@ def find_minimal_satisfiable_walk(graph: CfgPlus, target, heuristic, limits,
     heap = []
     counter = 0
 
-    def push_options(tree_node):
+    def push_options(tree_node, numbered):
         nonlocal counter
         if tree_node.depth >= limits.max_walk_len:
             return
@@ -240,8 +255,11 @@ def find_minimal_satisfiable_walk(graph: CfgPlus, target, heuristic, limits,
             cost = h(tree, tree_node, succ)
             counter += 1
             heapq.heappush(heap, (cost, succ, tree_node.idx, counter))
+            tree_node.options += 1
+        if tree_node.options:
+            tree_node.numbered = numbered
 
-    push_options(tree.nodes[0])
+    push_options(tree.nodes[0], None)
 
     def timed_out():
         return ExploreResult("notfound", walks_explored=explored,
@@ -253,17 +271,23 @@ def find_minimal_satisfiable_walk(graph: CfgPlus, target, heuristic, limits,
         _cost, option, leaf_idx, _age = heapq.heappop(heap)
         complete = option == graph.start_id
         boundary = graph.is_boundary(option)
+        leaf = tree.nodes[leaf_idx]
+        numbered = leaf.numbered
+        leaf.options -= 1
+        if not leaf.options:
+            leaf.numbered = None           # no extension of it is left
 
         if lazy_check and not boundary:
             child = tree.extend(leaf_idx, option, "unknown")
-            push_options(child)
+            push_options(child, numbered)
             continue
 
         if explored >= limits.max_walks:
             return ExploreResult("notfound", walks_explored=explored,
                                  reason="budget")
         candidate = tree.walk(leaf_idx, extra=option)
-        candidate.parent_sat = tree.nodes[leaf_idx].status == "sat"
+        candidate.parent_sat = leaf.status == "sat"
+        candidate.numbered = numbered
         result = check(candidate)
         explored += 1
         if result.status == "sat" and complete:
@@ -272,7 +296,7 @@ def find_minimal_satisfiable_walk(graph: CfgPlus, target, heuristic, limits,
             return timed_out()
         child = tree.extend(leaf_idx, option, result.status)
         if result.status == "sat":
-            push_options(child)
+            push_options(child, candidate.numbered)
 
     return ExploreResult("notfound", walks_explored=explored,
                          reason="exhausted")

@@ -7,19 +7,30 @@ true/false (variable 1 is pinned true).
 
 from __future__ import annotations
 
+import time
+
+from .sat import SatBudgetExceeded
 from .terms import BOOL, SmtError
 
 TRUE_LIT = 1
 FALSE_LIT = -1
+DEADLINE_STRIDE = 4096           # new variables (or loaded clauses) per
+#                                  clock read
 
 
 class Cnf:
-    def __init__(self):
+    def __init__(self, deadline=None):
         self.nvars = 1
         self.clauses = [[TRUE_LIT]]
+        self.deadline = deadline
 
     def new_var(self):
+        """A fresh variable; raises SatBudgetExceeded once the clock passes
+        the deadline, read every DEADLINE_STRIDE variables."""
         self.nvars += 1
+        if self.nvars % DEADLINE_STRIDE == 0 and self.deadline is not None \
+                and time.monotonic() > self.deadline:
+            raise SatBudgetExceeded("deadline")
         return self.nvars
 
     def add(self, *lits):
@@ -27,8 +38,8 @@ class Cnf:
 
 
 class Blaster:
-    def __init__(self):
-        self.cnf = Cnf()
+    def __init__(self, deadline=None):
+        self.cnf = Cnf(deadline)
         self.gate_cache = {}
         self.bool_cache = {}       # id(term) -> lit
         self.bits_cache = {}       # id(term) -> tuple of lits

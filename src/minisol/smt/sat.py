@@ -22,13 +22,12 @@ class SatSolver:
         self.phase = [False] * (nvars + 1)
         self.activity = [0.0] * (nvars + 1)
         self.var_inc = 1.0
-        self.heap = []                          # lazy (-activity, var)
+        # lazy (-activity, var); a sorted list is already a heap
+        self.heap = [(0.0, v) for v in range(1, nvars + 1)]
         self.trail = []
         self.trail_lim = []
         self.qhead = 0
         self.ok = True
-        for v in range(1, nvars + 1):
-            heapq.heappush(self.heap, (0.0, v))
 
     @staticmethod
     def _widx(lit):

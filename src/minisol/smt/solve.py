@@ -22,9 +22,10 @@ share a variable (``a + v < a``).  Only when it fails are the remaining
 conjuncts bit-blasted to CNF for the CDCL solver.
 
 Mappings and arrays arrive as unary uninterpreted functions whose updates
-are described by quantified frame axioms; those two axiom shapes (point
-update with all-other-keys preservation, and constant initialization) are
-compiled into ite chains over fresh cell variables.  Remaining free base
+are described by quantified frame axioms; those three axiom shapes (point
+update with all-other-keys preservation, constant initialization, and one
+function equal to another) are compiled into ite chains over fresh cell
+variables.  Remaining free base
 functions are Ackermann-expanded over the argument terms that actually
 occur.  Every model is checked against the rewritten assertions before it
 is reported.
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import time
 
-from .bitblast import Blaster
+from .bitblast import DEADLINE_STRIDE, Blaster
 from .parse import parse_script
 from .sat import SatBudgetExceeded, SatSolver
 from .terms import BOOL, BV_BINOPS, BV_CMPS, BV_UNOPS, SmtError, \
@@ -327,12 +328,13 @@ def occurs(var, term):
 class _Maps:
     def __init__(self, ctx):
         self.ctx = ctx
-        self.defs = {}             # fname -> ('store', base, idx) | ('const', t)
+        self.defs = {}             # fname -> ('store', base, idx)
+        #                            | ('const', t) | ('alias', fname)
         self.cells = {}            # fname -> cell var term
         self.apps = {}             # base fname -> {arg term -> ack var term}
 
     def match_forall(self, term, funs):
-        """Recognize the two supported axiom shapes; returns True if consumed."""
+        """Recognize the supported axiom shapes; returns True if consumed."""
         name, _sort = term.val
         ctx = self.ctx
         bvar = ctx.var(name, _sort)
@@ -341,7 +343,7 @@ class _Maps:
         def is_app_of(t):
             return t.op == "app" and t.args[0] is bvar and t.val in funs
 
-        # (= (f k) <k-free term>)
+        # (= (f k) <k-free term>), or (= (f k) (g k)): f is g
         if body.op == "=":
             a, b = body.args
             if is_app_of(a) and not occurs(bvar, b):
@@ -349,6 +351,9 @@ class _Maps:
                 return True
             if is_app_of(b) and not occurs(bvar, a):
                 self.defs[b.val] = ("const", a)
+                return True
+            if is_app_of(a) and is_app_of(b) and a.val != b.val:
+                self.defs[a.val] = ("alias", b.val)
                 return True
         # (=> (distinct k idx) (= (f k) (g k)))
         if body.op in ("=>", "or"):
@@ -394,6 +399,8 @@ class _Maps:
             return table[arg]
         if d[0] == "const":
             return d[1]
+        if d[0] == "alias":
+            return self.resolve(d[1], arg, ret_sort, depth + 1)
         base, idx = d[1], d[2]
         hit = fold(ctx, ctx.mk("=", arg, idx))
         below = self.resolve(base, arg, ret_sort, depth + 1)
@@ -490,13 +497,16 @@ def solve_commands(ctx, script, conflict_budget=None, deadline=None):
             if deadline is not None and time.monotonic() > deadline:
                 return Result("unknown", reason="deadline")
             model_env = {}
-            blaster = Blaster()
-            for a in residual:
-                blaster.assert_term(a)
-            solver = SatSolver(blaster.cnf.nvars)
-            for clause in blaster.cnf.clauses:
-                solver.add_clause(clause)
             try:
+                blaster = Blaster(deadline)
+                for a in residual:
+                    blaster.assert_term(a)
+                solver = SatSolver(blaster.cnf.nvars)
+                for i, clause in enumerate(blaster.cnf.clauses):
+                    if i % DEADLINE_STRIDE == 0 and deadline is not None \
+                            and time.monotonic() > deadline:
+                        raise SatBudgetExceeded("deadline")
+                    solver.add_clause(clause)
                 assignment = solver.solve(conflict_budget, deadline)
             except SatBudgetExceeded as exc:
                 return Result("unknown", reason=str(exc))

@@ -12,18 +12,29 @@ random programs.
 ``expected_plus_edges`` recomputes the CFG+ edge set from the per-function
 graphs, and ``definition_symbols`` lists an SSA script's assignment
 targets for the single-assignment scans.
+
+``forward_ssa_number`` and ``forward_encode`` are the encoder's former
+numbering: they reverse a walk into execution order and number it forward
+from its earliest node, as tagged tuples turned into terms afterwards.
+The backward numbering must give equisatisfiable scripts.
 """
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from minisol.concretize import Transaction, TransactionSequence
-from minisol.errors import ReplayError
-from minisol.ir import CONSTRUCTOR, IrProgram
-from minisol.lang import (BOOL, U256 as _U256, Assign, AssertStmt, Binary,
-                          Call, ContractAst, ExprStmt, Ident, If, Index,
-                          Require, Return, Unary, VarDecl, While, mask)
+from minisol.encoder import GAS, SmtScript, TxEnv
+from minisol.errors import EncodeError, ReplayError
+from minisol.ir import BRANCH_KINDS, CONSTRUCTOR, IrProgram
+from minisol.lang import (ADDRESS, BOOL, ENV_NAMES, ENV_TYPES, NUM_ACCOUNTS,
+                          SCALAR_TYPES, U256, AddressLit,
+                          Assign, AssertStmt, Binary, BoolLit, Call,
+                          ContractAst, EnvRead, ExprStmt, Ident, If, Index,
+                          IntLit, Require, Return, Unary, VarDecl, While,
+                          mask)
+from minisol.smt import terms as smt_terms
+from minisol.smt.parse import Script
 from minisol.oracle import (EvmState, Interpreter, _binary, _Env,
                             _eval_expr, _Revert, _wrap)
 
@@ -49,8 +60,10 @@ def expected_plus_edges(plus):
 
 
 def definition_symbols(script):
-    """Assignment targets of an SsaScript, in clause order."""
-    return [c[1] for c in script.clauses if c[0] == "def"]
+    """What the instructions of an SsaScript define, in execution order:
+    scalar symbols, and the map function each map write defines."""
+    return [link.defined for link in script.links()
+            if link.defined is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +239,8 @@ class AstInterpreter:
             table = state.maps.setdefault(base.name, {})
             if stmt.op != "=":
                 cur = table.get(key, 0)
-                value = _binary(stmt.op[0], cur, _wrap(value, _U256), 256)
-            table[key] = _wrap(value, _U256)
+                value = _binary(stmt.op[0], cur, _wrap(value, U256), 256)
+            table[key] = _wrap(value, U256)
 
     def _read_ident(self, e, state, locals_):
         if e.binding == "state":
@@ -262,3 +275,487 @@ class AstInterpreter:
         if isinstance(e, Unary):
             return 0 if self._eval(e.operand, state, locals_, env) else 1
         return _eval_expr(e, state, locals_, env)
+
+
+# ---------------------------------------------------------------------------
+# Forward numbering: the encoder's former numberer, kept as a reference
+# ---------------------------------------------------------------------------
+
+def e_sym(name, type_):
+    return ("sym", name, type_)
+
+
+def e_lit(value, type_):
+    return ("lit", value, type_)
+
+
+def e_bin(op, a, b, type_):
+    return ("bin", op, a, b, type_)
+
+
+def e_not(a):
+    return ("not", a, BOOL)
+
+
+def e_read(map_name, gen, key):
+    return ("read", map_name, gen, key, U256)
+
+
+def e_conv(a, to_type):
+    from_w = expr_type(a).bit_width
+    to_w = to_type.bit_width
+    if a[0] == "lit":
+        return e_lit(a[1] & ((1 << to_w) - 1), to_type)
+    if from_w == to_w:
+        return a
+    if from_w < to_w:
+        return ("zext", a, to_w - from_w, to_type)
+    return ("trunc", a, to_w - 1, to_type)
+
+
+def expr_type(e):
+    return e[-1]
+
+
+# Clause kinds: ('def', sym, type, expr, pos) | ('assume', expr, pos)
+# | ('safety', expr, pos) | ('map_write', map, g_from, g_to, key, val, pos)
+# | ('scalar_zero', sym, type, pos) | ('map_zero', map, pos)
+
+
+@dataclass
+class _ForwardTarget:
+    """Version environment captured at the first target-line arrival."""
+    fn: str
+    seg: int
+    inline_suffix: str
+    partial_seg: bool
+    state: dict
+    locals: dict
+    maps: dict
+    env: dict
+
+
+@dataclass
+class ForwardScript:
+    clauses: list = field(default_factory=list)
+    symbols: dict = field(default_factory=dict)      # name -> MsType
+    map_syms: list = field(default_factory=list)     # (map, gen) decl order
+    transactions: list = field(default_factory=list)
+    target_point: Optional[_ForwardTarget] = None
+    complete: bool = False
+    map_key_types: dict = field(default_factory=dict)
+    frontier_end: int = 0          # clauses[:frontier_end] number position 0
+
+
+class _ForwardNumberer:
+    def __init__(self, walk, program, graph):
+        self.walk = walk
+        self.program = program
+        self.graph = graph
+        self.script = ForwardScript()
+        self.state_cur = {}
+        self.state_high = {}
+        self.map_cur = {}
+        self.map_high = {}
+        self.seg = -1
+        self.seg_env = None
+        self.seg_fn = None
+        self.seg_partial = False
+        self.seg_snapshot = None
+        self.local_ver = {}
+        self.fn_params = {}
+        for name, type_ in program.state_vars:
+            if type_.kind in ("mapping", "array"):
+                self.script.map_key_types[name] = \
+                    type_.key if type_.kind == "mapping" else U256
+
+    # -- symbols ---------------------------------------------------------------
+
+    def declare(self, name, type_):
+        if name not in self.script.symbols:
+            self.script.symbols[name] = type_
+
+    def map_sym(self, map_name, gen):
+        if (map_name, gen) not in self.script.map_syms:
+            self.script.map_syms.append((map_name, gen))
+        return gen
+
+    def state_sym(self, name, ver, type_):
+        sym = "%s!%d" % (name, ver)
+        self.declare(sym, type_)
+        return sym
+
+    def local_sym(self, slot, ver, type_):
+        sym = "%s!t%d!%d" % (slot, self.seg, ver)
+        self.declare(sym, type_)
+        return sym
+
+    # -- segments ----------------------------------------------------------------
+
+    def begin_segment(self, fn_name, partial):
+        self.seg += 1
+        self.seg_fn = fn_name
+        self.seg_partial = partial
+        self.local_ver = {}
+        self.seg_snapshot = (dict(self.state_cur), dict(self.map_cur))
+        env = {}
+        for which in ENV_NAMES + (GAS,):
+            sym = "%s!t%d" % (which, self.seg)
+            self.declare(sym, ENV_TYPES.get(which, U256))
+            env[which] = sym
+        fn = self.program.function(fn_name)
+        params = []
+        if fn is not None:
+            for pname, ptype in fn.params:
+                params.append((pname, self.local_sym(pname, 0, ptype)))
+        self.fn_params[self.seg] = {p for p, _ in (fn.params if fn else [])}
+        tx = TxEnv(self.seg, fn_name, env["msg.sender"], env["msg.value"],
+                   env["tx.origin"], env["block.timestamp"], env[GAS],
+                   params, is_deployment=(fn_name == CONSTRUCTOR),
+                   partial=partial)
+        self.seg_env = tx
+        self.script.transactions.append(tx)
+        # finite account universe; single-contract world: origin == sender
+        sender = e_sym(env["msg.sender"], ADDRESS)
+        self.assume(e_bin("<=", sender,
+                          e_lit(NUM_ACCOUNTS - 1, ADDRESS), BOOL), -1)
+        self.assume(e_bin("==", e_sym(env["tx.origin"], ADDRESS), sender,
+                          BOOL), -1)
+
+    def end_segment(self):
+        if self.seg_env is None:
+            return
+        if self.seg_env.aborted:
+            self.state_cur, self.map_cur = self.seg_snapshot
+        self.seg_env = None
+        self.seg_fn = None
+
+    # -- operands ---------------------------------------------------------------
+
+    def read_operand(self, op):
+        if op.kind == "lit":
+            return e_lit(op.value, op.type_)
+        if op.kind == "env":
+            return e_sym(self.seg_env.__dict__[
+                {"msg.sender": "sender", "msg.value": "value",
+                 "tx.origin": "origin", "block.timestamp": "timestamp"}
+                [op.name]], op.type_)
+        if op.kind == "state":
+            ver = self.state_cur.get(op.name, 0)
+            return e_sym(self.state_sym(op.name, ver, op.type_), op.type_)
+        # local or param
+        ver = self.local_ver.get(op.name)
+        if ver is None:
+            if op.kind == "param" or op.name in self.fn_params.get(self.seg,
+                                                                   set()):
+                return e_sym(self.local_sym(op.name, 0, op.type_), op.type_)
+            if self.seg_partial:
+                return e_sym(self.local_sym(op.name, 0, op.type_), op.type_)
+            raise EncodeError("local %r read before any write on the walk"
+                              % op.name)
+        return e_sym(self.local_sym(op.name, ver, op.type_), op.type_)
+
+    def write_operand(self, op, pos):
+        if op.kind == "state":
+            ver = self.state_high.get(op.name, 0) + 1
+            self.state_high[op.name] = ver
+            self.state_cur[op.name] = ver
+            return self.state_sym(op.name, ver, op.type_)
+        ver = self.local_ver.get(op.name, 0) + 1
+        self.local_ver[op.name] = ver
+        return self.local_sym(op.name, ver, op.type_)
+
+    def assume(self, expr, pos):
+        self.script.clauses.append(("assume", expr, pos))
+
+    def define(self, sym, type_, expr, pos):
+        self.script.clauses.append(("def", sym, type_, expr, pos))
+
+    # -- the pass -----------------------------------------------------------------
+
+    def run(self):
+        nodes = [self.graph.node(n) for n in reversed(self.walk.nodes)]
+        self.script.complete = bool(nodes) and nodes[0].kind == "start"
+
+        if self.script.complete:
+            for name, type_ in self.program.state_vars:
+                if type_.is_scalar:
+                    sym = self.state_sym(name, 0, type_)
+                    self.script.clauses.append(("scalar_zero", sym, type_, -1))
+                else:
+                    self.map_sym(name, 0)
+                    self.script.clauses.append(("map_zero", name, -1))
+
+        last = len(nodes) - 1
+        for pos, node in enumerate(nodes):
+            if pos == 0 and node.fn is not None and node.kind != "entry":
+                self.begin_segment(node.fn, partial=True)
+            if node.kind == "entry":
+                self.begin_segment(node.fn, partial=False)
+            elif node.kind == "tx_processed":
+                self.end_segment()
+
+            if node.kind == "instr":
+                if node.instr.kind == "revert_sink" and self.seg_env is not None:
+                    self.seg_env.aborted = True
+                if pos == last:
+                    # the walk root is the target node; the safety condition
+                    # binds to the versions live here, before its effect
+                    self.capture_target(node)
+
+            if pos < last and node.kind == "instr":
+                self.apply_instr(node, nodes[pos + 1], pos)
+            if pos == 0:
+                self.script.frontier_end = len(self.script.clauses)
+        return self.script
+
+    def capture_target(self, node):
+        self.script.target_point = _ForwardTarget(
+            fn=self.seg_fn, seg=self.seg,
+            inline_suffix=node.instr.inline_suffix,
+            partial_seg=self.seg_partial,
+            state=dict(self.state_cur), locals=dict(self.local_ver),
+            maps=dict(self.map_cur),
+            env={"msg.sender": self.seg_env.sender,
+                 "msg.value": self.seg_env.value,
+                 "tx.origin": self.seg_env.origin,
+                 "block.timestamp": self.seg_env.timestamp})
+
+    def apply_instr(self, node, succ, pos):
+        ins = node.instr
+        kind = ins.kind
+        if kind in BRANCH_KINDS:
+            cond = self.read_operand(ins.args[0])
+            t_succ, f_succ = self.graph.branch[node.id]
+            if succ.id == t_succ:
+                self.assume(cond, pos)
+            elif succ.id == f_succ:
+                self.assume(e_not(cond), pos)
+            else:
+                raise EncodeError("walk leaves condition node %d without "
+                                  "taking a branch" % node.id)
+            return
+        if kind == "assign":
+            src = e_conv(self.read_operand(ins.args[0]), ins.dest.type_) \
+                if ins.dest.type_.is_numeric or ins.dest.type_.kind == "address" \
+                else self.read_operand(ins.args[0])
+            sym = self.write_operand(ins.dest, pos)
+            self.define(sym, ins.dest.type_, src, pos)
+            return
+        if kind == "binary":
+            a = self.read_operand(ins.args[0])
+            b = self.read_operand(ins.args[1])
+            sym = self.write_operand(ins.dest, pos)
+            self.define(sym, ins.dest.type_,
+                        e_bin(ins.op, a, b, ins.dest.type_), pos)
+            return
+        if kind == "unary":
+            a = self.read_operand(ins.args[0])
+            sym = self.write_operand(ins.dest, pos)
+            self.define(sym, ins.dest.type_, e_not(a), pos)
+            return
+        if kind == "index_read":
+            key = self.read_operand(ins.args[0])
+            gen = self.map_cur.get(ins.map, 0)
+            self.map_sym(ins.map, gen)
+            sym = self.write_operand(ins.dest, pos)
+            self.define(sym, ins.dest.type_, e_read(ins.map, gen, key), pos)
+            return
+        if kind == "index_write":
+            key = self.read_operand(ins.args[0])
+            val = self.read_operand(ins.args[1])
+            g_from = self.map_cur.get(ins.map, 0)
+            g_to = self.map_high.get(ins.map, 0) + 1
+            self.map_sym(ins.map, g_from)
+            self.map_sym(ins.map, g_to)
+            self.map_high[ins.map] = g_to
+            self.map_cur[ins.map] = g_to
+            self.script.clauses.append(("map_write", ins.map, g_from, g_to,
+                                        key, val, pos))
+            return
+        if kind in ("return", "revert_sink"):
+            return
+        if kind == "call":
+            raise EncodeError("call instruction in a walk; inline first")
+        raise EncodeError("cannot encode instruction kind %r" % kind)
+
+
+def forward_ssa_number(walk, program, graph=None):
+    """Number a walk forward into a ForwardScript.  The graph defaults to
+    the one the walk was found on (walks carry it)."""
+    graph = graph if graph is not None else walk.graph
+    if graph is None:
+        raise EncodeError("walk carries no graph")
+    return _ForwardNumberer(walk, program, graph).run()
+
+
+# ---------------------------------------------------------------------------
+# Safety resolution at the target point
+# ---------------------------------------------------------------------------
+
+def forward_resolve_safety(script, safety, program):
+    tp = script.target_point
+    if tp is None:
+        raise EncodeError("walk never reaches the target line")
+    fn = program.function(tp.fn)
+    params = {p for p, _ in (fn.params if fn else [])}
+    return _resolve(safety, tp, params, script.map_key_types)
+
+
+def _resolve(e, tp, params, key_types):
+    """The clause expression of safety expression `e` over the versions
+    of target point `tp`."""
+    if isinstance(e, IntLit):
+        return e_lit(e.value, e.type_ if e.type_ is not None else U256)
+    if isinstance(e, BoolLit):
+        return e_lit(int(e.value), BOOL)
+    if isinstance(e, AddressLit):
+        return e_lit(e.index, ADDRESS)
+    if isinstance(e, EnvRead):
+        return e_sym(tp.env[e.which], e.type_)
+    if isinstance(e, Ident):
+        if e.binding == "state":
+            ver = tp.state.get(e.name, 0)
+            return e_sym("%s!%d" % (e.name, ver), e.type_)
+        slot = e.slot + tp.inline_suffix
+        ver = tp.locals.get(slot)
+        if ver is None:
+            if e.binding == "param" or slot in params or tp.partial_seg:
+                ver = 0
+            else:
+                raise EncodeError("safety reads local %r before its "
+                                  "definition" % e.name)
+        return e_sym("%s!t%d!%d" % (slot, tp.seg, ver), e.type_)
+    if isinstance(e, Index):
+        gen = tp.maps.get(e.base.name, 0)
+        key = e_conv(_resolve(e.index, tp, params, key_types),
+                     key_types[e.base.name])
+        return e_read(e.base.name, gen, key)
+    if isinstance(e, Unary):
+        return e_not(_resolve(e.operand, tp, params, key_types))
+    if isinstance(e, Binary):
+        a = _resolve(e.lhs, tp, params, key_types)
+        b = _resolve(e.rhs, tp, params, key_types)
+        if e.op in ("&&", "||") or expr_type(a) is BOOL:
+            return e_bin(e.op, a, b, BOOL)
+        if expr_type(a).kind == "address" or expr_type(b).kind == "address":
+            return e_bin(e.op, a, b, BOOL)
+        width = getattr(e, "width", 256)
+        target = SCALAR_TYPES["uint%d" % width]
+        a, b = e_conv(a, target), e_conv(b, target)
+        result = BOOL if e.op in ("==", "!=", "<", "<=", ">", ">=") \
+            else target
+        return e_bin(e.op, a, b, result)
+    raise EncodeError("unsupported expression in safety condition: %r" % e)
+
+
+_OPS = {"+": "bvadd", "-": "bvsub", "*": "bvmul", "/": "bvudiv",
+        "%": "bvurem", "<": "bvult", "<=": "bvule", ">": "bvugt",
+        ">=": "bvuge", "==": "=", "!=": "distinct", "&&": "and", "||": "or"}
+
+_KEY = "%k"                        # the frame axioms' bound key
+
+
+def _sort(type_):
+    return smt_terms.BOOL if type_ is BOOL else smt_terms.bv(type_.bit_width)
+
+
+class _Terms:
+    """Builds one script's terms in `ctx` from clause expressions, and
+    collects the symbols and map functions they use."""
+
+    def __init__(self, ctx, script):
+        self.ctx = ctx
+        self.key_types = script.map_key_types
+        self.symbols = dict(script.symbols)
+        self.funs = {}
+        for map_name, gen in script.map_syms:
+            self.fun(map_name, gen)
+
+    def fun(self, map_name, gen):
+        name = "%s!%d" % (map_name, gen)
+        if name not in self.funs:
+            self.funs[name] = (_sort(self.key_types[map_name]), _sort(U256))
+        return name
+
+    def lit(self, value, type_):
+        if type_ is BOOL:
+            return self.ctx.cbool(bool(value))
+        return self.ctx.const(value, type_.bit_width)
+
+    def var(self, name, type_):
+        # the safety condition can reference pre-state versions no clause
+        # declared; they are declared on first use
+        return self.ctx.var(name, _sort(self.symbols.setdefault(name, type_)))
+
+    def app(self, name, key):
+        return self.ctx.checked("app", key, val=name, sig=self.funs[name])
+
+    def term(self, e):
+        tag = e[0]
+        if tag == "sym":
+            return self.var(e[1], e[2])
+        if tag == "lit":
+            return self.lit(e[1], e[2])
+        ctx = self.ctx
+        if tag == "not":
+            return ctx.mk("not", self.term(e[1]))
+        if tag == "zext":
+            return ctx.mk("zero_extend", self.term(e[1]), val=e[2])
+        if tag == "trunc":
+            return ctx.mk("extract", self.term(e[1]), val=(e[2], 0))
+        if tag == "read":
+            return self.app(self.fun(e[1], e[2]), self.term(e[3]))
+        if tag == "bin":
+            return ctx.checked(_OPS[e[1]], self.term(e[2]), self.term(e[3]))
+        raise EncodeError("cannot encode %r" % (e,))
+
+    def forall(self, map_name, body):
+        """The frame axiom ``forall k. body(k)`` over `map_name`'s keys."""
+        key_sort = _sort(self.key_types[map_name])
+        return self.ctx.mk("forall", body(self.ctx.var(_KEY, key_sort)),
+                           val=(_KEY, key_sort))
+
+
+def forward_encode(script, safety=None, program=None, ctx=None):
+    """Build the solver input for a ForwardScript (plus the optional safety
+    condition) in `ctx`, a fresh ``Ctx`` by default."""
+    ctx = ctx if ctx is not None else smt_terms.Ctx()
+    t = _Terms(ctx, script)
+    asserts = []
+    for clause in script.clauses:
+        kind = clause[0]
+        if kind == "def":
+            _, sym, type_, expr, _pos = clause
+            asserts.append(ctx.mk("=", t.var(sym, type_), t.term(expr)))
+        elif kind == "assume":
+            asserts.append(t.term(clause[1]))
+        elif kind == "scalar_zero":
+            _, sym, type_, _pos = clause
+            asserts.append(ctx.mk("=", t.var(sym, type_), t.lit(0, type_)))
+        elif kind == "map_zero":
+            map_name = clause[1]
+            asserts.append(t.forall(map_name, lambda k: ctx.mk(
+                "=", t.app(t.fun(map_name, 0), k), t.lit(0, U256))))
+        elif kind == "map_write":
+            _, map_name, g_from, g_to, key, val, _pos = clause
+            key = t.term(key)
+            f_from, f_to = t.fun(map_name, g_from), t.fun(map_name, g_to)
+            asserts.append(ctx.mk("=", t.app(f_to, key), t.term(val)))
+            asserts.append(t.forall(map_name, lambda k: ctx.mk(
+                "=>", ctx.mk("distinct", k, key),
+                ctx.mk("=", t.app(f_to, k), t.app(f_from, k)))))
+        else:
+            raise EncodeError("unknown clause kind %r" % kind)
+
+    if safety is not None:
+        if program is None:
+            raise EncodeError("safety resolution needs the program")
+        asserts.append(t.term(forward_resolve_safety(script, safety, program)))
+
+    decls = {name: _sort(type_) for name, type_ in t.symbols.items()}
+    commands = Script(decls=decls, funs=t.funs,
+                      asserts=[ctx.checked("assert", a) for a in asserts],
+                      queries=[ctx.var(n, s) for n, s in decls.items()],
+                      query_texts=list(decls), has_check=True)
+    return SmtScript(ctx, commands, list(decls.items()))

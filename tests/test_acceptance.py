@@ -96,20 +96,15 @@ def _scan_single_assignment(script):
 
 
 def _scan_monotone(script):
+    """Numbered back from the walk root, every variable's and mapping's
+    defined versions strictly fall along execution order."""
     last = {}
     for sym in definition_symbols(script):
         base, _, ver = sym.rpartition("!")
         ver = int(ver)
-        if ver <= last.get(base, -1):
+        if base in last and ver >= last[base]:
             return False
         last[base] = ver
-    gens = {}
-    for clause in script.clauses:
-        if clause[0] == "map_write":
-            _, m, _gf, g_to, _k, _v, _p = clause
-            if g_to <= gens.get(m, 0):
-                return False
-            gens[m] = g_to
     return True
 
 
@@ -151,14 +146,20 @@ def test_criterion_5_encoder_matches_replay_500():
         script = ssa_number(walk, program)
         result = session.check(encode(script))
         assert result.status == "sat"
-        inputs = {name: result.model["%s!t1!0" % name]
-                  for name, _t in params}
+        chain = script.transactions[-1]
+        inputs = {name: result.model[sym] for name, sym in chain.params}
         expected, _table = eval_straight_line(instrs[:-1], params, inputs)
-        counts = {}
+        # the chain's k-th definition of a name, in execution order, is its
+        # k-th definition symbol of the chain's segment
+        defs = {}
+        for sym in definition_symbols(script):
+            name, seg, _ver = sym.rsplit("!", 2) if sym.count("!") == 2 \
+                else (None, None, None)
+            if seg == "t%d" % chain.index:
+                defs.setdefault(name, []).append(sym)
         expect_by_sym = {}
         for name, value in expected:
-            counts[name] = counts.get(name, 0) + 1
-            expect_by_sym["%s!t1!%d" % (name, counts[name])] = value
+            expect_by_sym[defs[name].pop(0)] = value
         for sym, value in expect_by_sym.items():
             got = result.model[sym]
             if isinstance(got, bool):
@@ -187,7 +188,9 @@ def test_criterion_5_encoder_matches_replay_500():
                   + [cfg.exit_id])
     result = session.check(encode(ssa_number(
         Walk(tuple(reversed(exec_order)), graph=graph), program)))
-    wrap_ok = result.status == "sat" and result.model["x!3"] == 0
+    # numbered back from the root: x!0 = x + 0, x!1 = x + 1, x!2 = 65535
+    wrap_ok = result.status == "sat" and result.model["x!2"] == 65535 \
+        and result.model["x!1"] == 0
     ok = mismatches == 0 and wrap_ok
     _report(5, ok, "%d chains, %d mismatches, wraparound 65535+1=0: %s"
             % (checked, mismatches, wrap_ok))

@@ -3,6 +3,8 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 from conftest import CORPUS
 
 
@@ -141,6 +143,25 @@ def test_mutants_mode(tmp_path):
     statuses = [m["status"] for m in obj["mutants"]]
     assert statuses == ["killed", "no_kill_found"]
     assert obj["mutants"][0]["kill"]["strong"] is True
+
+
+@pytest.mark.parametrize("flag", ["--replay", "--mutants", "--emit-dot",
+                                  "--out", "--emit-smt"])
+def test_a_bad_path_is_exit_2_with_a_summary(tmp_path, flag):
+    """A path that cannot be read (--replay, --mutants) or written
+    (--emit-dot, --out; --emit-smt under a regular file) is an error: exit
+    2 and the summary line, not a traceback."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    path = {"--replay": tmp_path / "missing.json",
+            "--mutants": tmp_path / "missing.json",
+            "--emit-dot": tmp_path / "no" / "such" / "graph.dot",
+            "--out": tmp_path / "no" / "such" / "seq.json",
+            "--emit-smt": blocker / "dumps"}[flag]
+    proc = run_cli(msol("guess_check"), flag, str(path))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert summary_of(proc)[0] == "error"
 
 
 def test_lazy_check_flag_finds_fewer_walks(tmp_path):

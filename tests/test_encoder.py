@@ -11,9 +11,11 @@ from minisol.engine import prepare
 from minisol.errors import EncodeError, SolverError
 from minisol.explorer import Walk
 from minisol.frontend import extract_targets
+from minisol.smt.terms import Ctx
 
 from genprog import random_source, random_walk
-from ref_oracles import definition_symbols
+from ref_oracles import (definition_symbols, forward_encode,
+                         forward_ssa_number)
 
 TWO_ASSIGN = """contract T {
     uint256 var_ = 0;
@@ -47,18 +49,30 @@ def forward_walk(graph, stop_fn, stop_line=None):
     return Walk(tuple(reversed(exec_order)), graph=graph)
 
 
+def definitions(script):
+    """Each defined symbol's defining term, from the `(= sym term)`
+    clauses."""
+    defined = set(definition_symbols(script))
+    return {c.args[0].val: c.args[1] for c in script.clauses
+            if c.op == "=" and c.args[0].op == "var"
+            and c.args[0].val in defined}
+
+
 def test_ssa_two_assignments_get_versions():
     _ast, program, graph = prepare(TWO_ASSIGN)
     walk = forward_walk(graph, "f")
     script = ssa_number(walk, program)
-    defs = [(c[1], c[3]) for c in script.clauses if c[0] == "def"]
-    var_defs = [d for d in defs if d[0].startswith("var_")]
-    # var_!1 = 0 (initializer), var_!2 = 10, var_!3 = <tmp of var_!2 + 20>
-    assert [d[0] for d in var_defs] == ["var_!1", "var_!2", "var_!3"]
-    add = next(e for _s, e in defs if e[0] == "bin" and e[1] == "+")
-    assert add[2] == ("sym", "var_!2", add[2][2])
-    tmp_sym = next(s for s, e in defs if e is add)
-    assert var_defs[2][1] == ("sym", tmp_sym, var_defs[2][1][2])
+    var_defs = [d for d in definition_symbols(script)
+                if d.startswith("var_")]
+    # numbered back from the walk root: var_!2 = 0 (initializer),
+    # var_!1 = 10, var_!0 = <tmp of var_!1 + 20>
+    assert var_defs == ["var_!2", "var_!1", "var_!0"]
+    defs = definitions(script)
+    tmp = defs["var_!0"]
+    assert tmp.op == "var"
+    add = defs[tmp.val]
+    assert add.op == "bvadd" and add.args[0].val == "var_!1"
+    assert defs["var_!1"].op == "const" and defs["var_!1"].val[0] == 10
 
 
 def test_ssa_single_assignment_x_equals_5():
@@ -66,7 +80,9 @@ def test_ssa_single_assignment_x_equals_5():
     _ast, program, graph = prepare(src)
     walk = forward_walk(graph, "f")
     script = ssa_number(walk, program)
-    assert definition_symbols(script).count("x!2") == 1
+    defs = definition_symbols(script)
+    assert defs.count("x!0") == 1 and defs.count("x!1") == 1
+    assert definitions(script)["x!0"].val == (5, 8)
 
 
 def single_assignment_ok(script):
@@ -75,26 +91,23 @@ def single_assignment_ok(script):
 
 
 def versions_monotone(script):
+    """Along execution order each variable's and mapping's defined
+    versions strictly decrease: every earlier write gets the next version
+    back from the walk root."""
     last = {}
     for sym in definition_symbols(script):
         base, _, ver = sym.rpartition("!")
         ver = int(ver)
-        if base in last and ver <= last[base]:
+        if base in last and ver >= last[base]:
             return False
         last[base] = ver
-    gen_seen = {}
-    for clause in script.clauses:
-        if clause[0] == "map_write":
-            _, m, g_from, g_to, _k, _v, _p = clause
-            if g_to <= gen_seen.get(m, 0):
-                return False
-            gen_seen[m] = g_to
     return True
 
 
 def test_listing3_two_transaction_walk(corpus):
-    """Two add() calls: balance versions climb monotonically across the
-    transactions and the env generations are 1 and 2 (deployment is 0)."""
+    """Two add() calls: balance versions fall monotonically across the
+    transactions, and the segments count back from the root: the last
+    add() is t0, the first t1, the deployment t2."""
     _ast, program, graph = prepare(corpus["overflow"])
     cfg = graph.fn_cfgs["add"]
     instrs = [n.id for n in cfg.nodes if n.kind == "instr"]
@@ -109,14 +122,14 @@ def test_listing3_two_transaction_walk(corpus):
     walk = Walk(tuple(reversed(exec_order)), graph=graph)
     script = ssa_number(walk, program)
     assert single_assignment_ok(script) and versions_monotone(script)
-    balance_defs = [c[1] for c in script.clauses if c[0] == "def"
-                    and c[1].startswith("sellerBalance!")]
-    assert balance_defs == ["sellerBalance!1", "sellerBalance!2",
-                            "sellerBalance!3"]
+    balance_defs = [d for d in definition_symbols(script)
+                    if d.startswith("sellerBalance!")]
+    assert balance_defs == ["sellerBalance!2", "sellerBalance!1",
+                            "sellerBalance!0"]
     txs = script.transactions
     assert [t.fn for t in txs] == ["<constructor>", "add", "add"]
-    assert [t.value for t in txs] == ["msg.value!t0", "msg.value!t1",
-                                      "msg.value!t2"]
+    assert [t.value for t in txs] == ["msg.value!t2", "msg.value!t1",
+                                      "msg.value!t0"]
     assert txs[0].is_deployment
 
 
@@ -156,13 +169,14 @@ def test_frame_axiom_text_shape(corpus):
     walk = Walk(tuple(reversed(exec_order)), graph=graph)
     script = ssa_number(walk, program)
     smt = encode(script)
-    assert "(assert (= (dataStorage!1 " in smt.text
+    # the write defines the generation live at the root from an earlier one
+    assert "(assert (= (dataStorage!0 " in smt.text
     assert ("(assert (forall ((%k (_ BitVec 256))) (=> (distinct %k "
             in smt.text)
-    assert "(= (dataStorage!1 %k) (dataStorage!0 %k))" in smt.text
+    assert "(= (dataStorage!0 %k) (dataStorage!1 %k))" in smt.text
     # zero-initialized storage for the complete walk
     assert ("(assert (forall ((%k (_ BitVec 256))) "
-            "(= (dataStorage!0 %k) " in smt.text)
+            "(= (dataStorage!1 %k) " in smt.text)
 
 
 def test_never_written_map_read_zero_init(corpus):
@@ -232,8 +246,11 @@ def test_overflow_walk_sat_with_wraparound_model(corpus):
     script = ssa_number(walk, program)
     result, _ = run_check(script, safety=target.safety, program=program)
     assert result.status == "sat"
-    v1 = result.model["value!t1!0"]
-    v2 = result.model["value!t2!0"]
+    first, second = script.transactions[1:]
+    assert (first.params[0][1], second.params[0][1]) \
+        == ("value!t1!0", "value!t0!0")
+    v1 = result.model[first.params[0][1]]
+    v2 = result.model[second.params[0][1]]
     assert ((v1 + v2) & 0xFFFF) < v1
 
 
@@ -280,7 +297,8 @@ def test_wrap_65535_plus_1_is_zero():
     script = ssa_number(walk, program)
     result, _ = run_check(script)
     assert result.status == "sat"
-    assert result.model["x!3"] == 0
+    # x!0 is the version the last write defines: 65535 + 1
+    assert result.model["x!1"] == 65535 and result.model["x!0"] == 0
 
 
 def test_aborted_segment_rolls_back_state(corpus):
@@ -312,153 +330,73 @@ def test_aborted_segment_rolls_back_state(corpus):
     walk = Walk(tuple(reversed(exec_order)), graph=graph)
     script = ssa_number(walk, program)
     assert script.transactions[1].aborted
-    # after the aborted tx, g's live version is the constructor's g!1
-    tp = script.target_point
-    assert tp.state["g"] == 1
-    # but the aborted write still owns a unique, higher version
-    assert "g!2" in definition_symbols(script)
-
-
-def _sym_maps(pre_name, full_name, rename):
-    """Pair a prefix symbol with its full-walk counterpart.  The renaming
-    must stay injective: no name on either side gets a second partner."""
-    known = rename.setdefault(pre_name, full_name)
-    back = rename.setdefault(("image of", full_name), pre_name)
-    return known == full_name and back == pre_name
-
-
-def _expr_aligns(pre, full, rename):
-    if pre[0] != full[0]:
-        return False
-    tag = pre[0]
-    if tag == "sym":
-        return _sym_maps(pre[1], full[1], rename) and pre[2] == full[2]
-    if tag == "lit":
-        return pre[1] == full[1] and pre[2] == full[2]
-    if tag == "bin":
-        return (pre[1] == full[1] and pre[4] == full[4]
-                and _expr_aligns(pre[2], full[2], rename)
-                and _expr_aligns(pre[3], full[3], rename))
-    if tag == "not":
-        return _expr_aligns(pre[1], full[1], rename)
-    if tag in ("zext", "trunc"):
-        return pre[2] == full[2] and _expr_aligns(pre[1], full[1], rename)
-    if tag == "read":
-        return (pre[1] == full[1]
-                and _sym_maps("%s!%d" % (pre[1], pre[2]),
-                              "%s!%d" % (full[1], full[2]), rename)
-                and _expr_aligns(pre[3], full[3], rename))
-    raise AssertionError("unknown expr tag %r" % tag)
-
-
-def _aligns(pre_clause, full_clause, rename):
-    """Clause equality where every prefix symbol (and map generation) maps
-    to exactly one full-walk counterpart."""
-    if pre_clause[0] != full_clause[0]:
-        return False
-    kind = pre_clause[0]
-    if kind == "def":
-        return (_sym_maps(pre_clause[1], full_clause[1], rename)
-                and pre_clause[2] == full_clause[2]
-                and _expr_aligns(pre_clause[3], full_clause[3], rename))
-    if kind in ("assume", "safety"):
-        return _expr_aligns(pre_clause[1], full_clause[1], rename)
-    if kind == "map_write":
-        _, m1, gf1, gt1, k1, v1, _p1 = pre_clause
-        _, m2, gf2, gt2, k2, v2, _p2 = full_clause
-        return (m1 == m2
-                and _sym_maps("%s!%d" % (m1, gf1), "%s!%d" % (m2, gf2),
-                              rename)
-                and _sym_maps("%s!%d" % (m1, gt1), "%s!%d" % (m2, gt2),
-                              rename)
-                and _expr_aligns(k1, k2, rename)
-                and _expr_aligns(v1, v2, rename))
-    if kind == "scalar_zero":
-        return _sym_maps(pre_clause[1], full_clause[1], rename) \
-            and pre_clause[2] == full_clause[2]
-    if kind == "map_zero":
-        return pre_clause[1] == full_clause[1]
-    raise AssertionError("unknown clause kind %r" % kind)
+    # the aborted write owns a private version, g!1; the constructor
+    # defines g!2, which the link equates with g!0, live after the revert
+    defs = definition_symbols(script)
+    assert defs.count("g!1") == 1 and defs.count("g!2") == 1
+    smt = encode(script)
+    assert "(assert (= g!0 g!2))" in smt.text
+    result = SolverSession().check(smt)
+    assert result.status == "sat"
+    assert result.model["g!1"] <= 10 and result.model["g!0"] == 0
 
 
 def test_prefix_unsat_stays_unsat_and_assertions_nest(corpus):
-    """Extensions only add conjuncts: a prefix's assertion set, shifted by
-    the extension's version offsets, is a subset of the full walk's, and an
-    UNSAT prefix can never become SAT."""
+    """Extensions only add conjuncts: numbered in one context, a prefix's
+    clauses (less the ones that move with its frontier) are the full
+    walk's last clauses, term for term, and an UNSAT prefix can never
+    become SAT."""
     rng = random.Random(7)
+    nested = 0
     for name in ("guess_check", "overflow", "multi_tx"):
         _ast, program, graph = prepare(corpus[name])
         for _ in range(12):
             walk = random_walk(rng, graph, max_len=30)
-            full = ssa_number(walk, program)
+            ctx = Ctx()
+            full = ssa_number(walk, program, ctx=ctx)
             for cut in (2, max(2, len(walk.nodes) // 2)):
                 if cut >= len(walk.nodes):
                     continue
-                prefix = Walk(walk.nodes[:cut], graph=graph)
-                pre = ssa_number(prefix, program)
-                n = len(prefix.nodes)
-                shift = len(walk.nodes) - n
-                # node-anchored clauses of the prefix reappear, same kinds in
-                # the same order, as the full walk's tail (positions shifted)
-                pre_tail = [c for c in pre.clauses if c[-1] >= 0]
-                full_tail = [c for c in full.clauses if c[-1] >= shift]
-                assert [(c[0], c[-1] + shift) for c in pre_tail] \
-                    == [(c[0], c[-1]) for c in full_tail], (name, cut)
-                assert len(pre.clauses) <= len(full.clauses)
-                # and the clause pairs are equal under one consistent
-                # symbol renaming (the walk-growth version shift)
-                rename = {}
-                for pc, fc in zip(pre_tail, full_tail):
-                    assert _aligns(pc, fc, rename), (name, cut, pc, fc)
+                pre = ssa_number(Walk(walk.nodes[:cut], graph=graph),
+                                 program, ctx=ctx)
+                kept = pre.clauses[len(pre.moving):]
+                assert len(kept) <= len(full.clauses)
+                tail = full.clauses[len(full.clauses) - len(kept):]
+                assert all(a is b for a, b in zip(tail, kept)), (name, cut)
+                nested += 1
                 r_pre, _ = run_check(pre)
                 if r_pre.status == "unsat":
                     r_full, _ = run_check(full)
                     assert r_full.status == "unsat"
+    assert nested > 40
 
 
-def _image_renaming(parent_clauses, child_clauses, rename):
-    """Extend `rename` to one injective renaming under which every child
-    clause is the image of a parent clause; None if there is none.  A clause
-    anchored at position p pairs with a parent clause at p - 1; segment
-    clauses (position -1) with any parent segment clause."""
-    order = sorted(child_clauses, key=lambda c: c[-1] < 0)
-
-    def search(i, rename):
-        if i == len(order):
-            return rename
-        clause = order[i]
-        for pc in parent_clauses:
-            if pc[0] != clause[0] or (pc[-1] + 1 if pc[-1] >= 0 else -1) \
-                    != clause[-1]:
-                continue
-            trial = dict(rename)
-            if _aligns(pc, clause, trial):
-                found = search(i + 1, trial)
-                if found is not None:
-                    return found
-        return None
-
-    return search(0, rename)
-
-
-def _random_backward_walk(rng, graph, root, max_len):
+def _random_backward_walk(rng, graph, root, max_len, revert=False):
+    """A random walk back from `root`; with `revert`, it steps back from
+    constructed into an earlier transaction, and into one that reverts,
+    whenever it can."""
     rv = ReversedView(graph)
     nodes = [root]
     for _ in range(rng.randrange(1, max_len)):
-        succs = rv.successors(nodes[-1])
+        succs = sorted(rv.successors(nodes[-1]))
         if not succs:
             break
-        nodes.append(rng.choice(sorted(succs)))
+        if revert:
+            succs = [n for n in succs if graph.node(n).is_revert_sink
+                     or n == graph.tx_processed_id] or succs
+        nodes.append(rng.choice(succs))
         if nodes[-1] == graph.start_id:
             break
     return Walk(tuple(nodes), graph=graph)
 
 
-def test_extension_renames_parent_clauses_injectively(corpus):
-    """The basis for deciding an extension by its frontier clauses alone:
-    the child's clauses after `frontier_end`, and its resolved safety
-    condition, are images of the parent's under one injective renaming
-    (the segment and version shifts of forward numbering)."""
+def test_child_clauses_are_parent_clauses_plus_new_node(corpus):
+    """The basis for checking one node per extension: a child's clauses
+    after `frontier_end` are its parent's clauses (less the ones that move
+    with the parent's frontier), term for term; its frontier is its moving
+    clauses plus the new node's; the safety condition is the same term.
+    Numbering the child from its parent's numbering or from the root gives
+    the same terms."""
     rng = random.Random(11)
     checked = 0
     for name in ("guess_check", "overflow", "two_tx_overflow", "token",
@@ -470,14 +408,29 @@ def test_extension_renames_parent_clauses_injectively(corpus):
             root = graph.target_node(target.line) if i % 2 \
                 else rng.choice(instrs)
             walk = _random_backward_walk(rng, graph, root, 40)
+            ctx = Ctx()
             for k in range(1, len(walk.nodes)):
                 try:
-                    parent = ssa_number(Walk(walk.nodes[:k], graph), program)
-                    child = ssa_number(Walk(walk.nodes[:k + 1], graph),
+                    parent = ssa_number(Walk(walk.nodes[:k], graph), program,
+                                        ctx=ctx)
+                    child = ssa_number(Walk(walk.nodes[:k + 1], graph,
+                                            numbered=parent.numbering),
                                        program)
+                    fresh = ssa_number(Walk(walk.nodes[:k + 1], graph),
+                                       program, ctx=ctx)
                 except EncodeError:
                     continue
-                rename = {}
+                assert child.numbering.length == k + 1
+                assert [id(c) for c in child.clauses] \
+                    == [id(c) for c in fresh.clauses]
+                node = child.numbering.link.clauses
+                assert child.clauses[:child.frontier_end] \
+                    == list(child.moving) + list(node)
+                rest = child.clauses[child.frontier_end:]
+                kept = parent.clauses[len(parent.moving):]
+                assert len(rest) == len(kept) and all(
+                    a is b for a, b in zip(rest, kept)), \
+                    (name, walk.nodes[:k + 1])
                 if target.safety is not None:
                     try:
                         p_safety = resolve_safety(parent, target.safety,
@@ -487,20 +440,18 @@ def test_extension_renames_parent_clauses_injectively(corpus):
                     except EncodeError:
                         pass
                     else:
-                        assert _expr_aligns(p_safety, c_safety, rename), \
-                            (name, walk.nodes[:k + 1])
-                assert _image_renaming(
-                    parent.clauses, child.clauses[child.frontier_end:],
-                    rename) is not None, (name, walk.nodes[:k + 1])
+                        assert p_safety is c_safety
                 checked += 1
     assert checked > 1000
 
 
-def test_write_in_a_reverted_segment_splits_a_symbol_and_is_solved(corpus):
-    """The one extension that is no injective renaming: a state write in a
-    transaction that later reverts.  The parent's `g!0` becomes `g!1`
-    before the revert and stays `g!0` after it.  The frontier then defines
-    `g!1`, which the rest reads, so it is never decided alone."""
+def test_write_in_a_reverted_segment_moves_the_link_and_is_solved(corpus):
+    """A reverting transaction's writes go to private versions, and its
+    link equates the version live after it with the private one live at
+    the frontier.  A write passed on the way back moves the link: the
+    parent's link clause is no clause of the child, whose own link is a
+    frontier clause.  It shares the private and the outside version with
+    the rest, so the extension is solved in full."""
     src = """contract R {
     uint256 g = 0;
     uint256 x = 0;
@@ -523,11 +474,109 @@ def test_write_in_a_reverted_segment_splits_a_symbol_and_is_solved(corpus):
     exec_order = body + [sink, graph.tx_processed_id, graph.constructed_id,
                          h.entry_id] + h_body
     nodes = tuple(reversed(exec_order))
-    parent = ssa_number(Walk(nodes[:-1], graph), program)
-    child = ssa_number(Walk(nodes, graph), program)
-    rest = child.clauses[child.frontier_end:]
-    assert _image_renaming(parent.clauses, rest, {}) is None
+    ctx = Ctx()
+    parent = ssa_number(Walk(nodes[:-1], graph), program, ctx=ctx)
+    child = ssa_number(Walk(nodes, graph), program, ctx=ctx)
+    assert parent.transactions[0].aborted and child.transactions[0].aborted
+    text = encode(parent).text + encode(child).text
+    assert "(assert (= g!0 g!1))" in text and "(assert (= g!0 g!2))" in text
+    parent_link, child_link = parent.moving[-1], child.moving[-1]
+    assert parent_link is not child_link
+    assert all(c is not parent_link for c in child.clauses)
+    assert "g!1" in definition_symbols(child)
     assert frontier_script(child) is None
+    assert SolverSession().check(encode(child)).status == "sat"
+    # once the entry is numbered, the link is the entry's own clause
+    entry = ssa_number(Walk(nodes + (f.entry_id,), graph), program, ctx=ctx)
+    assert entry.moving == [] and child_link in entry.numbering.link.clauses
+
+
+def _walks_for_reference(rng, corpus):
+    """(program, walk, safety) triples: random backward walks over corpus
+    contracts, half rooted at the target, and over generated programs."""
+    for name in ("guess_check", "two_tx_overflow", "token", "multi_tx",
+                 "address_scores", "loop_sum"):
+        target = extract_targets(corpus[name])[0]
+        _ast, program, graph = prepare(corpus[name])
+        root = graph.target_node(target.line)
+        instrs = [n.id for n in graph.nodes if n.kind == "instr"]
+        for i in range(30):
+            yield program, _random_backward_walk(rng, graph, root, 45,
+                                                 revert=i % 2), target.safety
+            yield program, _random_backward_walk(
+                rng, graph, rng.choice(instrs), 45, revert=True), None
+    for seed in range(20):
+        _ast, program, graph = prepare(random_source(700 + seed))
+        for _ in range(8):
+            yield program, random_walk(rng, graph, max_len=40), None
+
+
+def _pinned(smt, pins):
+    """`smt` with each symbol of `pins` fixed to its value."""
+    from minisol.encoder import SmtScript
+    from minisol.smt.parse import Script
+    from minisol.smt.terms import BOOL
+    ctx, commands = smt.ctx, smt.commands
+    extra = []
+    for name, value in pins.items():
+        sort = commands.decls[name]
+        extra.append(ctx.mk("=", ctx.var(name, sort),
+                            ctx.cbool(bool(value)) if sort == BOOL
+                            else ctx.const(value, sort[1])))
+    return SmtScript(ctx, Script(commands.decls, commands.funs,
+                                 commands.asserts + extra, commands.queries,
+                                 commands.query_texts, True), smt.manifest)
+
+
+def _input_symbols(script):
+    """A walk's inputs in execution order: each transaction's parameters
+    and environment."""
+    return [sym for tx in script.transactions
+            for sym in [s for _p, s in tx.params]
+            + [tx.sender, tx.value, tx.timestamp, tx.gas]]
+
+
+def test_backward_numbering_is_equisatisfiable_with_forward(corpus):
+    """The forward numbering the encoder used to do, kept as a reference,
+    and the backward numbering give every walk the same answer: both
+    raise, or both scripts are SAT, or both UNSAT.  On a complete walk,
+    whose transactions' inputs decide everything, each script stays SAT
+    with its inputs pinned to the other's model.  The walks go through
+    reverting transactions, partial segments and map writes."""
+    rng = random.Random(5)
+    session = SolverSession()
+    seen = {"sat": 0, "unsat": 0, "unknown": 0, "reverted": 0, "partial": 0,
+            "maps": 0, "complete": 0}
+    for program, walk, safety in _walks_for_reference(rng, corpus):
+        try:
+            script = ssa_number(walk, program)
+            back = encode(script, safety, program)
+        except EncodeError:
+            with pytest.raises(EncodeError):
+                forward_encode(forward_ssa_number(walk, program), safety,
+                               program)
+            continue
+        ref_script = forward_ssa_number(walk, program)
+        ref = forward_encode(ref_script, safety, program)
+        answers = session.check(back), session.check(ref)
+        statuses = tuple(a.status for a in answers)
+        assert statuses[0] == statuses[1], walk.nodes
+        seen[statuses[0]] += 1
+        seen["reverted"] += any(t.aborted for t in script.transactions)
+        seen["partial"] += any(t.partial for t in script.transactions)
+        seen["maps"] += bool(script.funs)
+        if script.complete and statuses[0] == "sat":
+            seen["complete"] += 1
+            sides = [(back, script, answers[0].model),
+                     (ref, ref_script, answers[1].model)]
+            for (_smt, mine, model), (theirs, their_script, _m) in (
+                    sides, sides[::-1]):
+                pins = dict(zip(_input_symbols(their_script),
+                                (model[sym] for sym in _input_symbols(mine))))
+                assert session.check(_pinned(theirs, pins)).status == "sat", \
+                    walk.nodes
+    assert seen.pop("unknown") == 0
+    assert min(seen.values()) >= 30, seen
 
 
 def test_emit_smt_dumps_are_deterministic(tmp_path, corpus):
@@ -661,16 +710,39 @@ def test_in_process_answers_equal_rendered_text_answers(name, corpus):
 
 
 def test_checked_constructor_rejects_ill_sorted_encoder_terms():
-    from minisol.encoder import SsaScript, e_bin, e_sym
+    """The numbering builds its terms through ``Ctx.checked``: an
+    instruction whose operands have different widths, or a branch on a
+    non-Bool operand, raises instead of reaching the solver."""
+    from dataclasses import replace
+    from minisol.ir import Operand
     from minisol.lang import U8, U256
     from minisol.smt import SmtError
-    mismatch = SsaScript(symbols={"a": U8, "b": U256, "c": U256})
-    mismatch.clauses.append(("def", "c", U256,
-                             e_bin("+", e_sym("a", U8), e_sym("b", U256),
-                                   U256), 0))
+    src = """contract C {
+    uint8 a = 0;
+    uint256 b = 0;
+    uint256 c = 0;
+    function f() public {
+        if (b > 1)
+            c = b + b;
+    }
+}
+"""
+    _ast, program, graph = prepare(src)
+    nodes = {n.instr.kind: n for n in graph.fn_cfgs["f"].nodes
+             if n.kind == "instr"}
+
+    def number_with(kind, arg):
+        node = nodes[kind]
+        original = node.instr
+        node.instr = replace(original, args=(arg,) + original.args[1:])
+        try:
+            later = next(n for n in graph.successors(node.id)
+                         if graph.node(n).kind == "instr")
+            ssa_number(Walk((later, node.id), graph), program)
+        finally:
+            node.instr = original
+
     with pytest.raises(SmtError, match="width mismatch in bvadd"):
-        encode(mismatch)
-    not_bool = SsaScript(symbols={"b": U256})
-    not_bool.clauses.append(("assume", e_sym("b", U256), 0))
+        number_with("binary", Operand("state", U8, name="a"))
     with pytest.raises(SmtError, match="assert needs a Bool term"):
-        encode(not_bool)
+        number_with("condition", Operand("state", U256, name="b"))

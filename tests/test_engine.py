@@ -7,14 +7,14 @@ import time
 import pytest
 
 from minisol.concretize import from_json, to_json
-from minisol.encoder import SolverConfig, SolverSession
+from minisol.encoder import SolverConfig, SolverSession, encode, ssa_number
 from minisol import engine
 from minisol.engine import pick_target, prepare, replay_file, synthesize
 from minisol.errors import TargetError
-from minisol.explorer import Limits
+from minisol.explorer import Limits, Walk
+from minisol.frontend import extract_targets
 from minisol import oracle
 from minisol.smt import solve as smt_solve
-from minisol.smt.terms import Ctx
 
 TIMESTAMP_SRC = """contract Timed {
     bool opened = false;
@@ -228,30 +228,26 @@ def test_frontier_shortcut_changes_no_answer(corpus, monkeypatch, check_log,
 @pytest.mark.parametrize("heuristic", ["floyd-warshall", "state-var"])
 @pytest.mark.parametrize("name", ["guess_check", "two_tx_overflow", "token",
                                   "multi_tx"])
-def test_run_context_changes_no_answer(corpus, monkeypatch, check_log, name,
-                                       heuristic, lazy_check):
+def test_run_context_changes_no_answer(corpus, check_log, name, heuristic,
+                                       lazy_check):
     """One term context per run, and the answers it lets the engine reuse,
-    change nothing.  With `encode` patched to a fresh ``Ctx`` per call no
-    term is shared and no script repeats another's, yet the same walks are
-    checked in the same order with the same answers, and the run's status,
-    walk count, reason and sequence stay the same.  A complete walk is
-    never answered from the table: it needs a model."""
-    shared = synthesize(corpus[name], heuristic=heuristic,
-                        lazy_check=lazy_check)
-    shared_checks = list(check_log)
-    check_log.clear()
-    real_encode = engine.encode
-    monkeypatch.setattr(engine, "encode", lambda *args, **kwargs: real_encode(
-        *args, **dict(kwargs, ctx=Ctx())))
-    fresh = synthesize(corpus[name], heuristic=heuristic,
-                       lazy_check=lazy_check)
-    assert _outcome(fresh) == _outcome(shared)
-    assert [c[:2] for c in shared_checks] == [c[:2] for c in check_log]
-    assert not any(reason == "repeated" for *_c, reason in check_log)
-    repeated = [nodes for nodes, _status, reason in shared_checks
+    change nothing.  Every check answered from the run's table (a frontier
+    of an earlier frontier's shape, or a whole script that repeats an
+    earlier one) gets the answer a solve of its whole walk gives in a
+    context of its own.  A complete walk is never answered from the table:
+    it needs a model."""
+    source = corpus[name]
+    target = extract_targets(source)[0]
+    synthesize(source, heuristic=heuristic, lazy_check=lazy_check)
+    repeated = [(nodes, status) for nodes, status, reason in check_log
                 if reason == "repeated"]
-    _ast, _program, graph = prepare(corpus[name])
-    assert all(nodes[-1] != graph.start_id for nodes in repeated)
+    _ast, program, graph = prepare(source)
+    session = SolverSession()
+    for nodes, status in repeated:
+        assert nodes[-1] != graph.start_id
+        fresh = session.check(encode(ssa_number(Walk(nodes, graph), program),
+                                     target.safety, program))
+        assert fresh.status == status, nodes
     if (name, heuristic) == ("token", "state-var"):
         assert repeated
 

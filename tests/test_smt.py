@@ -613,6 +613,29 @@ def test_deadline_ends_a_hard_check_with_unknown():
     assert time.monotonic() - start < 2.0
 
 
+WIDE_DIVISION = """
+(declare-const x (_ BitVec 256))
+(declare-const y (_ BitVec 256))
+(assert (bvugt x (_ bv1 256)))
+(assert (bvugt y (_ bv1 256)))
+(assert (= (bvmul x y) (_ bv%d 256)))
+(assert (= (bvudiv (_ bv%d 256) x) y))
+(check-sat)
+""" % ((1000000007 * 998244353,) * 2)
+
+
+def test_deadline_holds_while_bit_blasting():
+    """A 256-bit multiplier and divider take seconds to bit-blast and load
+    into the SAT solver, before CDCL starts; the deadline is read while
+    they are built, so the check gives up soon after it."""
+    ctx, script = parse_script(WIDE_DIVISION)
+    start = time.monotonic()
+    result = solve_commands(ctx, script, DEFAULT_CONFLICT_BUDGET,
+                            start + 0.2)
+    assert (result.status, result.reason) == ("unknown", "deadline")
+    assert time.monotonic() - start < 1.0
+
+
 def test_long_doubling_chain_is_decided_quickly():
     """a_i = a_(i-1) + a_(i-1) for 40 levels: after substitution a_40 is a
     DAG of 40 nodes but 2^40 tree paths, which the occurs check of each
