@@ -786,8 +786,10 @@ SHAPE_LIMIT = 8                    # assertions of a script keyed by shape
 
 def answer_key(asserts):
     """What a run keys a script's answer on: a script of at most
-    SHAPE_LIMIT assertions (a frontier script is one, as a rule) on its
-    shape, any other on its very terms."""
+    SHAPE_LIMIT assertions on its shape, any other on its very terms.
+    Frontier scripts are that small unless a reverting transaction links
+    many state variables: a node adds at most two clauses to its segment's
+    two account clauses."""
     if len(asserts) <= SHAPE_LIMIT:
         return clause_shape(asserts)
     return tuple(asserts)

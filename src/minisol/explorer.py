@@ -157,7 +157,7 @@ def register_heuristic(name, factory):
 # Walk tree
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class TreeNode:
     idx: int
     cfg_node: int
