@@ -279,7 +279,7 @@ class Numbering:
         its link."""
         seg = self.seg
         if seg is None:
-            return [], ()
+            return [], []
         clauses = list(seg.env_clauses)
         names = [seg.env["msg.sender"].val, seg.env["tx.origin"].val]
         if seg.saved is not None:
