@@ -147,7 +147,7 @@ class _Run:
         self.key_sorts = {name: _sort(type_)
                           for name, type_ in self.key_types.items()}
         self.params = {}               # function name -> its parameters
-        self.safety = None             # the last safety condition resolved
+        self.safety = None             # the last ResolvedSafety
 
     def fn_params(self, fn_name):
         params = self.params.get(fn_name)
@@ -678,34 +678,42 @@ def ssa_number(walk, program, graph=None, ctx=None):
 # Safety resolution at the target point
 # ---------------------------------------------------------------------------
 
+@dataclass(slots=True)
+class ResolvedSafety:
+    """A safety condition resolved at a target point: its term, the
+    symbols and map functions the term mentions, and the locals it reads
+    that are not parameters, as (slot, name)."""
+    expr: object
+    target: TargetPoint
+    term: object
+    symbols: dict
+    funs: dict
+    reads: list
+
+
 def resolve_safety(script, safety, program):
-    """The safety condition as a term over the versions live at the target
-    point.  It may read a local only if the target's segment defines it
-    before the target, unless that segment is still open."""
+    """The safety condition resolved over the versions live at the target
+    point (a ``ResolvedSafety``, kept by the run for the next check).  It
+    may read a local only if the target's segment defines it before the
+    target, unless that segment is still open."""
     n = script.numbering
     tp = n.target
     if tp is None:
         raise EncodeError("walk never reaches the target line")
     run = n.run
-    cached = run.safety
-    if cached is None or cached[0] is not safety or cached[1] is not tp:
+    out = run.safety
+    if out is None or out.expr is not safety or out.target is not tp:
         params = {p for p, _ in run.fn_params(tp.fn)}
         reads = []
         term = _resolve(run, safety, tp, params, reads)
-        run.safety = cached = (safety, tp, term, reads, _symbols([term]))
-    term, reads = cached[2], cached[3]
+        out = run.safety = ResolvedSafety(safety, tp, term,
+                                          *_symbols([term]), reads)
     if n.written0 is not None:
-        for slot, name in reads:
+        for slot, name in out.reads:
             if slot not in n.written0:
                 raise EncodeError("safety reads local %r before its "
                                   "definition" % name)
-    return term
-
-
-def _safety_symbols(script):
-    """The symbols and map functions of the safety condition
-    `resolve_safety` last resolved for this script's run."""
-    return script.numbering.run.safety[4]
+    return out
 
 
 def _resolve(run, e, tp, params, reads):
@@ -773,10 +781,9 @@ def frontier_script(script, safety=None, program=None):
     clauses = list(script.moving) + list(n.link.clauses)
     symbols, funs = _symbols(clauses)
     if safety is not None:
-        resolve_safety(script, safety, program)
-        s_symbols, s_funs = _safety_symbols(script)
-        if not (s_symbols.keys().isdisjoint(symbols)
-                and s_funs.keys().isdisjoint(funs)):
+        safe = resolve_safety(script, safety, program)
+        if not (safe.symbols.keys().isdisjoint(symbols)
+                and safe.funs.keys().isdisjoint(funs)):
             return None
     return FrontierScript(script.ctx, clauses, symbols, funs)
 
@@ -785,11 +792,16 @@ SHAPE_LIMIT = 8                    # assertions of a script keyed by shape
 
 
 def answer_key(asserts):
-    """What a run keys a script's answer on: a script of at most
+    """What a run keys an incomplete walk's answer on: a script of at most
     SHAPE_LIMIT assertions on its shape, any other on its very terms.
-    Frontier scripts are that small unless a reverting transaction links
-    many state variables: a node adds at most two clauses to its segment's
-    two account clauses."""
+
+    Frontier scripts and the whole scripts of short walks are that small,
+    and repeat one another up to a renaming of their symbols: a frontier
+    script often has the shape of an earlier short walk's.  A long script
+    is a whole walk's; its shape costs time and memory in proportion to
+    the walk, and its repeats are mostly term for term.  On the benchmark,
+    every limit from 3 to 8 finds the same repeats, and shaping every
+    script finds a few more but makes the long workloads 16-26% slower."""
     if len(asserts) <= SHAPE_LIMIT:
         return clause_shape(asserts)
     return tuple(asserts)
@@ -865,12 +877,12 @@ def encode(script, safety=None, program=None) -> SmtScript:
     if safety is not None:
         if program is None:
             raise EncodeError("safety resolution needs the program")
-        asserts.append(resolve_safety(script, safety, program))
+        safe = resolve_safety(script, safety, program)
+        asserts.append(safe.term)
         # the safety condition can read versions no clause mentions
-        s_symbols, s_funs = _safety_symbols(script)
-        for name, term in s_symbols.items():
+        for name, term in safe.symbols.items():
             symbols.setdefault(name, term)
-        for name, sig in s_funs.items():
+        for name, sig in safe.funs.items():
             funs.setdefault(name, sig)
     decls = {name: term.sort for name, term in symbols.items()}
     commands = Script(decls=decls, funs=funs, asserts=asserts,
@@ -888,6 +900,8 @@ class SatResult:
     status: str                    # 'sat' | 'unsat' | 'unknown'
     model: Optional[Model] = None
     reason: str = ""
+    # the checked walk's ``Numbering``, for the checks of its extensions
+    numbering: Optional[object] = None
 
 
 @dataclass

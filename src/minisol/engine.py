@@ -14,7 +14,7 @@ from .cfg import build_cfg_plus
 from .encoder import (SatResult, SolverConfig, SolverSession, answer_key,
                       encode, frontier_script, ssa_number)
 from .errors import ConfigError, MiniSolError, TargetError
-from .explorer import (HEURISTICS, Limits, build_context,
+from .explorer import (HEURISTICS, Limits, Walk, build_context,
                        find_minimal_satisfiable_walk)
 from .frontend import extract_targets, parse_contract
 from .ir import inline_internal_calls, lower
@@ -96,9 +96,7 @@ def synthesize(source, *, target=None, target_line=None,
             answers[key] = result.status
         return result
 
-    def check(walk):
-        script = ssa_number(walk, program, ctx=terms)
-        walk.numbered = script.numbering       # kept for the extensions
+    def decide(walk, script):
         # the rest of a SAT parent's extension is SAT: if the new node's
         # clauses are independent of it, they decide; a complete walk
         # needs the whole model
@@ -115,9 +113,19 @@ def synthesize(source, *, target=None, target_line=None,
         smt_script = encode(script, safety=target.safety, program=program)
         return solve(smt_script, script.complete)
 
+    def check(walk):
+        script = ssa_number(walk, program, ctx=terms)
+        result = decide(walk, script)
+        result.numbering = script.numbering    # kept for the extensions
+        return result
+
+    # every walk starts at the target's node: number it once, for all
+    root = graph.target_node(target.line)
+    numbered = None if root is None else ssa_number(
+        Walk((root,), graph), program, ctx=terms).numbering
     result = find_minimal_satisfiable_walk(
         graph, target, factory, limits, check=check, context=context,
-        lazy_check=lazy_check, deadline=deadline)
+        lazy_check=lazy_check, deadline=deadline, numbered=numbered)
     elapsed_ms = int((time.monotonic() - t0) * 1000)
 
     if result.status != "found":

@@ -14,8 +14,9 @@ so a walk's numbering extends its parent's by one node.  A tree node holds
 its numbering (or, unchecked in lazy mode, its nearest numbered
 ancestor's) while some of its options wait in the heap, and hands it to
 the check of each extension as ``Walk.numbered``: a check numbers only the
-nodes after it, one in eager mode.  A check may leave the candidate's own
-numbering there for the tree to keep; the last option popped releases it.
+nodes after it, one in eager mode.  The root's numbering comes from the
+caller, every other one from the check of its walk
+(``SatResult.numbering``); the last option popped releases it.
 
 Heuristics are cost functions ``h(tree, leaf, option) -> float``; infinity
 means "never pick while any finite option exists".  Two ship built in:
@@ -47,8 +48,8 @@ class Walk:
     nodes: tuple
     graph: Optional[CfgPlus] = None
     parent_sat: bool = False       # the walk less its frontier checked SAT
-    # the numbering of a prefix of the walk (``encoder.Numbering``): the
-    # nearest numbered ancestor's, or the walk's own once a check left it
+    # the numbering of a prefix of the walk (``encoder.Numbering``): its
+    # nearest numbered ancestor's
     numbered: Optional[object] = None
 
     def __len__(self):
@@ -225,7 +226,8 @@ class ExploreResult:
 
 def find_minimal_satisfiable_walk(graph: CfgPlus, target, heuristic, limits,
                                   *, check, context=None, lazy_check=False,
-                                  deadline=None) -> ExploreResult:
+                                  deadline=None,
+                                  numbered=None) -> ExploreResult:
     """Grow backward walks from the target line's node until one reaches the
     start node with a satisfiable script (plus safety condition).
 
@@ -234,6 +236,11 @@ def find_minimal_satisfiable_walk(graph: CfgPlus, target, heuristic, limits,
     every extension.  The search ends with reason ``timeout`` once
     ``time.monotonic()`` passes `deadline` (default: `limits.wall_timeout`
     from now), also when a check gave up on ``unknown`` because of it.
+
+    `numbered` is the root walk's numbering, if the caller has one.  A
+    check hands back its walk's numbering as ``SatResult.numbering``; the
+    tree keeps it, or the nearest numbered ancestor's, while the node's
+    options wait, and gives it to their checks as ``Walk.numbered``.
     """
     if deadline is None:
         deadline = time.monotonic() + limits.wall_timeout
@@ -259,7 +266,7 @@ def find_minimal_satisfiable_walk(graph: CfgPlus, target, heuristic, limits,
         if tree_node.options:
             tree_node.numbered = numbered
 
-    push_options(tree.nodes[0], None)
+    push_options(tree.nodes[0], numbered)
 
     def timed_out():
         return ExploreResult("notfound", walks_explored=explored,
@@ -296,7 +303,7 @@ def find_minimal_satisfiable_walk(graph: CfgPlus, target, heuristic, limits,
             return timed_out()
         child = tree.extend(leaf_idx, option, result.status)
         if result.status == "sat":
-            push_options(child, candidate.numbered)
+            push_options(child, result.numbering or numbered)
 
     return ExploreResult("notfound", walks_explored=explored,
                          reason="exhausted")

@@ -24,11 +24,11 @@ conjuncts bit-blasted to CNF for the CDCL solver.
 Mappings and arrays arrive as unary uninterpreted functions whose updates
 are described by quantified frame axioms; those three axiom shapes (point
 update with all-other-keys preservation, constant initialization, and one
-function equal to another) are compiled into ite chains over fresh cell
-variables.  Remaining free base
-functions are Ackermann-expanded over the argument terms that actually
-occur.  Every model is checked against the rewritten assertions before it
-is reported.
+function equal to another), one per function, are compiled into ite
+chains over fresh cell variables; a function defined twice is unknown.
+Remaining free base functions are Ackermann-expanded over the argument
+terms that actually occur.  Every model is checked against the rewritten
+assertions before it is reported.
 """
 
 from __future__ import annotations
@@ -333,8 +333,20 @@ class _Maps:
         self.cells = {}            # fname -> cell var term
         self.apps = {}             # base fname -> {arg term -> ack var term}
 
+    def define(self, fname, definition):
+        """Record `fname`'s definition; False if it has one already.  Only
+        the definition is compiled, so a second axiom on one function would
+        be dropped, and the model check, which reads the rewritten
+        assertions, would never see it."""
+        if fname in self.defs:
+            return False
+        self.defs[fname] = definition
+        return True
+
     def match_forall(self, term, funs):
-        """Recognize the supported axiom shapes; returns True if consumed."""
+        """Recognize the supported axiom shapes; returns True if consumed,
+        False if the shape is unsupported or defines a function that is
+        defined already."""
         name, _sort = term.val
         ctx = self.ctx
         bvar = ctx.var(name, _sort)
@@ -347,14 +359,11 @@ class _Maps:
         if body.op == "=":
             a, b = body.args
             if is_app_of(a) and not occurs(bvar, b):
-                self.defs[a.val] = ("const", b)
-                return True
+                return self.define(a.val, ("const", b))
             if is_app_of(b) and not occurs(bvar, a):
-                self.defs[b.val] = ("const", a)
-                return True
+                return self.define(b.val, ("const", a))
             if is_app_of(a) and is_app_of(b) and a.val != b.val:
-                self.defs[a.val] = ("alias", b.val)
-                return True
+                return self.define(a.val, ("alias", b.val))
         # (=> (distinct k idx) (= (f k) (g k)))
         if body.op in ("=>", "or"):
             if body.op == "=>":
@@ -377,8 +386,7 @@ class _Maps:
                 a, b = eq.args
                 if idx is not None and is_app_of(a) and is_app_of(b) \
                         and a.val != b.val:
-                    self.defs[a.val] = ("store", b.val, idx)
-                    return True
+                    return self.define(a.val, ("store", b.val, idx))
         return False
 
     def cell(self, fname, ret_sort):

@@ -440,7 +440,7 @@ def test_child_clauses_are_parent_clauses_plus_new_node(corpus):
                     except EncodeError:
                         pass
                     else:
-                        assert p_safety is c_safety
+                        assert p_safety.term is c_safety.term
                 checked += 1
     assert checked > 1000
 

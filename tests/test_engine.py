@@ -252,6 +252,50 @@ def test_run_context_changes_no_answer(corpus, check_log, name, heuristic,
         assert repeated
 
 
+@pytest.mark.parametrize("lazy", [False, True])
+def test_every_check_resumes_from_one_runs_numbering(corpus, monkeypatch,
+                                                     lazy):
+    """The engine numbers the root walk once.  Every check is handed the
+    numbering of its nearest checked ancestor (the root's included), all
+    of one run, and hands its own walk's numbering back; in eager mode the
+    handed numbering is the parent's, one node short."""
+    search = engine.find_minimal_satisfiable_walk
+    handed = []
+
+    def recorded_search(*args, check, numbered=None, **kwargs):
+        assert numbered is not None and numbered.length == 1
+
+        def checked(walk):
+            result = check(walk)
+            handed.append((len(walk.nodes), walk.numbered, result.numbering))
+            return result
+        return search(*args, check=checked, numbered=numbered, **kwargs)
+
+    monkeypatch.setattr(engine, "find_minimal_satisfiable_walk",
+                        recorded_search)
+    synthesize(corpus["multi_tx"], lazy_check=lazy,
+               limits=Limits(max_walks=300))
+    assert len(handed) > 100
+    assert len({id(n.run) for _l, n, _o in handed}) == 1
+    for length, given, own in handed:
+        assert own.length == length and own.run is given.run
+        if lazy:
+            assert 1 <= given.length < length
+        else:
+            assert given.length == length - 1
+
+
+def test_a_frontier_script_takes_a_short_walks_answer(corpus, check_log):
+    """Short scripts are keyed on their shape.  On condition_check the
+    frontier script of the third extension (the account clauses and the
+    outer branch condition) is a renaming of the first extension's whole
+    script, so it takes that answer from the table."""
+    synthesize(corpus["condition_check"])
+    first, _second, third = check_log[:3]
+    assert len(first[0]) == 2 and first[2] == ""
+    assert len(third[0]) == 4 and third[1:] == ("sat", "repeated")
+
+
 @pytest.mark.parametrize("solver_answers", [True, False])
 def test_only_a_decided_answer_is_reused(corpus, monkeypatch, solver_answers):
     """Every walk is checked twice in a row.  The second check of an

@@ -99,6 +99,27 @@ def test_unknown_on_unsupported_quantifier():
     assert first_line(out) == "unknown"
 
 
+@pytest.mark.parametrize("second", [
+    "(= (f k) (g k))",
+    "(= (f k) (_ bv1 8))",
+    "(=> (distinct k (_ bv2 8)) (= (f k) (g k)))",
+])
+def test_a_function_defined_twice_is_never_sat(second):
+    """Every map cell is f's first definition, zero; a second axiom on f
+    must not replace it unchecked.  With f = g and g(1) = 1 the script is
+    unsat, so the only sound answers are unsat and unknown."""
+    out = solve("""
+(declare-fun f ((_ BitVec 8)) (_ BitVec 8))
+(declare-fun g ((_ BitVec 8)) (_ BitVec 8))
+(assert (forall ((k (_ BitVec 8))) (= (f k) (_ bv0 8))))
+(assert (forall ((k (_ BitVec 8))) %s))
+(assert (= (g (_ bv1 8)) (_ bv1 8)))
+(assert (= (f (_ bv3 8)) (g (_ bv3 8))))
+(check-sat)
+""" % second)
+    assert first_line(out) in ("unsat", "unknown")
+
+
 def test_frame_axiom_semantics():
     out = solve("""
 (declare-fun m!0 ((_ BitVec 16)) (_ BitVec 256))
