@@ -4,7 +4,7 @@
 toward its frontier, one node per step (``Numbering.step``), and builds
 each node's clauses as ``smt`` terms straight into the run's ``Ctx``.  The
 versions live at the target point are fixed: state variable ``x`` is
-``x!0``, mapping ``m`` is the function ``m!0``, and the target's
+``x!0``, mapping ``m`` is the array ``m!0``, and the target's
 transaction is segment ``t0``.  A write defines the version live after it
 and leaves a fresh one live before it; each earlier transaction gets the
 next segment index.  A node's names therefore depend only on the walk from
@@ -36,9 +36,13 @@ live symbols its clauses mention, so the test reads only the new node's
 symbols.  ``clause_shape`` keys such scripts up to a renaming of their
 symbols, so the engine answers a repeat from its table.
 
-Scalars are fixed-width bitvectors, each mapping generation is an
-uninterpreted function, and each write emits the point update plus the
-quantified one-key frame axiom.  ``encode`` assembles one check's script:
+Scalars are fixed-width bitvectors and each mapping generation ``m!g`` is
+an SMT-LIB array variable (QF_ABV): a write is the one clause
+``(= m!g (store m!h key val))``, zero-initialization equates the
+generation with a constant array of zeros, a reverting segment's link
+equates two generations, and a read is ``(select m!g key)``.  Map
+generations are symbols like any other; only the scalar ones are
+queried for a model.  ``encode`` assembles one check's script:
 the numbered clauses plus the safety condition, over the versions live at
 the target point, before the target instruction's own effect; the replay
 oracle mirrors this by stopping at the first arrival that satisfies the
@@ -76,12 +80,23 @@ _OPS = {"+": "bvadd", "-": "bvsub", "*": "bvmul", "/": "bvudiv",
         "%": "bvurem", "<": "bvult", "<=": "bvule", ">": "bvugt",
         ">=": "bvuge", "==": "=", "!=": "distinct", "&&": "and", "||": "or"}
 
-_KEY = "%k"                        # the frame axioms' bound key
 _ADDRESS_SORT = smt_terms.bv(ADDRESS.bit_width)
+_WORD = smt_terms.bv(256)          # what every mapping cell holds
+
+
+def _key_type(type_):
+    """The key type of a mapping or array."""
+    return type_.key if type_.kind == "mapping" else U256
 
 
 def _sort(type_):
-    return smt_terms.BOOL if type_ is BOOL else smt_terms.bv(type_.bit_width)
+    """The solver sort of `type_`; a mapping or array is an SMT-LIB array
+    from its keys to 256-bit words."""
+    if type_ is BOOL:
+        return smt_terms.BOOL
+    if type_.is_scalar:
+        return smt_terms.bv(type_.bit_width)
+    return smt_terms.array(_sort(_key_type(type_)), _WORD)
 
 
 def _lit(ctx, value, type_):
@@ -141,11 +156,8 @@ class _Run:
         self.ctx = ctx
         self.program = program
         self.graph = graph
-        self.key_types = {
-            name: type_.key if type_.kind == "mapping" else U256
-            for name, type_ in program.state_vars if not type_.is_scalar}
-        self.key_sorts = {name: _sort(type_)
-                          for name, type_ in self.key_types.items()}
+        self.types = dict(program.state_vars)
+        self.sorts = {name: _sort(type_) for name, type_ in self.types.items()}
         self.params = {}               # function name -> its parameters
         self.safety = None             # the last ResolvedSafety
 
@@ -156,56 +168,33 @@ class _Run:
             params = self.params[fn_name] = tuple(fn.params) if fn else ()
         return params
 
-    def fun(self, map_name, gen):
-        """The function of generation `gen` of `map_name`, and its
-        signature."""
-        return ("%s!%d" % (map_name, gen),
-                (self.key_sorts[map_name], smt_terms.bv(256)))
-
-    def app(self, fun, key):
-        return self.ctx.checked("app", key, val=fun[0], sig=fun[1])
-
-    def frame(self, map_name, body):
-        """The axiom ``forall k. body(k)`` over `map_name`'s keys."""
-        sort = self.key_sorts[map_name]
-        return self.ctx.mk("forall", body(self.ctx.var(_KEY, sort)),
-                           val=(_KEY, sort))
-
     def link(self, cur, saved):
         """A reverting segment's link: for every state variable and mapping
         whose live version `cur` differs from the one live after the
         segment (`saved`), the clause equating them, with both names."""
         ctx = self.ctx
         out = []
-        for name, type_ in self.program.state_vars:
+        for name, sort in self.sorts.items():
             inside, after = cur.get(name, 0), saved.get(name, 0)
             if inside == after:
                 continue
-            if type_.is_scalar:
-                sort = _sort(type_)
-                a = ctx.var("%s!%d" % (name, after), sort)
-                c = ctx.var("%s!%d" % (name, inside), sort)
-                out.append((ctx.mk("=", a, c), a.val, c.val))
-            else:
-                f_a, f_c = self.fun(name, after), self.fun(name, inside)
-                out.append((self.frame(name, lambda k: ctx.mk(
-                    "=", self.app(f_a, k), self.app(f_c, k))),
-                    f_a[0], f_c[0]))
+            a = ctx.var("%s!%d" % (name, after), sort)
+            c = ctx.var("%s!%d" % (name, inside), sort)
+            out.append((ctx.mk("=", a, c), a.val, c.val))
         return out
 
 
 class _Link:
     """The persistent part of one numbered node: its clauses in execution
-    order, the symbols and map functions it declares, the symbol it
-    defines, the transaction its entry completes, and the link of the node
-    after it in execution order."""
-    __slots__ = ("parent", "clauses", "decls", "funs", "defined", "tx")
+    order, the symbols it declares, the symbol it defines, the transaction
+    its entry completes, and the link of the node after it in execution
+    order."""
+    __slots__ = ("parent", "clauses", "decls", "defined", "tx")
 
-    def __init__(self, parent, clauses, decls, funs, defined, tx):
+    def __init__(self, parent, clauses, decls, defined, tx):
         self.parent = parent
         self.clauses = clauses
         self.decls = decls
-        self.funs = funs
         self.defined = defined
         self.tx = tx
 
@@ -244,9 +233,9 @@ class Numbering:
     Immutable: ``step`` returns the numbering one node longer and shares
     every part it leaves unchanged.  `cur` and `high` map each state
     variable and mapping to its live and its highest version, `marks` holds
-    the live state symbols and map functions the clauses mention, and
-    `front_shared` says whether the last node's clauses, or the moving
-    ones, mention a symbol the clauses before it mention."""
+    the live state symbols (map generations among them) the clauses
+    mention, and `front_shared` says whether the last node's clauses, or
+    the moving ones, mention a symbol the clauses before it mention."""
     __slots__ = ("run", "link", "length", "node", "cur", "high", "marks",
                  "nseg", "seg", "target", "written0", "front_shared",
                  "complete")
@@ -305,7 +294,6 @@ class _Step:
         self.complete = parent.complete
         self.clauses = []
         self.decls = {}                # name -> var term
-        self.funs = {}                 # map function -> signature
         self.defined = None
         self.tx = None
         self.mentioned, self.dead = set(), set()           # state symbols
@@ -327,12 +315,6 @@ class _Step:
         term = self.declare("%s!t%d!%d" % (slot, self.seg.index, ver), type_)
         self.seg_mentioned.add(term.val)
         return term
-
-    def map_fun(self, map_name, gen):
-        fun = self.run.fun(map_name, gen)
-        self.funs.setdefault(*fun)
-        self.mentioned.add(fun[0])
-        return fun
 
     def own_seg(self):
         if self.seg is self.parent.seg:
@@ -385,14 +367,20 @@ class _Step:
     def write(self, op):
         """The symbol `op` is defined as here; an earlier one is live now."""
         if op.kind == "state":
-            term = self.state_term(op.name, self.live(op.name), op.type_)
-            self.dead.add(term.val)
-            self.bump(op.name)
-        else:
-            ver = self.seg.locals.get(op.name, 0)
-            term = self.local_term(op.name, ver, op.type_)
-            self.seg_dead.add(term.val)
-            self.set_local(op.name, ver + 1)
+            return self.write_state(op.name, op.type_)
+        ver = self.seg.locals.get(op.name, 0)
+        term = self.local_term(op.name, ver, op.type_)
+        self.seg_dead.add(term.val)
+        self.set_local(op.name, ver + 1)
+        self.defined = term.val
+        return term
+
+    def write_state(self, name, type_):
+        """The version of state variable or mapping `name` defined here; an
+        earlier one is live now."""
+        term = self.state_term(name, self.live(name), type_)
+        self.dead.add(term.val)
+        self.bump(name)
         self.defined = term.val
         return term
 
@@ -427,8 +415,7 @@ class _Step:
         n.target, n.written0 = self.target, self.written0
         n.complete = self.complete
         n.link = _Link(parent.link, tuple(self.clauses),
-                       tuple(self.decls.values()), tuple(self.funs.items()),
-                       self.defined, self.tx)
+                       tuple(self.decls.values()), self.defined, self.tx)
         n.marks = parent.marks
         if self.mentioned or self.dead:
             n.marks = (n.marks | self.mentioned) - self.dead
@@ -483,7 +470,7 @@ class _Step:
         if seg.saved is not None:
             for clause, a, c in self.run.link(self.cur, seg.saved):
                 self.clauses.append(clause)
-                _symbols([clause], self.decls, self.funs)
+                _symbols([clause], self.decls)
                 self.mentioned.update((a, c))
                 self.dead.add(a)
         self.tx = seg.tx(params, partial=False)
@@ -498,15 +485,9 @@ class _Step:
         self.complete = True
         ctx = self.ctx
         for name, type_ in self.run.program.state_vars:
-            ver = self.live(name)
-            if type_.is_scalar:
-                self.clauses.append(ctx.mk(
-                    "=", self.state_term(name, ver, type_),
-                    _lit(ctx, 0, type_)))
-            else:
-                fun = self.map_fun(name, ver)
-                self.clauses.append(self.run.frame(name, lambda k: ctx.mk(
-                    "=", self.run.app(fun, k), _lit(ctx, 0, U256))))
+            term = self.state_term(name, self.live(name), type_)
+            self.define(term, _lit(ctx, 0, type_) if type_.is_scalar
+                        else ctx.const_array(term.sort, ctx.const(0, 256)))
 
     def apply_instr(self, node, succ):
         ins = node.instr
@@ -544,21 +525,17 @@ class _Step:
         if kind == "index_read":
             dest = self.write(ins.dest)
             key = self.read(ins.args[0])
-            fun = self.map_fun(ins.map, self.live(ins.map))
-            self.define(dest, self.run.app(fun, key))
+            array = self.state_term(ins.map, self.live(ins.map),
+                                    self.run.types[ins.map])
+            self.define(dest, ctx.checked("select", array, key))
             return
         if kind == "index_write":
-            f_to = self.map_fun(ins.map, self.live(ins.map))
-            self.dead.add(f_to[0])
-            self.defined = f_to[0]
-            f_from = self.map_fun(ins.map, self.bump(ins.map))
+            type_ = self.run.types[ins.map]
+            after = self.write_state(ins.map, type_)
+            before = self.state_term(ins.map, self.cur[ins.map], type_)
             key = self.read(ins.args[0])
             val = self.read(ins.args[1])
-            run = self.run
-            self.clauses.append(ctx.mk("=", run.app(f_to, key), val))
-            self.clauses.append(run.frame(ins.map, lambda k: ctx.mk(
-                "=>", ctx.mk("distinct", k, key),
-                ctx.mk("=", run.app(f_to, k), run.app(f_from, k)))))
+            self.define(after, ctx.checked("store", before, key, val))
             return
         if kind in ("return", "revert_sink"):
             return
@@ -567,11 +544,10 @@ class _Step:
         raise EncodeError("cannot encode instruction kind %r" % kind)
 
 
-def _symbols(terms, symbols=None, funs=None):
-    """The free symbols (name -> var term) and map functions (name ->
-    signature) of `terms`, in first-occurrence order."""
+def _symbols(terms, symbols=None):
+    """The free symbols (name -> var term) of `terms`, in first-occurrence
+    order."""
     symbols = {} if symbols is None else symbols
-    funs = {} if funs is None else funs
     seen = set()
     stack = list(reversed(terms))
     while stack:
@@ -580,12 +556,9 @@ def _symbols(terms, symbols=None, funs=None):
             continue
         seen.add(id(t))
         if t.op == "var":
-            if t.val != _KEY:
-                symbols.setdefault(t.val, t)
-        elif t.op == "app":
-            funs.setdefault(t.val, (t.args[0].sort, t.sort))
+            symbols.setdefault(t.val, t)
         stack.extend(reversed(t.args))
-    return symbols, funs
+    return symbols
 
 
 class SsaScript:
@@ -625,14 +598,12 @@ class SsaScript:
     @cached_property
     def _assembled(self):
         clauses = list(self.moving)
-        symbols, funs = _symbols(clauses)
+        symbols = _symbols(clauses)
         for link in self.links():
             clauses.extend(link.clauses)
             for term in link.decls:
                 symbols.setdefault(term.val, term)
-            for name, sig in link.funs:
-                funs.setdefault(name, sig)
-        return clauses, symbols, funs
+        return clauses, symbols
 
     @property
     def clauses(self):
@@ -641,10 +612,6 @@ class SsaScript:
     @property
     def symbols(self):
         return self._assembled[1]
-
-    @property
-    def funs(self):
-        return self._assembled[2]
 
     @cached_property
     def transactions(self):
@@ -681,13 +648,12 @@ def ssa_number(walk, program, graph=None, ctx=None):
 @dataclass(slots=True)
 class ResolvedSafety:
     """A safety condition resolved at a target point: its term, the
-    symbols and map functions the term mentions, and the locals it reads
-    that are not parameters, as (slot, name)."""
+    symbols the term mentions, and the locals it reads that are not
+    parameters, as (slot, name)."""
     expr: object
     target: TargetPoint
     term: object
     symbols: dict
-    funs: dict
     reads: list
 
 
@@ -706,8 +672,8 @@ def resolve_safety(script, safety, program):
         params = {p for p, _ in run.fn_params(tp.fn)}
         reads = []
         term = _resolve(run, safety, tp, params, reads)
-        out = run.safety = ResolvedSafety(safety, tp, term,
-                                          *_symbols([term]), reads)
+        out = run.safety = ResolvedSafety(safety, tp, term, _symbols([term]),
+                                          reads)
     if n.written0 is not None:
         for slot, name in out.reads:
             if slot not in n.written0:
@@ -736,9 +702,11 @@ def _resolve(run, e, tp, params, reads):
             reads.append((slot, e.name))
         return ctx.var("%s!t0!0" % slot, _sort(e.type_))
     if isinstance(e, Index):
+        name = e.base.name
         key = _conv(ctx, _resolve(run, e.index, tp, params, reads),
-                    run.key_types[e.base.name].bit_width)
-        return run.app(run.fun(e.base.name, 0), key)
+                    _key_type(run.types[name]).bit_width)
+        return ctx.checked("select", ctx.var("%s!0" % name, run.sorts[name]),
+                           key)
     if isinstance(e, Unary):
         return ctx.mk("not", _resolve(run, e.operand, tp, params, reads))
     if isinstance(e, Binary):
@@ -763,7 +731,6 @@ class FrontierScript:
     ctx: smt_terms.Ctx
     clauses: list
     symbols: dict
-    funs: dict
 
 
 def frontier_script(script, safety=None, program=None):
@@ -772,20 +739,19 @@ def frontier_script(script, safety=None, program=None):
     that the walk's other clauses or the resolved safety condition
     mention.
 
-    Map functions count as symbols.  The safety condition is resolved only
-    once the clauses pass; a walk it cannot be resolved on raises here, or
-    in `encode` when None sends the check to a full solve."""
+    Map generations are symbols like any other.  The safety condition is
+    resolved only once the clauses pass; a walk it cannot be resolved on
+    raises here, or in `encode` when None sends the check to a full
+    solve."""
     n = script.numbering
     if n.front_shared:
         return None
     clauses = list(script.moving) + list(n.link.clauses)
-    symbols, funs = _symbols(clauses)
-    if safety is not None:
-        safe = resolve_safety(script, safety, program)
-        if not (safe.symbols.keys().isdisjoint(symbols)
-                and safe.funs.keys().isdisjoint(funs)):
-            return None
-    return FrontierScript(script.ctx, clauses, symbols, funs)
+    symbols = _symbols(clauses)
+    if safety is not None and not resolve_safety(
+            script, safety, program).symbols.keys().isdisjoint(symbols):
+        return None
+    return FrontierScript(script.ctx, clauses, symbols)
 
 
 SHAPE_LIMIT = 8                    # assertions of a script keyed by shape
@@ -808,31 +774,22 @@ def answer_key(asserts):
 
 
 def clause_shape(clauses):
-    """`clauses` up to a consistent renaming of their symbols and map
-    functions, sorts kept.  Two clause lists of one shape are renamings of
+    """`clauses` up to a consistent renaming of their symbols, sorts kept.  Two clause lists of one shape are renamings of
     each other, so one is satisfiable exactly when the other is."""
     names, memo = {}, {}
     return tuple(_shape(c, names, memo) for c in clauses)
 
 
 def _shape(t, names, memo):
-    """The shape of term `t`: symbols and functions numbered in order of
-    first occurrence (`names`), shared subterms shaped once (`memo`)."""
+    """The shape of term `t`: symbols numbered in order of first occurrence
+    (`names`), shared subterms shaped once (`memo`)."""
     out = memo.get(id(t))
     if out is not None:
         return out
-    op = t.op
-    if op == "var":
-        out = ("var", names.setdefault(("var", t.val), len(names)), t.sort)
-    elif op == "app":
-        out = ("app", names.setdefault(("fun", t.val), len(names)), t.sort,
-               _shape(t.args[0], names, memo))
-    elif op == "forall":
-        name, sort = t.val
-        out = ("forall", names.setdefault(("var", name), len(names)), sort,
-               _shape(t.args[0], names, memo))
+    if t.op == "var":
+        out = ("var", names.setdefault(t.val, len(names)), t.sort)
     else:
-        out = (op, t.val) + tuple(_shape(a, names, memo) for a in t.args)
+        out = (t.op, t.val) + tuple(_shape(a, names, memo) for a in t.args)
     memo[id(t)] = out
     return out
 
@@ -844,20 +801,16 @@ def _shape(t, names, memo):
 @dataclass
 class SmtScript:
     """One check's solver input: the terms ``smt.solve_commands`` reads, in
-    the ``Ctx`` they were built in, and the symbols the model must value.
-    ``text`` is the same script as SMT-LIB 2, rendered on first use."""
+    the ``Ctx`` they were built in, and the symbols the model must value,
+    one per get-value answer position.  ``text`` is the same script as
+    SMT-LIB 2, rendered on first use."""
     ctx: smt_terms.Ctx
     commands: Script
-    manifest: list                 # (symbol, sort) in declaration order
+    manifest: list                 # (scalar symbol, sort) in declaration order
 
     @cached_property
     def text(self):
         return smt_terms.print_script(self.commands)
-
-    @property
-    def queries(self):
-        """What each get-value answer position holds."""
-        return [("sym", sym) for sym, _sort in self.manifest]
 
 
 @dataclass
@@ -873,7 +826,7 @@ def encode(script, safety=None, program=None) -> SmtScript:
     optional safety condition, in the context its clauses were built in.
     Deterministic: identical walks render byte-identically."""
     asserts = list(script.clauses)
-    symbols, funs = dict(script.symbols), dict(script.funs)
+    symbols = dict(script.symbols)
     if safety is not None:
         if program is None:
             raise EncodeError("safety resolution needs the program")
@@ -882,13 +835,14 @@ def encode(script, safety=None, program=None) -> SmtScript:
         # the safety condition can read versions no clause mentions
         for name, term in safe.symbols.items():
             symbols.setdefault(name, term)
-        for name, sig in safe.funs.items():
-            funs.setdefault(name, sig)
     decls = {name: term.sort for name, term in symbols.items()}
-    commands = Script(decls=decls, funs=funs, asserts=asserts,
-                      queries=list(symbols.values()),
-                      query_texts=list(decls), has_check=True)
-    return SmtScript(script.ctx, commands, list(decls.items()))
+    manifest = [(name, sort) for name, sort in decls.items()
+                if sort[0] != "array"]
+    commands = Script(decls=decls, asserts=asserts,
+                      queries=[symbols[name] for name, _sort in manifest],
+                      query_texts=[name for name, _sort in manifest],
+                      has_check=True)
+    return SmtScript(script.ctx, commands, manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -987,7 +941,8 @@ def parse_solver_output(output, smt_script) -> SatResult:
         raise SolverError("malformed", "unrecognized solver output %r"
                           % output[:200])
     values = {}
-    if smt_script.queries:
+    manifest = smt_script.manifest
+    if manifest:
         try:
             forms = read_sexprs(smt_tokenize(rest))
         except smt.SmtError as exc:
@@ -997,12 +952,12 @@ def parse_solver_output(output, smt_script) -> SatResult:
         for form in forms:
             if isinstance(form, list):
                 pairs.extend(p for p in form if isinstance(p, list))
-        if len(pairs) != len(smt_script.queries):
+        if len(pairs) != len(manifest):
             raise SolverError("malformed",
                               "expected %d model values, got %d"
-                              % (len(smt_script.queries), len(pairs)))
-        for query, pair in zip(smt_script.queries, pairs):
-            values[query[1]] = _parse_value(pair[-1])
+                              % (len(manifest), len(pairs)))
+        for (sym, _sort), pair in zip(manifest, pairs):
+            values[sym] = _parse_value(pair[-1])
     return SatResult("sat", Model(values))
 
 

@@ -12,7 +12,7 @@ from . import concretize as conc
 from . import oracle
 from .cfg import build_cfg_plus
 from .encoder import (SatResult, SolverConfig, SolverSession, answer_key,
-                      encode, frontier_script, ssa_number)
+                      encode, frontier_script, resolve_safety, ssa_number)
 from .errors import ConfigError, MiniSolError, TargetError
 from .explorer import (HEURISTICS, Limits, Walk, build_context,
                        find_minimal_satisfiable_walk)
@@ -82,16 +82,24 @@ def synthesize(source, *, target=None, target_line=None,
     terms = Ctx()
     answers = {}    # an incomplete walk's script's key -> sat | unsat
 
-    def solve(smt_script, complete):
-        """Submit `smt_script`, or answer it from `answers`: an incomplete
-        walk needs only sat or unsat, which an earlier script of the same
-        key has settled.  A complete walk needs a model and is always
-        solved; ``unknown`` settles nothing."""
-        key = None if complete else answer_key(smt_script.commands.asserts)
-        status = answers.get(key)
-        if status is not None:
-            return SatResult(status, reason="repeated")
-        result = session.check(smt_script, deadline)
+    def solve(script, complete, safety=None):
+        """Submit `script` (a numbered walk, or a frontier script), plus the
+        safety condition, or answer it from `answers`: an incomplete walk
+        needs only sat or unsat, which an earlier script of the same
+        clauses has settled, so it is encoded only on a miss.  A complete
+        walk needs a model and is always solved; ``unknown`` settles
+        nothing."""
+        key = None
+        if not complete:
+            asserts = script.clauses
+            if safety is not None:
+                asserts = asserts + [resolve_safety(script, safety,
+                                                    program).term]
+            key = answer_key(asserts)
+            status = answers.get(key)
+            if status is not None:
+                return SatResult(status, reason="repeated")
+        result = session.check(encode(script, safety, program), deadline)
         if key is not None and result.status != "unknown":
             answers[key] = result.status
         return result
@@ -105,13 +113,12 @@ def synthesize(source, *, target=None, target_line=None,
             if front is not None:
                 if not front.clauses:
                     return SatResult("sat", reason="inherited")
-                result = solve(encode(front), False)
+                result = solve(front, False)
                 if result.reason == "repeated":
                     return result
                 if result.status != "unknown":
                     return SatResult(result.status, reason="inherited")
-        smt_script = encode(script, safety=target.safety, program=program)
-        return solve(smt_script, script.complete)
+        return solve(script, script.complete, target.safety)
 
     def check(walk):
         script = ssa_number(walk, program, ctx=terms)

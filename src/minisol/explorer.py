@@ -130,12 +130,33 @@ def heuristic_floyd_warshall(ctx: ExplorationContext):
 
 def heuristic_state_var(ctx: ExplorationContext):
     fw = heuristic_floyd_warshall(ctx)
+    pending = {}    # tree-node index -> state variables read, not yet written
+
+    def pending_at(tree, leaf):
+        """The state variables the walk to `leaf` reads before (in
+        execution order) any write of them: its parent's, less what the
+        leaf writes, plus what it reads.  The root's start from the safety
+        condition's reads."""
+        out = pending.get(leaf.idx)
+        if out is None:
+            node = ctx.graph.node(leaf.cfg_node)
+            instr = node.instr if node.kind == "instr" else None
+            if leaf.parent is None:
+                out = ctx.safety_reads
+            else:
+                out = pending_at(tree, tree.nodes[leaf.parent])
+                if instr is not None and instr.state_writes():
+                    out = out.difference(instr.state_writes())
+            if instr is not None and instr.state_reads():
+                out = out.union(instr.state_reads())
+            pending[leaf.idx] = out
+        return out
 
     def cost(tree, leaf, option):
-        if leaf.pending:
+        reads = pending_at(tree, leaf)
+        if reads:
             fn = ctx.graph.node(option).fn
-            if fn is not None and not (ctx.fn_writes.get(fn, set())
-                                       & leaf.pending):
+            if fn is not None and not (ctx.fn_writes.get(fn, set()) & reads):
                 return float("inf")
         return fw(tree, leaf, option)
 
@@ -164,7 +185,6 @@ class TreeNode:
     cfg_node: int
     parent: Optional[int]
     depth: int
-    pending: frozenset
     status: str = "unknown"
     # while some of its options wait in the heap: its numbering, or its
     # nearest numbered ancestor's, for the checks of its extensions
@@ -173,30 +193,14 @@ class TreeNode:
 
 
 class WalkTree:
-    def __init__(self, root_cfg_node, ctx, safety_reads):
+    def __init__(self, root_cfg_node, ctx):
         self.ctx = ctx
-        self.nodes = []
-        root_pending = (frozenset(safety_reads)
-                        | self._reads(root_cfg_node))
-        self.nodes.append(TreeNode(0, root_cfg_node, None, 1, root_pending))
-
-    def _reads(self, cfg_node):
-        node = self.ctx.graph.node(cfg_node)
-        if node.kind == "instr":
-            return frozenset(node.instr.state_reads())
-        return frozenset()
-
-    def _writes(self, cfg_node):
-        node = self.ctx.graph.node(cfg_node)
-        if node.kind == "instr":
-            return frozenset(node.instr.state_writes())
-        return frozenset()
+        self.nodes = [TreeNode(0, root_cfg_node, None, 1)]
 
     def extend(self, leaf_idx, cfg_node, status):
         leaf = self.nodes[leaf_idx]
-        pending = (leaf.pending - self._writes(cfg_node)) | self._reads(cfg_node)
         child = TreeNode(len(self.nodes), cfg_node, leaf_idx, leaf.depth + 1,
-                         pending, status=status)
+                         status=status)
         self.nodes.append(child)
         return child
 
@@ -249,7 +253,7 @@ def find_minimal_satisfiable_walk(graph: CfgPlus, target, heuristic, limits,
         raise TargetError("target line %d has no IR node" % target.line)
     ctx = context or build_context(graph, target.safety)
     h = heuristic(ctx)                     # heuristic is a factory over ctx
-    tree = WalkTree(root, ctx, ctx.safety_reads)
+    tree = WalkTree(root, ctx)
     explored = 0
     heap = []
     counter = 0

@@ -1,5 +1,5 @@
-"""Bundled SMT solver for the bitvector + uninterpreted-function fragment
-the encoder builds.  In process, ``solve.solve_commands`` solves a
+"""Bundled SMT solver for the quantifier-free bitvector and array fragment
+(QF_ABV) the encoder builds.  In process, ``solve.solve_commands`` solves a
 ``parse.Script`` of hash-consed terms (the encoder builds one directly);
 :func:`solve_text` and the standalone process ``python -m minisol.smt``
 take SMT-LIB 2 text.  The text format lives here alone: ``parse`` reads

@@ -1,19 +1,27 @@
 """SMT-LIB 2 reader for the fragment the encoder emits.
 
-Understands declare-const, declare-fun (arity 0 or 1), assert, check-sat,
-get-value, set-logic/set-option/exit, quantifier-free bitvector terms and
-single-variable forall bodies.  Anything else raises :class:`SmtParseError`.
+Understands declare-const, declare-fun of arity 0, assert, check-sat,
+get-value, set-logic/set-option/exit, and quantifier-free bitvector and
+array terms (QF_ABV: ``select``, ``store`` and ``(as const (Array K V))``).
+Anything else, quantifiers and functions of arity one or more among it,
+raises :class:`SmtParseError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .terms import BOOL, BV_BINOPS, BV_CMPS, BV_UNOPS, Ctx, SmtError, bv
+from .terms import BOOL, BV_BINOPS, BV_CMPS, BV_UNOPS, Ctx, SmtError, \
+    array, bv
 
 
 class SmtParseError(SmtError):
     pass
+
+
+_OPERATORS = BV_BINOPS | BV_CMPS | BV_UNOPS | {
+    "and", "or", "not", "xor", "=>", "=", "distinct", "ite", "concat",
+    "select", "store"}
 
 
 def tokenize(text):
@@ -75,6 +83,8 @@ def parse_sort(sexp):
     if isinstance(sexp, list) and len(sexp) == 3 and sexp[0] == "_" \
             and sexp[1] == "BitVec":
         return bv(int(sexp[2]))
+    if isinstance(sexp, list) and len(sexp) == 3 and sexp[0] == "Array":
+        return array(parse_sort(sexp[1]), parse_sort(sexp[2]))
     raise SmtParseError("unsupported sort %r" % (sexp,))
 
 
@@ -82,8 +92,7 @@ def parse_sort(sexp):
 class Script:
     """A script's commands as terms; what ``solve.solve_commands`` reads
     and ``terms.print_script`` renders."""
-    decls: dict = field(default_factory=dict)    # name -> sort (scalars)
-    funs: dict = field(default_factory=dict)     # name -> (arg sort, ret sort)
+    decls: dict = field(default_factory=dict)    # name -> sort
     asserts: list = field(default_factory=list)
     queries: list = field(default_factory=list)  # get-value terms, in order
     query_texts: list = field(default_factory=list)
@@ -103,21 +112,18 @@ def parse_script(text):
             name, sort = form[1], parse_sort(form[2])
             script.decls[name] = sort
         elif head == "declare-fun":
-            name, args, ret = form[1], form[2], parse_sort(form[3])
-            if not args:
-                script.decls[name] = ret
-            elif len(args) == 1:
-                script.funs[name] = (parse_sort(args[0]), ret)
-            else:
-                raise SmtParseError("only unary functions are supported")
+            if form[2]:
+                raise SmtParseError("functions are not supported: %r"
+                                    % form[1])
+            script.decls[form[1]] = parse_sort(form[3])
         elif head == "assert":
             script.asserts.append(
-                ctx.checked("assert", parse_term(ctx, script, form[1], {})))
+                ctx.checked("assert", parse_term(ctx, script, form[1])))
         elif head == "check-sat":
             script.has_check = True
         elif head == "get-value":
             for sexp in form[1]:
-                script.queries.append(parse_term(ctx, script, sexp, {}))
+                script.queries.append(parse_term(ctx, script, sexp))
                 script.query_texts.append(_render(sexp))
         else:
             raise SmtParseError("unsupported command %r" % head)
@@ -138,7 +144,7 @@ def _parse_const_atom(ctx, tok):
     return None
 
 
-def parse_term(ctx, script, sexp, bound):
+def parse_term(ctx, script, sexp):
     if isinstance(sexp, str):
         if sexp == "true":
             return ctx.TRUE
@@ -147,8 +153,6 @@ def parse_term(ctx, script, sexp, bound):
         c = _parse_const_atom(ctx, sexp)
         if c is not None:
             return c
-        if sexp in bound:
-            return bound[sexp]
         if sexp in script.decls:
             return ctx.var(sexp, script.decls[sexp])
         raise SmtParseError("undeclared symbol %r" % sexp)
@@ -159,9 +163,17 @@ def parse_term(ctx, script, sexp, bound):
             return ctx.const(int(sexp[1][2:]), int(sexp[2]))
         raise SmtParseError("unsupported indexed constant %r" % (sexp,))
 
+    if isinstance(head, list) and len(head) == 3 and head[:2] == ["as",
+                                                                  "const"]:
+        sort = parse_sort(head[2])
+        value = parse_term(ctx, script, sexp[1])
+        if sort[0] != "array" or value.sort != sort[2]:
+            raise SmtParseError("bad constant array %r" % (sexp,))
+        return ctx.const_array(sort, value)
+
     if isinstance(head, list) and head and head[0] == "_":
         op = head[1]
-        arg = parse_term(ctx, script, sexp[1], bound)
+        arg = parse_term(ctx, script, sexp[1])
         if op == "extract":
             hi, lo = int(head[2]), int(head[3])
             return ctx.mk("extract", arg, val=(hi, lo))
@@ -169,19 +181,10 @@ def parse_term(ctx, script, sexp, bound):
             return ctx.mk(op, arg, val=int(head[2]))
         raise SmtParseError("unsupported indexed operator %r" % op)
 
-    if head == "forall":
-        binders = sexp[1]
-        if len(binders) != 1:
-            raise SmtParseError("only single-variable forall is supported")
-        name, sort = binders[0][0], parse_sort(binders[0][1])
-        bvar = ctx.var("!" + name, sort)      # '!' prefix avoids capture
-        body = parse_term(ctx, script, sexp[2], {**bound, name: bvar})
-        return ctx.mk("forall", body, val=("!" + name, sort))
-
-    args = [parse_term(ctx, script, x, bound) for x in sexp[1:]]
-
-    if head in script.funs:
-        return ctx.checked("app", *args, val=head, sig=script.funs[head])
+    if not isinstance(head, str) or head not in _OPERATORS:
+        # refused before its arguments are read: a quantifier's are binders
+        raise SmtParseError("unsupported operator %r" % (head,))
+    args = [parse_term(ctx, script, x) for x in sexp[1:]]
 
     if head in ("and", "or"):
         if not args:
@@ -208,7 +211,7 @@ def parse_term(ctx, script, sexp, bound):
         return pairs[0] if len(pairs) == 1 else ctx.mk("and", *pairs)
     if head == "ite":
         return ctx.mk("ite", *args)
-    if head in BV_BINOPS or head in BV_CMPS:
+    if head in BV_BINOPS or head in BV_CMPS or head in ("select", "store"):
         return ctx.checked(head, *args)
     if head in BV_UNOPS:
         return ctx.mk(head, args[0])

@@ -1,34 +1,36 @@
-"""Solving pipeline, in order: fold/demote -> word-level reduction -> linear
+"""Solving pipeline, in order: fold/resolve -> word-level reduction -> linear
 refutation -> greedy model -> bit-blast -> CDCL -> model self-check.
 
 Folding is a function of the hash-consed term: each distinct term is folded
 once per :class:`~.terms.Ctx` and the result kept in ``Ctx.folded``.  A
 context may serve many scripts (``minisol.synthesize`` solves every check of
 a run in one), so a term that recurs across checks is folded once.
-Fold/demote folds every assertion, compiles the map axioms (below) and
-replaces map reads by terms over fresh cell variables.  Word-level reduction
-substitutes definitional conjuncts (``x = t``) until none is left.  Demotion
-and substitution are one ``rewrite`` pass, which first resolves map reads
-and then substitutes definitions, refolding each node it rebuilds.  Linear
-refutation answers unsat when a remaining conjunct is a bitvector
-(dis)equality whose sides differ only by a constant; it never rewrites or
-drops a conjunct, so satisfiable checks pass through it unchanged.  The
-greedy model search assigns variables at word level, forcing one false
-conjunct at a time: it keeps the ite branch a condition already selects,
-gives a variable forced to differ a value no other variable of its sort
-holds, solves one-variable linear terms (c*x + k = v modulo 2^width) in
-closed form, and tries maximum values when both sides of a comparison
-share a variable (``a + v < a``).  Only when it fails are the remaining
-conjuncts bit-blasted to CNF for the CDCL solver.
+Fold/resolve folds every assertion, takes each top-level array equality as
+its array variable's definition, and replaces every ``select`` by a term
+over bitvectors.  Word-level reduction substitutes definitional conjuncts
+(``x = t``) until none is left.  Resolution and substitution are one
+``rewrite`` pass, which first resolves reads and then substitutes
+definitions, refolding each node it rebuilds.  Linear refutation answers
+unsat when a remaining conjunct is a bitvector (dis)equality whose sides
+differ only by a constant; it never rewrites or drops a conjunct, so
+satisfiable checks pass through it unchanged.  The greedy model search
+assigns variables at word level, forcing one false conjunct at a time: it
+keeps the ite branch a condition already selects, gives a variable forced
+to differ a value no other variable of its sort holds, solves one-variable
+linear terms (c*x + k = v modulo 2^width) in closed form, and tries maximum
+values when both sides of a comparison share a variable (``a + v < a``).
+Only when it fails are the remaining conjuncts bit-blasted to CNF for the
+CDCL solver.
 
-Mappings and arrays arrive as unary uninterpreted functions whose updates
-are described by quantified frame axioms; those three axiom shapes (point
-update with all-other-keys preservation, constant initialization, and one
-function equal to another), one per function, are compiled into ite
-chains over fresh cell variables; a function defined twice is unknown.
-Remaining free base functions are Ackermann-expanded over the argument
-terms that actually occur.  Every model is checked against the rewritten
-assertions before it is reported.
+Arrays (QF_ABV) are read by ``select`` only.  A top-level ``(= a t)`` whose
+``a`` is an array variable defines ``a`` as ``t``, a ``store`` or constant
+array over other arrays (the left side is the variable when both are).  A
+read resolves through the definitions: a ``store`` to ``ite(key = i, v,
+read of the array below)``, a constant array to its value.  A variable
+defined twice, any other array equality and an array anywhere else answer
+unknown.  The reads of a variable left undefined are Ackermann-expanded
+over the keys that actually occur.  Every model is checked against the
+rewritten assertions before it is reported.
 """
 
 from __future__ import annotations
@@ -86,11 +88,9 @@ def _fold(ctx, term):
     op = term.op
     if op in ("const", "cbool", "var"):
         return term
-    if op == "forall":
-        return ctx.node("forall", term.val, (fold(ctx, term.args[0]),))
     args = tuple(fold(ctx, a) for a in term.args)
-    if op == "app":
-        return ctx.node("app", term.val, args, term.sort)
+    if op in ("select", "store", "const_array"):
+        return ctx.node(op, term.val, args)
 
     if op == "not":
         a = args[0]
@@ -278,25 +278,26 @@ def _bv_arith(op, x, y, width):
 
 
 # ---------------------------------------------------------------------------
-# Rewriting: map reads and substitution
+# Rewriting: array reads and substitution
 # ---------------------------------------------------------------------------
 
 def rewrite(ctx, term, subst, maps, memo):
-    """Replace variables through `subst` (following chains) and map reads
+    """Replace variables through `subst` (following chains) and array reads
     through `maps.resolve`, folding every rebuilt node, bottom up."""
     hit = memo.get(id(term))
     if hit is not None:
         return hit
     op = term.op
+    if term.sort[0] == "array":
+        raise SmtUnknown("array term outside a definition or select: %s"
+                         % print_term(term))
     if op == "var":
         value = subst.get(term)
         out = term if value is None \
             else rewrite(ctx, value, subst, maps, memo)
-    elif op == "app":
-        arg = rewrite(ctx, term.args[0], subst, maps, memo)
-        out = maps.resolve(term.val, arg, term.sort)
-    elif op == "forall":
-        raise SmtUnknown("nested quantifier")
+    elif op == "select":
+        key = rewrite(ctx, term.args[1], subst, maps, memo)
+        out = maps.resolve(term.args[0], key, subst, memo)
     elif term.args:
         args = tuple(rewrite(ctx, a, subst, maps, memo) for a in term.args)
         out = fold(ctx, ctx.node(op, term.val, args, term.sort))
@@ -322,105 +323,72 @@ def occurs(var, term):
 
 
 # ---------------------------------------------------------------------------
-# Map (uninterpreted function) handling
+# Array definitions and reads
 # ---------------------------------------------------------------------------
 
 class _Maps:
     def __init__(self, ctx):
         self.ctx = ctx
-        self.defs = {}             # fname -> ('store', base, idx)
-        #                            | ('const', t) | ('alias', fname)
-        self.cells = {}            # fname -> cell var term
-        self.apps = {}             # base fname -> {arg term -> ack var term}
+        self.defs = {}             # array var term -> its defining term
+        self.apps = {}             # base array var -> {key term -> ack var}
 
-    def define(self, fname, definition):
-        """Record `fname`'s definition; False if it has one already.  Only
-        the definition is compiled, so a second axiom on one function would
-        be dropped, and the model check, which reads the rewritten
+    def define(self, eq):
+        """Record the top-level array equality `eq` as the definition of its
+        variable side, the left one if both are; False when neither side
+        is a variable, the sorts differ, or the variable has a definition
+        already.  Only the definition is read, so a second one would be
+        dropped, and the model check, which reads the rewritten
         assertions, would never see it."""
-        if fname in self.defs:
+        var, value = eq.args
+        if var.op != "var":
+            var, value = value, var
+        if var.op != "var" or var.sort != value.sort or var in self.defs:
             return False
-        self.defs[fname] = definition
+        self.defs[var] = value
         return True
 
-    def match_forall(self, term, funs):
-        """Recognize the supported axiom shapes; returns True if consumed,
-        False if the shape is unsupported or defines a function that is
-        defined already."""
-        name, _sort = term.val
+    def resolve(self, array, key, subst, memo, hops=0):
+        """The value `array` holds at `key` (a rewritten term), rewritten
+        under `subst`: through definitions, stores and constant arrays
+        down to an Ackermann variable of an undefined array."""
         ctx = self.ctx
-        bvar = ctx.var(name, _sort)
-        body = term.args[0]
-
-        def is_app_of(t):
-            return t.op == "app" and t.args[0] is bvar and t.val in funs
-
-        # (= (f k) <k-free term>), or (= (f k) (g k)): f is g
-        if body.op == "=":
-            a, b = body.args
-            if is_app_of(a) and not occurs(bvar, b):
-                return self.define(a.val, ("const", b))
-            if is_app_of(b) and not occurs(bvar, a):
-                return self.define(b.val, ("const", a))
-            if is_app_of(a) and is_app_of(b) and a.val != b.val:
-                return self.define(a.val, ("alias", b.val))
-        # (=> (distinct k idx) (= (f k) (g k)))
-        if body.op in ("=>", "or"):
-            if body.op == "=>":
-                guard, eq = body.args
+        while True:
+            op = array.op
+            if op == "var":
+                value = self.defs.get(array)
+                if value is None:
+                    table = self.apps.setdefault(array, {})
+                    if key not in table:
+                        table[key] = ctx.var(
+                            "%%ack!%s!%d" % (array.val, len(table)),
+                            array.sort[2])
+                    return table[key]
+                hops += 1
+                if hops > len(self.defs):
+                    raise SmtUnknown("cyclic array definition of %r"
+                                     % array.val)
+                array = value
+            elif op == "const_array":
+                return rewrite(ctx, array.args[0], subst, self, memo)
+            elif op == "store":
+                below, index, value = array.args
+                hit = fold(ctx, ctx.mk(
+                    "=", key, rewrite(ctx, index, subst, self, memo)))
+                if hit.op != "cbool":
+                    return fold(ctx, ctx.mk(
+                        "ite", hit, rewrite(ctx, value, subst, self, memo),
+                        self.resolve(below, key, subst, memo, hops)))
+                if hit.val:
+                    return rewrite(ctx, value, subst, self, memo)
+                array = below
             else:
-                guard, eq = ctx.mk("not", body.args[0]), body.args[1]
-                guard = fold(ctx, guard)
-            cond = None
-            if guard.op == "distinct":
-                cond = guard.args
-            elif guard.op == "not" and guard.args[0].op == "=":
-                cond = guard.args[0].args
-            if cond is not None and eq.op == "=":
-                sides = cond
-                idx = None
-                if sides[0] is bvar and not occurs(bvar, sides[1]):
-                    idx = sides[1]
-                elif sides[1] is bvar and not occurs(bvar, sides[0]):
-                    idx = sides[0]
-                a, b = eq.args
-                if idx is not None and is_app_of(a) and is_app_of(b) \
-                        and a.val != b.val:
-                    return self.define(a.val, ("store", b.val, idx))
-        return False
-
-    def cell(self, fname, ret_sort):
-        if fname not in self.cells:
-            self.cells[fname] = self.ctx.var("%%cell!%s" % fname, ret_sort)
-        return self.cells[fname]
-
-    def resolve(self, fname, arg, ret_sort, depth=0):
-        if depth > len(self.defs) + 1:
-            raise SmtUnknown("cyclic map definition for %r" % fname)
-        ctx = self.ctx
-        d = self.defs.get(fname)
-        if d is None:
-            table = self.apps.setdefault(fname, {})
-            if arg not in table:
-                table[arg] = ctx.var("%%ack!%s!%d" % (fname, len(table)),
-                                     ret_sort)
-            return table[arg]
-        if d[0] == "const":
-            return d[1]
-        if d[0] == "alias":
-            return self.resolve(d[1], arg, ret_sort, depth + 1)
-        base, idx = d[1], d[2]
-        hit = fold(ctx, ctx.mk("=", arg, idx))
-        below = self.resolve(base, arg, ret_sort, depth + 1)
-        cell = self.cell(fname, ret_sort)
-        if hit.op == "cbool":
-            return cell if hit.val else below
-        return fold(ctx, ctx.mk("ite", hit, cell, below))
+                raise SmtUnknown("unsupported array term %s"
+                                 % print_term(array))
 
     def congruence_assertions(self):
         out = []
         ctx = self.ctx
-        for fname, table in self.apps.items():
+        for table in self.apps.values():
             items = list(table.items())
             for i in range(len(items)):
                 for j in range(i + 1, len(items)):
@@ -449,9 +417,9 @@ def solve_commands(ctx, script, conflict_budget=None, deadline=None):
     ground = []
     for a in script.asserts:
         a = fold(ctx, a)
-        if a.op == "forall":
-            if not maps.match_forall(a, script.funs):
-                raise SmtUnknown("unsupported quantified assertion %s"
+        if a.op == "=" and a.args[0].sort[0] == "array":
+            if not maps.define(a):
+                raise SmtUnknown("array equality that is no definition: %s"
                                  % print_term(a))
         elif a.op == "cbool":
             if not a.val:
@@ -459,11 +427,12 @@ def solve_commands(ctx, script, conflict_budget=None, deadline=None):
         else:
             ground.append(a)
 
-    demoted = {}                   # term -> term with map reads resolved
-    rewritten = [rewrite(ctx, a, {}, maps, demoted) for a in ground]
-    rewritten += [fold(ctx, a) for a in maps.congruence_assertions()]
-    queries = [rewrite(ctx, fold(ctx, q), {}, maps, demoted)
+    resolved = {}                  # term -> term with array reads resolved
+    rewritten = [rewrite(ctx, a, {}, maps, resolved) for a in ground]
+    # a read only a query makes is still bound by congruence to the others
+    queries = [rewrite(ctx, fold(ctx, q), {}, maps, resolved)
                for q in script.queries]
+    rewritten += [fold(ctx, a) for a in maps.congruence_assertions()]
 
     checked = [a for a in rewritten if a.op != "cbool" or not a.val]
     if any(a.op == "cbool" and not a.val for a in checked):

@@ -6,7 +6,10 @@ equality is identity equality and memo tables can key on ``id(term)``.
 id of every term ``solve.fold`` has seen, and of every folded result, to
 the folded term.  A context may serve many scripts (``minisol.synthesize``
 keeps one for a whole run), so every distinct term is built and folded once
-for all of them.  Sorts are ``('bool',)`` or ``('bv', width)``.
+for all of them.  Sorts are ``('bool',)``, ``('bv', width)`` or
+``('array', key sort, value sort)``: an SMT-LIB array, read with ``select``,
+updated with ``store`` and built constant with ``const_array`` (whose
+``val`` is its array sort).
 """
 
 from __future__ import annotations
@@ -16,6 +19,10 @@ BOOL = ("bool",)
 
 def bv(width):
     return ("bv", width)
+
+
+def array(key, value):
+    return ("array", key, value)
 
 
 class SmtError(Exception):
@@ -54,8 +61,7 @@ class Ctx:
         ids = tuple(id(a) for a in args)
         # one name may have different sorts in the scripts that share the
         # context; every other op's sort follows from op, val and args
-        key = (op, val, ids, sort) if op == "var" or op == "app" \
-            else (op, val, ids)
+        key = (op, val, ids, sort) if op == "var" else (op, val, ids)
         hit = self._intern.get(key)
         if hit is not None:
             return hit
@@ -70,7 +76,7 @@ class Ctx:
             return BOOL
         if op == "const":
             return bv(val[1])
-        if op in BOOL_OPS or op in BV_CMPS or op in ("=", "distinct", "forall"):
+        if op in BOOL_OPS or op in BV_CMPS or op in ("=", "distinct"):
             return BOOL
         if op in BV_BINOPS:
             return args[0].sort
@@ -78,6 +84,12 @@ class Ctx:
             return args[0].sort
         if op == "ite":
             return args[1].sort
+        if op == "select":
+            return args[0].sort[2]
+        if op == "store":
+            return args[0].sort
+        if op == "const_array":
+            return val
         if op == "extract":
             hi, lo = val
             return bv(hi - lo + 1)
@@ -98,26 +110,29 @@ class Ctx:
     def var(self, name, sort):
         return self.node("var", name, (), sort)
 
-    def app(self, fname, arg, ret_sort):
-        return self.node("app", fname, (arg,), ret_sort)
+    def const_array(self, sort, value):
+        """The array of sort `sort` holding `value` at every key."""
+        return self.node("const_array", sort, (value,))
 
     def mk(self, op, *args, val=None):
         return self.node(op, val, args)
 
-    def checked(self, op, *args, val=None, sig=None):
+    def checked(self, op, *args, val=None):
         """``mk`` behind the sort checks every script must pass: an
         ``assert`` (which returns its one argument) is Bool, the operands of
-        a bitvector operator have one width, and an ``app`` of the function
-        ``val`` declared as ``sig`` = (argument sort, result sort) gets an
-        argument of the declared sort."""
+        a bitvector operator have one width, and ``select`` and ``store``
+        get an array, an index of its key sort and a value of its value
+        sort."""
         if op == "assert":
             if args[0].sort != BOOL:
                 raise SmtError("assert needs a Bool term")
             return args[0]
-        if op == "app":
-            if len(args) != 1 or args[0].sort != sig[0]:
-                raise SmtError("bad application of %r" % val)
-            return self.app(val, args[0], sig[1])
+        if op in ("select", "store"):
+            if len(args) != (2 if op == "select" else 3) \
+                    or args[0].sort[0] != "array" \
+                    or args[1].sort != args[0].sort[1] \
+                    or (op == "store" and args[2].sort != args[0].sort[2]):
+                raise SmtError("bad %s" % op)
         if (op in BV_BINOPS or op in BV_CMPS) and args[0].sort != args[1].sort:
             raise SmtError("width mismatch in %s" % op)
         return self.node(op, val, args)
@@ -145,12 +160,9 @@ def print_term(t):
         return "(_ bv%d %d)" % (value, width)
     if t.op == "var":
         return t.val
-    if t.op == "app":
-        return "(%s %s)" % (t.val, print_term(t.args[0]))
-    if t.op == "forall":
-        name, sort = t.val
-        return "(forall ((%s %s)) %s)" % (name, print_sort(sort),
-                                          print_term(t.args[0]))
+    if t.op == "const_array":
+        return "((as const %s) %s)" % (print_sort(t.val),
+                                       print_term(t.args[0]))
     if t.op == "extract":
         hi, lo = t.val
         return "((_ extract %d %d) %s)" % (hi, lo, print_term(t.args[0]))
@@ -162,18 +174,17 @@ def print_term(t):
 def print_sort(sort):
     if sort == BOOL:
         return "Bool"
+    if sort[0] == "array":
+        return "(Array %s %s)" % (print_sort(sort[1]), print_sort(sort[2]))
     return "(_ BitVec %d)" % sort[1]
 
 
 def print_script(script):
     """SMT-LIB 2 text of a ``parse.Script``: declarations, assertions,
     check-sat and one get-value over the script's queries."""
-    lines = ["(set-option :produce-models true)", "(set-logic UFBV)"]
+    lines = ["(set-option :produce-models true)", "(set-logic QF_ABV)"]
     for name, sort in script.decls.items():
         lines.append("(declare-const %s %s)" % (name, print_sort(sort)))
-    for name, (arg, ret) in script.funs.items():
-        lines.append("(declare-fun %s (%s) %s)"
-                     % (name, print_sort(arg), print_sort(ret)))
     lines.extend("(assert %s)" % print_term(a) for a in script.asserts)
     lines.append("(check-sat)")
     if script.query_texts:

@@ -653,8 +653,6 @@ _OPS = {"+": "bvadd", "-": "bvsub", "*": "bvmul", "/": "bvudiv",
         "%": "bvurem", "<": "bvult", "<=": "bvule", ">": "bvugt",
         ">=": "bvuge", "==": "=", "!=": "distinct", "&&": "and", "||": "or"}
 
-_KEY = "%k"                        # the frame axioms' bound key
-
 
 def _sort(type_):
     return smt_terms.BOOL if type_ is BOOL else smt_terms.bv(type_.bit_width)
@@ -662,21 +660,22 @@ def _sort(type_):
 
 class _Terms:
     """Builds one script's terms in `ctx` from clause expressions, and
-    collects the symbols and map functions they use."""
+    collects the symbols and map generations (arrays) they use."""
 
     def __init__(self, ctx, script):
         self.ctx = ctx
         self.key_types = script.map_key_types
         self.symbols = dict(script.symbols)
-        self.funs = {}
+        self.arrays = {}           # map generation name -> array var term
         for map_name, gen in script.map_syms:
-            self.fun(map_name, gen)
+            self.array(map_name, gen)
 
-    def fun(self, map_name, gen):
+    def array(self, map_name, gen):
         name = "%s!%d" % (map_name, gen)
-        if name not in self.funs:
-            self.funs[name] = (_sort(self.key_types[map_name]), _sort(U256))
-        return name
+        if name not in self.arrays:
+            self.arrays[name] = self.ctx.var(name, smt_terms.array(
+                _sort(self.key_types[map_name]), _sort(U256)))
+        return self.arrays[name]
 
     def lit(self, value, type_):
         if type_ is BOOL:
@@ -687,9 +686,6 @@ class _Terms:
         # the safety condition can reference pre-state versions no clause
         # declared; they are declared on first use
         return self.ctx.var(name, _sort(self.symbols.setdefault(name, type_)))
-
-    def app(self, name, key):
-        return self.ctx.checked("app", key, val=name, sig=self.funs[name])
 
     def term(self, e):
         tag = e[0]
@@ -705,16 +701,11 @@ class _Terms:
         if tag == "trunc":
             return ctx.mk("extract", self.term(e[1]), val=(e[2], 0))
         if tag == "read":
-            return self.app(self.fun(e[1], e[2]), self.term(e[3]))
+            return ctx.checked("select", self.array(e[1], e[2]),
+                               self.term(e[3]))
         if tag == "bin":
             return ctx.checked(_OPS[e[1]], self.term(e[2]), self.term(e[3]))
         raise EncodeError("cannot encode %r" % (e,))
-
-    def forall(self, map_name, body):
-        """The frame axiom ``forall k. body(k)`` over `map_name`'s keys."""
-        key_sort = _sort(self.key_types[map_name])
-        return self.ctx.mk("forall", body(self.ctx.var(_KEY, key_sort)),
-                           val=(_KEY, key_sort))
 
 
 def forward_encode(script, safety=None, program=None, ctx=None):
@@ -734,17 +725,14 @@ def forward_encode(script, safety=None, program=None, ctx=None):
             _, sym, type_, _pos = clause
             asserts.append(ctx.mk("=", t.var(sym, type_), t.lit(0, type_)))
         elif kind == "map_zero":
-            map_name = clause[1]
-            asserts.append(t.forall(map_name, lambda k: ctx.mk(
-                "=", t.app(t.fun(map_name, 0), k), t.lit(0, U256))))
+            zero = t.array(clause[1], 0)
+            asserts.append(ctx.mk("=", zero, ctx.const_array(
+                zero.sort, t.lit(0, U256))))
         elif kind == "map_write":
             _, map_name, g_from, g_to, key, val, _pos = clause
-            key = t.term(key)
-            f_from, f_to = t.fun(map_name, g_from), t.fun(map_name, g_to)
-            asserts.append(ctx.mk("=", t.app(f_to, key), t.term(val)))
-            asserts.append(t.forall(map_name, lambda k: ctx.mk(
-                "=>", ctx.mk("distinct", k, key),
-                ctx.mk("=", t.app(f_to, k), t.app(f_from, k)))))
+            asserts.append(ctx.mk("=", t.array(map_name, g_to), ctx.checked(
+                "store", t.array(map_name, g_from), t.term(key),
+                t.term(val))))
         else:
             raise EncodeError("unknown clause kind %r" % kind)
 
@@ -753,9 +741,11 @@ def forward_encode(script, safety=None, program=None, ctx=None):
             raise EncodeError("safety resolution needs the program")
         asserts.append(t.term(forward_resolve_safety(script, safety, program)))
 
-    decls = {name: _sort(type_) for name, type_ in t.symbols.items()}
-    commands = Script(decls=decls, funs=t.funs,
+    manifest = [(name, _sort(type_)) for name, type_ in t.symbols.items()]
+    decls = dict(manifest)
+    decls.update((name, var.sort) for name, var in t.arrays.items())
+    commands = Script(decls=decls,
                       asserts=[ctx.checked("assert", a) for a in asserts],
-                      queries=[ctx.var(n, s) for n, s in decls.items()],
-                      query_texts=list(decls), has_check=True)
-    return SmtScript(ctx, commands, list(decls.items()))
+                      queries=[ctx.var(n, s) for n, s in manifest],
+                      query_texts=[n for n, _s in manifest], has_check=True)
+    return SmtScript(ctx, commands, manifest)

@@ -109,6 +109,28 @@ def test_emit_dot_and_smt(tmp_path):
     assert "(check-sat)" in dumps[0].read_text()
 
 
+@pytest.mark.parametrize("name, extra", [
+    ("guess_check", ["--solver-cmd", "%s -m minisol.smt" % sys.executable]),
+    ("token", ["--heuristic", "state-var"]),
+])
+def test_emit_smt_dumps_are_quantifier_and_function_free(tmp_path, name,
+                                                         extra):
+    """Mappings are SMT-LIB arrays: every script of two mapping contracts
+    is QF_ABV with no forall and no declare-fun, and the mappings are read
+    and written in them.  guess_check's scripts also go to the bundled
+    solver as an external process."""
+    smt_dir = tmp_path / "smt"
+    proc = run_cli(msol(name), "--emit-smt", str(smt_dir), "--out",
+                   "/dev/null", *extra)
+    assert proc.returncode == 0, proc.stderr
+    texts = [p.read_text() for p in sorted(smt_dir.iterdir())]
+    assert texts
+    assert [t for t in texts if "forall" in t or "declare-fun" in t] == []
+    assert all("(set-logic QF_ABV)" in t for t in texts)
+    assert any("(select " in t for t in texts)
+    assert any("(store " in t for t in texts)
+
+
 def test_replay_mode(tmp_path):
     out = tmp_path / "seq.json"
     assert run_cli(msol("guess_check"), "--out", str(out)).returncode == 0

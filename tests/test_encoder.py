@@ -169,14 +169,18 @@ def test_frame_axiom_text_shape(corpus):
     walk = Walk(tuple(reversed(exec_order)), graph=graph)
     script = ssa_number(walk, program)
     smt = encode(script)
+    array = "(Array (_ BitVec 256) (_ BitVec 256))"
+    assert "(set-logic QF_ABV)" in smt.text
+    assert "(declare-const dataStorage!0 %s)" % array in smt.text
     # the write defines the generation live at the root from an earlier one
-    assert "(assert (= (dataStorage!0 " in smt.text
-    assert ("(assert (forall ((%k (_ BitVec 256))) (=> (distinct %k "
-            in smt.text)
-    assert "(= (dataStorage!0 %k) (dataStorage!1 %k))" in smt.text
+    assert ("(assert (= dataStorage!0 (store dataStorage!1 index!t0!0 "
+            "value!t0!0)))" in smt.text)
     # zero-initialized storage for the complete walk
-    assert ("(assert (forall ((%k (_ BitVec 256))) "
-            "(= (dataStorage!1 %k) " in smt.text)
+    assert ("(assert (= dataStorage!1 ((as const %s) #%s)))"
+            % (array, "x" + "0" * 64) in smt.text)
+    assert "forall" not in smt.text and "declare-fun" not in smt.text
+    # map generations are declared, but a model values only scalars
+    assert "dataStorage" not in smt.text.splitlines()[-1]
 
 
 def test_never_written_map_read_zero_init(corpus):
@@ -185,7 +189,8 @@ def test_never_written_map_read_zero_init(corpus):
     walk = forward_walk(graph, "check", stop_line=target.line)
     script = ssa_number(walk, program)
     smt = encode(script)
-    assert "(= (dataStorage!0 %k) #x" in smt.text
+    assert ("(= dataStorage!0 ((as const (Array (_ BitVec 256) "
+            "(_ BitVec 256))) #x" in smt.text)
 
 
 def run_check(script, safety=None, program=None):
@@ -523,9 +528,9 @@ def _pinned(smt, pins):
         extra.append(ctx.mk("=", ctx.var(name, sort),
                             ctx.cbool(bool(value)) if sort == BOOL
                             else ctx.const(value, sort[1])))
-    return SmtScript(ctx, Script(commands.decls, commands.funs,
-                                 commands.asserts + extra, commands.queries,
-                                 commands.query_texts, True), smt.manifest)
+    return SmtScript(ctx, Script(commands.decls, commands.asserts + extra,
+                                 commands.queries, commands.query_texts,
+                                 True), smt.manifest)
 
 
 def _input_symbols(script):
@@ -564,7 +569,8 @@ def test_backward_numbering_is_equisatisfiable_with_forward(corpus):
         seen[statuses[0]] += 1
         seen["reverted"] += any(t.aborted for t in script.transactions)
         seen["partial"] += any(t.partial for t in script.transactions)
-        seen["maps"] += bool(script.funs)
+        seen["maps"] += any(t.sort[0] == "array"
+                            for t in script.symbols.values())
         if script.complete and statuses[0] == "sat":
             seen["complete"] += 1
             sides = [(back, script, answers[0].model),
@@ -649,18 +655,13 @@ def test_parse_solver_output_accepts_hex_and_binary_values(corpus):
     walk = forward_walk(graph, "touch")
     smt = encode(ssa_number(walk, program))
     names = [sym for sym, _t in smt.manifest]
-    fake_values = []
-    for i, query in enumerate(smt.queries):
-        if query[0] == "sym":
-            fake_values.append("(%s %s)" % (query[1],
-                                            "#x%02x" % (i % 7) if i % 2
-                                            else "#b1"))
-        else:
-            fake_values.append("(%s (_ bv0 256))" % query[3])
+    fake_values = ["(%s %s)" % (sym, "#x%02x" % (i % 7) if i % 2 else "#b1")
+                   for i, sym in enumerate(names)]
     output = "sat\n(%s)\n" % " ".join(fake_values)
     result = parse_solver_output(output, smt)
     assert result.status == "sat"
-    assert set(result.model.values) == set(names)
+    assert result.model.values == {sym: i % 7 if i % 2 else 1
+                                   for i, sym in enumerate(names)}
 
 
 def test_parse_solver_output_rejects_truncated_model(corpus):

@@ -336,6 +336,33 @@ def test_only_a_decided_answer_is_reused(corpus, monkeypatch, solver_answers):
         assert submitted == 2 * len(pairs)
 
 
+def test_a_script_answered_from_the_table_is_not_encoded(corpus, monkeypatch,
+                                                        check_log):
+    """The answer table is looked up on a script's clauses, plus the
+    resolved safety condition, before ``encode``: every script encoded is
+    submitted.  On token (state-var) 1170 checks are answered from the
+    table, and none of them is lost."""
+    real_encode, real_check = engine.encode, SolverSession.check
+    encoded = submitted = 0
+
+    def counted_encode(*args, **kwargs):
+        nonlocal encoded
+        encoded += 1
+        return real_encode(*args, **kwargs)
+
+    def counted_check(self, *args, **kwargs):
+        nonlocal submitted
+        submitted += 1
+        return real_check(self, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "encode", counted_encode)
+    monkeypatch.setattr(SolverSession, "check", counted_check)
+    result = synthesize(corpus["token"], heuristic="state-var")
+    assert result.status == "found"
+    assert sum(reason == "repeated" for *_c, reason in check_log) >= 1170
+    assert encoded == submitted > 0
+
+
 def test_emit_smt_dumps_every_submission_deterministically(
         corpus, monkeypatch, tmp_path):
     """Two runs dump the same files, byte for byte, one per submission; a

@@ -7,7 +7,7 @@ from minisol.cfg import ReversedView
 from minisol.encoder import SatResult, SolverSession, encode, ssa_number
 from minisol.engine import prepare, synthesize
 from minisol.errors import ConfigError
-from minisol.explorer import (HEURISTICS, Limits, build_context,
+from minisol.explorer import (HEURISTICS, Limits, WalkTree, build_context,
                               find_minimal_satisfiable_walk,
                               distances_to_start, register_heuristic)
 from minisol.frontend import extract_targets
@@ -53,7 +53,6 @@ def test_fw_cost_depth_plus_distance(corpus):
 
     class Leaf:
         depth = 4
-        pending = frozenset()
 
     start = graph.start_id
     expected = 4 + ctx.to_start[graph.constructed_id]
@@ -81,7 +80,6 @@ def test_fw_prefers_constructor_over_loop(corpus):
 
     class Leaf:
         depth = 5
-        pending = frozenset()
 
     ctor_exit = graph.ctor_cfg.exit_id
     cost_ctor = h(None, Leaf(), ctor_exit)
@@ -89,31 +87,51 @@ def test_fw_prefers_constructor_over_loop(corpus):
     assert cost_ctor < cost_loop
 
 
+def _instr(graph, fn, reads=None, writes=None):
+    """The id of `fn`'s instruction node that reads (or writes) exactly
+    the state variables given."""
+    (node,) = [n.id for n in graph.fn_cfgs[fn].nodes if n.kind == "instr"
+               and (reads is None or n.instr.state_reads() == reads)
+               and (writes is None or n.instr.state_writes() == writes)]
+    return node
+
+
 def test_state_var_heuristic_infinity_and_tie_break(corpus):
+    """The heuristic derives the state variables a walk reads before any
+    write of them (its pending reads) from the walk tree: a walk rooted at
+    check()'s comparison, with no safety condition, has counter and
+    threshold pending."""
     source = corpus["multi_tx"]
     _ast, program, graph = prepare(source)
-    target = extract_targets(source)[0]
-    ctx = build_context(graph, target.safety)
+    ctx = build_context(graph, None)
     sv = HEURISTICS["state-var"](ctx)
     fw = HEURISTICS["floyd-warshall"](ctx)
-
-    class Leaf:
-        depth = 3
-        pending = frozenset({"counter", "threshold"})
+    tree = WalkTree(_instr(graph, "check", reads=["counter", "threshold"]),
+                    ctx)
+    leaf = tree.extend(0, graph.fn_cfgs["check"].entry_id, "sat")
 
     check_exit = graph.fn_cfgs["check"].exit_id
     bid_exit = graph.fn_cfgs["bid"].exit_id
+    ctor_exit = graph.ctor_cfg.exit_id
     # check() writes nothing pending -> infinity
-    assert math.isinf(sv(None, Leaf(), check_exit))
+    assert math.isinf(sv(tree, leaf, check_exit))
     # bid() writes counter -> finite and equal to the FW cost
-    assert sv(None, Leaf(), bid_exit) == fw(None, Leaf(), bid_exit)
-    # degenerate case: no pending reads, identical costs everywhere
-    class NoPending:
-        depth = 3
-        pending = frozenset()
+    assert sv(tree, leaf, bid_exit) == fw(tree, leaf, bid_exit)
+    # once the walk passes bid's write of counter, only threshold is
+    # pending, which bid() never writes and the constructor does
+    wrote = tree.extend(leaf.idx, _instr(graph, "bid", writes=["counter"]),
+                        "sat")
+    assert math.isinf(sv(tree, wrote, bid_exit))
+    assert sv(tree, wrote, ctor_exit) == fw(tree, wrote, ctor_exit)
+    # the leaf's own pending reads are unchanged by its child's
+    assert sv(tree, leaf, bid_exit) == fw(tree, leaf, bid_exit)
 
+    # degenerate case: no pending reads, identical costs everywhere
+    sv = HEURISTICS["state-var"](ctx)
+    tree = WalkTree(graph.fn_cfgs["check"].exit_id, ctx)
+    no_pending = tree.extend(0, graph.fn_cfgs["bid"].exit_id, "sat")
     for node in range(len(graph.nodes)):
-        assert sv(None, NoPending(), node) == fw(None, NoPending(), node)
+        assert sv(tree, no_pending, node) == fw(tree, no_pending, node)
 
 
 def test_safety_reads_seed_pending(corpus):

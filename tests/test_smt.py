@@ -13,7 +13,9 @@ from minisol.smt import solve as solve_mod, solve_text
 from minisol.smt.parse import Script, SmtParseError, parse_script
 from minisol.smt.solve import (DEFAULT_CONFLICT_BUDGET, _linear_truth,
                                _refuted_linear, solve_commands)
-from minisol.smt.terms import Ctx, bv
+from minisol.smt.terms import Ctx, SmtError, array, bv
+
+A8 = "(Array (_ BitVec 8) (_ BitVec 8))"
 
 
 def solve(text):
@@ -90,50 +92,107 @@ def test_boolean_structure():
     assert m == {"a": False, "b": True}
 
 
-def test_unknown_on_unsupported_quantifier():
-    out = solve("""
-(declare-const x (_ BitVec 8))
+@pytest.mark.parametrize("script", [
+    """(declare-const x (_ BitVec 8))
 (assert (forall ((k (_ BitVec 8))) (bvuge k x)))
-(check-sat)
-""")
-    assert first_line(out) == "unknown"
+(check-sat)""",
+    """(declare-fun f ((_ BitVec 8)) (_ BitVec 8))
+(check-sat)""",
+], ids=["forall", "unary-function"])
+def test_quantifiers_and_functions_are_rejected(script):
+    """The fragment is quantifier-free, and a mapping is an array: a
+    quantifier or a function of arity one is a parse error, in process
+    and through the process interface."""
+    with pytest.raises(SmtParseError):
+        parse_script(script)
+    proc = run_process(script)
+    assert proc.returncode != 0 and "error" in proc.stdout
 
 
 @pytest.mark.parametrize("second", [
-    "(= (f k) (g k))",
-    "(= (f k) (_ bv1 8))",
-    "(=> (distinct k (_ bv2 8)) (= (f k) (g k)))",
-])
-def test_a_function_defined_twice_is_never_sat(second):
-    """Every map cell is f's first definition, zero; a second axiom on f
-    must not replace it unchecked.  With f = g and g(1) = 1 the script is
-    unsat, so the only sound answers are unsat and unknown."""
+    "(= f g)",
+    "(= f ((as const %s) (_ bv1 8)))" % A8,
+    "(= f (store g (_ bv2 8) (_ bv5 8)))",
+], ids=["alias", "const", "store"])
+def test_an_array_defined_twice_is_never_sat(second):
+    """f's first definition holds zero at every key; a second definition of
+    f must not replace it unchecked.  With the first, f[3] = g[3] = 1 is
+    unsat; with the second alone it would be sat, so the only sound
+    answers are unsat and unknown."""
     out = solve("""
-(declare-fun f ((_ BitVec 8)) (_ BitVec 8))
-(declare-fun g ((_ BitVec 8)) (_ BitVec 8))
-(assert (forall ((k (_ BitVec 8))) (= (f k) (_ bv0 8))))
-(assert (forall ((k (_ BitVec 8))) %s))
-(assert (= (g (_ bv1 8)) (_ bv1 8)))
-(assert (= (f (_ bv3 8)) (g (_ bv3 8))))
+(declare-const f %s)
+(declare-const g %s)
+(assert (= f ((as const %s) (_ bv0 8))))
+(assert %s)
+(assert (= (select g (_ bv3 8)) (_ bv1 8)))
+(assert (= (select f (_ bv3 8)) (select g (_ bv3 8))))
 (check-sat)
-""" % second)
+""" % (A8, A8, A8, second))
     assert first_line(out) in ("unsat", "unknown")
 
 
-def test_frame_axiom_semantics():
+@pytest.mark.parametrize("assertion", [
+    "(distinct f g)",
+    "(or b (= f g))",
+    "(= (store f (_ bv1 8) (_ bv1 8)) (store g (_ bv1 8) (_ bv1 8)))",
+    "(= (select (ite b f g) (_ bv1 8)) (_ bv1 8))",
+])
+def test_an_array_outside_a_definition_or_select_is_unknown(assertion):
     out = solve("""
-(declare-fun m!0 ((_ BitVec 16)) (_ BitVec 256))
-(declare-fun m!1 ((_ BitVec 16)) (_ BitVec 256))
-(declare-fun m!2 ((_ BitVec 16)) (_ BitVec 256))
+(declare-const f %s)
+(declare-const g %s)
+(declare-const b Bool)
+(assert %s)
+(check-sat)
+""" % (A8, A8, assertion))
+    assert first_line(out) == "unknown"
+
+
+@pytest.mark.parametrize("term", [
+    "(select f)",
+    "(select x x)",
+    "(select f (_ bv1 16))",
+    "(store f x)",
+    "(store f x (_ bv1 16))",
+    "((as const %s) (_ bv1 16))" % A8,
+])
+def test_a_malformed_array_term_is_an_error(term):
+    """Arity and sorts are checked as the script is read: the index has
+    the key sort and a stored or constant value the value sort."""
+    with pytest.raises(SmtError):
+        parse_script("""
+(declare-const f %s)
+(declare-const x (_ BitVec 8))
+(assert (= %s (_ bv0 8)))
+""" % (A8, term))
+
+
+def test_cyclic_array_definitions_are_unknown():
+    out = solve("""
+(declare-const f %s)
+(declare-const g %s)
+(declare-const k (_ BitVec 8))
+(assert (= f (store g (_ bv1 8) (_ bv1 8))))
+(assert (= g (store f (_ bv2 8) (_ bv2 8))))
+(assert (= (select f k) (_ bv3 8)))
+(check-sat)
+""" % (A8, A8))
+    assert first_line(out) == "unknown"
+
+
+def test_frame_axiom_semantics():
+    """A store changes one key and keeps every other one (the frame)."""
+    out = solve("""
+(declare-const m!0 (Array (_ BitVec 16) (_ BitVec 256)))
+(declare-const m!1 (Array (_ BitVec 16) (_ BitVec 256)))
+(declare-const m!2 (Array (_ BitVec 16) (_ BitVec 256)))
 (declare-const k (_ BitVec 16))
-(assert (forall ((i (_ BitVec 16))) (= (m!0 i) (_ bv0 256))))
-(assert (= (m!1 (_ bv5 16)) (_ bv7 256)))
-(assert (forall ((i (_ BitVec 16))) (=> (distinct i (_ bv5 16)) (= (m!1 i) (m!0 i)))))
-(assert (= (m!2 k) (_ bv9 256)))
-(assert (forall ((i (_ BitVec 16))) (=> (distinct i k) (= (m!2 i) (m!1 i)))))
+(assert (= m!0 ((as const (Array (_ BitVec 16) (_ BitVec 256))) (_ bv0 256))))
+(assert (= m!1 (store m!0 (_ bv5 16) (_ bv7 256))))
+(assert (= m!2 (store m!1 k (_ bv9 256))))
 (assert (distinct k (_ bv5 16)))
 (check-sat)
-(get-value ((m!2 (_ bv5 16)) (m!2 k) (m!1 k) k))
+(get-value ((select m!2 (_ bv5 16)) (select m!2 k) (select m!1 k) k))
 """)
     lines = out.splitlines()
     assert lines[0] == "sat"
@@ -149,29 +208,45 @@ def test_frame_axiom_semantics():
 
 def test_two_writes_same_key_latest_wins():
     out = solve("""
-(declare-fun m!0 ((_ BitVec 8)) (_ BitVec 256))
-(declare-fun m!1 ((_ BitVec 8)) (_ BitVec 256))
-(declare-fun m!2 ((_ BitVec 8)) (_ BitVec 256))
-(assert (forall ((i (_ BitVec 8))) (= (m!0 i) (_ bv0 256))))
-(assert (= (m!1 (_ bv3 8)) (_ bv10 256)))
-(assert (forall ((i (_ BitVec 8))) (=> (distinct i (_ bv3 8)) (= (m!1 i) (m!0 i)))))
-(assert (= (m!2 (_ bv3 8)) (_ bv20 256)))
-(assert (forall ((i (_ BitVec 8))) (=> (distinct i (_ bv3 8)) (= (m!2 i) (m!1 i)))))
+(declare-const m!0 (Array (_ BitVec 8) (_ BitVec 256)))
+(declare-const m!1 (Array (_ BitVec 8) (_ BitVec 256)))
+(declare-const m!2 (Array (_ BitVec 8) (_ BitVec 256)))
+(assert (= m!0 ((as const (Array (_ BitVec 8) (_ BitVec 256))) (_ bv0 256))))
+(assert (= m!1 (store m!0 (_ bv3 8) (_ bv10 256))))
+(assert (= m!2 (store m!1 (_ bv3 8) (_ bv20 256))))
 (check-sat)
-(get-value ((m!2 (_ bv3 8))))
+(get-value ((select m!2 (_ bv3 8))))
 """)
     assert "(_ bv20 256)" in out
 
 
 def test_ackermann_congruence_for_free_functions():
+    """An array no assertion defines is a free function of its keys: equal
+    keys read equal values."""
     assert first_line(solve("""
-(declare-fun f ((_ BitVec 8)) (_ BitVec 8))
+(declare-const f %s)
 (declare-const a (_ BitVec 8))
 (declare-const b (_ BitVec 8))
 (assert (= a b))
-(assert (distinct (f a) (f b)))
+(assert (distinct (select f a) (select f b)))
 (check-sat)
-""")) == "unsat"
+""" % A8)) == "unsat"
+
+
+def test_a_read_only_a_query_makes_agrees_with_the_model():
+    """get-value of a read no assertion makes still obeys congruence: with
+    a = 1, f[1] is f[a]."""
+    from minisol.smt.parse import read_sexprs, tokenize
+    out = solve("""
+(declare-const f %s)
+(declare-const a (_ BitVec 8))
+(assert (= (select f a) (_ bv5 8)))
+(assert (= a (_ bv1 8)))
+(check-sat)
+(get-value ((select f (_ bv1 8)) a))
+""" % A8)
+    pairs = read_sexprs(tokenize(out.splitlines()[1]))[0]
+    assert [int(p[-1][1][2:]) for p in pairs] == [5, 1]
 
 
 def test_no_check_sat_is_reported():
@@ -259,22 +334,21 @@ def test_random_store_chains_match_dict_semantics(seed):
     rng = random.Random(100 + seed)
     width = 8
     gens = rng.randint(1, 4)
-    lines = ["(declare-fun m!0 ((_ BitVec 8)) (_ BitVec 256))",
-             "(assert (forall ((i (_ BitVec 8))) (= (m!0 i) (_ bv0 256))))"]
+    sort = "(Array (_ BitVec 8) (_ BitVec 256))"
+    lines = ["(declare-const m!0 %s)" % sort,
+             "(assert (= m!0 ((as const %s) (_ bv0 256))))" % sort]
     table = {}
     for g in range(1, gens + 1):
         key = rng.randrange(1 << width)
         val = rng.randrange(1000)
         table[key] = val
-        lines.append("(declare-fun m!%d ((_ BitVec 8)) (_ BitVec 256))" % g)
-        lines.append("(assert (= (m!%d (_ bv%d 8)) (_ bv%d 256)))"
-                     % (g, key, val))
-        lines.append("(assert (forall ((i (_ BitVec 8))) (=> (distinct i "
-                     "(_ bv%d 8)) (= (m!%d i) (m!%d i)))))" % (key, g, g - 1))
+        lines.append("(declare-const m!%d %s)" % (g, sort))
+        lines.append("(assert (= m!%d (store m!%d (_ bv%d 8) (_ bv%d 256))))"
+                     % (g, g - 1, key, val))
     probes = [rng.randrange(1 << width) for _ in range(4)]
     lines.append("(check-sat)")
-    lines.append("(get-value (%s))"
-                 % " ".join("(m!%d (_ bv%d 8))" % (gens, p) for p in probes))
+    lines.append("(get-value (%s))" % " ".join(
+        "(select m!%d (_ bv%d 8))" % (gens, p) for p in probes))
     out = solve("\n".join(lines) + "\n")
     assert first_line(out) == "sat"
     from minisol.smt.parse import read_sexprs, tokenize
@@ -525,15 +599,20 @@ def test_greedy_tries_wrap_around_values(no_bit_blasting, condition, holds):
 
 # -- interning -----------------------------------------------------------------
 
-def test_var_and_app_are_interned_on_their_sort():
+def test_vars_are_interned_on_their_sort():
     """One name can have different widths in the scripts that share a
-    context, for example a local slot in two functions."""
+    context, for example a local slot in two functions, or a mapping's
+    key type in two contracts; a read's sort follows its array's."""
     ctx = Ctx()
     assert ctx.var("x", bv(8)) is ctx.var("x", bv(8))
     assert ctx.var("x", bv(8)) is not ctx.var("x", bv(256))
     assert ctx.var("x", bv(256)).sort == bv(256)
     key = ctx.var("k", bv(8))
-    assert ctx.app("f", key, bv(8)) is not ctx.app("f", key, bv(256))
+    narrow = ctx.var("m", array(bv(8), bv(8)))
+    wide = ctx.var("m", array(bv(8), bv(256)))
+    assert narrow is not wide
+    assert ctx.mk("select", narrow, key) is not ctx.mk("select", wide, key)
+    assert ctx.mk("select", wide, key).sort == bv(256)
 
 
 def test_a_node_rebuilt_with_its_sort_is_the_one_built():
@@ -541,14 +620,17 @@ def test_a_node_rebuilt_with_its_sort_is_the_one_built():
     old node's sort; interning must hand back the object ``mk`` built."""
     ctx = Ctx()
     x = ctx.var("x", bv(8))
+    m = ctx.var("m", array(bv(8), bv(16)))
     built = [ctx.mk("bvadd", x, ctx.const(1, 8)),
              ctx.mk("extract", x, val=(3, 0)),
              ctx.mk("zero_extend", x, val=8),
              ctx.mk("bvult", x, ctx.const(7, 8)),
              ctx.mk("not", ctx.mk("=", x, ctx.const(2, 8))),
              ctx.mk("ite", ctx.TRUE, x, ctx.const(0, 8)),
-             ctx.mk("forall", ctx.mk("bvuge", x, x), val=("x", bv(8))),
-             ctx.app("f", x, bv(16)),
+             ctx.mk("select", m, x),
+             ctx.mk("store", m, x, ctx.const(3, 16)),
+             ctx.const_array(m.sort, ctx.const(0, 16)),
+             m,
              x]
     for term in built:
         assert ctx.node(term.op, term.val, term.args, term.sort) is term
