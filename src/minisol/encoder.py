@@ -230,15 +230,19 @@ class _Seg:
 class Numbering:
     """The numbering of a walk's first `length` nodes, root first.
 
-    Immutable: ``step`` returns the numbering one node longer and shares
-    every part it leaves unchanged.  `cur` and `high` map each state
+    Immutable but for `solved`: ``step`` returns the numbering one node
+    longer and shares every part it leaves unchanged.  `cur` and `high` map each state
     variable and mapping to its live and its highest version, `marks` holds
     the live state symbols (map generations among them) the clauses
     mention, and `front_shared` says whether the last node's clauses, or
-    the moving ones, mention a symbol the clauses before it mention."""
+    the moving ones, mention a symbol the clauses before it mention.
+    `solved` is the kept reduction (``smt.solve.Reduction``) of the nearest
+    walk among this one and its prefixes that was solved SAT in process,
+    inherited by ``step`` and set by the engine after a check: what the
+    solves of its extensions start from."""
     __slots__ = ("run", "link", "length", "node", "cur", "high", "marks",
                  "nseg", "seg", "target", "written0", "front_shared",
-                 "complete")
+                 "complete", "solved")
 
     @classmethod
     def empty(cls, program, graph, ctx):
@@ -255,6 +259,7 @@ class Numbering:
         n.written0 = None              # slots the root segment writes
         n.front_shared = False
         n.complete = False
+        n.solved = None
         return n
 
     def step(self, node_id):
@@ -414,6 +419,7 @@ class _Step:
         n.cur, n.high, n.nseg, n.seg = self.cur, self.high, self.nseg, self.seg
         n.target, n.written0 = self.target, self.written0
         n.complete = self.complete
+        n.solved = parent.solved
         n.link = _Link(parent.link, tuple(self.clauses),
                        tuple(self.decls.values()), self.defined, self.tx)
         n.marks = parent.marks
@@ -856,6 +862,8 @@ class SatResult:
     reason: str = ""
     # the checked walk's ``Numbering``, for the checks of its extensions
     numbering: Optional[object] = None
+    # on sat in process, the solve's kept ``smt.solve.Reduction``
+    reduction: Optional[object] = None
 
 
 @dataclass
@@ -872,10 +880,17 @@ class SolverSession:
         self.config = config or SolverConfig()
         self.n_submissions = 0
 
-    def check(self, smt_script: SmtScript, deadline=None) -> SatResult:
+    def check(self, smt_script: SmtScript, deadline=None, base=None,
+              model=True) -> SatResult:
         """Decide one script.  The solver, bundled or external, gives up
         with ``unknown`` (reason ``deadline``) once ``time.monotonic()``
-        passes `deadline`."""
+        passes `deadline`.
+
+        In process, the solve starts from `base`, the kept reduction of an
+        earlier SAT script, when its assertions are among this one's (see
+        ``smt.solve.solve_commands``), and a SAT answer keeps its own
+        (``SatResult.reduction``); a model is read only with `model`.  An
+        external solver is given the whole script."""
         self.n_submissions += 1
         if self.config.emit_dir:
             import os
@@ -884,25 +899,28 @@ class SolverSession:
             with open(path, "w") as fh:
                 fh.write(smt_script.text)
         if self.config.command is None:
-            return self._solve(smt_script, deadline)
+            return self._solve(smt_script, deadline, base, model)
         return self._run(smt_script, deadline)
 
-    def _solve(self, smt_script, deadline):
+    def _solve(self, smt_script, deadline, base, model):
         """The bundled solver, in process, on the script's terms."""
         commands = smt_script.commands
         try:
             result = smt.solve.solve_commands(
                 smt_script.ctx, commands, smt.solve.DEFAULT_CONFLICT_BUDGET,
-                deadline)
+                deadline, base, model)
         except smt.SmtUnknown as exc:
             return SatResult("unknown", reason=str(exc))
         except smt.SmtError as exc:
             raise SolverError("crash", str(exc)) from exc
         if result.status != "sat":
             return SatResult(result.status, reason=result.reason)
+        if not model:
+            return SatResult("sat", reduction=result.reduction)
         return SatResult("sat", Model(
             {sym: int(v) for sym, v in zip(commands.query_texts,
-                                           result.values)}))
+                                           result.values)}),
+            reduction=result.reduction)
 
     def _run(self, smt_script, deadline):
         """The external solver, as a process given the time left."""

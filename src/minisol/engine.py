@@ -82,13 +82,14 @@ def synthesize(source, *, target=None, target_line=None,
     terms = Ctx()
     answers = {}    # an incomplete walk's script's key -> sat | unsat
 
-    def solve(script, complete, safety=None):
+    def solve(script, complete, safety=None, base=None):
         """Submit `script` (a numbered walk, or a frontier script), plus the
         safety condition, or answer it from `answers`: an incomplete walk
         needs only sat or unsat, which an earlier script of the same
         clauses has settled, so it is encoded only on a miss.  A complete
         walk needs a model and is always solved; ``unknown`` settles
-        nothing."""
+        nothing.  An in-process solve starts from `base`, the kept
+        reduction of the walk's nearest prefix solved SAT."""
         key = None
         if not complete:
             asserts = script.clauses
@@ -99,7 +100,8 @@ def synthesize(source, *, target=None, target_line=None,
             status = answers.get(key)
             if status is not None:
                 return SatResult(status, reason="repeated")
-        result = session.check(encode(script, safety, program), deadline)
+        result = session.check(encode(script, safety, program), deadline,
+                               base, complete)
         if key is not None and result.status != "unknown":
             answers[key] = result.status
         return result
@@ -118,12 +120,17 @@ def synthesize(source, *, target=None, target_line=None,
                     return result
                 if result.status != "unknown":
                     return SatResult(result.status, reason="inherited")
-        return solve(script, script.complete, target.safety)
+        return solve(script, script.complete, target.safety,
+                     script.numbering.solved)
 
     def check(walk):
         script = ssa_number(walk, program, ctx=terms)
         result = decide(walk, script)
-        result.numbering = script.numbering    # kept for the extensions
+        # kept for the extensions: the numbering, and the reduction their
+        # solves start from
+        if result.reduction is not None:
+            script.numbering.solved = result.reduction
+        result.numbering = script.numbering
         return result
 
     # every walk starts at the target's node: number it once, for all

@@ -246,12 +246,6 @@ class ContractAst:
                 return fn
         return None
 
-    def state_var(self, name):
-        for sv in self.state_vars:
-            if sv.name == name:
-                return sv
-        return None
-
 
 @dataclass
 class TargetSpec:

@@ -24,6 +24,11 @@ _OPERATORS = BV_BINOPS | BV_CMPS | BV_UNOPS | {
     "select", "store"}
 
 
+# command -> its length as a list, head included
+_COMMAND_LENGTHS = {"declare-const": 3, "declare-fun": 4, "assert": 2,
+                    "check-sat": 1, "get-value": 2}
+
+
 def tokenize(text):
     out = []
     i, n = 0, len(text)
@@ -82,7 +87,7 @@ def parse_sort(sexp):
         return BOOL
     if isinstance(sexp, list) and len(sexp) == 3 and sexp[0] == "_" \
             and sexp[1] == "BitVec":
-        return bv(int(sexp[2]))
+        return bv(_int(sexp[2]))
     if isinstance(sexp, list) and len(sexp) == 3 and sexp[0] == "Array":
         return array(parse_sort(sexp[1]), parse_sort(sexp[2]))
     raise SmtParseError("unsupported sort %r" % (sexp,))
@@ -108,6 +113,8 @@ def parse_script(text):
         head = form[0]
         if head in ("set-logic", "set-option", "set-info", "exit"):
             continue
+        if len(form) != _COMMAND_LENGTHS.get(head, len(form)):
+            raise SmtParseError("malformed %s command" % head)
         if head == "declare-const":
             name, sort = form[1], parse_sort(form[2])
             script.decls[name] = sort
@@ -122,6 +129,8 @@ def parse_script(text):
         elif head == "check-sat":
             script.has_check = True
         elif head == "get-value":
+            if not isinstance(form[1], list):
+                raise SmtParseError("malformed get-value command")
             for sexp in form[1]:
                 script.queries.append(parse_term(ctx, script, sexp))
                 script.query_texts.append(_render(sexp))
@@ -136,15 +145,25 @@ def _render(sexp):
     return sexp
 
 
+def _int(text, base=10):
+    try:
+        return int(text, base)
+    except ValueError:
+        raise SmtParseError("bad number %r" % text) from None
+
+
 def _parse_const_atom(ctx, tok):
     if tok.startswith("#x"):
-        return ctx.const(int(tok[2:], 16), 4 * (len(tok) - 2))
+        return ctx.const(_int(tok[2:], 16), 4 * (len(tok) - 2))
     if tok.startswith("#b"):
-        return ctx.const(int(tok[2:], 2), len(tok) - 2)
+        return ctx.const(_int(tok[2:], 2), len(tok) - 2)
     return None
 
 
 def parse_term(ctx, script, sexp):
+    """The term of `sexp`; every operator application passes
+    ``Ctx.checked``, so an operator given the wrong number or sorts of
+    operands is an error."""
     if isinstance(sexp, str):
         if sexp == "true":
             return ctx.TRUE
@@ -156,30 +175,35 @@ def parse_term(ctx, script, sexp):
         if sexp in script.decls:
             return ctx.var(sexp, script.decls[sexp])
         raise SmtParseError("undeclared symbol %r" % sexp)
+    if not sexp:
+        raise SmtParseError("empty term")
 
     head = sexp[0]
     if head == "_":
         if len(sexp) == 3 and sexp[1].startswith("bv"):
-            return ctx.const(int(sexp[1][2:]), int(sexp[2]))
+            return ctx.const(_int(sexp[1][2:]), _int(sexp[2]))
         raise SmtParseError("unsupported indexed constant %r" % (sexp,))
 
     if isinstance(head, list) and len(head) == 3 and head[:2] == ["as",
                                                                   "const"]:
         sort = parse_sort(head[2])
+        if len(sexp) != 2:
+            raise SmtParseError("bad constant array %r" % (sexp,))
         value = parse_term(ctx, script, sexp[1])
         if sort[0] != "array" or value.sort != sort[2]:
             raise SmtParseError("bad constant array %r" % (sexp,))
         return ctx.const_array(sort, value)
 
-    if isinstance(head, list) and head and head[0] == "_":
+    if isinstance(head, list) and len(head) > 1 and head[0] == "_":
         op = head[1]
-        arg = parse_term(ctx, script, sexp[1])
-        if op == "extract":
-            hi, lo = int(head[2]), int(head[3])
-            return ctx.mk("extract", arg, val=(hi, lo))
-        if op in ("zero_extend", "sign_extend"):
-            return ctx.mk(op, arg, val=int(head[2]))
-        raise SmtParseError("unsupported indexed operator %r" % op)
+        if op == "extract" and len(head) == 4:
+            val = (_int(head[2]), _int(head[3]))
+        elif op in ("zero_extend", "sign_extend") and len(head) == 3:
+            val = _int(head[2])
+        else:
+            raise SmtParseError("unsupported indexed operator %r" % (head,))
+        args = [parse_term(ctx, script, x) for x in sexp[1:]]
+        return ctx.checked(op, *args, val=val)
 
     if not isinstance(head, str) or head not in _OPERATORS:
         # refused before its arguments are read: a quantifier's are binders
@@ -189,32 +213,22 @@ def parse_term(ctx, script, sexp):
     if head in ("and", "or"):
         if not args:
             return ctx.TRUE if head == "and" else ctx.FALSE
-        return ctx.mk(head, *args)
-    if head == "not":
-        return ctx.mk("not", args[0])
-    if head == "xor":
-        return ctx.mk("xor", *args)
+        return ctx.checked(head, *args)
+    if head in ("=>", "=", "distinct") and len(args) < 2:
+        raise SmtParseError("%s needs two operands or more" % head)
     if head == "=>":
         term = args[-1]
         for a in reversed(args[:-1]):
-            term = ctx.mk("=>", a, term)
+            term = ctx.checked("=>", a, term)
         return term
     if head == "=":
-        pairs = [ctx.mk("=", args[i], args[i + 1])
+        pairs = [ctx.checked("=", args[i], args[i + 1])
                  for i in range(len(args) - 1)]
         return pairs[0] if len(pairs) == 1 else ctx.mk("and", *pairs)
     if head == "distinct":
         pairs = []
         for i in range(len(args)):
             for j in range(i + 1, len(args)):
-                pairs.append(ctx.mk("distinct", args[i], args[j]))
+                pairs.append(ctx.checked("distinct", args[i], args[j]))
         return pairs[0] if len(pairs) == 1 else ctx.mk("and", *pairs)
-    if head == "ite":
-        return ctx.mk("ite", *args)
-    if head in BV_BINOPS or head in BV_CMPS or head in ("select", "store"):
-        return ctx.checked(head, *args)
-    if head in BV_UNOPS:
-        return ctx.mk(head, args[0])
-    if head == "concat":
-        return ctx.mk("concat", *args)
-    raise SmtParseError("unsupported operator %r" % head)
+    return ctx.checked(head, *args)

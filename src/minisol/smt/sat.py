@@ -29,11 +29,6 @@ class SatSolver:
         self.qhead = 0
         self.ok = True
 
-    @staticmethod
-    def _widx(lit):
-        v = abs(lit)
-        return 2 * v + (0 if lit > 0 else 1)
-
     def value(self, lit):
         v = self.assign[abs(lit)]
         return v if lit > 0 else -v

@@ -22,6 +22,27 @@ values when both sides of a comparison share a variable (``a + v < a``).
 Only when it fails are the remaining conjuncts bit-blasted to CNF for the
 CDCL solver.
 
+The front half, fold/resolve and reduction, is a ``Reduction`` that can be
+extended.  It holds the array definitions, the Ackermann reads, the
+substitution, the residual and the rewritten assertions.  A SAT answer
+keeps it, and the engine hands it to the checks of the walk's extensions:
+a child's clauses are its parent's, term for term, plus its new node's.
+A solve starts from the reduction it is given when the reduction's
+assertions are among the script's, by term identity, and from ``EMPTY``
+otherwise; a whole-script solve is the same code started from ``EMPTY``.
+It folds, resolves and reduces only the assertions the base lacks.  Those
+bind their definitional conjuncts first; once one binds, every conjunct
+left, the base's included, is rewritten again.  An array the base read
+while undefined and the new assertions define has each of its Ackermann
+reads bound to the read through the definition, and each new read of an
+undefined array is paired by congruence with every earlier read of it.
+Linear refutation, greedy, bit-blasting and the self-check of every
+rewritten assertion, the base's and the new ones, then see the whole.
+A solve from a base values no query.  Its model, though valid, need not be
+the one a whole-script solve finds, so a SAT script whose model is read is
+solved again from empty: the model, and every sequence built from it, is
+the whole script's.
+
 Arrays (QF_ABV) are read by ``select`` only.  A top-level ``(= a t)`` whose
 ``a`` is an array variable defines ``a`` as ``t``, a ``store`` or constant
 array over other arrays (the left side is the variable when both are).  A
@@ -327,25 +348,47 @@ def occurs(var, term):
 # ---------------------------------------------------------------------------
 
 class _Maps:
-    def __init__(self, ctx):
+    """The array definitions and Ackermann reads of one solve, started from
+    those of its base (a ``Reduction``).  The base's tables are shared
+    until this solve adds a read to one; `since` holds, for each table this
+    solve has copied, how many reads the base had made of its array."""
+
+    def __init__(self, ctx, base):
         self.ctx = ctx
-        self.defs = {}             # array var term -> its defining term
-        self.apps = {}             # base array var -> {key term -> ack var}
+        self.defs = dict(base.defs)  # array var term -> its defining term
+        self.apps = dict(base.apps)  # base array var -> {key term -> ack var}
+        self.since = {}
 
     def define(self, eq):
         """Record the top-level array equality `eq` as the definition of its
-        variable side, the left one if both are; False when neither side
-        is a variable, the sorts differ, or the variable has a definition
-        already.  Only the definition is read, so a second one would be
-        dropped, and the model check, which reads the rewritten
-        assertions, would never see it."""
+        variable side, the left one if both are, and return that variable;
+        None when neither side is a variable, the sorts differ, or the
+        variable has a definition already.  Only the definition is read,
+        so a second one would be dropped, and the model check, which reads
+        the rewritten assertions, would never see it."""
         var, value = eq.args
         if var.op != "var":
             var, value = value, var
         if var.op != "var" or var.sort != value.sort or var in self.defs:
-            return False
+            return None
         self.defs[var] = value
-        return True
+        return var
+
+    def rebind(self, defined, memo):
+        """The equalities that bind each Ackermann read the base made of an
+        array in `defined` (newly defined, so undefined in the base) to the
+        read through its definition; the array's table is dropped, since
+        every later read of it resolves through the definition."""
+        ctx = self.ctx
+        out = []
+        for array in defined:
+            table = self.apps.pop(array, None)
+            if table is None:
+                continue
+            for key, ack in table.items():
+                out.append(fold(ctx, ctx.mk(
+                    "=", ack, self.resolve(array, key, {}, memo))))
+        return out
 
     def resolve(self, array, key, subst, memo, hops=0):
         """The value `array` holds at `key` (a rewritten term), rewritten
@@ -357,12 +400,7 @@ class _Maps:
             if op == "var":
                 value = self.defs.get(array)
                 if value is None:
-                    table = self.apps.setdefault(array, {})
-                    if key not in table:
-                        table[key] = ctx.var(
-                            "%%ack!%s!%d" % (array.val, len(table)),
-                            array.sort[2])
-                    return table[key]
+                    return self._read(array, key)
                 hops += 1
                 if hops > len(self.defs):
                     raise SmtUnknown("cyclic array definition of %r"
@@ -385,13 +423,27 @@ class _Maps:
                 raise SmtUnknown("unsupported array term %s"
                                  % print_term(array))
 
+    def _read(self, array, key):
+        """The Ackermann variable of the undefined `array` at `key`."""
+        table = self.apps.get(array)
+        if table is not None and key in table:
+            return table[key]
+        if array not in self.since:
+            self.since[array] = len(table) if table else 0
+            table = self.apps[array] = dict(table or ())
+        ack = table[key] = self.ctx.var(
+            "%%ack!%s!%d" % (array.val, len(table)), array.sort[2])
+        return ack
+
     def congruence_assertions(self):
+        """Congruence for every read this solve added: it is paired with
+        every earlier read of its array, the base's included."""
         out = []
         ctx = self.ctx
-        for table in self.apps.values():
-            items = list(table.items())
+        for array, since in self.since.items():
+            items = list(self.apps[array].items())
             for i in range(len(items)):
-                for j in range(i + 1, len(items)):
+                for j in range(max(i + 1, since), len(items)):
                     (a1, v1), (a2, v2) = items[i], items[j]
                     out.append(ctx.mk("or", ctx.mk("distinct", a1, a2),
                                       ctx.mk("=", v1, v2)))
@@ -402,25 +454,74 @@ class _Maps:
 # Problem pipeline
 # ---------------------------------------------------------------------------
 
+class Reduction:
+    """The front half of a SAT solve, kept so that a script extending the
+    one solved reduces only the assertions it adds: the script's
+    assertions as given (`asserts`), the array definitions and Ackermann
+    reads (`defs`, `apps`), the substitution word-level reduction found,
+    the conjuncts left (`residual`, each rewritten under `subst`) and the
+    rewritten assertions every model is checked against (`checked`)."""
+    __slots__ = ("asserts", "defs", "apps", "subst", "residual", "checked")
+
+    def __init__(self, asserts, defs, apps, subst, residual, checked):
+        self.asserts = asserts
+        self.defs = defs
+        self.apps = apps
+        self.subst = subst
+        self.residual = residual
+        self.checked = checked
+
+
+# where a whole-script solve starts; a solve copies what it extends
+EMPTY = Reduction(frozenset(), {}, {}, {}, (), ())
+
+
 class Result:
-    def __init__(self, status, values=None, reason=""):
+    def __init__(self, status, values=None, reason="", reduction=None):
         self.status = status       # 'sat' | 'unsat' | 'unknown'
         self.values = values or []  # per query: int, or bool for a Bool
         self.reason = reason
+        self.reduction = reduction  # on sat, the kept ``Reduction``
 
 
-def solve_commands(ctx, script, conflict_budget=None, deadline=None):
+def solve_commands(ctx, script, conflict_budget=None, deadline=None,
+                   base=None, model=True):
     """Decide one script.  `conflict_budget` bounds the CDCL search and
     `deadline` (a ``time.monotonic()`` value) the time spent in bit-blasting
-    and CDCL; running out of either gives ``unknown``."""
-    maps = _Maps(ctx)
+    and CDCL; running out of either gives ``unknown``.
+
+    `base` is the ``Reduction`` of an earlier SAT script.  The solve
+    starts from it when its assertions are among the script's, by term
+    identity, and from ``EMPTY`` otherwise.  Only with a `model` are the
+    script's queries valued, from a solve started from empty: a SAT answer
+    reached from a base is solved again from empty for it."""
+    asserts = frozenset(script.asserts)
+    if base is None or not base.asserts <= asserts:
+        base = EMPTY
+    result = _solve(ctx, script, asserts, base, model and base is EMPTY,
+                    conflict_budget, deadline)
+    if model and base is not EMPTY and result.status == "sat":
+        result = _solve(ctx, script, asserts, EMPTY, True, conflict_budget,
+                        deadline)
+    return result
+
+
+def _solve(ctx, script, asserts, base, model, conflict_budget, deadline):
+    """Extend `base` by the script's assertions it lacks and decide the
+    whole; the queries are valued only with `model`."""
+    maps = _Maps(ctx, base)
     ground = []
+    defined = []
     for a in script.asserts:
+        if a in base.asserts:
+            continue
         a = fold(ctx, a)
         if a.op == "=" and a.args[0].sort[0] == "array":
-            if not maps.define(a):
+            var = maps.define(a)
+            if var is None:
                 raise SmtUnknown("array equality that is no definition: %s"
                                  % print_term(a))
+            defined.append(var)
         elif a.op == "cbool":
             if not a.val:
                 return Result("unsat")
@@ -428,42 +529,22 @@ def solve_commands(ctx, script, conflict_budget=None, deadline=None):
             ground.append(a)
 
     resolved = {}                  # term -> term with array reads resolved
-    rewritten = [rewrite(ctx, a, {}, maps, resolved) for a in ground]
+    rewritten = maps.rebind(defined, resolved)
+    rewritten += [rewrite(ctx, a, {}, maps, resolved) for a in ground]
     # a read only a query makes is still bound by congruence to the others
     queries = [rewrite(ctx, fold(ctx, q), {}, maps, resolved)
-               for q in script.queries]
+               for q in script.queries] if model else []
     rewritten += [fold(ctx, a) for a in maps.congruence_assertions()]
 
     checked = [a for a in rewritten if a.op != "cbool" or not a.val]
     if any(a.op == "cbool" and not a.val for a in checked):
         return Result("unsat")
 
-    # word-level reduction: propagate single definitions
-    residual = checked
-    subst = {}
-    while True:
-        new_binds = 0
-        keep = []
-        memo = {}
-        for a in residual:
-            a2 = rewrite(ctx, a, subst, maps, memo)
-            if a2.op == "cbool":
-                if not a2.val:
-                    return Result("unsat")
-                continue
-            bind = _match_binding(ctx, a2, subst)
-            if bind is not None:
-                var, value = bind
-                subst[var] = value
-                new_binds += 1
-                memo = {}
-                continue
-            keep.append(a2)
-        residual = keep
-        if not new_binds:
-            break
-
-    if _refuted_linear(residual):
+    # word-level reduction: propagate single definitions, first through the
+    # new conjuncts, then, once one binds, through every conjunct left
+    subst = dict(base.subst)
+    residual = _reduce(ctx, maps, subst, checked, list(base.residual))
+    if residual is None or _refuted_linear(residual):
         return Result("unsat")
 
     # cheap word-level model search first; bit-blast only when it fails
@@ -497,11 +578,43 @@ def solve_commands(ctx, script, conflict_budget=None, deadline=None):
                     model_env[name] = _lit_value(assignment, lits)
 
     evaluator = _Evaluator(model_env, subst)
-    for a in rewritten:
+    checked = list(base.checked) + checked
+    for a in checked:
         if evaluator.eval(a) is not True:
             raise SmtInternalError("model fails %s" % print_term(a))
 
-    return Result("sat", [evaluator.eval(q) for q in queries])
+    return Result("sat", [evaluator.eval(q) for q in queries],
+                  reduction=Reduction(asserts, maps.defs, maps.apps, subst,
+                                      residual, checked))
+
+
+def _reduce(ctx, maps, subst, fresh, residual):
+    """Word-level reduction of the conjuncts `fresh`, next to `residual`,
+    whose conjuncts are reduced under `subst` already: every definitional
+    conjunct (``x = t``) extends `subst`, and after a round that bound one,
+    every conjunct left is rewritten again.  The conjuncts left, new ones
+    first, or None when one is false."""
+    while True:
+        bound = False
+        keep = []
+        memo = {}
+        for a in fresh:
+            a2 = rewrite(ctx, a, subst, maps, memo)
+            if a2.op == "cbool":
+                if not a2.val:
+                    return None
+                continue
+            bind = _match_binding(ctx, a2, subst)
+            if bind is not None:
+                var, value = bind
+                subst[var] = value
+                bound = True
+                memo = {}
+                continue
+            keep.append(a2)
+        if not bound:
+            return keep + residual
+        fresh, residual = keep + residual, []
 
 
 # ---------------------------------------------------------------------------

@@ -118,32 +118,59 @@ class Ctx:
         return self.node(op, val, args)
 
     def checked(self, op, *args, val=None):
-        """``mk`` behind the sort checks every script must pass: an
-        ``assert`` (which returns its one argument) is Bool, the operands of
-        a bitvector operator have one width, and ``select`` and ``store``
-        get an array, an index of its key sort and a value of its value
-        sort."""
+        """``mk`` behind the arity and sort checks every script must pass:
+        an ``assert`` (which returns its one argument) is Bool, and every
+        operator gets as many operands as it takes, of the sorts it takes
+        (``_well_sorted``)."""
         if op == "assert":
-            if args[0].sort != BOOL:
+            if len(args) != 1 or args[0].sort != BOOL:
                 raise SmtError("assert needs a Bool term")
             return args[0]
-        if op in ("select", "store"):
-            if len(args) != (2 if op == "select" else 3) \
-                    or args[0].sort[0] != "array" \
-                    or args[1].sort != args[0].sort[1] \
-                    or (op == "store" and args[2].sort != args[0].sort[2]):
-                raise SmtError("bad %s" % op)
-        if (op in BV_BINOPS or op in BV_CMPS) and args[0].sort != args[1].sort:
-            raise SmtError("width mismatch in %s" % op)
+        sorts = [a.sort for a in args]
+        if not _well_sorted(op, val, sorts):
+            widths = len(set(sorts)) > 1 and all(s[0] == "bv" for s in sorts)
+            raise SmtError("%s %s: %s" % (
+                "width mismatch in" if widths else "ill-sorted", op,
+                " ".join(map(print_sort, sorts)) or "no operand"))
         return self.node(op, val, args)
 
 
-def const_value(term):
-    if term.op == "const":
-        return term.val[0]
-    if term.op == "cbool":
-        return term.val
-    raise SmtError("not a constant: %r" % term)
+def _well_sorted(op, val, sorts):
+    """True when operator `op` (with index `val`) takes operands of
+    `sorts`: ``xor`` and ``=>`` two Bools or more, ``=`` and ``distinct``
+    two of one sort, ``ite`` a Bool and two of one sort, bitvector
+    operators bitvectors of one width (``concat`` of any two), and
+    ``select`` and ``store`` an array, an index of its key sort and a
+    value of its value sort."""
+    n = len(sorts)
+    if op in ("and", "or"):
+        return all(s == BOOL for s in sorts)
+    if op == "not":
+        return sorts == [BOOL]
+    if op in ("xor", "=>"):
+        return n >= 2 and all(s == BOOL for s in sorts)
+    if op in ("=", "distinct"):
+        return n == 2 and sorts[0] == sorts[1]
+    if op == "ite":
+        return n == 3 and sorts[0] == BOOL and sorts[1] == sorts[2]
+    if op in ("select", "store"):
+        return n == (2 if op == "select" else 3) and sorts[0][0] == "array" \
+            and sorts[1] == sorts[0][1] \
+            and (op == "select" or sorts[2] == sorts[0][2])
+    if not all(s[0] == "bv" for s in sorts):
+        return False
+    if op in BV_BINOPS or op in BV_CMPS:
+        return n == 2 and sorts[0] == sorts[1]
+    if op in BV_UNOPS:
+        return n == 1
+    if op == "concat":
+        return n == 2
+    if op == "extract":
+        hi, lo = val
+        return n == 1 and 0 <= lo <= hi < sorts[0][1]
+    if op in ("zero_extend", "sign_extend"):
+        return n == 1 and val >= 0
+    return False
 
 
 def is_const(term):

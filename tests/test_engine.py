@@ -224,6 +224,73 @@ def test_frontier_shortcut_changes_no_answer(corpus, monkeypatch, check_log,
         assert inherited
 
 
+@pytest.fixture
+def kept_solves(monkeypatch):
+    """(status, status from empty) of every solve that started from a kept
+    reduction: each is decided again from empty, with the same budget and
+    deadline."""
+    real = smt_solve.solve_commands
+    pairs = []
+
+    def status(*args):
+        try:
+            return real(*args).status
+        except smt_solve.SmtUnknown:
+            return "unknown"
+
+    def solve_twice(ctx, script, budget=None, deadline=None, base=None,
+                    model=True):
+        result = real(ctx, script, budget, deadline, base, model)
+        if base is not None and base.asserts \
+                and base.asserts <= frozenset(script.asserts):
+            pairs.append((result.status,
+                          status(ctx, script, budget, deadline, None, False)))
+        return result
+
+    monkeypatch.setattr(smt_solve, "solve_commands", solve_twice)
+    return pairs
+
+
+@pytest.mark.parametrize("lazy_check", [False, True])
+@pytest.mark.parametrize("heuristic", ["floyd-warshall", "state-var"])
+@pytest.mark.parametrize("name", ["guess_check", "two_tx_overflow", "token",
+                                  "multi_tx"])
+def test_a_kept_reduction_changes_no_answer(corpus, kept_solves, name,
+                                            heuristic, lazy_check):
+    """A solve that starts from its nearest SAT ancestor's reduction gives
+    the answer a solve of the whole script from empty gives."""
+    synthesize(corpus[name], heuristic=heuristic, lazy_check=lazy_check)
+    assert all(kept == whole for kept, whole in kept_solves)
+    if name in ("token", "multi_tx"):
+        assert len(kept_solves) > 50
+
+
+def _annotated(seed):
+    """A random program with a random statement annotated as the target."""
+    import random
+    from genprog import random_source
+    from minisol.frontend import parse_contract
+    from minisol.lang import iter_statements
+
+    source = random_source(seed)
+    ast = parse_contract(source)
+    lines = sorted({s.line for fn in ast.functions
+                    for s in iter_statements(fn.body)})
+    line = random.Random(seed).choice(lines)
+    src_lines = source.splitlines()
+    src_lines[line - 1] += "  // @target"
+    return "\n".join(src_lines) + "\n"
+
+
+def test_a_kept_reduction_changes_no_answer_on_random_programs(kept_solves):
+    """The same on 60 generated programs, 40 walks each at most."""
+    for seed in range(7000, 7060):
+        synthesize(_annotated(seed), limits=Limits(max_walks=40,
+                                                   wall_timeout=10))
+    assert all(kept == whole for kept, whole in kept_solves)
+    assert len(kept_solves) > 500
+
+
 @pytest.mark.parametrize("lazy_check", [False, True])
 @pytest.mark.parametrize("heuristic", ["floyd-warshall", "state-var"])
 @pytest.mark.parametrize("name", ["guess_check", "two_tx_overflow", "token",

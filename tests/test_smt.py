@@ -1,3 +1,4 @@
+import io
 import itertools
 import random
 import subprocess
@@ -11,8 +12,9 @@ from minisol.engine import synthesize
 from minisol.explorer import Limits
 from minisol.smt import solve as solve_mod, solve_text
 from minisol.smt.parse import Script, SmtParseError, parse_script
-from minisol.smt.solve import (DEFAULT_CONFLICT_BUDGET, _linear_truth,
-                               _refuted_linear, solve_commands)
+from minisol.smt.solve import (DEFAULT_CONFLICT_BUDGET, SmtUnknown,
+                               _linear_truth, _refuted_linear,
+                               solve_commands)
 from minisol.smt.terms import Ctx, SmtError, array, bv
 
 A8 = "(Array (_ BitVec 8) (_ BitVec 8))"
@@ -165,6 +167,25 @@ def test_a_malformed_array_term_is_an_error(term):
 (declare-const x (_ BitVec 8))
 (assert (= %s (_ bv0 8)))
 """ % (A8, term))
+
+
+@pytest.mark.parametrize("term", [
+    "(bvadd x)", "(bvult x)", "(bvult x x x)", "(not)", "(bvneg)",
+    "(concat x)", "((_ zero_extend 2))", "(= (ite true x) x)", "(= x)",
+    "(distinct x)", "(=> true)", "(xor)", "(= (bvnot x x) x)",
+    "(= ((_ extract 3 0) x) x)",
+])
+def test_a_malformed_operator_is_an_error(monkeypatch, capsys, term):
+    """Every operator gets as many operands as it takes, of the sorts it
+    takes: otherwise the process prints one error line and exits 1,
+    instead of a traceback or an answer."""
+    from minisol.smt.__main__ import main
+    monkeypatch.setattr(sys, "stdin", io.StringIO(
+        "(declare-const x (_ BitVec 8))\n(assert %s)\n(check-sat)\n"
+        % term))
+    assert main() == 1
+    out = capsys.readouterr().out
+    assert out.startswith("(error ") and out.count("\n") == 1
 
 
 def test_cyclic_array_definitions_are_unknown():
@@ -690,6 +711,121 @@ def test_each_term_is_folded_once_per_run(corpus, monkeypatch, check_log,
     ctx.folded = {}
     assert [t for t in outputs.values() if solve_mod.fold(ctx, t) is not t] \
         == []
+
+
+# -- solves started from a kept reduction --------------------------------------
+
+def _extension(decls, base, new):
+    """One context's (base script, extended script): the extension's
+    assertions are the new ones, then the base's, the same terms."""
+    text = decls + "".join("(assert %s)\n" % a for a in base + new)
+    ctx, whole = parse_script(text)
+    kept = whole.asserts[:len(base)]
+    return ctx, Script(asserts=kept, has_check=True), \
+        Script(asserts=whole.asserts[len(base):] + kept, has_check=True)
+
+
+def _solve_extension(monkeypatch, ctx, base, extended):
+    """Solve `base`, then `extended` from its kept reduction; no assertion
+    of the base is folded again."""
+    kept = solve_commands(ctx, base, None, None, None, False)
+    assert kept.status == "sat"
+    folded = []
+    real_fold = solve_mod.fold
+    monkeypatch.setattr(solve_mod, "fold", lambda c, t: (
+        folded.append(t), real_fold(c, t))[1])
+    result = solve_commands(ctx, extended, None, None, kept.reduction, False)
+    monkeypatch.undo()
+    assert not set(map(id, base.asserts)) & set(map(id, folded))
+    return result
+
+
+ARRAYS = ("(declare-const f %s)(declare-const g %s)(declare-const a (_ BitVec"
+          " 8))(declare-const b (_ BitVec 8))(declare-const k (_ BitVec 8))"
+          % (A8, A8))
+
+
+@pytest.mark.parametrize("index, status", [(3, "unsat"), (4, "sat")])
+def test_a_read_the_base_made_binds_to_a_later_definition(monkeypatch, index,
+                                                          status):
+    """The base reads f at 3 while f is undefined; the extension defines f
+    as a store into g.  The base's read becomes the read through the
+    definition: at the stored key it is 7, which contradicts k != 7; at
+    another key it is g's, and k is free."""
+    ctx, base, extended = _extension(
+        ARRAYS, ["(= (select f (_ bv3 8)) k)"],
+        ["(= f (store g (_ bv%d 8) (_ bv7 8)))" % index,
+         "(distinct k (_ bv7 8))"])
+    result = _solve_extension(monkeypatch, ctx, base, extended)
+    assert result.status == status
+    assert solve_commands(ctx, extended).status == status
+
+
+def test_a_new_read_is_congruent_with_the_bases(monkeypatch):
+    """f is never defined: the extension's read f[b], with a = b, must
+    equal the base's read f[a]."""
+    ctx, base, extended = _extension(
+        ARRAYS, ["(= (select f a) (_ bv5 8))"],
+        ["(= a b)", "(distinct (select f b) (_ bv5 8))"])
+    assert _solve_extension(monkeypatch, ctx, base, extended).status \
+        == "unsat"
+    assert solve_commands(ctx, extended).status == "unsat"
+
+
+def test_a_binding_the_extension_makes_reaches_the_bases_residual(
+        monkeypatch):
+    """a < b is left in the base's residual; the extension binds a to b,
+    which turns it into b < b."""
+    ctx, base, extended = _extension(ARRAYS, ["(bvult a b)"], ["(= a b)"])
+    assert _solve_extension(monkeypatch, ctx, base, extended).status \
+        == "unsat"
+
+
+def test_an_extension_defining_a_defined_array_is_unknown():
+    ctx, base, extended = _extension(
+        ARRAYS, ["(= f ((as const %s) (_ bv0 8)))" % A8],
+        ["(= f (store g (_ bv1 8) (_ bv1 8)))"])
+    kept = solve_commands(ctx, base, None, None, None, False)
+    with pytest.raises(SmtUnknown):
+        solve_commands(ctx, extended, None, None, kept.reduction, False)
+
+
+def test_a_base_that_is_no_subset_is_not_used():
+    """a = 1 is the base's; a script without it starts from empty, so
+    a = 2 is sat.  Started from the base it would be unsat."""
+    ctx, base, extended = _extension(
+        ARRAYS, ["(= a (_ bv1 8))"], ["(= a (_ bv2 8))"])
+    kept = solve_commands(ctx, base, None, None, None, False)
+    alone = Script(asserts=extended.asserts[:1], has_check=True)
+    assert solve_commands(ctx, alone, None, None, kept.reduction,
+                          False).status == "sat"
+    assert solve_commands(ctx, extended, None, None, kept.reduction,
+                          False).status == "unsat"
+
+
+def test_only_a_sat_answer_keeps_its_reduction():
+    ctx, base, extended = _extension(
+        ARRAYS, ["(= a (_ bv1 8))"], ["(= a (_ bv2 8))"])
+    assert solve_commands(ctx, extended).reduction is None
+    ctx, script = parse_script(FACTORING)
+    result = solve_commands(ctx, script, DEFAULT_CONFLICT_BUDGET,
+                            time.monotonic() - 1)
+    assert result.status == "unknown" and result.reduction is None
+
+
+def test_a_model_of_an_extension_is_the_whole_scripts():
+    """Asked for a model, a SAT answer reached from a base is solved again
+    from empty: the values are those of a whole-script solve."""
+    ctx, base, extended = _extension(
+        ARRAYS, ["(bvugt a (_ bv3 8))", "(= (select f a) k)"],
+        ["(= b (bvadd a (_ bv1 8)))", "(distinct (select f b) k)"])
+    extended.queries = base.queries = [ctx.var(n, bv(8)) for n in "abk"]
+    kept = solve_commands(ctx, base, None, None, None, False)
+    assert kept.values == []
+    whole = solve_commands(ctx, extended)
+    again = solve_commands(ctx, extended, None, None, kept.reduction)
+    assert again.status == whole.status == "sat"
+    assert again.values == whole.values
 
 
 # -- deadlines -----------------------------------------------------------------
