@@ -22,7 +22,7 @@ import time
 from .cfg import to_dot
 from .concretize import to_json
 from .encoder import SolverConfig
-from .engine import pick_target, prepare, replay_file, synthesize
+from .engine import prepare, replay_file, synthesize
 from .errors import MiniSolError
 from .explorer import HEURISTICS, Limits
 from .mutation import load_mutant_specs, run_mutants
@@ -121,8 +121,7 @@ def main(argv=None):
             summary()
             return 0
 
-        target = pick_target(source, args.target_line)
-        result = synthesize(source, target=target,
+        result = synthesize(source, target_line=args.target_line,
                             heuristic=args.heuristic, solver=solver,
                             limits=limits, lazy_check=args.lazy_check,
                             replay_check=not args.no_replay_check)

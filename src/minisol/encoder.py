@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import shlex
 import subprocess
-import sys
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -587,13 +586,6 @@ class SsaScript:
     def moving(self):
         return self.numbering.moving()[0]
 
-    @property
-    def frontier_end(self):
-        """How many clauses the frontier contributes: the moving ones and
-        the last numbered node's."""
-        link = self.numbering.link
-        return len(self.moving) + (len(link.clauses) if link else 0)
-
     def links(self):
         """The numbered nodes' links, frontier first."""
         link = self.numbering.link
@@ -941,11 +933,6 @@ class SolverSession:
             raise SolverError("crash", "no output (exit %d): %s"
                               % (proc.returncode, proc.stderr[:500]))
         return parse_solver_output(output, smt_script)
-
-
-def bundled_solver_command():
-    """Command line that runs the bundled solver as an external process."""
-    return "%s -m minisol.smt" % shlex.quote(sys.executable)
 
 
 def parse_solver_output(output, smt_script) -> SatResult:

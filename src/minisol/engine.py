@@ -16,7 +16,7 @@ from .encoder import (SatResult, SolverConfig, SolverSession, answer_key,
 from .errors import ConfigError, MiniSolError, TargetError
 from .explorer import (HEURISTICS, Limits, Walk, build_context,
                        find_minimal_satisfiable_walk)
-from .frontend import extract_targets, parse_contract
+from .frontend import extract_targets, parse_contract, target_markers
 from .ir import inline_internal_calls, lower
 from .smt.terms import Ctx
 
@@ -33,16 +33,21 @@ class EngineResult:
     target: Optional[object] = None
 
 
-def prepare(source):
-    """Parse and lower a contract; returns (ast, inlined program, graph)."""
-    ast = parse_contract(source)
+def prepare(source, ast=None):
+    """Parse and lower a contract; returns (ast, inlined program, graph).
+    `ast`, when given, is `parse_contract(source)` and is not parsed again:
+    nothing downstream writes to it."""
+    if ast is None:
+        ast = parse_contract(source)
     program = inline_internal_calls(lower(ast))
     graph = build_cfg_plus(program)
     return ast, program, graph
 
 
-def pick_target(source, target_line=None):
-    targets = extract_targets(source)
+def pick_target(source, target_line=None, ast=None):
+    """The annotated target: the one on `target_line`, or the only one.
+    `ast`, when given, is `parse_contract(source)`."""
+    targets = extract_targets(source, ast)
     if not targets:
         raise TargetError("no @target annotation in the input")
     if target_line is None:
@@ -66,9 +71,13 @@ def synthesize(source, *, target=None, target_line=None,
     concrete replay before it is returned; a diverging sequence raises.
     """
     t0 = time.monotonic()
+    ast = None      # parsed once, for the annotations and for lowering
     if target is None:
-        target = pick_target(source, target_line)
-    ast, program, graph = prepare(source)
+        # an unannotated source is a TargetError before it is parsed
+        if target_markers(source):
+            ast = parse_contract(source)
+        target = pick_target(source, target_line, ast)
+    ast, program, graph = prepare(source, ast)
     limits = limits or Limits()
     if heuristic not in HEURISTICS:
         raise ConfigError("unknown heuristic %r (have: %s)"
@@ -169,8 +178,9 @@ def synthesize(source, *, target=None, target_line=None,
 def replay_file(source, seq_json_text):
     """Replay a JSON transaction sequence against a contract; the target is
     the file's annotation (first one if several)."""
-    targets = extract_targets(source)
+    ast = parse_contract(source)
+    targets = extract_targets(source, ast)
     target = targets[0] if targets else None
-    _ast, program, _graph = prepare(source)
+    _ast, program, _graph = prepare(source, ast)
     seq = conc.from_json(seq_json_text)
     return oracle.replay(program, seq, target)

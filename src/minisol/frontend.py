@@ -3,7 +3,8 @@
 `parse_contract` returns a fully validated :class:`~minisol.lang.ContractAst`
 with every expression typed and every identifier resolved to a binding.
 `extract_targets` scans for ``// @target [expr]`` trailing annotations and
-resolves each optional safety expression in the scope of its line.
+resolves each optional safety expression in the scope of its line, in an
+AST the caller has already parsed when it passes one.
 
 Anything outside the grammar is rejected with :class:`ParseError` or
 :class:`SemanticError`; no construct is ever silently dropped.
@@ -48,32 +49,39 @@ class Token:
         return "%s(%r)@%d:%d" % (self.kind, self.text, self.line, self.col)
 
 
+_KEYWORD_TEXTS = frozenset(KEYWORDS) | frozenset(SCALAR_TYPES)
+
+# The parser looks at most this many tokens past the current one.
+LOOKAHEAD = 1
+
+
 def tokenize(source):
+    """The tokens of `source`, in one pass of `_TOKEN_RE`.  The list ends in
+    ``LOOKAHEAD + 1`` eof tokens, so that `Parser.peek` never runs off it."""
     tokens = []
-    line, col, pos = 1, 1, 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise ParseError("unexpected character %r" % source[pos], line, col)
-        text = m.group()
+    append = tokens.append
+    line, line_start, pos = 1, 0, 0
+    for m in _TOKEN_RE.finditer(source):
+        if m.start() != pos:        # the search skipped an unmatched character
+            break
         kind = m.lastgroup
-        if kind == "nl":
-            line += 1
-            col = 1
-        elif kind in ("ws", "comment"):
-            col += len(text)
+        text = m.group()
+        if kind == "ident":
+            append(Token("kw" if text in _KEYWORD_TEXTS else "ident", text,
+                         line, pos - line_start + 1))
+        elif kind == "punct":
+            append(Token(text, text, line, pos - line_start + 1))
         elif kind == "num":
-            tokens.append(Token("num", text, line, col))
-            col += len(text)
-        elif kind == "ident":
-            k = "kw" if text in KEYWORDS or text in SCALAR_TYPES else "ident"
-            tokens.append(Token(k, text, line, col))
-            col += len(text)
-        else:
-            tokens.append(Token(text, text, line, col))
-            col += len(text)
+            append(Token("num", text, line, pos - line_start + 1))
+        elif kind == "nl":
+            line += 1
+            line_start = pos + 1
         pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+    if pos < len(source):
+        raise ParseError("unexpected character %r" % source[pos], line,
+                         pos - line_start + 1)
+    tokens.extend([Token("eof", "", line, pos - line_start + 1)]
+                  * (LOOKAHEAD + 1))
     return tokens
 
 
@@ -85,7 +93,7 @@ class Parser:
     # -- token plumbing ----------------------------------------------------
 
     def peek(self, ahead=0):
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.pos + ahead]
 
     def next(self):
         tok = self.tokens[self.pos]
@@ -94,7 +102,7 @@ class Parser:
         return tok
 
     def at(self, kind, text=None):
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return tok.kind == kind and (text is None or tok.text == text)
 
     def expect(self, kind, text=None):
@@ -705,16 +713,26 @@ def parse_contract(source):
 _TARGET_RE = re.compile(r"//\s*@target(?:[ \t]+(?P<expr>.*\S))?[ \t]*$")
 
 
-def extract_targets(source):
-    """One TargetSpec per ``// @target [expr]`` annotation, in line order."""
+def target_markers(source):
+    """(line, safety text or None) of each ``// @target [expr]`` annotation,
+    in line order; the source is not parsed."""
     markers = []
     for lineno, text in enumerate(source.splitlines(), start=1):
         m = _TARGET_RE.search(text)
         if m is not None:
             markers.append((lineno, m.group("expr")))
+    return markers
+
+
+def extract_targets(source, ast=None):
+    """One TargetSpec per ``// @target [expr]`` annotation, in line order.
+    `ast` is `parse_contract(source)` when the caller has it; otherwise the
+    source is parsed here, and only if it has an annotation."""
+    markers = target_markers(source)
     if not markers:
         return []
-    ast = parse_contract(source)
+    if ast is None:
+        ast = parse_contract(source)
     specs = []
     for lineno, expr_text in markers:
         stmt = statement_at(ast, lineno)

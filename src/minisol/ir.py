@@ -622,26 +622,3 @@ def inline_internal_calls(program):
                if fn.visibility == "public"]
     return IrProgram(program.name, list(program.state_vars),
                      result[CONSTRUCTOR], publics)
-
-
-# ---------------------------------------------------------------------------
-# Debug dump
-# ---------------------------------------------------------------------------
-
-def dump_ir(program):
-    """Stable one-instruction-per-line dump, used by golden tests."""
-    out = []
-    for fn in program.all_functions():
-        params = ", ".join("%s: %s" % (n, t) for n, t in fn.params)
-        out.append("function %s(%s)%s" % (fn.name, params,
-                                          " -> %s" % fn.ret if fn.ret else ""))
-        for block in fn.blocks:
-            term = block.term
-            ttext = term.kind
-            if term.targets:
-                ttext += " " + ",".join("b%d" % t for t in term.targets)
-            out.append("  b%d:" % block.idx)
-            for ins in block.instrs:
-                out.append("    " + ins.text())
-            out.append("    -> " + ttext)
-    return "\n".join(out) + "\n"

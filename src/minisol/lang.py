@@ -13,7 +13,7 @@ resolved binding (state variable, local slot, or parameter).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Optional
 
 
@@ -313,22 +313,6 @@ def iter_statements(body):
             yield from iter_statements(sub)
 
 
-def statement_lines(ast):
-    """The set of executable source lines: one entry per statement, plus
-    state-variable initializers (they execute during deployment)."""
-    lines = set()
-    for sv in ast.state_vars:
-        if sv.init is not None:
-            lines.add(sv.line)
-    bodies = [fn.body for fn in ast.functions]
-    if ast.constructor is not None:
-        bodies.append(ast.constructor.body)
-    for body in bodies:
-        for stmt in iter_statements(body):
-            lines.add(stmt.line)
-    return lines
-
-
 def statement_at(ast, line):
     """First statement recorded at `line`, searching constructor then functions."""
     bodies = []
@@ -353,119 +337,3 @@ def enclosing_function(ast, line):
             if stmt.line == line:
                 return fn
     return None
-
-
-# ---------------------------------------------------------------------------
-# Structural equality and pretty printing
-# ---------------------------------------------------------------------------
-
-_IGNORED_FIELDS = {"line", "col", "type_", "binding", "slot", "source_lines"}
-
-
-def ast_equal(a, b, include_lines=False):
-    """Structural equality; positions and checker annotations are ignored
-    unless `include_lines` asks for line comparison."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, list):
-        return len(a) == len(b) and all(
-            ast_equal(x, y, include_lines) for x, y in zip(a, b))
-    if not hasattr(a, "__dataclass_fields__"):
-        return a == b
-    for f in fields(a):
-        if f.name in _IGNORED_FIELDS and not (include_lines and f.name == "line"):
-            continue
-        if not ast_equal(getattr(a, f.name), getattr(b, f.name), include_lines):
-            return False
-    return True
-
-
-_PRECEDENCE = {"||": 1, "&&": 2, "==": 3, "!=": 3, "<": 3, "<=": 3, ">": 3,
-               ">=": 3, "+": 4, "-": 4, "*": 5, "/": 5, "%": 5}
-
-
-def expr_to_source(e, parent_prec=0):
-    if isinstance(e, IntLit):
-        return str(e.value)
-    if isinstance(e, BoolLit):
-        return "true" if e.value else "false"
-    if isinstance(e, AddressLit):
-        return "address(%d)" % e.index
-    if isinstance(e, Ident):
-        return e.name
-    if isinstance(e, EnvRead):
-        return e.which
-    if isinstance(e, Unary):
-        return "!" + expr_to_source(e.operand, 6)
-    if isinstance(e, Binary):
-        prec = _PRECEDENCE[e.op]
-        text = "%s %s %s" % (expr_to_source(e.lhs, prec), e.op,
-                             expr_to_source(e.rhs, prec + 1))
-        return "(" + text + ")" if prec < parent_prec else text
-    if isinstance(e, Index):
-        return "%s[%s]" % (e.base.name, expr_to_source(e.index))
-    if isinstance(e, Call):
-        return "%s(%s)" % (e.name, ", ".join(expr_to_source(a) for a in e.args))
-    raise TypeError("cannot print %r" % e)
-
-
-def _stmt_to_lines(stmt, indent):
-    pad = "    " * indent
-    out = []
-    if isinstance(stmt, VarDecl):
-        init = " = " + expr_to_source(stmt.init) if stmt.init is not None else ""
-        out.append("%s%s %s%s;" % (pad, stmt.type_, stmt.name, init))
-    elif isinstance(stmt, Assign):
-        out.append("%s%s %s %s;" % (pad, expr_to_source(stmt.target), stmt.op,
-                                    expr_to_source(stmt.value)))
-    elif isinstance(stmt, If):
-        out.append("%sif (%s) {" % (pad, expr_to_source(stmt.cond)))
-        for s in stmt.then:
-            out.extend(_stmt_to_lines(s, indent + 1))
-        if stmt.orelse:
-            out.append("%s} else {" % pad)
-            for s in stmt.orelse:
-                out.extend(_stmt_to_lines(s, indent + 1))
-        out.append("%s}" % pad)
-    elif isinstance(stmt, While):
-        out.append("%swhile (%s) {" % (pad, expr_to_source(stmt.cond)))
-        for s in stmt.body:
-            out.extend(_stmt_to_lines(s, indent + 1))
-        out.append("%s}" % pad)
-    elif isinstance(stmt, Return):
-        if stmt.value is None:
-            out.append("%sreturn;" % pad)
-        else:
-            out.append("%sreturn %s;" % (pad, expr_to_source(stmt.value)))
-    elif isinstance(stmt, Require):
-        out.append("%srequire(%s);" % (pad, expr_to_source(stmt.cond)))
-    elif isinstance(stmt, AssertStmt):
-        out.append("%sassert(%s);" % (pad, expr_to_source(stmt.cond)))
-    elif isinstance(stmt, ExprStmt):
-        out.append("%s%s;" % (pad, expr_to_source(stmt.call)))
-    else:
-        raise TypeError("cannot print %r" % stmt)
-    return out
-
-
-def to_source(ast):
-    """Pretty-print a contract back to MiniSol source (canonical layout)."""
-    out = ["contract %s {" % ast.name]
-    for sv in ast.state_vars:
-        init = " = " + expr_to_source(sv.init) if sv.init is not None else ""
-        out.append("    %s %s%s;" % (sv.type_, sv.name, init))
-    fns = ([ast.constructor] if ast.constructor is not None else []) + ast.functions
-    for fn in fns:
-        params = ", ".join("%s %s" % (t, n) for n, t in fn.params)
-        if fn.is_constructor:
-            head = "    constructor(%s) {" % params
-        else:
-            ret = " returns (%s)" % fn.ret if fn.ret is not None else ""
-            head = "    function %s(%s) %s%s {" % (fn.name, params,
-                                                   fn.visibility, ret)
-        out.append(head)
-        for s in fn.body:
-            out.extend(_stmt_to_lines(s, 2))
-        out.append("    }")
-    out.append("}")
-    return "\n".join(out) + "\n"

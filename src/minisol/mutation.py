@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import MutationError
-from .frontend import parse_contract, parse_expression_at
+from .frontend import parse_expression_at
 from .lang import (BOOL, Ident, Index, TargetSpec, VarDecl, iter_exprs,
                    iter_statements)
 from . import oracle
@@ -240,11 +240,10 @@ def run_mutants(source, specs, *, heuristic="floyd-warshall", solver=None,
     replay; the engine runs width mutants against the widened program."""
     from .engine import prepare, synthesize
     outcomes = []
-    _ast, orig_program, _g = prepare(source)
+    ast, orig_program, _g = prepare(source)
     for spec in specs:
         mutated_source = apply_mutant(source, spec)
         mut_ast_checked, mutant_program, _ = prepare(mutated_source)
-        ast = parse_contract(source)
         if spec.kind == "condition":
             queries, run_source = [gen_condition_kill(ast, spec)], source
         elif spec.kind == "assignment_rhs":

@@ -17,26 +17,198 @@ targets for the single-assignment scans.
 numbering: they reverse a walk into execution order and number it forward
 from its earliest node, as tagged tuples turned into terms afterwards.
 The backward numbering must give equisatisfiable scripts.
+
+``reference_tokenize`` is the frontend's former lexer, one anchored match
+per token with a running column; the single-pass lexer must give the same
+token stream and the same errors.  ``to_source``/``ast_equal`` (the
+printer round trip), ``statement_lines``, ``dump_ir``, ``frontier_end`` and
+``bundled_solver_command`` are helpers only the tests use.
 """
 
 import itertools
-from dataclasses import dataclass, field
+import shlex
+import sys
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from minisol.concretize import Transaction, TransactionSequence
 from minisol.encoder import GAS, SmtScript, TxEnv
-from minisol.errors import EncodeError, ReplayError
+from minisol.errors import EncodeError, ParseError, ReplayError
+from minisol.frontend import _TOKEN_RE, KEYWORDS, Token
 from minisol.ir import BRANCH_KINDS, CONSTRUCTOR, IrProgram
 from minisol.lang import (ADDRESS, BOOL, ENV_NAMES, ENV_TYPES, NUM_ACCOUNTS,
                           SCALAR_TYPES, U256, AddressLit,
                           Assign, AssertStmt, Binary, BoolLit, Call,
                           ContractAst, EnvRead, ExprStmt, Ident, If, Index,
                           IntLit, Require, Return, Unary, VarDecl, While,
-                          mask)
+                          iter_statements, mask)
 from minisol.smt import terms as smt_terms
 from minisol.smt.parse import Script
 from minisol.oracle import (EvmState, Interpreter, _binary, _Env,
                             _eval_expr, _Revert, _wrap)
+
+
+# ---------------------------------------------------------------------------
+# Source-level references: the former lexer, printing, equality
+# ---------------------------------------------------------------------------
+
+def reference_tokenize(source):
+    """The frontend's former lexer: one anchored `_TOKEN_RE.match` per
+    token and a running column; the list ends in a single eof token."""
+    tokens = []
+    line, col, pos = 1, 1, 0
+    while pos < len(source):
+        m = _TOKEN_RE.match(source, pos)
+        if m is None:
+            raise ParseError("unexpected character %r" % source[pos], line, col)
+        text = m.group()
+        kind = m.lastgroup
+        if kind == "nl":
+            line += 1
+            col = 1
+        elif kind in ("ws", "comment"):
+            col += len(text)
+        elif kind == "num":
+            tokens.append(Token("num", text, line, col))
+            col += len(text)
+        elif kind == "ident":
+            k = "kw" if text in KEYWORDS or text in SCALAR_TYPES else "ident"
+            tokens.append(Token(k, text, line, col))
+            col += len(text)
+        else:
+            tokens.append(Token(text, text, line, col))
+            col += len(text)
+        pos = m.end()
+    tokens.append(Token("eof", "", line, col))
+    return tokens
+
+
+def statement_lines(ast):
+    """The set of executable source lines: one entry per statement, plus
+    state-variable initializers (they execute during deployment)."""
+    lines = set()
+    for sv in ast.state_vars:
+        if sv.init is not None:
+            lines.add(sv.line)
+    bodies = [fn.body for fn in ast.functions]
+    if ast.constructor is not None:
+        bodies.append(ast.constructor.body)
+    for body in bodies:
+        for stmt in iter_statements(body):
+            lines.add(stmt.line)
+    return lines
+
+
+_IGNORED_FIELDS = {"line", "col", "type_", "binding", "slot", "source_lines"}
+
+
+def ast_equal(a, b, include_lines=False):
+    """Structural equality; positions and checker annotations are ignored
+    unless `include_lines` asks for line comparison."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, list):
+        return len(a) == len(b) and all(
+            ast_equal(x, y, include_lines) for x, y in zip(a, b))
+    if not hasattr(a, "__dataclass_fields__"):
+        return a == b
+    for f in fields(a):
+        if f.name in _IGNORED_FIELDS and not (include_lines and f.name == "line"):
+            continue
+        if not ast_equal(getattr(a, f.name), getattr(b, f.name), include_lines):
+            return False
+    return True
+
+
+_PRECEDENCE = {"||": 1, "&&": 2, "==": 3, "!=": 3, "<": 3, "<=": 3, ">": 3,
+               ">=": 3, "+": 4, "-": 4, "*": 5, "/": 5, "%": 5}
+
+
+def expr_to_source(e, parent_prec=0):
+    if isinstance(e, IntLit):
+        return str(e.value)
+    if isinstance(e, BoolLit):
+        return "true" if e.value else "false"
+    if isinstance(e, AddressLit):
+        return "address(%d)" % e.index
+    if isinstance(e, Ident):
+        return e.name
+    if isinstance(e, EnvRead):
+        return e.which
+    if isinstance(e, Unary):
+        return "!" + expr_to_source(e.operand, 6)
+    if isinstance(e, Binary):
+        prec = _PRECEDENCE[e.op]
+        text = "%s %s %s" % (expr_to_source(e.lhs, prec), e.op,
+                             expr_to_source(e.rhs, prec + 1))
+        return "(" + text + ")" if prec < parent_prec else text
+    if isinstance(e, Index):
+        return "%s[%s]" % (e.base.name, expr_to_source(e.index))
+    if isinstance(e, Call):
+        return "%s(%s)" % (e.name, ", ".join(expr_to_source(a) for a in e.args))
+    raise TypeError("cannot print %r" % e)
+
+
+def _stmt_to_lines(stmt, indent):
+    pad = "    " * indent
+    out = []
+    if isinstance(stmt, VarDecl):
+        init = " = " + expr_to_source(stmt.init) if stmt.init is not None else ""
+        out.append("%s%s %s%s;" % (pad, stmt.type_, stmt.name, init))
+    elif isinstance(stmt, Assign):
+        out.append("%s%s %s %s;" % (pad, expr_to_source(stmt.target), stmt.op,
+                                    expr_to_source(stmt.value)))
+    elif isinstance(stmt, If):
+        out.append("%sif (%s) {" % (pad, expr_to_source(stmt.cond)))
+        for s in stmt.then:
+            out.extend(_stmt_to_lines(s, indent + 1))
+        if stmt.orelse:
+            out.append("%s} else {" % pad)
+            for s in stmt.orelse:
+                out.extend(_stmt_to_lines(s, indent + 1))
+        out.append("%s}" % pad)
+    elif isinstance(stmt, While):
+        out.append("%swhile (%s) {" % (pad, expr_to_source(stmt.cond)))
+        for s in stmt.body:
+            out.extend(_stmt_to_lines(s, indent + 1))
+        out.append("%s}" % pad)
+    elif isinstance(stmt, Return):
+        if stmt.value is None:
+            out.append("%sreturn;" % pad)
+        else:
+            out.append("%sreturn %s;" % (pad, expr_to_source(stmt.value)))
+    elif isinstance(stmt, Require):
+        out.append("%srequire(%s);" % (pad, expr_to_source(stmt.cond)))
+    elif isinstance(stmt, AssertStmt):
+        out.append("%sassert(%s);" % (pad, expr_to_source(stmt.cond)))
+    elif isinstance(stmt, ExprStmt):
+        out.append("%s%s;" % (pad, expr_to_source(stmt.call)))
+    else:
+        raise TypeError("cannot print %r" % stmt)
+    return out
+
+
+def to_source(ast):
+    """Pretty-print a contract back to MiniSol source (canonical layout)."""
+    out = ["contract %s {" % ast.name]
+    for sv in ast.state_vars:
+        init = " = " + expr_to_source(sv.init) if sv.init is not None else ""
+        out.append("    %s %s%s;" % (sv.type_, sv.name, init))
+    fns = ([ast.constructor] if ast.constructor is not None else []) + ast.functions
+    for fn in fns:
+        params = ", ".join("%s %s" % (t, n) for n, t in fn.params)
+        if fn.is_constructor:
+            head = "    constructor(%s) {" % params
+        else:
+            ret = " returns (%s)" % fn.ret if fn.ret is not None else ""
+            head = "    function %s(%s) %s%s {" % (fn.name, params,
+                                                   fn.visibility, ret)
+        out.append(head)
+        for s in fn.body:
+            out.extend(_stmt_to_lines(s, 2))
+        out.append("    }")
+    out.append("}")
+    return "\n".join(out) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +236,37 @@ def definition_symbols(script):
     scalar symbols, and the map function each map write defines."""
     return [link.defined for link in script.links()
             if link.defined is not None]
+
+
+def dump_ir(program):
+    """Stable one-instruction-per-line dump, used by golden tests."""
+    out = []
+    for fn in program.all_functions():
+        params = ", ".join("%s: %s" % (n, t) for n, t in fn.params)
+        out.append("function %s(%s)%s" % (fn.name, params,
+                                          " -> %s" % fn.ret if fn.ret else ""))
+        for block in fn.blocks:
+            term = block.term
+            ttext = term.kind
+            if term.targets:
+                ttext += " " + ",".join("b%d" % t for t in term.targets)
+            out.append("  b%d:" % block.idx)
+            for ins in block.instrs:
+                out.append("    " + ins.text())
+            out.append("    -> " + ttext)
+    return "\n".join(out) + "\n"
+
+
+def frontier_end(script):
+    """How many of an `SsaScript`'s clauses its frontier contributes: the
+    moving ones and the last numbered node's."""
+    link = script.numbering.link
+    return len(script.moving) + (len(link.clauses) if link else 0)
+
+
+def bundled_solver_command():
+    """Command line that runs the bundled solver as an external process."""
+    return "%s -m minisol.smt" % shlex.quote(sys.executable)
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,23 @@ def test_target_line_selects_among_annotations(tmp_path):
     assert proc.returncode == 2             # not an annotated line
 
 
+def test_a_run_parses_its_source_once(tmp_path, monkeypatch, capsys):
+    from minisol import cli
+    from minisol.frontend import Parser
+    parses = []
+    real = Parser.parse_contract
+
+    def counting(self):
+        parses.append(self)
+        return real(self)
+    monkeypatch.setattr(Parser, "parse_contract", counting)
+    out = tmp_path / "seq.json"
+    argv = [msol("guess_check"), "--target-line", "6", "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert len(parses) == 1
+    assert capsys.readouterr().err.startswith("result=found ")
+
+
 def test_byte_determinism_modulo_time(tmp_path):
     outs = []
     for i in range(2):

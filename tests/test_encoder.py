@@ -4,9 +4,8 @@ import random
 import pytest
 
 from minisol.cfg import ReversedView
-from minisol.encoder import (SolverConfig, SolverSession,
-                             bundled_solver_command, encode, frontier_script,
-                             resolve_safety, ssa_number)
+from minisol.encoder import (SolverConfig, SolverSession, encode,
+                             frontier_script, resolve_safety, ssa_number)
 from minisol.engine import prepare
 from minisol.errors import EncodeError, SolverError
 from minisol.explorer import Walk
@@ -14,8 +13,8 @@ from minisol.frontend import extract_targets
 from minisol.smt.terms import Ctx
 
 from genprog import random_source, random_walk
-from ref_oracles import (definition_symbols, forward_encode,
-                         forward_ssa_number)
+from ref_oracles import (bundled_solver_command, definition_symbols,
+                         forward_encode, forward_ssa_number, frontier_end)
 
 TWO_ASSIGN = """contract T {
     uint256 var_ = 0;
@@ -397,9 +396,10 @@ def _random_backward_walk(rng, graph, root, max_len, revert=False):
 
 def test_child_clauses_are_parent_clauses_plus_new_node(corpus):
     """The basis for checking one node per extension: a child's clauses
-    after `frontier_end` are its parent's clauses (less the ones that move
-    with the parent's frontier), term for term; its frontier is its moving
-    clauses plus the new node's; the safety condition is the same term.
+    after `frontier_end(child)` are its parent's clauses (less the ones
+    that move with the parent's frontier), term for term; its frontier is
+    its moving clauses plus the new node's; the safety condition is the
+    same term.
     Numbering the child from its parent's numbering or from the root gives
     the same terms."""
     rng = random.Random(11)
@@ -429,9 +429,9 @@ def test_child_clauses_are_parent_clauses_plus_new_node(corpus):
                 assert [id(c) for c in child.clauses] \
                     == [id(c) for c in fresh.clauses]
                 node = child.numbering.link.clauses
-                assert child.clauses[:child.frontier_end] \
+                assert child.clauses[:frontier_end(child)] \
                     == list(child.moving) + list(node)
-                rest = child.clauses[child.frontier_end:]
+                rest = child.clauses[frontier_end(child):]
                 kept = parent.clauses[len(parent.moving):]
                 assert len(rest) == len(kept) and all(
                     a is b for a, b in zip(rest, kept)), \

@@ -10,9 +10,11 @@ from minisol.concretize import from_json, to_json
 from minisol.encoder import SolverConfig, SolverSession, encode, ssa_number
 from minisol import engine
 from minisol.engine import pick_target, prepare, replay_file, synthesize
-from minisol.errors import TargetError
+from minisol.errors import ParseError, TargetError
 from minisol.explorer import Limits, Walk
+from minisol import frontend
 from minisol.frontend import extract_targets
+from minisol.lang import TargetSpec
 from minisol import oracle
 from minisol.smt import solve as smt_solve
 
@@ -59,6 +61,55 @@ def test_replay_file_round_trip(corpus, engine_cache):
     result = engine_cache.run("guess_check")
     report = replay_file(corpus["guess_check"], to_json(result.sequence))
     assert report.target_hit and report.hit_at_tx == 2
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """Counts parses: the engine's calls of its `parse_contract` name, and
+    every whole-contract parse the frontend makes, by whichever route."""
+    counts = {"engine": 0, "parser": 0}
+    via_engine = engine.parse_contract
+    via_parser = frontend.Parser.parse_contract
+
+    def engine_parse(source):
+        counts["engine"] += 1
+        return via_engine(source)
+
+    def parser_parse(self):
+        counts["parser"] += 1
+        return via_parser(self)
+    monkeypatch.setattr(engine, "parse_contract", engine_parse)
+    monkeypatch.setattr(frontend.Parser, "parse_contract", parser_parse)
+    return counts
+
+
+@pytest.mark.parametrize("how", ["annotation", "target_line", "target"])
+def test_synthesize_parses_once(corpus, parses, how):
+    source = corpus["guess_check"]
+    kw = {"annotation": {}, "target_line": {"target_line": 6},
+          "target": {"target": TargetSpec(6, None, None)}}[how]
+    result = synthesize(source, **kw)
+    assert result.status == "found"
+    assert parses == {"engine": 1, "parser": 1}
+
+
+def test_replay_file_parses_once(corpus, engine_cache, parses):
+    result = engine_cache.run("guess_check")
+    report = replay_file(corpus["guess_check"], to_json(result.sequence))
+    assert report.target_hit and report.hit_at_tx == 2
+    assert parses == {"engine": 1, "parser": 1}
+
+
+def test_no_annotation_is_a_target_error_before_a_parse_error(parses):
+    broken = "contract C { function f() public { x = ; } }"
+    with pytest.raises(TargetError):
+        synthesize(broken)
+    with pytest.raises(TargetError):
+        synthesize("contract C { uint256 x = 0; }")
+    assert parses == {"engine": 0, "parser": 0}
+    # annotated, the syntax error is the first problem
+    with pytest.raises(ParseError):
+        synthesize("contract C { function f() public { x = ; } // @target\n}")
 
 
 def test_lazy_check_returns_verified_sequence(corpus):

@@ -1,11 +1,13 @@
 import pytest
 
 from minisol.errors import ParseError, SemanticError, TargetError
-from minisol.frontend import extract_targets, parse_contract, scope_at
-from minisol.lang import (BOOL, U16, ast_equal, statement_lines,
-                          to_source)
+from minisol.frontend import (LOOKAHEAD, Parser, extract_targets,
+                              parse_contract, scope_at, tokenize)
+from minisol.lang import BOOL, U16
 
 from genprog import random_source
+from ref_oracles import (ast_equal, reference_tokenize, statement_lines,
+                         to_source)
 
 LISTING_OVERFLOW = """contract Overflow {
     uint16 private sellerBalance = 0;
@@ -191,3 +193,65 @@ def test_expression_lines_in_range(corpus):
             for stmt in iter_statements(fn.body):
                 for e in iter_exprs(stmt):
                     assert 1 <= e.line <= ast.source_lines
+
+
+def _stream(tokens):
+    return [(t.kind, t.text, t.line, t.col) for t in tokens]
+
+
+def _assert_reference_tokens(source):
+    """The single-pass lexer gives the former lexer's stream, then copies
+    of its eof token enough for the parser's look-ahead."""
+    ref = _stream(reference_tokenize(source))
+    new = _stream(tokenize(source))
+    assert new[:len(ref)] == ref
+    assert new[len(ref) - 1:] == [ref[-1]] * (LOOKAHEAD + 1)
+
+
+def test_lexer_matches_reference_on_corpus(corpus):
+    for source in corpus.values():
+        _assert_reference_tokens(source)
+
+
+def test_lexer_matches_reference_on_generated_programs():
+    for seed in range(200):
+        _assert_reference_tokens(random_source(seed))
+
+
+@pytest.mark.parametrize("source", [
+    "", "\n", "x", "contract C {}", "a\tb\r\nc // end", "// only",
+    "x\n\n  y", "uint8 a=>b+=c-=d==e!=f<=g>=h&&i||j", "7 007 0x1",
+])
+def test_lexer_matches_reference_on_edge_layouts(source):
+    _assert_reference_tokens(source)
+
+
+@pytest.mark.parametrize("source, line, col", [
+    ("contract C {\n\t$ }", 2, 2),                    # after a tab
+    ("contract C { // note\n  uint256 x; # }", 2, 14),  # after a comment
+    ("contract C {\n  uint256 x;\n  x = 1 ^ 2;\n}", 3, 9),
+    ("contract C {}@", 1, 14),                         # last character
+    ("?", 1, 1),
+])
+def test_bad_character_position_matches_reference(source, line, col):
+    with pytest.raises(ParseError) as ref:
+        reference_tokenize(source)
+    with pytest.raises(ParseError) as new:
+        tokenize(source)
+    assert str(new.value) == str(ref.value)
+    assert (new.value.line, new.value.col) == (ref.value.line,
+                                               ref.value.col) == (line, col)
+    with pytest.raises(ParseError) as parsed:
+        parse_contract(source)
+    assert str(parsed.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("source", ["", "x", "f(\n"])
+def test_peek_past_the_end_reads_eof(source):
+    parser = Parser(tokenize(source))
+    while parser.peek().kind != "eof":
+        parser.next()
+    end = parser.peek()
+    assert parser.peek(1).kind == "eof"
+    assert parser.next() is end and parser.peek(1).kind == "eof"
+    assert parser.at("eof") and not parser.at("(")

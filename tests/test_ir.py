@@ -4,13 +4,13 @@ import pytest
 
 from minisol.errors import LoweringError
 from minisol.frontend import parse_contract
-from minisol.ir import dump_ir, inline_internal_calls, lower
-from minisol.lang import U16, statement_lines
+from minisol.ir import inline_internal_calls, lower
+from minisol.lang import U16
 from minisol.concretize import TransactionSequence
 from minisol import oracle
 
 from genprog import random_calls, random_source
-from ref_oracles import AstInterpreter
+from ref_oracles import AstInterpreter, dump_ir, statement_lines
 
 
 def lower_src(source):

@@ -4,7 +4,7 @@ import pytest
 
 from minisol.engine import prepare, synthesize
 from minisol.errors import MutationError
-from minisol.frontend import parse_contract
+from minisol.frontend import Parser, parse_contract
 from minisol.lang import BOOL
 from minisol.mutation import (MutantSpec, apply_mutant, differential_kill,
                               gen_assignment_kill, gen_condition_kill,
@@ -227,3 +227,20 @@ def test_run_mutants_equivalent_reports_no_kill(corpus):
     specs = [MutantSpec("condition", 5, "a > b", "a > b")]
     outcomes = run_mutants(corpus["mutant_kill"], specs)
     assert outcomes[0].status == "no_kill_found"
+
+
+def test_run_mutants_parses_the_original_once(corpus, monkeypatch):
+    """One parse of the original, then one per mutant and one per kill
+    query's run: the kill queries resolve in the original's AST."""
+    parses = []
+    real = Parser.parse_contract
+
+    def counting(self):
+        parses.append(self)
+        return real(self)
+    monkeypatch.setattr(Parser, "parse_contract", counting)
+    specs = [MutantSpec("condition", 5, "a > b", "a >= b"),
+             MutantSpec("selfdestruct_like", 6, "wins += 1;", "")]
+    outcomes = run_mutants(corpus["mutant_kill"], specs)
+    assert [o.status for o in outcomes] == ["killed", "reached"]
+    assert len(parses) == 1 + 2 * len(specs)
