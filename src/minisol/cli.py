@@ -22,7 +22,8 @@ import time
 from .cfg import to_dot
 from .concretize import to_json
 from .encoder import SolverConfig
-from .engine import prepare, replay_file, synthesize
+from .engine import (pick_target, prepare, replay_file, search,
+                     synthesize)
 from .errors import MiniSolError
 from .explorer import HEURISTICS, Limits
 from .mutation import load_mutant_specs, run_mutants
@@ -96,10 +97,10 @@ def main(argv=None):
         if args.emit_smt:
             os.makedirs(args.emit_smt, exist_ok=True)
 
-        if args.emit_dot:
-            _ast, _program, graph = prepare(source)
+        prepared = prepare(source) if args.emit_dot else None
+        if prepared is not None:
             with open(args.emit_dot, "w") as fh:
-                fh.write(to_dot(graph))
+                fh.write(to_dot(prepared[2]))
 
         if args.replay is not None:
             report = replay_file(source, open(args.replay).read())
@@ -121,10 +122,16 @@ def main(argv=None):
             summary()
             return 0
 
-        result = synthesize(source, target_line=args.target_line,
-                            heuristic=args.heuristic, solver=solver,
-                            limits=limits, lazy_check=args.lazy_check,
-                            replay_check=not args.no_replay_check)
+        options = dict(heuristic=args.heuristic, solver=solver,
+                       limits=limits, lazy_check=args.lazy_check,
+                       replay_check=not args.no_replay_check)
+        if prepared is None:
+            result = synthesize(source, target_line=args.target_line,
+                                **options)
+        else:                   # search the graph --emit-dot wrote
+            ast, _program, graph = prepared
+            result = search(graph, pick_target(source, args.target_line, ast),
+                            **options)
         walks = result.walks_explored
         if result.status == "found":
             _write_out(args.out, to_json(result.sequence))

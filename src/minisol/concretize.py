@@ -12,7 +12,6 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .encoder import ssa_number
 from .errors import EncodeError, ReplayError
 from .ir import CONSTRUCTOR
 from .lang import ACCOUNTS
@@ -50,12 +49,12 @@ class TransactionSequence:
         return len(self.transactions)
 
 
-def concretize(model, walk, program, *, target_line=0, safety_text=None,
-               heuristic="", walks_explored=0, time_ms=0,
-               script=None) -> TransactionSequence:
-    """One Transaction per transaction segment of the walk, in execution
-    order; arguments come from each parameter's input (version 0) symbol."""
-    script = script or ssa_number(walk, program)
+def concretize(model, script, *, target_line=0, safety_text=None,
+               heuristic="", walks_explored=0,
+               time_ms=0) -> TransactionSequence:
+    """One Transaction per transaction segment of a numbered walk (an
+    ``encoder.SsaScript``), in execution order; arguments come from each
+    parameter's input symbol."""
     txs = []
     for env in script.transactions:
         if env.partial:

@@ -10,11 +10,12 @@ and leaves a fresh one live before it; each earlier transaction gets the
 next segment index.  A node's names therefore depend only on the walk from
 the target to it, and a numbered node's clauses never change: a one-node
 extension's clauses are its parent's, term for term, plus the new node's.
-The walk tree keeps each checked node's ``Numbering`` for its children,
-and ``ssa_number`` numbers only the nodes after the numbered prefix a walk
-carries (``Walk.numbered``).  Locals and the transaction environment
-belong to their segment; a local read with no earlier write in a complete
-segment is an error, found when the backward walk reaches the entry.
+A walk carries the check result of its nearest checked prefix
+(``Walk.prefix``, a ``SatResult``), and ``ssa_number`` numbers only the
+nodes after that result's numbering.  Locals and the transaction
+environment belong to their segment; a local read with no earlier write in
+a complete segment is an error, found when the backward walk reaches the
+entry.
 
 Two kinds of clause move with the frontier and come first: the account
 clauses of the segment the frontier is in, until its entry is numbered,
@@ -229,19 +230,15 @@ class _Seg:
 class Numbering:
     """The numbering of a walk's first `length` nodes, root first.
 
-    Immutable but for `solved`: ``step`` returns the numbering one node
-    longer and shares every part it leaves unchanged.  `cur` and `high` map each state
+    Immutable: ``step`` returns the numbering one node longer and shares
+    every part it leaves unchanged.  `cur` and `high` map each state
     variable and mapping to its live and its highest version, `marks` holds
     the live state symbols (map generations among them) the clauses
     mention, and `front_shared` says whether the last node's clauses, or
-    the moving ones, mention a symbol the clauses before it mention.
-    `solved` is the kept reduction (``smt.solve.Reduction``) of the nearest
-    walk among this one and its prefixes that was solved SAT in process,
-    inherited by ``step`` and set by the engine after a check: what the
-    solves of its extensions start from."""
+    the moving ones, mention a symbol the clauses before it mention."""
     __slots__ = ("run", "link", "length", "node", "cur", "high", "marks",
                  "nseg", "seg", "target", "written0", "front_shared",
-                 "complete", "solved")
+                 "complete")
 
     @classmethod
     def empty(cls, program, graph, ctx):
@@ -258,7 +255,6 @@ class Numbering:
         n.written0 = None              # slots the root segment writes
         n.front_shared = False
         n.complete = False
-        n.solved = None
         return n
 
     def step(self, node_id):
@@ -418,7 +414,6 @@ class _Step:
         n.cur, n.high, n.nseg, n.seg = self.cur, self.high, self.nseg, self.seg
         n.target, n.written0 = self.target, self.written0
         n.complete = self.complete
-        n.solved = parent.solved
         n.link = _Link(parent.link, tuple(self.clauses),
                        tuple(self.decls.values()), self.defined, self.tx)
         n.marks = parent.marks
@@ -621,17 +616,14 @@ class SsaScript:
         return out
 
 
-def ssa_number(walk, program, graph=None, ctx=None):
-    """Number a walk into an SsaScript, resuming from the numbering of a
-    prefix the walk carries (``walk.numbered``) if any, else from the walk
-    root in `ctx` (a fresh ``Ctx`` by default).  The graph defaults to the
-    one the walk was found on (walks carry it)."""
-    graph = graph if graph is not None else walk.graph
-    if graph is None:
-        raise EncodeError("walk carries no graph")
-    numbering = walk.numbered
+def ssa_number(walk, program, ctx=None):
+    """Number a walk into an SsaScript, resuming from the numbering of the
+    prefix result the walk carries (``walk.prefix``) if it has one, else
+    from the walk root in `ctx` (a fresh ``Ctx`` by default), on the graph
+    the walk was found on."""
+    numbering = walk.prefix.numbering if walk.prefix is not None else None
     if numbering is None:
-        numbering = Numbering.empty(program, graph,
+        numbering = Numbering.empty(program, walk.graph,
                                     ctx if ctx is not None
                                     else smt_terms.Ctx())
     for node_id in walk.nodes[numbering.length:]:
@@ -852,9 +844,11 @@ class SatResult:
     status: str                    # 'sat' | 'unsat' | 'unknown'
     model: Optional[Model] = None
     reason: str = ""
-    # the checked walk's ``Numbering``, for the checks of its extensions
+    # the checked walk's ``Numbering``: the checks of its extensions resume
+    # from it, and a found walk's transactions are read from it
     numbering: Optional[object] = None
-    # on sat in process, the solve's kept ``smt.solve.Reduction``
+    # the kept ``smt.solve.Reduction`` its extensions' solves start from:
+    # an in-process SAT solve's own, else the one its prefix's result kept
     reduction: Optional[object] = None
 
 
@@ -866,11 +860,16 @@ class SolverConfig:
 
 class SolverSession:
     """One exploration's solver channel; counts every submission and
-    optionally dumps each script as a numbered .smt2 file."""
+    optionally dumps each script as a numbered .smt2 file.  It owns the
+    run's term context (`terms`), which every numbering of the run builds
+    its clauses in, and the run's answer table (`answers`: an incomplete
+    walk's script's key -> sat | unsat), whose keys are terms of it."""
 
     def __init__(self, config: SolverConfig = None):
         self.config = config or SolverConfig()
         self.n_submissions = 0
+        self.terms = smt_terms.Ctx()
+        self.answers = {}
 
     def check(self, smt_script: SmtScript, deadline=None, base=None,
               model=True) -> SatResult:

@@ -11,14 +11,14 @@ from typing import Optional
 from . import concretize as conc
 from . import oracle
 from .cfg import build_cfg_plus
-from .encoder import (SatResult, SolverConfig, SolverSession, answer_key,
-                      encode, frontier_script, resolve_safety, ssa_number)
+from .encoder import (SatResult, SolverConfig, SolverSession, SsaScript,
+                      answer_key, encode, frontier_script, resolve_safety,
+                      ssa_number)
 from .errors import ConfigError, MiniSolError, TargetError
 from .explorer import (HEURISTICS, Limits, Walk, build_context,
                        find_minimal_satisfiable_walk)
 from .frontend import extract_targets, parse_contract, target_markers
 from .ir import inline_internal_calls, lower
-from .smt.terms import Ctx
 
 
 @dataclass
@@ -62,22 +62,27 @@ def pick_target(source, target_line=None, ast=None):
 
 
 def synthesize(source, *, target=None, target_line=None,
-               heuristic="floyd-warshall", solver: SolverConfig = None,
-               limits: Limits = None, lazy_check=False,
-               replay_check=True) -> EngineResult:
-    """Find a transaction sequence reaching the (annotated) target line.
-
-    With `replay_check` (the default) a found sequence must be confirmed by
-    concrete replay before it is returned; a diverging sequence raises.
-    """
-    t0 = time.monotonic()
+               **options) -> EngineResult:
+    """Find a transaction sequence reaching the (annotated) target line of
+    `source`: parse it once, then ``search`` its program with `options`."""
     ast = None      # parsed once, for the annotations and for lowering
     if target is None:
         # an unannotated source is a TargetError before it is parsed
         if target_markers(source):
             ast = parse_contract(source)
         target = pick_target(source, target_line, ast)
-    ast, program, graph = prepare(source, ast)
+    return search(prepare(source, ast)[2], target, **options)
+
+
+def search(graph, target, *, heuristic="floyd-warshall",
+           solver: SolverConfig = None, limits: Limits = None,
+           lazy_check=False, replay_check=True) -> EngineResult:
+    """Find a transaction sequence reaching `target` in a prepared graph
+    (see ``prepare``) of its program; the wall timeout counts from here.
+    With `replay_check` (the default) a found sequence must be confirmed by
+    concrete replay before it is returned; a diverging sequence raises."""
+    t0 = time.monotonic()
+    program = graph.program
     limits = limits or Limits()
     if heuristic not in HEURISTICS:
         raise ConfigError("unknown heuristic %r (have: %s)"
@@ -86,19 +91,14 @@ def synthesize(source, *, target=None, target_line=None,
     session = SolverSession(solver)
     context = build_context(graph, target.safety)
     deadline = t0 + limits.wall_timeout
-    # one term context for the run: a walk's numbering builds its new
-    # node's clauses into it, and every check's script is made of them
-    terms = Ctx()
-    answers = {}    # an incomplete walk's script's key -> sat | unsat
 
     def solve(script, complete, safety=None, base=None):
         """Submit `script` (a numbered walk, or a frontier script), plus the
-        safety condition, or answer it from `answers`: an incomplete walk
-        needs only sat or unsat, which an earlier script of the same
-        clauses has settled, so it is encoded only on a miss.  A complete
-        walk needs a model and is always solved; ``unknown`` settles
-        nothing.  An in-process solve starts from `base`, the kept
-        reduction of the walk's nearest prefix solved SAT."""
+        safety condition, or answer it from the session's table: an
+        incomplete walk needs only sat or unsat, which an earlier script of
+        the same clauses has settled, so it is encoded only on a miss.  A
+        complete walk needs a model and is always solved; ``unknown``
+        settles nothing.  An in-process solve starts from `base`."""
         key = None
         if not complete:
             asserts = script.clauses
@@ -106,20 +106,22 @@ def synthesize(source, *, target=None, target_line=None,
                 asserts = asserts + [resolve_safety(script, safety,
                                                     program).term]
             key = answer_key(asserts)
-            status = answers.get(key)
+            status = session.answers.get(key)
             if status is not None:
                 return SatResult(status, reason="repeated")
         result = session.check(encode(script, safety, program), deadline,
                                base, complete)
         if key is not None and result.status != "unknown":
-            answers[key] = result.status
+            session.answers[key] = result.status
         return result
 
     def decide(walk, script):
-        # the rest of a SAT parent's extension is SAT: if the new node's
-        # clauses are independent of it, they decide; a complete walk
-        # needs the whole model
-        if walk.parent_sat and not script.complete:
+        # the rest of an extension of a parent checked SAT (a SAT prefix one
+        # node short) is SAT: if the new node's clauses are independent of
+        # it, they decide; a complete walk needs the whole model
+        prefix = walk.prefix
+        if prefix.status == "sat" and not script.complete \
+                and prefix.numbering.length == len(walk) - 1:
             front = frontier_script(script, target.safety, program)
             if front is not None:
                 if not front.clauses:
@@ -130,25 +132,27 @@ def synthesize(source, *, target=None, target_line=None,
                 if result.status != "unknown":
                     return SatResult(result.status, reason="inherited")
         return solve(script, script.complete, target.safety,
-                     script.numbering.solved)
+                     prefix.reduction)
 
     def check(walk):
-        script = ssa_number(walk, program, ctx=terms)
+        script = ssa_number(walk, program, ctx=session.terms)
         result = decide(walk, script)
-        # kept for the extensions: the numbering, and the reduction their
-        # solves start from
-        if result.reduction is not None:
-            script.numbering.solved = result.reduction
+        # for the extensions: the numbering, and the reduction their solves
+        # start from (a check that made none passes on its prefix's)
         result.numbering = script.numbering
+        if result.reduction is None:
+            result.reduction = walk.prefix.reduction
         return result
 
-    # every walk starts at the target's node: number it once, for all
+    # every walk starts at the target's node: number it once, for all; the
+    # unchecked root reads as not SAT (the safety condition may be UNSAT)
     root = graph.target_node(target.line)
-    numbered = None if root is None else ssa_number(
-        Walk((root,), graph), program, ctx=terms).numbering
+    prefix = None if root is None else SatResult("unknown", numbering=(
+        ssa_number(Walk((root,), graph), program,
+                   ctx=session.terms).numbering))
     result = find_minimal_satisfiable_walk(
         graph, target, factory, limits, check=check, context=context,
-        lazy_check=lazy_check, deadline=deadline, numbered=numbered)
+        lazy_check=lazy_check, deadline=deadline, prefix=prefix)
     elapsed_ms = int((time.monotonic() - t0) * 1000)
 
     if result.status != "found":
@@ -156,7 +160,8 @@ def synthesize(source, *, target=None, target_line=None,
                             reason=result.reason, time_ms=elapsed_ms,
                             target=target)
 
-    seq = conc.concretize(result.model, result.walk, program,
+    seq = conc.concretize(result.found.model,
+                          SsaScript(result.found.numbering),
                           target_line=target.line,
                           safety_text=target.safety_text,
                           heuristic=heuristic,

@@ -5,18 +5,16 @@ Every tree node keeps its untried reversed-graph neighbours; the frontier
 option with the lowest heuristic cost is extended next (ties broken by the
 smallest stable graph node id, then tree age), each extension is checked,
 and UNSAT extensions are never grown again.  The first extension that
-lands on the start node with a SAT script is the answer.  A candidate walk
-says whether its tree leaf was checked SAT (``Walk.parent_sat``), so the
-check callback can decide it from the new node's clauses alone.
+lands on the start node with a SAT script is the answer; its check's
+result leaves the search with it.
 
-The walks are numbered backward from the target (``encoder.Numbering``),
-so a walk's numbering extends its parent's by one node.  A tree node holds
-its numbering (or, unchecked in lazy mode, its nearest numbered
-ancestor's) while some of its options wait in the heap, and hands it to
-the check of each extension as ``Walk.numbered``: a check numbers only the
-nodes after it, one in eager mode.  The root's numbering comes from the
-caller, every other one from the check of its walk
-(``SatResult.numbering``); the last option popped releases it.
+A tree node holds one opaque value while some of its options wait in the
+heap: the result of its own check or, unchecked in lazy mode, of its
+nearest checked ancestor's.  It hands that value to the check of each
+extension as ``Walk.prefix``, and the last option popped releases it.
+The engine's results (``encoder.SatResult``) carry the checked walk's
+numbering, so a check numbers only the nodes after it, one in eager mode.
+The root's value comes from the caller.
 
 Heuristics are cost functions ``h(tree, leaf, option) -> float``; infinity
 means "never pick while any finite option exists".  Two ship built in:
@@ -46,11 +44,9 @@ from .errors import ConfigError, TargetError
 @dataclass
 class Walk:
     nodes: tuple
-    graph: Optional[CfgPlus] = None
-    parent_sat: bool = False       # the walk less its frontier checked SAT
-    # the numbering of a prefix of the walk (``encoder.Numbering``): its
-    # nearest numbered ancestor's
-    numbered: Optional[object] = None
+    graph: CfgPlus
+    # the result of the check of the walk's nearest checked prefix
+    prefix: Optional[object] = None
 
     def __len__(self):
         return len(self.nodes)
@@ -185,10 +181,9 @@ class TreeNode:
     cfg_node: int
     parent: Optional[int]
     depth: int
-    status: str = "unknown"
-    # while some of its options wait in the heap: its numbering, or its
-    # nearest numbered ancestor's, for the checks of its extensions
-    numbered: Optional[object] = None
+    # while some of its options wait in the heap: its check's result, or
+    # its nearest checked ancestor's, for the checks of its extensions
+    prefix: Optional[object] = None
     options: int = 0
 
 
@@ -197,10 +192,9 @@ class WalkTree:
         self.ctx = ctx
         self.nodes = [TreeNode(0, root_cfg_node, None, 1)]
 
-    def extend(self, leaf_idx, cfg_node, status):
+    def extend(self, leaf_idx, cfg_node):
         leaf = self.nodes[leaf_idx]
-        child = TreeNode(len(self.nodes), cfg_node, leaf_idx, leaf.depth + 1,
-                         status=status)
+        child = TreeNode(len(self.nodes), cfg_node, leaf_idx, leaf.depth + 1)
         self.nodes.append(child)
         return child
 
@@ -212,18 +206,12 @@ class WalkTree:
         out.reverse()
         return tuple(out)                  # target first, frontier last
 
-    def walk(self, idx, extra=None):
-        nodes = self.path(idx)
-        if extra is not None:
-            nodes = nodes + (extra,)
-        return Walk(nodes, self.ctx.graph)
-
 
 @dataclass
 class ExploreResult:
     status: str                            # 'found' | 'notfound'
     walk: Optional[Walk] = None
-    model: Optional[object] = None
+    found: Optional[object] = None         # the found walk's check result
     walks_explored: int = 0
     reason: str = ""
 
@@ -231,7 +219,7 @@ class ExploreResult:
 def find_minimal_satisfiable_walk(graph: CfgPlus, target, heuristic, limits,
                                   *, check, context=None, lazy_check=False,
                                   deadline=None,
-                                  numbered=None) -> ExploreResult:
+                                  prefix=None) -> ExploreResult:
     """Grow backward walks from the target line's node until one reaches the
     start node with a satisfiable script (plus safety condition).
 
@@ -241,10 +229,8 @@ def find_minimal_satisfiable_walk(graph: CfgPlus, target, heuristic, limits,
     ``time.monotonic()`` passes `deadline` (default: `limits.wall_timeout`
     from now), also when a check gave up on ``unknown`` because of it.
 
-    `numbered` is the root walk's numbering, if the caller has one.  A
-    check hands back its walk's numbering as ``SatResult.numbering``; the
-    tree keeps it, or the nearest numbered ancestor's, while the node's
-    options wait, and gives it to their checks as ``Walk.numbered``.
+    `prefix` is the root's value for the checks of its extensions (see
+    ``Walk.prefix``), if the caller has one; every other is a check's.
     """
     if deadline is None:
         deadline = time.monotonic() + limits.wall_timeout
@@ -258,7 +244,7 @@ def find_minimal_satisfiable_walk(graph: CfgPlus, target, heuristic, limits,
     heap = []
     counter = 0
 
-    def push_options(tree_node, numbered):
+    def push_options(tree_node, prefix):
         nonlocal counter
         if tree_node.depth >= limits.max_walk_len:
             return
@@ -268,9 +254,9 @@ def find_minimal_satisfiable_walk(graph: CfgPlus, target, heuristic, limits,
             heapq.heappush(heap, (cost, succ, tree_node.idx, counter))
             tree_node.options += 1
         if tree_node.options:
-            tree_node.numbered = numbered
+            tree_node.prefix = prefix
 
-    push_options(tree.nodes[0], numbered)
+    push_options(tree.nodes[0], prefix)
 
     def timed_out():
         return ExploreResult("notfound", walks_explored=explored,
@@ -283,31 +269,29 @@ def find_minimal_satisfiable_walk(graph: CfgPlus, target, heuristic, limits,
         complete = option == graph.start_id
         boundary = graph.is_boundary(option)
         leaf = tree.nodes[leaf_idx]
-        numbered = leaf.numbered
+        prefix = leaf.prefix
         leaf.options -= 1
         if not leaf.options:
-            leaf.numbered = None           # no extension of it is left
+            leaf.prefix = None             # no extension of it is left
 
         if lazy_check and not boundary:
-            child = tree.extend(leaf_idx, option, "unknown")
-            push_options(child, numbered)
+            child = tree.extend(leaf_idx, option)
+            push_options(child, prefix)
             continue
 
         if explored >= limits.max_walks:
             return ExploreResult("notfound", walks_explored=explored,
                                  reason="budget")
-        candidate = tree.walk(leaf_idx, extra=option)
-        candidate.parent_sat = leaf.status == "sat"
-        candidate.numbered = numbered
+        candidate = Walk(tree.path(leaf_idx) + (option,), graph, prefix)
         result = check(candidate)
         explored += 1
         if result.status == "sat" and complete:
-            return ExploreResult("found", candidate, result.model, explored)
+            return ExploreResult("found", candidate, result, explored)
         if result.status == "unknown" and time.monotonic() > deadline:
             return timed_out()
-        child = tree.extend(leaf_idx, option, result.status)
+        child = tree.extend(leaf_idx, option)
         if result.status == "sat":
-            push_options(child, result.numbering or numbered)
+            push_options(child, result)
 
     return ExploreResult("notfound", walks_explored=explored,
                          reason="exhausted")

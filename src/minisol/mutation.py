@@ -237,31 +237,33 @@ class MutantOutcome:
 def run_mutants(source, specs, *, heuristic="floyd-warshall", solver=None,
                 limits=None, lazy_check=False):
     """Solve each mutant's kill queries and validate kills by differential
-    replay; the engine runs width mutants against the widened program."""
-    from .engine import prepare, synthesize
+    replay.  The queries search the original program, prepared once; the
+    engine runs width mutants against the widened program."""
+    from .engine import prepare, search
     outcomes = []
-    ast, orig_program, _g = prepare(source)
+    ast, orig_program, orig_graph = prepare(source)
     for spec in specs:
-        mutated_source = apply_mutant(source, spec)
-        mut_ast_checked, mutant_program, _ = prepare(mutated_source)
+        mut_ast_checked, mutant_program, mutant_graph = prepare(
+            apply_mutant(source, spec))
+        searched = orig_graph
         if spec.kind == "condition":
-            queries, run_source = [gen_condition_kill(ast, spec)], source
+            queries = [gen_condition_kill(ast, spec)]
         elif spec.kind == "assignment_rhs":
-            queries, run_source = [gen_assignment_kill(ast, spec)], source
+            queries = [gen_assignment_kill(ast, spec)]
         elif spec.kind == "width_change":
             queries = gen_width_kill(mut_ast_checked, spec)
-            run_source = mutated_source
+            searched = mutant_graph
         else:
-            queries, run_source = [gen_reachability_only(spec)], source
+            queries = [gen_reachability_only(spec)]
         if not queries:
             outcomes.append(MutantOutcome(spec, "no_usage"))
             continue
         outcome = None
         walks = 0
         for query in queries:
-            result = synthesize(run_source, target=query.target,
-                                heuristic=heuristic, solver=solver,
-                                limits=limits, lazy_check=lazy_check)
+            result = search(searched, query.target, heuristic=heuristic,
+                            solver=solver, limits=limits,
+                            lazy_check=lazy_check)
             walks += result.walks_explored
             if result.status != "found":
                 continue

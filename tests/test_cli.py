@@ -85,20 +85,30 @@ def test_target_line_selects_among_annotations(tmp_path):
 
 
 def test_a_run_parses_its_source_once(tmp_path, monkeypatch, capsys):
-    from minisol import cli
+    """Also with ``--emit-dot``, whose graph is the searched one: one
+    parse and one lowering per run."""
+    from minisol import cli, engine
     from minisol.frontend import Parser
-    parses = []
-    real = Parser.parse_contract
+    parses, lowerings = [], []
+    real, real_lower = Parser.parse_contract, engine.lower
 
     def counting(self):
         parses.append(self)
         return real(self)
+
+    def counting_lower(ast):
+        lowerings.append(ast)
+        return real_lower(ast)
     monkeypatch.setattr(Parser, "parse_contract", counting)
-    out = tmp_path / "seq.json"
+    monkeypatch.setattr(engine, "lower", counting_lower)
+    out, dot = tmp_path / "seq.json", tmp_path / "graph.dot"
     argv = [msol("guess_check"), "--target-line", "6", "--out", str(out)]
-    assert cli.main(argv) == 0
-    assert len(parses) == 1
-    assert capsys.readouterr().err.startswith("result=found ")
+    for extra in ([], ["--emit-dot", str(dot)]):
+        parses.clear(), lowerings.clear()
+        assert cli.main(argv + extra) == 0
+        assert len(parses) == 1 and len(lowerings) == 1
+        assert capsys.readouterr().err.startswith("result=found ")
+    assert dot.read_text().startswith("digraph")
 
 
 def test_byte_determinism_modulo_time(tmp_path):

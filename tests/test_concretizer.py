@@ -77,7 +77,7 @@ def test_model_missing_symbol_raises(engine_cache):
             raise KeyError(key)
 
     with pytest.raises(EncodeError):
-        conc.concretize(Empty(), result.walk, program)
+        conc.concretize(Empty(), script)
 
 
 def test_partial_walk_cannot_concretize(corpus):
@@ -87,4 +87,4 @@ def test_partial_walk_cannot_concretize(corpus):
     instr = [n.id for n in cfg.nodes if n.kind == "instr"][0]
     walk = Walk((instr, cfg.entry_id), graph=graph)
     with pytest.raises(EncodeError):
-        conc.concretize({}, walk, program)
+        conc.concretize({}, ssa_number(walk, program))

@@ -4,8 +4,9 @@ import random
 import pytest
 
 from minisol.cfg import ReversedView
-from minisol.encoder import (SolverConfig, SolverSession, encode,
-                             frontier_script, resolve_safety, ssa_number)
+from minisol.encoder import (SatResult, SolverConfig, SolverSession,
+                             encode, frontier_script, resolve_safety,
+                             ssa_number)
 from minisol.engine import prepare
 from minisol.errors import EncodeError, SolverError
 from minisol.explorer import Walk
@@ -419,7 +420,8 @@ def test_child_clauses_are_parent_clauses_plus_new_node(corpus):
                     parent = ssa_number(Walk(walk.nodes[:k], graph), program,
                                         ctx=ctx)
                     child = ssa_number(Walk(walk.nodes[:k + 1], graph,
-                                            numbered=parent.numbering),
+                                            SatResult("sat", numbering=(
+                                                parent.numbering))),
                                        program)
                     fresh = ssa_number(Walk(walk.nodes[:k + 1], graph),
                                        program, ctx=ctx)

@@ -95,6 +95,7 @@ def test_synthesize_parses_once(corpus, parses, how):
 
 def test_replay_file_parses_once(corpus, engine_cache, parses):
     result = engine_cache.run("guess_check")
+    parses.update(engine=0, parser=0)      # the cached run may be this one
     report = replay_file(corpus["guess_check"], to_json(result.sequence))
     assert report.target_hit and report.hit_at_tx == 2
     assert parses == {"engine": 1, "parser": 1}
@@ -278,8 +279,10 @@ def test_frontier_shortcut_changes_no_answer(corpus, monkeypatch, check_log,
 @pytest.fixture
 def kept_solves(monkeypatch):
     """(status, status from empty) of every solve that started from a kept
-    reduction: each is decided again from empty, with the same budget and
-    deadline."""
+    reduction: each is decided again from empty, with the same budget.
+    Not with the run's deadline: these second solves spend the run's wall
+    clock, and one cut short by it answers ``unknown``, which is no answer
+    to compare."""
     real = smt_solve.solve_commands
     pairs = []
 
@@ -295,7 +298,7 @@ def kept_solves(monkeypatch):
         if base is not None and base.asserts \
                 and base.asserts <= frozenset(script.asserts):
             pairs.append((result.status,
-                          status(ctx, script, budget, deadline, None, False)))
+                          status(ctx, script, budget, None, None, False)))
         return result
 
     monkeypatch.setattr(smt_solve, "solve_commands", solve_twice)
@@ -373,21 +376,24 @@ def test_run_context_changes_no_answer(corpus, check_log, name, heuristic,
 @pytest.mark.parametrize("lazy", [False, True])
 def test_every_check_resumes_from_one_runs_numbering(corpus, monkeypatch,
                                                      lazy):
-    """The engine numbers the root walk once.  Every check is handed the
-    numbering of its nearest checked ancestor (the root's included), all
-    of one run, and hands its own walk's numbering back; in eager mode the
-    handed numbering is the parent's, one node short."""
+    """The engine numbers the root walk once; the root's result is not
+    SAT.  Every check is handed the result of its nearest checked ancestor
+    (the root's included), whose numbering is of one run, and hands its own
+    walk's numbering back; in eager mode the handed numbering is the
+    parent's, one node short."""
     search = engine.find_minimal_satisfiable_walk
     handed = []
 
-    def recorded_search(*args, check, numbered=None, **kwargs):
-        assert numbered is not None and numbered.length == 1
+    def recorded_search(*args, check, prefix=None, **kwargs):
+        assert prefix is not None and prefix.numbering.length == 1
+        assert prefix.status != "sat"
 
         def checked(walk):
             result = check(walk)
-            handed.append((len(walk.nodes), walk.numbered, result.numbering))
+            handed.append((len(walk.nodes), walk.prefix.numbering,
+                           result.numbering))
             return result
-        return search(*args, check=checked, numbered=numbered, **kwargs)
+        return search(*args, check=checked, prefix=prefix, **kwargs)
 
     monkeypatch.setattr(engine, "find_minimal_satisfiable_walk",
                         recorded_search)
@@ -401,6 +407,27 @@ def test_every_check_resumes_from_one_runs_numbering(corpus, monkeypatch,
             assert 1 <= given.length < length
         else:
             assert given.length == length - 1
+
+
+@pytest.mark.parametrize("lazy_check", [False, True])
+@pytest.mark.parametrize("name", ["multi_tx", "condition_check"])
+def test_only_an_extension_of_a_sat_checked_parent_is_inherited(
+        corpus, check_log, name, lazy_check):
+    """A check is decided by its frontier clauses (reason ``inherited``)
+    only when its parent was checked SAT.  The root is never checked, so no
+    check of a root child is inherited: the safety condition alone may be
+    UNSAT.  Nor is, in lazy mode, an extension of an unchecked node, whose
+    nearest checked ancestor is SAT but more than one node short."""
+    synthesize(corpus[name], lazy_check=lazy_check)
+    checked = {nodes for nodes, _status, _reason in check_log}
+    root_children = [c for c in check_log if len(c[0]) == 2]
+    unchecked_parent = [c for c in check_log
+                        if len(c[0]) > 2 and c[0][:-1] not in checked]
+    assert unchecked_parent if lazy_check else root_children
+    for nodes, _status, reason in root_children + unchecked_parent:
+        assert reason != "inherited", nodes
+    if name == "multi_tx" or not lazy_check:
+        assert any(reason == "inherited" for *_c, reason in check_log)
 
 
 def test_a_frontier_script_takes_a_short_walks_answer(corpus, check_log):

@@ -108,7 +108,7 @@ def test_state_var_heuristic_infinity_and_tie_break(corpus):
     fw = HEURISTICS["floyd-warshall"](ctx)
     tree = WalkTree(_instr(graph, "check", reads=["counter", "threshold"]),
                     ctx)
-    leaf = tree.extend(0, graph.fn_cfgs["check"].entry_id, "sat")
+    leaf = tree.extend(0, graph.fn_cfgs["check"].entry_id)
 
     check_exit = graph.fn_cfgs["check"].exit_id
     bid_exit = graph.fn_cfgs["bid"].exit_id
@@ -119,8 +119,7 @@ def test_state_var_heuristic_infinity_and_tie_break(corpus):
     assert sv(tree, leaf, bid_exit) == fw(tree, leaf, bid_exit)
     # once the walk passes bid's write of counter, only threshold is
     # pending, which bid() never writes and the constructor does
-    wrote = tree.extend(leaf.idx, _instr(graph, "bid", writes=["counter"]),
-                        "sat")
+    wrote = tree.extend(leaf.idx, _instr(graph, "bid", writes=["counter"]))
     assert math.isinf(sv(tree, wrote, bid_exit))
     assert sv(tree, wrote, ctor_exit) == fw(tree, wrote, ctor_exit)
     # the leaf's own pending reads are unchanged by its child's
@@ -129,7 +128,7 @@ def test_state_var_heuristic_infinity_and_tie_break(corpus):
     # degenerate case: no pending reads, identical costs everywhere
     sv = HEURISTICS["state-var"](ctx)
     tree = WalkTree(graph.fn_cfgs["check"].exit_id, ctx)
-    no_pending = tree.extend(0, graph.fn_cfgs["bid"].exit_id, "sat")
+    no_pending = tree.extend(0, graph.fn_cfgs["bid"].exit_id)
     for node in range(len(graph.nodes)):
         assert sv(tree, no_pending, node) == fw(tree, no_pending, node)
 
