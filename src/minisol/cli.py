@@ -103,7 +103,8 @@ def main(argv=None):
                 fh.write(to_dot(prepared[2]))
 
         if args.replay is not None:
-            report = replay_file(source, open(args.replay).read())
+            report = replay_file(source, open(args.replay).read(),
+                                 prepared)
             _write_out(args.out,
                        json.dumps(report.to_obj(), indent=2) + "\n")
             result_word = "found" if report.target_hit else "notfound"
@@ -114,7 +115,8 @@ def main(argv=None):
             specs = load_mutant_specs(open(args.mutants).read())
             outcomes = run_mutants(source, specs, heuristic=args.heuristic,
                                    solver=solver, limits=limits,
-                                   lazy_check=args.lazy_check)
+                                   lazy_check=args.lazy_check,
+                                   prepared=prepared)
             walks = sum(o.walks_explored for o in outcomes)
             obj = {"mutants": [o.to_obj() for o in outcomes]}
             _write_out(args.out, json.dumps(obj, indent=2) + "\n")

@@ -180,12 +180,13 @@ def search(graph, target, *, heuristic="floyd-warshall",
                         time_ms=elapsed_ms, target=target)
 
 
-def replay_file(source, seq_json_text):
+def replay_file(source, seq_json_text, prepared=None):
     """Replay a JSON transaction sequence against a contract; the target is
-    the file's annotation (first one if several)."""
-    ast = parse_contract(source)
+    the file's annotation (first one if several).  `prepared`, when given,
+    is ``prepare(source)``, and the source is not parsed again."""
+    ast = parse_contract(source) if prepared is None else prepared[0]
     targets = extract_targets(source, ast)
     target = targets[0] if targets else None
-    _ast, program, _graph = prepare(source, ast)
+    _ast, program, _graph = prepared or prepare(source, ast)
     seq = conc.from_json(seq_json_text)
     return oracle.replay(program, seq, target)

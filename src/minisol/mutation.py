@@ -235,13 +235,14 @@ class MutantOutcome:
 
 
 def run_mutants(source, specs, *, heuristic="floyd-warshall", solver=None,
-                limits=None, lazy_check=False):
+                limits=None, lazy_check=False, prepared=None):
     """Solve each mutant's kill queries and validate kills by differential
-    replay.  The queries search the original program, prepared once; the
-    engine runs width mutants against the widened program."""
+    replay.  The queries search the original program, prepared once (or
+    given as `prepared`, ``prepare(source)``); the engine runs width
+    mutants against the widened program."""
     from .engine import prepare, search
     outcomes = []
-    ast, orig_program, orig_graph = prepare(source)
+    ast, orig_program, orig_graph = prepared or prepare(source)
     for spec in specs:
         mut_ast_checked, mutant_program, mutant_graph = prepare(
             apply_mutant(source, spec))

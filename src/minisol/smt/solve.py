@@ -23,25 +23,34 @@ Only when it fails are the remaining conjuncts bit-blasted to CNF for the
 CDCL solver.
 
 The front half, fold/resolve and reduction, is a ``Reduction`` that can be
-extended.  It holds the array definitions, the Ackermann reads, the
-substitution, the residual and the rewritten assertions.  A SAT answer
-keeps it, and the engine hands it to the checks of the walk's extensions:
-a child's clauses are its parent's, term for term, plus its new node's.
-A solve starts from the reduction it is given when the reduction's
-assertions are among the script's, by term identity, and from ``EMPTY``
-otherwise; a whole-script solve is the same code started from ``EMPTY``.
-It folds, resolves and reduces only the assertions the base lacks.  Those
-bind their definitional conjuncts first; once one binds, every conjunct
-left, the base's included, is rewritten again.  An array the base read
-while undefined and the new assertions define has each of its Ackermann
-reads bound to the read through the definition, and each new read of an
-undefined array is paired by congruence with every earlier read of it.
-Linear refutation, greedy, bit-blasting and the self-check of every
-rewritten assertion, the base's and the new ones, then see the whole.
-A solve from a base values no query.  Its model, though valid, need not be
-the one a whole-script solve finds, so a SAT script whose model is read is
-solved again from empty: the model, and every sequence built from it, is
-the whole script's.
+extended, and it keeps its solve's model.  It holds the array
+definitions, the Ackermann reads, the substitution, the residual (with
+each conjunct's variables), the rewritten assertions (with the free
+variables each one reads through the substitution) and the model.  A SAT
+answer keeps it, and the engine hands it to the checks of the walk's
+extensions: a child's clauses are its parent's, term for term, plus its
+new node's.  A solve starts from the reduction it is given when the
+reduction's assertions are among the script's, by term identity, and
+from ``EMPTY`` otherwise; a whole-script solve is the same code started
+from ``EMPTY``.  It folds, resolves and reduces only the assertions the
+base lacks.  Those bind their definitional conjuncts first; once one
+binds, every conjunct left that reads a variable bound here, the base's
+included, is rewritten again.  An array the base read while undefined
+and the new assertions define has each of its Ackermann reads bound to
+the read through the definition, and each new read of an undefined array
+is paired by congruence with every earlier read of it.  Linear refutation
+sees the whole residual.  The model search starts from the base's model:
+every variable the solve binds leaves it, its definition solved back to
+the value the variable had, and only the conjuncts that are new or read
+a variable whose value moved are evaluated (``_Reuse``); greedy rounds
+run from there if one fails, then from zeros, and only then is the
+residual bit-blasted.  The self-check evaluates every new assertion and
+every base assertion with a free variable whose value moved; the others
+hold as they held under the base's model.  A solve from a base values no
+query.  Its model, though valid, need not be the one a whole-script solve
+finds, so a SAT script whose model is read is solved again from empty,
+where no model is reused: the model, and every sequence built from it,
+is the whole script's.
 
 Arrays (QF_ABV) are read by ``select`` only.  A top-level ``(= a t)`` whose
 ``a`` is an array variable defines ``a`` as ``t``, a ``store`` or constant
@@ -51,12 +60,14 @@ read of the array below)``, a constant array to its value.  A variable
 defined twice, any other array equality and an array anywhere else answer
 unknown.  The reads of a variable left undefined are Ackermann-expanded
 over the keys that actually occur.  Every model is checked against the
-rewritten assertions before it is reported.
+rewritten assertions before it is reported (from a base, against those
+its values can have changed).
 """
 
 from __future__ import annotations
 
 import time
+from itertools import islice
 
 from .bitblast import DEADLINE_STRIDE, Blaster
 from .parse import parse_script
@@ -455,25 +466,99 @@ class _Maps:
 # ---------------------------------------------------------------------------
 
 class Reduction:
-    """The front half of a SAT solve, kept so that a script extending the
-    one solved reduces only the assertions it adds: the script's
-    assertions as given (`asserts`), the array definitions and Ackermann
-    reads (`defs`, `apps`), the substitution word-level reduction found,
-    the conjuncts left (`residual`, each rewritten under `subst`) and the
-    rewritten assertions every model is checked against (`checked`)."""
-    __slots__ = ("asserts", "defs", "apps", "subst", "residual", "checked")
+    """The front half of a SAT solve, and its model, kept so that a script
+    extending the one solved reduces only the assertions it adds and starts
+    its model search from this model.  It holds the script's assertions as
+    given (`asserts`), the array definitions and Ackermann reads (`defs`,
+    `apps`), the substitution word-level reduction found, the conjuncts
+    left (`residual`, each rewritten under `subst`) with the sorts of each
+    one's variables (`sorts`, name -> sort, one dict per conjunct), the
+    rewritten assertions every model is checked against (`checked`) with
+    the names of each one's free variables read through `subst`
+    (`leaves`, one frozenset per assertion; None from a whole-script
+    solve, until an extension needs them), and the model (`env`: name ->
+    value of free variables only, since ``_Evaluator`` reads it before
+    `subst`; a free variable it lacks is 0 or false)."""
+    __slots__ = ("asserts", "defs", "apps", "subst", "residual", "sorts",
+                 "checked", "leaves", "env")
 
-    def __init__(self, asserts, defs, apps, subst, residual, checked):
+    def __init__(self, asserts, defs, apps, subst, residual, sorts, checked,
+                 leaves, env):
         self.asserts = asserts
         self.defs = defs
         self.apps = apps
         self.subst = subst
         self.residual = residual
+        self.sorts = sorts
         self.checked = checked
+        self.leaves = leaves
+        self.env = env
 
 
-# where a whole-script solve starts; a solve copies what it extends
-EMPTY = Reduction(frozenset(), {}, {}, {}, (), ())
+# where a whole-script solve starts; a solve copies what it extends.  It
+# has no model, so a solve from it searches from zeros and checks all.
+EMPTY = Reduction(frozenset(), {}, {}, {}, (), (), (), (), None)
+
+
+def _leaves(ctx, term, subst):
+    """The names of the free variables `term` reads through `subst`, as the
+    context's one copy of that set."""
+    names = set()
+    seen = set()
+    stack = [term]
+    while stack:
+        term = stack.pop()
+        if id(term) in seen:
+            continue
+        seen.add(id(term))
+        if term.op == "var":
+            value = subst.get(term)
+            if value is None:
+                names.add(term.val)
+            else:
+                stack.append(value)
+        else:
+            stack.extend(term.args)
+    names = frozenset(names)
+    return ctx.name_sets.setdefault(names, names)
+
+
+def _carried_leaves(ctx, leaves, bound):
+    """A base's `leaves` under an extension that binds `bound` (name ->
+    (variable, definition over free variables)): each bound name is
+    replaced by the free variables of its definition."""
+    if not bound:
+        return list(leaves)
+    names = frozenset(bound)
+    carried = {}
+    out = []
+    for own in leaves:
+        if names.isdisjoint(own):
+            out.append(own)
+            continue
+        free = carried.get(own)
+        if free is None:
+            free = set(own - names)
+            for name in own & names:
+                free |= _leaves(ctx, bound[name][1], {})
+            free = frozenset(free)
+            free = carried[own] = ctx.name_sets.setdefault(free, free)
+        out.append(free)
+    return out
+
+
+def _moved(parent, env, bound, evaluator):
+    """The names of the variables free in a base whose value under `env`
+    and the substitution of `evaluator` differs from the one the base's
+    model `parent` gives them; a variable an env lacks is 0 or false.  A
+    variable `bound` newly takes its definition's value."""
+    moved = {name for name, value in env.items()
+             if parent.get(name, 0) != value}
+    moved.update(name for name, value in parent.items()
+                 if value and name not in env and name not in bound)
+    moved.update(name for name, (var, _definition) in bound.items()
+                 if evaluator.eval(var) != parent.get(name, 0))
+    return moved
 
 
 class Result:
@@ -491,10 +576,11 @@ def solve_commands(ctx, script, conflict_budget=None, deadline=None,
     and CDCL; running out of either gives ``unknown``.
 
     `base` is the ``Reduction`` of an earlier SAT script.  The solve
-    starts from it when its assertions are among the script's, by term
-    identity, and from ``EMPTY`` otherwise.  Only with a `model` are the
-    script's queries valued, from a solve started from empty: a SAT answer
-    reached from a base is solved again from empty for it."""
+    starts from it, and its model search from the base's model, when its
+    assertions are among the script's, by term identity, and from
+    ``EMPTY`` otherwise.  Only with a `model` are the script's queries
+    valued, from a solve started from empty: a SAT answer reached from a
+    base is solved again from empty for it, with no model to start from."""
     asserts = frozenset(script.asserts)
     if base is None or not base.asserts <= asserts:
         base = EMPTY
@@ -542,15 +628,39 @@ def _solve(ctx, script, asserts, base, model, conflict_budget, deadline):
 
     # word-level reduction: propagate single definitions, first through the
     # new conjuncts, then, once one binds, through every conjunct left
+    # (a conjunct of the base's residual, the same term, reading no
+    # variable bound here is left as it is)
+    kept = dict(zip(map(id, base.residual), base.sorts))
     subst = dict(base.subst)
-    residual = _reduce(ctx, maps, subst, checked, list(base.residual))
+    residual = _reduce(ctx, maps, subst, checked, list(base.residual), kept)
     if residual is None or _refuted_linear(residual):
         return Result("unsat")
 
+    # each conjunct's variables (a base conjunct has its own already)
+    var_sorts = []
+    for a in residual:
+        own = kept.get(id(a))
+        if own is None:
+            own = {}
+            _collect_vars(a, own, set())
+        var_sorts.append(own)
+    sorts = {}
+    for own in var_sorts:
+        sorts.update(own)
+
+    # the model search starts from the base's model, if it has one, with
+    # each variable this solve binds solved back to its value there
+    reuse = None
+    bound = {}
+    if base.env is not None:
+        memo = {}              # the bindings made here follow the base's
+        for var, value in islice(subst.items(), len(base.subst), None):
+            bound[var.val] = (var, rewrite(ctx, value, subst, maps, memo))
+        reuse = _Reuse(base.env, bound, kept)
+
     # cheap word-level model search first; bit-blast only when it fails
-    model_env = {}
     if residual:
-        model_env = _greedy_model(residual)
+        model_env = _greedy_model(residual, sorts, reuse)
         if model_env is None:
             if deadline is not None and time.monotonic() > deadline:
                 return Result("unknown", reason="deadline")
@@ -576,29 +686,55 @@ def _solve(ctx, script, asserts, base, model, conflict_budget, deadline):
                                           if _lit_value(assignment, lit))
                 else:
                     model_env[name] = _lit_value(assignment, lits)
+    elif reuse is not None:
+        model_env = reuse.start(sorts)
+    else:
+        model_env = {}
 
+    # the self-check: every new assertion, and every one of the base's
+    # that reads a variable whose value moved from the base's model (the
+    # others hold, as they did there)
     evaluator = _Evaluator(model_env, subst)
-    checked = list(base.checked) + checked
-    for a in checked:
+    recheck, leaves = checked, None
+    if base.env is not None:
+        if base.leaves is None:
+            # found once a whole-script solve is extended, as most (frontier
+            # scripts, found walks) never are
+            base.leaves = [_leaves(ctx, a, base.subst) for a in base.checked]
+        moved = _moved(base.env, model_env, bound, evaluator)
+        recheck = checked + [a for a, names in zip(base.checked, base.leaves)
+                             if not moved.isdisjoint(names)]
+        leaves = _carried_leaves(ctx, base.leaves, bound) \
+            + [_leaves(ctx, a, subst) for a in checked]
+    for a in recheck:
         if evaluator.eval(a) is not True:
             raise SmtInternalError("model fails %s" % print_term(a))
 
     return Result("sat", [evaluator.eval(q) for q in queries],
                   reduction=Reduction(asserts, maps.defs, maps.apps, subst,
-                                      residual, checked))
+                                      residual, var_sorts,
+                                      list(base.checked) + checked, leaves,
+                                      model_env))
 
 
-def _reduce(ctx, maps, subst, fresh, residual):
+def _reduce(ctx, maps, subst, fresh, residual, known):
     """Word-level reduction of the conjuncts `fresh`, next to `residual`,
     whose conjuncts are reduced under `subst` already: every definitional
     conjunct (``x = t``) extends `subst`, and after a round that bound one,
-    every conjunct left is rewritten again.  The conjuncts left, new ones
-    first, or None when one is false."""
+    every conjunct left is rewritten again, but for one of `known` (id ->
+    its variables) that reads no variable bound here: rewriting gives it
+    back, and it was no definition where it was reduced.  The conjuncts
+    left, new ones first, or None when one is false."""
+    bound = set()
     while True:
-        bound = False
+        binds = len(bound)
         keep = []
         memo = {}
         for a in fresh:
+            own = known.get(id(a))
+            if own is not None and bound.isdisjoint(own):
+                keep.append(a)
+                continue
             a2 = rewrite(ctx, a, subst, maps, memo)
             if a2.op == "cbool":
                 if not a2.val:
@@ -608,11 +744,11 @@ def _reduce(ctx, maps, subst, fresh, residual):
             if bind is not None:
                 var, value = bind
                 subst[var] = value
-                bound = True
+                bound.add(var.val)
                 memo = {}
                 continue
             keep.append(a2)
-        if not bound:
+        if len(bound) == binds:
             return keep + residual
         fresh, residual = keep + residual, []
 
@@ -943,15 +1079,76 @@ def _force_cmp_side(term, bound, op, left, env, sorts, depth):
     return False
 
 
-def _greedy_model(residual):
-    """Deterministic best-effort assignment; returns a full env that makes
-    every conjunct true, or None to fall back to bit-blasting."""
-    sorts = {}
-    seen = set()
-    for a in residual:
-        _collect_vars(a, sorts, seen)
+class _Reuse:
+    """What a solve from a kept reduction reuses of its base's model: the
+    base's env (`parent`), the variables the solve binds (`bound`: name ->
+    (variable, definition rewritten through the solve's substitution)) and
+    the sorts of each base residual conjunct's variables (`kept`: conjunct
+    id -> name -> sort)."""
+    __slots__ = ("parent", "bound", "kept")
+
+    def __init__(self, parent, bound, kept):
+        self.parent = parent
+        self.bound = bound
+        self.kept = kept
+
+    def start(self, sorts):
+        """The base's model, each newly bound variable taken out, since the
+        evaluator reads the env before the substitution, and its definition
+        solved back to the value the variable had, so that every conjunct
+        the binding rewrote keeps its truth value; every variable of
+        `sorts` has a value."""
+        parent = self.parent
+        env = dict(parent)
+        for name in self.bound:
+            env.pop(name, None)
+        for name, sort in sorts.items():
+            env.setdefault(name, False if sort == BOOL else 0)
+        for name, (var, definition) in self.bound.items():
+            value = parent.get(name, 0)
+            if var.sort == BOOL:
+                _force(definition, bool(value), env, sorts)
+            else:
+                _solve_to_value(definition, value, env, sorts)
+        return env
+
+    def holds(self, residual, env):
+        """True when every conjunct of `residual` holds under `env`, given
+        that each of the base's held under the base's model: only new
+        conjuncts and those reading a variable whose value moved are
+        evaluated."""
+        parent, kept = self.parent, self.kept
+        moved = {name for name, value in env.items()
+                 if parent.get(name, 0) != value}
+        evaluator = _Evaluator(env, {})
+        for a in residual:
+            own = kept.get(id(a))
+            if (own is None or not moved.isdisjoint(own)) \
+                    and not evaluator.eval(a):
+                return False
+        return True
+
+
+def _greedy_model(residual, sorts, reuse):
+    """Deterministic best-effort assignment of the variables of `residual`
+    (`sorts`: name -> sort); returns a full env that makes every conjunct
+    true, or None to fall back to bit-blasting.  With `reuse` (a
+    ``_Reuse``) the search starts from the base's model: it is the model
+    when every conjunct that is new or reads a moved variable holds there,
+    and the greedy rounds run from it otherwise.  Only when they fail do
+    they run again from zeros, as in a solve without a base."""
+    if reuse is not None:
+        env = reuse.start(sorts)
+        if reuse.holds(residual, env) or _greedy_rounds(residual, env, sorts):
+            return env
     env = {name: (False if sort == BOOL else 0)
            for name, sort in sorts.items()}
+    return env if _greedy_rounds(residual, env, sorts) else None
+
+
+def _greedy_rounds(residual, env, sorts):
+    """Force the false conjuncts of `residual` true, one at a time, for at
+    most 8 rounds; True when `env` then makes every conjunct true."""
     for _round in range(8):
         all_ok = True
         progressed = False
@@ -962,14 +1159,12 @@ def _greedy_model(residual):
             if _force(a, True, env, sorts):
                 progressed = True
             else:
-                return None
+                return False
         if all_ok:
-            return env
+            return True
         if not progressed:
-            return None
-    if all(_eval_plain(a, env) for a in residual):
-        return env
-    return None
+            return False
+    return all(_eval_plain(a, env) for a in residual)
 
 
 def _match_binding(ctx, term, subst):

@@ -6,10 +6,12 @@ equality is identity equality and memo tables can key on ``id(term)``.
 id of every term ``solve.fold`` has seen, and of every folded result, to
 the folded term.  A context may serve many scripts (``minisol.synthesize``
 keeps one for a whole run), so every distinct term is built and folded once
-for all of them.  Sorts are ``('bool',)``, ``('bv', width)`` or
-``('array', key sort, value sort)``: an SMT-LIB array, read with ``select``,
-updated with ``store`` and built constant with ``const_array`` (whose
-``val`` is its array sort).
+for all of them.  ``Ctx.name_sets`` keeps one copy of every set of variable
+names a kept reduction records (``solve.Reduction.leaves``): a run's many
+assertions read few distinct sets.  Sorts are ``('bool',)``,
+``('bv', width)`` or ``('array', key sort, value sort)``: an SMT-LIB
+array, read with ``select``, updated with ``store`` and built constant
+with ``const_array`` (whose ``val`` is its array sort).
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ class Ctx:
     def __init__(self):
         self._intern = {}
         self.folded = {}           # id(term) -> folded term, see solve.fold
+        self.name_sets = {}        # frozenset of names -> itself, one copy
         self.TRUE = self.node("cbool", True, ())
         self.FALSE = self.node("cbool", False, ())
 

@@ -86,7 +86,8 @@ def test_target_line_selects_among_annotations(tmp_path):
 
 def test_a_run_parses_its_source_once(tmp_path, monkeypatch, capsys):
     """Also with ``--emit-dot``, whose graph is the searched one: one
-    parse and one lowering per run."""
+    parse and one lowering per run.  So too in ``--replay`` mode, and in
+    ``--mutants`` mode but for one parse and lowering of each mutant."""
     from minisol import cli, engine
     from minisol.frontend import Parser
     parses, lowerings = [], []
@@ -109,6 +110,22 @@ def test_a_run_parses_its_source_once(tmp_path, monkeypatch, capsys):
         assert len(parses) == 1 and len(lowerings) == 1
         assert capsys.readouterr().err.startswith("result=found ")
     assert dot.read_text().startswith("digraph")
+
+    mutants = tmp_path / "mutants.json"
+    mutants.write_text(json.dumps([
+        {"kind": "condition", "line": 5, "original": "a > b",
+         "mutated": "a >= b"},
+        {"kind": "assignment_rhs", "line": 6, "original": "1",
+         "mutated": "2"}]))
+    for argv, runs in (
+            ([msol("guess_check"), "--replay", str(out)], 1),
+            ([msol("mutant_kill"), "--mutants", str(mutants), "--out",
+              str(tmp_path / "kills.json")], 3)):
+        for extra in ([], ["--emit-dot", str(dot)]):
+            parses.clear(), lowerings.clear()
+            assert cli.main(argv + extra) == 0
+            assert len(parses) == len(lowerings) == runs
+            assert capsys.readouterr().err.startswith("result=found ")
 
 
 def test_byte_determinism_modulo_time(tmp_path):

@@ -828,6 +828,32 @@ def test_a_model_of_an_extension_is_the_whole_scripts():
     assert again.values == whole.values
 
 
+
+def test_the_self_check_follows_a_variable_into_a_later_binding(
+        monkeypatch):
+    """x > 3 is the base's, and its model has x = 4.  The child binds x to
+    y + 1 and solves that back to 4: y = 3.  In the grandchild x > 3 reads
+    y, so a model search that moves y to 0 breaks it; the self-check,
+    which skips only the base's assertions whose free variables kept
+    their values, catches it."""
+    ctx, whole = parse_script(
+        "(declare-const x (_ BitVec 8))(declare-const y (_ BitVec 8))"
+        "(declare-const z (_ BitVec 8))(assert (bvugt x (_ bv3 8)))"
+        "(assert (= x (bvadd y (_ bv1 8))))(assert (bvult z (_ bv9 8)))")
+    scripts = [Script(asserts=whole.asserts[i::-1], has_check=True)
+               for i in range(3)]
+    base = solve_commands(ctx, scripts[0], None, None, None, False)
+    child = solve_commands(ctx, scripts[1], None, None, base.reduction,
+                           False)
+    assert (base.reduction.env, child.reduction.env) == ({"x": 4}, {"y": 3})
+    assert solve_commands(ctx, scripts[2], None, None, child.reduction,
+                          False).status == "sat"
+    greedy = solve_mod._greedy_model
+    monkeypatch.setattr(solve_mod, "_greedy_model", lambda *args: dict(
+        greedy(*args), y=0))
+    with pytest.raises(solve_mod.SmtInternalError, match="bvugt"):
+        solve_commands(ctx, scripts[2], None, None, child.reduction, False)
+
 # -- deadlines -----------------------------------------------------------------
 
 FACTORING = """
