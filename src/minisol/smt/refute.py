@@ -1,0 +1,277 @@
+"""Word-level refutation: unsat answers for residuals whose conjuncts cannot
+all hold, found without bit-blasting.  Both stages only ever refute: a
+conjunct found true, or left undecided, stays in the residual and nothing
+is rewritten, so a satisfiable check passes through unchanged.
+
+* ``refuted_linear`` runs on every residual, before the greedy model
+  search.  A bitvector (dis)equality is false when its sides' linear
+  forms differ only by a constant (``x + 2 = x``).
+* ``refutation`` runs only when the greedy search found no model, before
+  bit-blasting.  It reads the conjuncts, with ``and`` flattened and ``not``
+  pushed into comparisons, as facts ``a op b`` and answers with the first
+  reason it finds:
+
+  - ``bounds``: the unsigned bounds that comparisons against constants put
+    on one term (intersected across the conjuncts, and carried from
+    ``x + k`` and ``k - x`` to ``x``) are empty, or miss the term's own
+    interval;
+  - ``interval``: a comparison fails on the intervals of its sides.  The
+    interval of a term is its bounds intersected with what its shape
+    allows: a constant, a zero extension, the hull of an ite's branches,
+    and an add or subtract whose results all wrap the same number of times
+    (Cousot & Cousot, POPL 1977);
+  - ``parity``: a linear term sum(c_i * x_i) + k only takes values that are
+    k modulo 2^m, where 2^m is the largest power of two dividing every
+    c_i, and its bounds hold no such value (``p + p = 5``).
+"""
+
+from __future__ import annotations
+
+from .terms import BOOL, BV_CMPS, mask
+
+
+def linear(term, memo):
+    """The linear form of a bitvector term, modulo 2^width: a pair
+    (coefficients, constant) whose coefficients map atoms to non-zero
+    multipliers.  bvadd, bvsub, bvneg and bvmul by a constant are linear;
+    every other term (var, ite, extract, ...) is an atom, keyed by the
+    hash-consed term itself."""
+    hit = memo.get(id(term))
+    if hit is not None:
+        return hit
+    op = term.op
+    top = mask(term.sort[1])
+    if op == "const":
+        out = ({}, term.val[0])
+    elif op in ("bvadd", "bvsub"):
+        out = _combine(tuple(linear(a, memo) for a in term.args),
+                       1 if op == "bvadd" else -1, top)
+    elif op == "bvneg":
+        coeffs, k = linear(term.args[0], memo)
+        out = ({atom: -c & top for atom, c in coeffs.items()}, -k & top)
+    elif op == "bvmul" and any(a.op == "const" for a in term.args):
+        a, b = term.args
+        scale, other = (a.val[0], b) if a.op == "const" else (b.val[0], a)
+        coeffs, k = linear(other, memo)
+        scaled = {}
+        for atom, c in coeffs.items():
+            c = c * scale & top
+            if c:
+                scaled[atom] = c
+        out = (scaled, k * scale & top)
+    else:
+        out = ({term: 1}, 0)
+    memo[id(term)] = out
+    return out
+
+
+def _combine(forms, sign, top):
+    """The linear form of ``a + sign * b`` from those of a and b."""
+    (ca, ka), (cb, kb) = forms
+    coeffs = dict(ca)
+    for atom, c in cb.items():
+        c = (coeffs.get(atom, 0) + sign * c) & top
+        if c:
+            coeffs[atom] = c
+        else:
+            coeffs.pop(atom, None)
+    return coeffs, (ka + sign * kb) & top
+
+
+def difference(a, b, memo):
+    """The linear form of ``a - b``."""
+    return _combine((linear(a, memo), linear(b, memo)), -1, mask(a.sort[1]))
+
+
+def solve_linear(c, r, width):
+    """The least x with c*x = r (mod 2^width), for c non-zero modulo
+    2^width, or None: a solution exists iff 2^t divides r, where 2^t is the
+    largest power of two dividing c."""
+    t = (c & -c).bit_length() - 1
+    if r & mask(t):
+        return None
+    modulus = 1 << (width - t)
+    return (r >> t) * pow(c >> t, -1, modulus) % modulus
+
+
+def linear_truth(term, memo):
+    """True/False when a bitvector (dis)equality, or its negation, is
+    decided by its sides' linear forms alone (equal coefficients on every
+    atom, so only the constants differ); None otherwise."""
+    want = True
+    if term.op == "not":
+        term, want = term.args[0], False
+    if term.op not in ("=", "distinct") or term.args[0].sort == BOOL:
+        return None
+    (ca, ka), (cb, kb) = (linear(a, memo) for a in term.args)
+    if ca != cb:
+        return None
+    return ((ka == kb) == (term.op == "=")) == want
+
+
+def refuted_linear(residual):
+    """True when some conjunct is false on every assignment because its two
+    sides differ only by a constant (x + 2 = x)."""
+    memo = {}
+    return any(linear_truth(a, memo) is False for a in residual)
+
+
+# ---------------------------------------------------------------------------
+# Bounds, intervals and parity
+# ---------------------------------------------------------------------------
+
+# c op t holds when t MIRROR[op] c does
+_MIRROR = {"bvult": "bvugt", "bvule": "bvuge", "bvugt": "bvult",
+           "bvuge": "bvule", "=": "="}
+NEGATED = {"bvult": "bvuge", "bvule": "bvugt", "bvugt": "bvule",
+           "bvuge": "bvult", "=": "distinct", "distinct": "="}
+# whether a op b can hold for a in [la, ha] and b in [lb, hb]
+_FEASIBLE = {
+    "bvult": lambda la, ha, lb, hb: la < hb,
+    "bvule": lambda la, ha, lb, hb: la <= hb,
+    "bvugt": lambda la, ha, lb, hb: ha > lb,
+    "bvuge": lambda la, ha, lb, hb: ha >= lb,
+    "=": lambda la, ha, lb, hb: max(la, lb) <= min(ha, hb),
+    "distinct": lambda la, ha, lb, hb: not la == ha == lb == hb,
+}
+
+
+def refutation(residual):
+    """Why the conjuncts of `residual` cannot all hold: ``'bounds'``,
+    ``'interval'`` or ``'parity'`` (see the module docstring); None when
+    no reason is found, which proves nothing."""
+    facts = []
+    for conjunct in residual:
+        _facts(conjunct, True, facts)
+    bounds = {}
+    for op, a, b in facts:
+        for term, const, swap in ((a, b, False), (b, a, True)):
+            if const.op != "const" or term.op == "const" or op == "distinct":
+                continue
+            lo, hi = _range(_MIRROR[op] if swap else op, const.val[0],
+                            mask(term.sort[1]))
+            if not _narrow(bounds, term, lo, hi):
+                return "bounds"
+    linear_memo = {}
+    for term, (lo, hi) in list(bounds.items()):
+        if not _narrow_atom(bounds, term, lo, hi, linear_memo):
+            return "bounds"
+    memo = {}
+    for term in bounds:
+        lo, hi = interval(term, bounds, memo)
+        if lo > hi:
+            return "bounds"
+        coeffs, k = linear(term, linear_memo)
+        if not _meets_residue(lo, hi, k, _modulus(coeffs, term.sort[1])):
+            return "parity"
+    for op, a, b in facts:
+        if not _FEASIBLE[op](*interval(a, bounds, memo),
+                             *interval(b, bounds, memo)):
+            return "interval"
+    return None
+
+
+def _facts(term, want, out):
+    """Append the bitvector comparisons that `term` (made `want`) states,
+    as (op, a, b), through ``not`` and a conjunction; skip the rest."""
+    op = term.op
+    if op == "not":
+        _facts(term.args[0], not want, out)
+    elif (op == "and" and want) or (op == "or" and not want):
+        for sub in term.args:
+            _facts(sub, want, out)
+    elif op in BV_CMPS or (op in ("=", "distinct")
+                           and term.args[0].sort != BOOL):
+        out.append((op if want else NEGATED[op],) + term.args)
+
+
+def _range(op, c, top):
+    """The values of t for which ``t op c`` holds, as (lo, hi)."""
+    return {"bvult": (0, c - 1), "bvule": (0, c), "bvugt": (c + 1, top),
+            "bvuge": (c, top), "=": (c, c)}[op]
+
+
+def _narrow(bounds, term, lo, hi):
+    """Intersect the bounds of `term` with [lo, hi]; False when empty."""
+    old = bounds.get(term)
+    if old is not None:
+        lo, hi = max(lo, old[0]), min(hi, old[1])
+    bounds[term] = (lo, hi)
+    return lo <= hi
+
+
+def _narrow_atom(bounds, term, lo, hi, memo):
+    """Carry the bounds [lo, hi] of `term` to x when `term` is ``x + k`` or
+    ``k - x``; False when that leaves x no value."""
+    coeffs, k = linear(term, memo)
+    if len(coeffs) != 1:
+        return True
+    (atom, c), = coeffs.items()
+    width = term.sort[1]
+    if c == 1:
+        lo, hi = _wrapped(lo - k, hi - k, width)
+    elif c == mask(width):
+        lo, hi = _wrapped(k - hi, k - lo, width)
+    else:
+        return True
+    return _narrow(bounds, atom, lo, hi)
+
+
+def _wrapped(lo, hi, width):
+    """The integers [lo, hi] modulo 2^width: an interval when they all
+    wrap the same number of times, the whole range otherwise."""
+    if lo >> width == hi >> width:
+        return lo & mask(width), hi & mask(width)
+    return 0, mask(width)
+
+
+def interval(term, bounds, memo):
+    """The unsigned interval (lo, hi) holding every value of `term` that
+    satisfies `bounds`; lo > hi when there is none."""
+    hit = memo.get(id(term))
+    if hit is not None:
+        return hit
+    op = term.op
+    width = term.sort[1]
+    if op == "const":
+        out = (term.val[0], term.val[0])
+    elif op == "zero_extend":
+        out = interval(term.args[0], bounds, memo)
+    elif op == "ite":
+        then, els = (interval(a, bounds, memo) for a in term.args[1:])
+        if then[0] > then[1]:
+            out = els
+        elif els[0] > els[1]:
+            out = then
+        else:
+            out = (min(then[0], els[0]), max(then[1], els[1]))
+    elif op in ("bvadd", "bvsub"):
+        (la, ha), (lb, hb) = (interval(a, bounds, memo) for a in term.args)
+        if la > ha or lb > hb:
+            out = (1, 0)
+        elif op == "bvadd":
+            out = _wrapped(la + lb, ha + hb, width)
+        else:
+            out = _wrapped(la - hb, ha - lb, width)
+    else:
+        out = (0, mask(width))
+    bound = bounds.get(term)
+    if bound is not None:
+        out = (max(out[0], bound[0]), min(out[1], bound[1]))
+    memo[id(term)] = out
+    return out
+
+
+def _modulus(coeffs, width):
+    """2^m for the largest m such that 2^m divides every coefficient (the
+    width's modulus when there are none): a linear term is always its
+    constant modulo it."""
+    m = width
+    for c in coeffs.values():
+        m = min(m, (c & -c).bit_length() - 1)
+    return 1 << m
+
+
+def _meets_residue(lo, hi, k, modulus):
+    """True when [lo, hi] holds a value that is k modulo `modulus`."""
+    return lo + (k - lo) % modulus <= hi

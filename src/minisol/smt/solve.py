@@ -1,5 +1,6 @@
 """Solving pipeline, in order: fold/resolve -> word-level reduction -> linear
-refutation -> greedy model -> bit-blast -> CDCL -> model self-check.
+refutation -> greedy model -> bound/interval/parity refutation -> bit-blast
+-> CDCL -> model self-check.
 
 Folding is a function of the hash-consed term: each distinct term is folded
 once per :class:`~.terms.Ctx` and the result kept in ``Ctx.folded``.  A
@@ -10,17 +11,20 @@ its array variable's definition, and replaces every ``select`` by a term
 over bitvectors.  Word-level reduction substitutes definitional conjuncts
 (``x = t``) until none is left.  Resolution and substitution are one
 ``rewrite`` pass, which first resolves reads and then substitutes
-definitions, refolding each node it rebuilds.  Linear refutation answers
-unsat when a remaining conjunct is a bitvector (dis)equality whose sides
-differ only by a constant; it never rewrites or drops a conjunct, so
-satisfiable checks pass through it unchanged.  The greedy model search
-assigns variables at word level, forcing one false conjunct at a time: it
-keeps the ite branch a condition already selects, gives a variable forced
-to differ a value no other variable of its sort holds, solves one-variable
-linear terms (c*x + k = v modulo 2^width) in closed form, and tries maximum
-values when both sides of a comparison share a variable (``a + v < a``).
-Only when it fails are the remaining conjuncts bit-blasted to CNF for the
-CDCL solver.
+definitions, refolding each node it rebuilds; folding also settles what
+needs no operand's value (``x - x``, ``x < x``, ``x < 0``, ``x <= max``).
+The two refutation stages (``refute``) only answer unsat, so satisfiable
+checks pass through them unchanged.  The greedy model search assigns
+variables at word level, forcing one false conjunct at a time: it keeps
+the ite branch a condition already selects, gives a variable forced to
+differ a value no other variable of its sort holds, solves one-variable
+linear terms (c*x + k = v modulo 2^width) in closed form, solves the
+linear difference of two sides that share a variable, tries maximum
+values when both sides of a comparison share one (``a + v < a``), and
+from its second round keeps the conjuncts that held when a comparison
+can be met by moving either side.  When it fails, the residual is
+refuted by bounds, intervals or parity if it can be, and only then is it
+bit-blasted to CNF for the CDCL solver.
 
 The front half, fold/resolve and reduction, is a ``Reduction`` that can be
 extended, and it keeps its solve's model.  It holds the array
@@ -67,13 +71,16 @@ its values can have changed).
 from __future__ import annotations
 
 import time
+from functools import partial
 from itertools import islice
 
 from .bitblast import DEADLINE_STRIDE, Blaster
 from .parse import parse_script
+from .refute import NEGATED, difference, linear, refutation, \
+    refuted_linear, solve_linear
 from .sat import SatBudgetExceeded, SatSolver
 from .terms import BOOL, BV_BINOPS, BV_CMPS, BV_UNOPS, SmtError, \
-    is_const, print_term
+    is_const, mask, print_term
 
 
 class SmtUnknown(SmtError):
@@ -88,10 +95,6 @@ class SmtInternalError(SmtError):
 # Constant folding
 # ---------------------------------------------------------------------------
 
-def _mask(width):
-    return (1 << width) - 1
-
-
 _CMP_HOLDS = {"bvult": lambda a, b: a < b, "bvule": lambda a, b: a <= b,
               "bvugt": lambda a, b: a > b, "bvuge": lambda a, b: a >= b}
 
@@ -99,7 +102,7 @@ _CMP_HOLDS = {"bvult": lambda a, b: a < b, "bvule": lambda a, b: a <= b,
 def _sign_extend(value, width, extra):
     """The `width`-bit `value` sign-extended by `extra` bits."""
     if value >> (width - 1):
-        value |= _mask(extra) << width
+        value |= mask(extra) << width
     return value
 
 
@@ -205,6 +208,9 @@ def _fold(ctx, term):
         width = a.sort[1]
         if a.op == "const" and b.op == "const":
             return ctx.const(_bv_arith(op, a.val[0], b.val[0], width), width)
+        trivial = _fold_trivial(ctx, op, a, b)
+        if trivial is not None:
+            return trivial
         if b.op == "const" and b.val[0] == 0:
             if op in ("bvadd", "bvsub", "bvor", "bvxor", "bvshl", "bvlshr"):
                 return a
@@ -231,6 +237,9 @@ def _fold(ctx, term):
         a, b = args
         if a.op == "const" and b.op == "const":
             return ctx.cbool(_CMP_HOLDS[op](a.val[0], b.val[0]))
+        trivial = _fold_trivial(ctx, op, a, b)
+        if trivial is not None:
+            return trivial
         distributed = _distribute_cmp(ctx, op, a, b)
         if distributed is not None:
             return distributed
@@ -267,6 +276,32 @@ def _fold(ctx, term):
     raise SmtError("cannot fold %r" % op)
 
 
+# x op x: 0, x itself (None), or the comparison's truth value
+_SELF = {"bvsub": 0, "bvxor": 0, "bvurem": 0, "bvand": None, "bvor": None,
+         "bvult": False, "bvugt": False, "bvule": True, "bvuge": True}
+
+
+def _fold_trivial(ctx, op, a, b):
+    """`a op b` (not both constants) when no operand's value is needed:
+    ``x op x`` by ``_SELF``, ``x urem 1`` is 0, and a comparison with one
+    constant side is decided when it agrees for 0 and the width's maximum
+    on the other (``0 <= x``, ``x <= max``, ``x < 0``, ``x > max``)."""
+    if a is b and op in _SELF:
+        out = _SELF[op]
+        if out is None:
+            return a
+        return ctx.cbool(out) if op in BV_CMPS else ctx.const(0, a.sort[1])
+    if op == "bvurem" and b.op == "const" and b.val[0] == 1:
+        return ctx.const(0, a.sort[1])
+    if op in BV_CMPS and is_const(a) != is_const(b):
+        holds, top = _CMP_HOLDS[op], mask(a.sort[1])
+        ends = (holds(0, b.val[0]), holds(top, b.val[0])) if is_const(b) \
+            else (holds(a.val[0], 0), holds(a.val[0], top))
+        if ends[0] == ends[1]:
+            return ctx.cbool(ends[0])
+    return None
+
+
 def _distribute_cmp(ctx, op, a, b):
     """Push a comparison against a constant through an ite so map-read
     chains fold into boolean structure over their conditions; None when
@@ -293,7 +328,7 @@ def _bv_arith(op, x, y, width):
     if op == "bvmul":
         return x * y
     if op == "bvudiv":
-        return x // y if y else _mask(width)
+        return x // y if y else mask(width)
     if op == "bvurem":
         return x % y if y else x
     if op == "bvand":
@@ -633,7 +668,7 @@ def _solve(ctx, script, asserts, base, model, conflict_budget, deadline):
     kept = dict(zip(map(id, base.residual), base.sorts))
     subst = dict(base.subst)
     residual = _reduce(ctx, maps, subst, checked, list(base.residual), kept)
-    if residual is None or _refuted_linear(residual):
+    if residual is None or refuted_linear(residual):
         return Result("unsat")
 
     # each conjunct's variables (a base conjunct has its own already)
@@ -662,6 +697,8 @@ def _solve(ctx, script, asserts, base, model, conflict_budget, deadline):
     if residual:
         model_env = _greedy_model(residual, sorts, reuse)
         if model_env is None:
+            if refutation(residual) is not None:
+                return Result("unsat")
             if deadline is not None and time.monotonic() > deadline:
                 return Result("unknown", reason="deadline")
             model_env = {}
@@ -753,76 +790,6 @@ def _reduce(ctx, maps, subst, fresh, residual, known):
         fresh, residual = keep + residual, []
 
 
-# ---------------------------------------------------------------------------
-# Word-level linear refutation
-# ---------------------------------------------------------------------------
-
-def _linear(term, memo):
-    """The linear form of a bitvector term, modulo 2^width: a pair
-    (coefficients, constant) whose coefficients map atoms to non-zero
-    multipliers.  bvadd, bvsub, bvneg and bvmul by a constant are linear;
-    every other term (var, ite, extract, ...) is an atom, keyed by the
-    hash-consed term itself."""
-    hit = memo.get(id(term))
-    if hit is not None:
-        return hit
-    op = term.op
-    mask = _mask(term.sort[1])
-    if op == "const":
-        out = ({}, term.val[0])
-    elif op in ("bvadd", "bvsub"):
-        sign = 1 if op == "bvadd" else -1
-        (ca, ka), (cb, kb) = (_linear(a, memo) for a in term.args)
-        coeffs = dict(ca)
-        for atom, c in cb.items():
-            c = (coeffs.get(atom, 0) + sign * c) & mask
-            if c:
-                coeffs[atom] = c
-            else:
-                coeffs.pop(atom, None)
-        out = (coeffs, (ka + sign * kb) & mask)
-    elif op == "bvneg":
-        coeffs, k = _linear(term.args[0], memo)
-        out = ({atom: -c & mask for atom, c in coeffs.items()}, -k & mask)
-    elif op == "bvmul" and any(a.op == "const" for a in term.args):
-        a, b = term.args
-        scale, other = (a.val[0], b) if a.op == "const" else (b.val[0], a)
-        coeffs, k = _linear(other, memo)
-        scaled = {}
-        for atom, c in coeffs.items():
-            c = c * scale & mask
-            if c:
-                scaled[atom] = c
-        out = (scaled, k * scale & mask)
-    else:
-        out = ({term: 1}, 0)
-    memo[id(term)] = out
-    return out
-
-
-def _linear_truth(term, memo):
-    """True/False when a bitvector (dis)equality, or its negation, is
-    decided by its sides' linear forms alone (equal coefficients on every
-    atom, so only the constants differ); None otherwise."""
-    want = True
-    if term.op == "not":
-        term, want = term.args[0], False
-    if term.op not in ("=", "distinct") or term.args[0].sort == BOOL:
-        return None
-    (ca, ka), (cb, kb) = (_linear(a, memo) for a in term.args)
-    if ca != cb:
-        return None
-    return ((ka == kb) == (term.op == "=")) == want
-
-
-def _refuted_linear(residual):
-    """True when some conjunct is false on every assignment because its two
-    sides differ only by a constant (x + 2 = x).  Refutation only: a
-    conjunct found true stays in the residual and nothing is rewritten."""
-    memo = {}
-    return any(_linear_truth(a, memo) is False for a in residual)
-
-
 def _lit_value(assignment, lit):
     if lit == 1:
         return True
@@ -858,20 +825,17 @@ def _set_var(env, term, value):
         env[term.val] = bool(value)
     else:
         width = term.sort[1]
-        if value < 0 or value > _mask(width):
+        if value < 0 or value > mask(width):
             return False
         env[term.val] = value
     return True
 
 
-_CMP_NEG = {"bvult": "bvuge", "bvule": "bvugt", "bvugt": "bvule",
-            "bvuge": "bvult"}
-
-
-def _force(term, want, env, sorts, depth=0):
+def _force(term, want, env, sorts, depth=0, held=None):
     """Best effort at making a boolean term evaluate to `want` by assigning
     variables; every candidate model is re-verified afterwards.  `sorts`
-    maps each variable name of the residual to its sort."""
+    maps each variable name of the residual to its sort; `held`, when
+    given, lists the conjuncts a comparison move should keep true."""
     if depth > 12:
         return False
     op = term.op
@@ -880,30 +844,26 @@ def _force(term, want, env, sorts, depth=0):
     if op == "var":
         return _set_var(env, term, want)
     if op == "not":
-        return _force(term.args[0], not want, env, sorts, depth + 1)
+        return _force(term.args[0], not want, env, sorts, depth + 1, held)
     if (op == "and" and want) or (op == "or" and not want):
+        evaluator = _Evaluator(env, {})
         for sub in term.args:
-            if _eval_plain(sub, env) != want:
-                if not _force(sub, want, env, sorts, depth + 1):
+            if evaluator.eval(sub) != want:
+                if not _force(sub, want, env, sorts, depth + 1, held):
                     return False
+                evaluator = _Evaluator(env, {})
         return True
     if (op == "or" and want) or (op == "and" and not want):
-        return any(_force(sub, want, env, sorts, depth + 1)
+        return any(_force(sub, want, env, sorts, depth + 1, held)
                    for sub in term.args)
-    if op == "=>":
-        if want:
-            return (_force(term.args[0], False, env, sorts, depth + 1)
-                    or _force(term.args[1], True, env, sorts, depth + 1))
-        return (_force(term.args[0], True, env, sorts, depth + 1)
-                and _force(term.args[1], False, env, sorts, depth + 1))
     if op in ("=", "distinct"):
         equal = (op == "=") == want
         return _force_eq(term.args[0], term.args[1], equal, env, sorts,
                          depth)
     if op in BV_CMPS:
-        cmp_op = op if want else _CMP_NEG[op]
+        cmp_op = op if want else NEGATED[op]
         return _force_cmp(term.args[0], term.args[1], cmp_op, env, sorts,
-                          depth)
+                          depth, held)
     return False
 
 
@@ -930,7 +890,7 @@ def _solve_to_value(term, value, env, sorts, depth=0):
         return term.val == value
     if op == "zero_extend":
         inner = term.args[0]
-        if value > _mask(inner.sort[1]):
+        if value > mask(inner.sort[1]):
             return False
         return _solve_to_value(inner, value, env, sorts, depth + 1)
     if op == "ite":
@@ -942,11 +902,11 @@ def _solve_to_value(term, value, env, sorts, depth=0):
                     return True
         return False
     if op in ("bvadd", "bvsub", "bvneg", "bvmul"):
-        coeffs, k = _linear(term, {})
+        coeffs, k = linear(term, {})
         if len(coeffs) == 1 and next(iter(coeffs)).op == "var":
             (atom, c), = coeffs.items()
             width = term.sort[1]
-            x = _solve_linear(c, (value - k) & _mask(width), width)
+            x = solve_linear(c, (value - k) & mask(width), width)
             if x is not None:
                 return _set_var(env, atom, x)
     if op in ("bvadd", "bvsub"):
@@ -955,26 +915,15 @@ def _solve_to_value(term, value, env, sorts, depth=0):
         for free, fixed, left in ((a, b, True), (b, a, False)):
             fixed_val = _eval_plain(fixed, env)
             if op == "bvadd":
-                want = (value - fixed_val) & _mask(width)
+                want = (value - fixed_val) & mask(width)
             elif left:                       # solve a in a - b = value
-                want = (value + fixed_val) & _mask(width)
+                want = (value + fixed_val) & mask(width)
             else:                            # solve b in a - b = value
-                want = (fixed_val - value) & _mask(width)
+                want = (fixed_val - value) & mask(width)
             if _solve_to_value(free, want, env, sorts, depth + 1):
                 return True
         return False
     return _eval_plain(term, env) == value
-
-
-def _solve_linear(c, r, width):
-    """The least x with c*x = r (mod 2^width), for c non-zero modulo
-    2^width, or None: a solution exists iff 2^t divides r, where 2^t is the
-    largest power of two dividing c."""
-    t = (c & -c).bit_length() - 1
-    if r & _mask(t):
-        return None
-    modulus = 1 << (width - t)
-    return (r >> t) * pow(c >> t, -1, modulus) % modulus
 
 
 def _solvable_leaf(term):
@@ -984,6 +933,8 @@ def _solvable_leaf(term):
 
 
 def _force_eq(x, y, equal, env, sorts, depth):
+    if x.sort != BOOL and _force_difference(x, y, equal, env, sorts, depth):
+        return True
     for side, other in ((x, y), (y, x)):
         value = _eval_plain(other, env)
         if not equal:
@@ -993,46 +944,89 @@ def _force_eq(x, y, equal, env, sorts, depth):
                 return _set_var(env, side, _fresh_value(side, value, env,
                                                         sorts))
             else:
-                value = (value ^ 1) & _mask(side.sort[1])
+                value = (value ^ 1) & mask(side.sort[1])
         if _solve_to_value(side, value, env, sorts, depth + 1):
             return True
     return False
+
+
+def _force_difference(x, y, equal, env, sorts, depth):
+    """When the sides of ``x = y`` (``x != y`` unless `equal`) share an atom,
+    solve their linear difference c*a + k for its one atom: c*a + k = 0, or,
+    if it is 0, a's value with its low bit flipped (moving it by c, not 0)."""
+    memo = {}
+    if linear(x, memo)[0].keys().isdisjoint(linear(y, memo)[0]):
+        return False
+    coeffs, k = difference(x, y, memo)
+    if len(coeffs) != 1:
+        return False
+    (atom, c), = coeffs.items()
+    width = x.sort[1]
+    if equal:
+        value = solve_linear(c, -k & mask(width), width)
+        return value is not None \
+            and _solve_to_value(atom, value, env, sorts, depth + 1)
+    current = _eval_plain(atom, env)
+    return (c * current + k) & mask(width) != 0 \
+        or _solve_to_value(atom, current ^ 1, env, sorts, depth + 1)
 
 
 def _fresh_value(var, value, env, sorts):
     """A value for the bitvector `var` other than `value` that no other
     variable of its sort holds, trying ``value ^ 1`` first; ``value ^ 1``
     when every value of the sort is taken."""
-    mask = _mask(var.sort[1])
+    top = mask(var.sort[1])
     taken = {env[name] for name, sort in sorts.items()
              if sort == var.sort and name != var.val}
     taken.add(value)
-    candidate = (value ^ 1) & mask
-    if len(taken) > mask:
+    candidate = (value ^ 1) & top
+    if len(taken) > top:
         return candidate
     while candidate in taken:
-        candidate = (candidate + 1) & mask
+        candidate = (candidate + 1) & top
     return candidate
 
 
-def _force_cmp(x, y, op, env, sorts, depth):
-    if _wrap_around(x, y, op, env):
-        return True
-    for side, other, left in ((x, y, True), (y, x, False)):
-        bound = _eval_plain(other, env)
-        if left:
-            want = {"bvult": bound - 1, "bvule": bound,
-                    "bvugt": bound + 1, "bvuge": bound}[op]
-        else:
-            want = {"bvult": bound + 1, "bvule": bound,
-                    "bvugt": bound - 1, "bvuge": bound}[op]
-        width = side.sort[1]
-        if 0 <= want <= _mask(width) \
-                and _solve_to_value(side, want, env, sorts, depth + 1):
+def _force_cmp(x, y, op, env, sorts, depth, held=None):
+    """Make ``x op y`` hold by the first of three moves that succeeds: the
+    wrap-around values, a move of `x`, a move of `y`.  A move that falsifies
+    a conjunct of `held` gives way to a later one that keeps them all
+    (``i + 1 < n`` met by ``n := i + 2``, not by wrapping i to n - 2)."""
+    moves = (partial(_wrap_around, x, y, op),
+             partial(_move_side, x, y, True, op, sorts, depth),
+             partial(_move_side, y, x, False, op, sorts, depth))
+    if held is None:
+        return any(move(env) for move in moves)
+    first = None
+    for move in moves:
+        trial = dict(env)
+        if not move(trial):
+            if first is None:
+                env.update(trial)
+            continue
+        if all(map(_Evaluator(trial, {}).eval, held)):
+            env.update(trial)
             return True
-        if _force_cmp_side(side, bound, op, left, env, sorts, depth + 1):
-            return True
-    return False
+        if first is None:
+            first = trial
+    if first is None:
+        return False
+    env.update(first)
+    return True
+
+
+# a side moves to the other side's value + step on the left, - step right
+_CMP_STEP = {"bvult": -1, "bvule": 0, "bvugt": 1, "bvuge": 0}
+
+
+def _move_side(side, other, left, op, sorts, depth, env):
+    """Make ``side op other`` (``other op side`` unless `left`) hold: move
+    `side` next to the other side's value, or steer the ites inside it."""
+    bound = _eval_plain(other, env)
+    want = bound + _CMP_STEP[op] if left else bound - _CMP_STEP[op]
+    return (0 <= want <= mask(side.sort[1])
+            and _solve_to_value(side, want, env, sorts, depth + 1)) \
+        or _force_cmp_side(side, bound, op, left, env, sorts, depth + 1)
 
 
 def _wrap_around(x, y, op, env):
@@ -1049,7 +1043,7 @@ def _wrap_around(x, y, op, env):
     for name, sort in {**left, **right}.items():
         if sort == BOOL:
             continue
-        trial[name] = _mask(sort[1])
+        trial[name] = mask(sort[1])
         if _CMP_HOLDS[op](_eval_plain(x, trial), _eval_plain(y, trial)):
             env.update(trial)
             return True
@@ -1148,23 +1142,25 @@ def _greedy_model(residual, sorts, reuse):
 
 def _greedy_rounds(residual, env, sorts):
     """Force the false conjuncts of `residual` true, one at a time, for at
-    most 8 rounds; True when `env` then makes every conjunct true."""
-    for _round in range(8):
+    most 8 rounds; True when `env` then makes every conjunct true.  One
+    evaluator serves until a move changes `env`.  From the second round on
+    a comparison move keeps the conjuncts that held before it when it can
+    (``_force_cmp``); in the first, every move is the first that succeeds."""
+    for round_ in range(8):
+        evaluator = _Evaluator(env, {})
         all_ok = True
-        progressed = False
         for a in residual:
-            if _eval_plain(a, env):
+            if evaluator.eval(a):
                 continue
             all_ok = False
-            if _force(a, True, env, sorts):
-                progressed = True
-            else:
+            held = [b for b in residual if evaluator.eval(b)] \
+                if round_ else None
+            if not _force(a, True, env, sorts, held=held):
                 return False
+            evaluator = _Evaluator(env, {})
         if all_ok:
             return True
-        if not progressed:
-            return False
-    return all(_eval_plain(a, env) for a in residual)
+    return all(map(_Evaluator(env, {}).eval, residual))
 
 
 def _match_binding(ctx, term, subst):
@@ -1233,14 +1229,14 @@ class _Evaluator:
         if op in BV_BINOPS:
             width = term.sort[1]
             return _bv_arith(op, self.eval(term.args[0]),
-                             self.eval(term.args[1]), width) & _mask(width)
+                             self.eval(term.args[1]), width) & mask(width)
         if op in BV_CMPS:
             return _CMP_HOLDS[op](self.eval(term.args[0]),
                                   self.eval(term.args[1]))
         if op == "bvnot":
-            return ~self.eval(term.args[0]) & _mask(term.sort[1])
+            return ~self.eval(term.args[0]) & mask(term.sort[1])
         if op == "bvneg":
-            return -self.eval(term.args[0]) & _mask(term.sort[1])
+            return -self.eval(term.args[0]) & mask(term.sort[1])
         if op == "zero_extend":
             return self.eval(term.args[0])
         if op == "sign_extend":
@@ -1248,7 +1244,7 @@ class _Evaluator:
                                 term.args[0].sort[1], term.val)
         if op == "extract":
             hi, lo = term.val
-            return (self.eval(term.args[0]) >> lo) & _mask(hi - lo + 1)
+            return (self.eval(term.args[0]) >> lo) & mask(hi - lo + 1)
         if op == "concat":
             low_w = term.args[1].sort[1]
             return (self.eval(term.args[0]) << low_w) | self.eval(term.args[1])

@@ -23,6 +23,11 @@ def bv(width):
     return ("bv", width)
 
 
+def mask(width):
+    """The largest value of a `width`-bit bitvector."""
+    return (1 << width) - 1
+
+
 def array(key, value):
     return ("array", key, value)
 

@@ -3,6 +3,7 @@ import json
 import shlex
 import sys
 import time
+from collections import Counter
 
 import pytest
 
@@ -221,7 +222,7 @@ def test_linear_refuter_changes_no_answer(corpus, monkeypatch, name,
     with_refuter = synthesize(corpus[name], heuristic=heuristic,
                               lazy_check=True)
 
-    refute = smt_solve._refuted_linear
+    refute = smt_solve.refuted_linear
     solve_commands = smt_solve.solve_commands
     would_refute = []
     cross_checked = 0
@@ -239,12 +240,106 @@ def test_linear_refuter_changes_no_answer(corpus, monkeypatch, name,
             cross_checked += 1
         return result
 
-    monkeypatch.setattr(smt_solve, "_refuted_linear", record)
+    monkeypatch.setattr(smt_solve, "refuted_linear", record)
     monkeypatch.setattr(smt_solve, "solve_commands", solve_and_compare)
     without = synthesize(corpus[name], heuristic=heuristic, lazy_check=True)
     assert _outcome(without) == _outcome(with_refuter)
     if (name, heuristic) == ("multi_tx", "floyd-warshall"):
         assert cross_checked > 0
+
+
+SMALL_CORPUS = ["address_scores", "condition_check", "contradiction",
+                "ctor_target", "distinct_callers", "guess_check",
+                "internal_call", "loop_sum", "msg_value_check", "overflow",
+                "two_tx_overflow"]
+
+
+@pytest.mark.parametrize("lazy_check", [False, True])
+@pytest.mark.parametrize("heuristic", ["floyd-warshall", "state-var"])
+def test_word_level_refutation_changes_no_answer(corpus, monkeypatch,
+                                                 check_log, heuristic,
+                                                 lazy_check):
+    """The fold rules that need no operand's value and the bound, interval
+    and parity refuter only decide early what bit-blasting decides.  With
+    both patched out, every check they decided goes on to Blaster and
+    SatSolver.  Over the small corpus and 60 generated programs (20 walks
+    each at most), every check keeps its walk, status and reason, and
+    every run its outcome and sequence."""
+    sources = [(corpus[name], Limits()) for name in SMALL_CORPUS]
+    sources += [(_annotated(seed), Limits(max_walks=20, wall_timeout=60))
+                for seed in range(7000, 7060)]
+    decided = Counter()
+
+    def runs():
+        out = []
+        for source, limits in sources:
+            check_log.clear()
+            result = synthesize(source, heuristic=heuristic,
+                                lazy_check=lazy_check, limits=limits)
+            assert result.reason != "timeout"
+            out.append((_outcome(result), list(check_log)))
+        return out
+
+    def recorded(name):
+        real = getattr(smt_solve, name)
+
+        def wrapper(*args):
+            out = real(*args)
+            decided[name] += out is not None
+            return out
+        monkeypatch.setattr(smt_solve, name, wrapper)
+
+    recorded("refutation")
+    recorded("_fold_trivial")
+    with_rules = runs()
+    assert decided["refutation"] > 0 and decided["_fold_trivial"] > 0
+    monkeypatch.setattr(smt_solve, "refutation", lambda residual: None)
+    monkeypatch.setattr(smt_solve, "_fold_trivial", lambda *args: None)
+    assert runs() == with_rules
+
+
+@pytest.fixture
+def kept_evaluations(monkeypatch):
+    """Every value an ``_Evaluator`` answers from its memo to a call from
+    outside (not one of its own recursive calls) is checked against a
+    fresh evaluator under the env as it is now; returns the count of such
+    answers.  A greedy round keeps one evaluator until a move changes its
+    env, so a value it kept is never stale."""
+    real = smt_solve._Evaluator.eval
+    nested = []
+    kept = [0]
+
+    def inner(evaluator, term):
+        nested.append(term)
+        try:
+            return real(evaluator, term)
+        finally:
+            nested.pop()
+
+    def evaluate(self, term):
+        if nested or id(term) not in self.memo:
+            return inner(self, term)
+        kept[0] += 1
+        fresh = inner(smt_solve._Evaluator(dict(self.env), self.subst), term)
+        assert self.memo[id(term)] == fresh, smt_solve.print_term(term)
+        return fresh
+
+    monkeypatch.setattr(smt_solve._Evaluator, "eval", evaluate)
+    return kept
+
+
+def test_a_kept_evaluation_is_never_stale(corpus, kept_evaluations):
+    """On multi_tx (eager and lazy), loop_sum and 60 generated programs the
+    greedy search's kept evaluations answer often, and always as a fresh
+    one would, so every value, and every model, is the one an evaluator
+    per call gives."""
+    for lazy_check in (False, True):
+        synthesize(corpus["multi_tx"], lazy_check=lazy_check)
+    synthesize(corpus["loop_sum"])
+    for seed in range(7000, 7060):
+        synthesize(_annotated(seed), limits=Limits(max_walks=20,
+                                                   wall_timeout=60))
+    assert kept_evaluations[0] > 1000
 
 
 @pytest.mark.parametrize("lazy_check", [False, True])

@@ -4,18 +4,19 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 
 from minisol import engine
 from minisol.engine import synthesize
 from minisol.explorer import Limits
-from minisol.smt import solve as solve_mod, solve_text
+from minisol.smt import refute as refute_mod, solve as solve_mod, solve_text
 from minisol.smt.parse import Script, SmtParseError, parse_script
+from minisol.smt.refute import linear_truth, refuted_linear
 from minisol.smt.solve import (DEFAULT_CONFLICT_BUDGET, SmtUnknown,
-                               _linear_truth, _refuted_linear,
                                solve_commands)
-from minisol.smt.terms import Ctx, SmtError, array, bv
+from minisol.smt.terms import Ctx, SmtError, array, bv, print_term
 
 A8 = "(Array (_ BitVec 8) (_ BitVec 8))"
 
@@ -381,24 +382,37 @@ def test_random_store_chains_match_dict_semantics(seed):
 # -- word-level linear refutation ---------------------------------------------
 
 def evaluate(term, env):
-    """Plain evaluation of the linear fragment the refuter reads."""
+    """Plain evaluation of the operators the random suites build."""
     op = term.op
     if op == "var":
         return env[term.val]
-    if op == "const":
-        return term.val[0]
-    args = [evaluate(a, env) for a in term.args]
-    if op == "not":
-        return not args[0]
-    if op == "=":
-        return args[0] == args[1]
-    if op == "distinct":
-        return args[0] != args[1]
+    if op in ("const", "cbool"):
+        return term.val[0] if op == "const" else term.val
     if op == "ite":
-        return args[1] if args[0] else args[2]
+        return evaluate(term.args[1] if evaluate(term.args[0], env)
+                        else term.args[2], env)
+    args = [evaluate(a, env) for a in term.args]
+    if op in ("and", "or", "not"):
+        return {"and": all, "or": any, "not": lambda a: not a[0]}[op](args)
+    if op in ("=", "distinct", "bvult", "bvule", "bvugt", "bvuge"):
+        return py_cmp(op, *args) if op != "distinct" else args[0] != args[1]
     width = term.sort[1]
+    mask = (1 << width) - 1
     if op == "bvneg":
-        return -args[0] & ((1 << width) - 1)
+        return -args[0] & mask
+    if op == "bvnot":
+        return ~args[0] & mask
+    if op == "bvshl":
+        return args[0] << args[1] & mask if args[1] < width else 0
+    if op == "bvlshr":
+        return args[0] >> args[1] if args[1] < width else 0
+    if op == "extract":
+        hi, lo = term.val
+        return args[0] >> lo & ((1 << (hi - lo + 1)) - 1)
+    if op == "zero_extend":
+        return args[0]
+    if op == "concat":
+        return args[0] << term.args[1].sort[1] | args[1]
     return py_arith(op, args[0], args[1], width)
 
 
@@ -453,8 +467,8 @@ def test_linear_refuter_matches_brute_force(seed):
     decided = 0
     for _ in range(8):
         term = random_comparison(rng, ctx, atoms, width)
-        truth = _linear_truth(term, {})
-        assert _refuted_linear([term]) == (truth is False)
+        truth = linear_truth(term, {})
+        assert refuted_linear([term]) == (truth is False)
         if truth is None:
             continue
         decided += 1
@@ -471,20 +485,20 @@ def test_linear_refuter_fixed_cases():
     def plus(a, k):
         return ctx.mk("bvadd", a, ctx.const(k, 8))
 
-    assert _refuted_linear([ctx.mk("=", plus(plus(x, 1), 1), x)])
+    assert refuted_linear([ctx.mk("=", plus(plus(x, 1), 1), x)])
     # x + 255 + 1 wraps back to x: true, so not refuted
     wraps = ctx.mk("=", plus(plus(x, 255), 1), x)
-    assert _linear_truth(wraps, {}) is True
-    assert not _refuted_linear([wraps])
-    assert _refuted_linear([ctx.mk("distinct",
-                                   ctx.mk("bvsub", plus(x, 1), x), one)])
+    assert linear_truth(wraps, {}) is True
+    assert not refuted_linear([wraps])
+    assert refuted_linear([ctx.mk("distinct",
+                                  ctx.mk("bvsub", plus(x, 1), x), one)])
     # an ite is an atom: the same one on both sides cancels
     ite = ctx.mk("ite", c, x, ctx.var("y", bv(8)))
-    assert _refuted_linear([ctx.mk("=", ctx.mk("bvadd", ite, one), ite)])
-    assert _refuted_linear([ctx.mk("not", ctx.mk(
+    assert refuted_linear([ctx.mk("=", ctx.mk("bvadd", ite, one), ite)])
+    assert refuted_linear([ctx.mk("not", ctx.mk(
         "=", ctx.mk("bvsub", ctx.mk("bvadd", ite, x), x), ite))])
     # a different atom on one side leaves the comparison undecided
-    assert _linear_truth(ctx.mk("=", plus(ite, 1), plus(x, 1)), {}) is None
+    assert linear_truth(ctx.mk("=", plus(ite, 1), plus(x, 1)), {}) is None
 
 
 def test_offset_cancelling_check_is_unsat_without_bit_blasting(monkeypatch):
@@ -616,6 +630,273 @@ def test_greedy_tries_wrap_around_values(no_bit_blasting, condition, holds):
 (get-value (x v))
 """ % condition))
     assert holds(model["x"], model["v"])
+
+
+# -- the bit-blast tail, decided at word level ---------------------------------
+
+def word(width, value):
+    return "(_ bv%d %d)" % (value, width)
+
+
+# loop_sum's loop guards, the loop run exactly twice: round 0 meets
+# i + 1 < rounds by wrapping i to rounds - 2 (rounds is 1, so 2^256 - 1),
+# which breaks i < rounds; from round 1 the move that keeps it raises rounds
+LOOP_GUARDS = """
+(declare-const i (_ BitVec 256))
+(declare-const rounds (_ BitVec 256))
+(declare-const total (_ BitVec 256))
+(assert (bvult i rounds))
+(assert (bvult (bvadd i %(one)s) rounds))
+(assert (= %(six)s (bvadd (bvadd total %(three)s) %(three)s)))
+(assert (not (bvult (bvadd (bvadd i %(one)s) %(one)s) rounds)))
+(check-sat)
+(get-value (i rounds total))
+""" % {"one": word(256, 1), "three": word(256, 3), "six": word(256, 6)}
+
+
+def test_greedy_keeps_the_loop_guards_that_held(no_bit_blasting):
+    assert model_dict(solve(LOOP_GUARDS)) == {"i": 0, "rounds": 2, "total": 0}
+
+
+@pytest.mark.parametrize("assertion, holds", [
+    # a generated program's residual: g2 cancels, leaving g1 - 0xfffe = 0
+    ("(not (distinct (bvadd g2 g1) (bvadd g2 #xfffe)))",
+     lambda g1, g2: g1 == 0xfffe),
+    # g2 cancels, leaving g1 != 0
+    ("(distinct (bvadd g2 g1) g2)", lambda g1, g2: g1 != 0),
+])
+def test_greedy_solves_a_difference_the_sides_share_a_variable_in(
+        no_bit_blasting, assertion, holds):
+    """Solving one side for the other's value moves both when they share
+    g2; their linear difference has g1 alone."""
+    model = model_dict(solve("""
+(declare-const g1 (_ BitVec 16))
+(declare-const g2 (_ BitVec 16))
+(assert %s)
+(check-sat)
+(get-value (g1 g2))
+""" % assertion))
+    assert holds(model["g1"], model["g2"])
+
+
+@pytest.mark.parametrize("assertion, decided_by", [
+    # corpus/contradiction.msol: x > 10 and x < 10
+    ("(and (bvugt x %s) (bvult x %s))" % (word(8, 10), word(8, 10)),
+     "bounds"),
+    # corpus/overflow.msol: a uint16 below 0
+    ("(bvult v #x0000)", "fold"),
+    ("(= (bvadd p p) %s)" % word(8, 5), "parity"),
+    ("(bvuge (bvadd p p) #xff)", "parity"),
+    ("(= ((_ zero_extend 248) p) %s)" % word(256, 257), "bounds"),
+    ("(and (bvugt #x02 (bvsub p #xfe)) (bvult p (bvsub p #x7f)))",
+     "interval"),
+])
+def test_word_level_unsat(no_bit_blasting, monkeypatch, assertion,
+                          decided_by):
+    """Each of these reached the bit-blaster before: now a fold rule
+    decides it before the greedy search, or the refuter after it."""
+    reasons, searches = [], []
+    refutation, greedy = solve_mod.refutation, solve_mod._greedy_model
+
+    def refute(residual):
+        reasons.append(refutation(residual))
+        return reasons[-1]
+
+    def search(*args):
+        searches.append(args)
+        return greedy(*args)
+
+    monkeypatch.setattr(solve_mod, "refutation", refute)
+    monkeypatch.setattr(solve_mod, "_greedy_model", search)
+    assert solve("""
+(declare-const x (_ BitVec 8))
+(declare-const p (_ BitVec 8))
+(declare-const v (_ BitVec 16))
+(assert %s)
+(check-sat)
+""" % assertion) == "unsat\n"
+    assert reasons == ([] if decided_by == "fold" else [decided_by])
+    assert bool(searches) == (decided_by != "fold")
+
+
+# -- random terms against enumeration ------------------------------------------
+
+FUZZ_BINOPS = OPS1 + ["bvshl", "bvlshr"]
+FUZZ_CMPS = ["bvult", "bvule", "bvugt", "bvuge", "=", "distinct"]
+
+
+class TermFuzzer:
+    """Random nested terms over x and y at one width: repeated subterms
+    (a pool of the terms built so far), shared operands (x - x, x < x),
+    ite, extract/concat and zero_extend back to the width, the shifts,
+    linear shapes (p + p + k), and comparisons against 0, the maximum and
+    other constants."""
+
+    def __init__(self, rng, ctx, width):
+        self.rng, self.ctx, self.width = rng, ctx, width
+        self.vars = [ctx.var("x", bv(width)), ctx.var("y", bv(width))]
+        self.pool = list(self.vars)
+
+    def const(self, value=None):
+        mask = (1 << self.width) - 1
+        if value is None:
+            value = self.rng.choice([0, 1, mask,
+                                     self.rng.randrange(mask + 1)])
+        return self.ctx.const(value, self.width)
+
+    def term(self, depth):
+        rng, ctx, w = self.rng, self.ctx, self.width
+        if depth == 0 or rng.random() < 0.2:
+            return rng.choice(self.pool + [self.const()])
+        kind = rng.choice(["binop", "binop", "same", "unop", "ite", "slice",
+                           "extend", "linear"])
+        sub = self.term(depth - 1)
+        if kind == "binop":
+            out = ctx.mk(rng.choice(FUZZ_BINOPS), sub, self.term(depth - 1))
+        elif kind == "same":
+            out = ctx.mk("bvurem", sub, self.const(1)) if rng.random() < 0.1 \
+                else ctx.mk(rng.choice(FUZZ_BINOPS), sub, sub)
+        elif kind == "unop":
+            out = ctx.mk(rng.choice(["bvneg", "bvnot"]), sub)
+        elif kind == "ite":
+            out = ctx.mk("ite", self.boolean(depth - 1), sub,
+                         self.term(depth - 1))
+        elif kind == "slice":
+            k = rng.randint(1, w - 1)
+            out = ctx.mk("concat",
+                         ctx.mk("extract", sub, val=(k - 1, 0)),
+                         ctx.mk("extract", self.term(depth - 1),
+                                val=(w - 1, k)))
+        elif kind == "extend":
+            k = rng.randint(1, w - 1)
+            out = ctx.mk("zero_extend", ctx.mk("extract", sub,
+                                               val=(k - 1, 0)), val=w - k)
+            if rng.random() < 0.5:
+                out = ctx.mk(rng.choice(["bvadd", "bvsub"]),
+                             *((out, self.const()) if rng.random() < 0.5
+                               else (self.const(), out)))
+        else:
+            scale = rng.choice([sub, ctx.mk("bvadd", sub, sub), ctx.mk(
+                "bvmul", self.const(2 * rng.randint(1, 3)), sub)])
+            out = ctx.mk(rng.choice(["bvadd", "bvsub"]),
+                         *((scale, self.const()) if rng.random() < 0.7
+                           else (self.const(), scale)))
+        self.pool.append(out)
+        return out
+
+    def boolean(self, depth):
+        rng, ctx = self.rng, self.ctx
+        kind = rng.choice(["cmp", "cmp", "cmp", "same", "range", "and", "or",
+                           "not"] if depth else ["cmp", "same", "range"])
+        if kind == "range":
+            a = self.term(depth)
+            return ctx.mk("and", *(ctx.mk(rng.choice(FUZZ_CMPS), a,
+                                          self.const()) for _ in "lh"))
+        if kind in ("and", "or"):
+            return ctx.mk(kind, self.boolean(depth - 1),
+                          self.boolean(depth - 1))
+        if kind == "not":
+            return ctx.mk("not", self.boolean(depth - 1))
+        a = self.term(depth)
+        if kind == "same":
+            return ctx.mk(rng.choice(FUZZ_CMPS[:4]), a, a)
+        b = self.const() if rng.random() < 0.5 else self.term(depth)
+        return ctx.mk(rng.choice(FUZZ_CMPS), *((a, b) if rng.random() < 0.5
+                                                else (b, a)))
+
+
+def counted(monkeypatch, owner, name, classify, hits):
+    """Wrap ``owner.name`` so that every call whose result `classify` names
+    (it returns None for a call that decided nothing) counts in `hits`."""
+    real = getattr(owner, name)
+
+    def wrapper(*args):
+        out = real(*args)
+        kind = classify(out, *args)
+        if kind is not None:
+            hits[kind] += 1
+        return out
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+def fold_rule(out, _ctx, op, a, b):
+    """Which of ``_fold_trivial``'s rules produced `out`."""
+    if out is None:
+        return None
+    if a is b:
+        return "self " + op
+    if op == "bvurem":
+        return "urem 1"
+    const = b if b.op == "const" else a
+    end = "0" if const.val[0] == 0 else "max"
+    return "%s %s %s" % (op, end, "right" if const is b else "left")
+
+
+def interval_shape(out, term, bounds, _memo):
+    """The operator of a term whose shape narrows its interval below its
+    sort's range, or "bounded var" for a variable the conjuncts bound."""
+    if out[0] == 0 and out[1] == (1 << term.sort[1]) - 1:
+        return None
+    if term.op == "var":
+        return "bounded var"
+    return None if term in bounds else term.op
+
+
+def carried_bound(out, _bounds, term, _lo, _hi, memo):
+    """Whether ``_narrow_atom`` carried a bound through x + k or k - x."""
+    coeffs, _k = refute_mod.linear(term, memo)
+    if len(coeffs) != 1:
+        return None
+    c = next(iter(coeffs.values()))
+    return {1: "x + k", (1 << term.sort[1]) - 1: "k - x"}.get(c)
+
+
+FOLD_RULES = {"self bvsub", "self bvxor", "self bvurem", "self bvand",
+              "self bvor", "self bvult", "self bvule", "self bvugt",
+              "self bvuge", "urem 1",
+              "bvult 0 right", "bvugt 0 left", "bvule 0 left",
+              "bvuge 0 right", "bvugt max right", "bvult max left",
+              "bvule max right", "bvuge max left"}
+REFUTER_BRANCHES = {"bounds", "interval", "parity"}
+INTERVAL_SHAPES = {"const", "zero_extend", "ite", "bvadd", "bvsub",
+                   "bounded var"}
+CARRIED_BOUNDS = {"x + k", "k - x"}
+
+
+def test_random_terms_match_enumeration(monkeypatch):
+    """Random scripts of nested terms over two variables at widths 2-4:
+    the solver's sat/unsat is enumeration's, and every model holds.  Every
+    rule of ``_fold_trivial``, every reason the refuter gives, every shape
+    its intervals narrow and both ways it carries a bound to a variable
+    are met along the way."""
+    folds, refuted, shapes, carried = (Counter() for _ in range(4))
+    counted(monkeypatch, solve_mod, "_fold_trivial", fold_rule, folds)
+    counted(monkeypatch, solve_mod, "refutation",
+            lambda out, _residual: out, refuted)
+    counted(monkeypatch, refute_mod, "interval", interval_shape, shapes)
+    counted(monkeypatch, refute_mod, "_narrow_atom", carried_bound, carried)
+    for seed in range(1500):
+        rng = random.Random(seed)
+        ctx = Ctx()
+        width = rng.randint(2, 4)
+        fuzzer = TermFuzzer(rng, ctx, width)
+        asserts = [fuzzer.boolean(rng.randint(1, 3))
+                   for _ in range(rng.randint(1, 3))]
+        envs = [{"x": x, "y": y}
+                for x, y in itertools.product(range(1 << width), repeat=2)]
+        expected = any(all(evaluate(a, env) for a in asserts)
+                       for env in envs)
+        result = solve_commands(ctx, Script(asserts=asserts,
+                                            queries=fuzzer.vars))
+        assert result.status == ("sat" if expected else "unsat"), \
+            [print_term(a) for a in asserts]
+        if expected:
+            env = dict(zip("xy", result.values))
+            assert all(evaluate(a, env) for a in asserts)
+    assert set(folds) == FOLD_RULES
+    assert set(refuted) == REFUTER_BRANCHES
+    assert set(shapes) >= INTERVAL_SHAPES
+    assert set(carried) == CARRIED_BOUNDS
 
 
 # -- interning -----------------------------------------------------------------
