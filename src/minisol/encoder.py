@@ -29,14 +29,6 @@ The zero-initialization clauses (scalars = 0, all map cells = 0) attach to
 the start node, so partial walks leave their pre-state free and an UNSAT
 prefix can never become SAT by extension.
 
-``frontier_script`` cuts the frontier's clauses (the moving ones and the
-new node's) out as a script of their own when they mention no symbol that
-the rest of the walk or the safety condition mentions; if the parent was
-SAT, they alone decide the extension.  Each numbering marks which of its
-live symbols its clauses mention, so the test reads only the new node's
-symbols.  ``clause_shape`` keys such scripts up to a renaming of their
-symbols, so the engine answers a repeat from its table.
-
 Scalars are fixed-width bitvectors and each mapping generation ``m!g`` is
 an SMT-LIB array variable (QF_ABV): a write is the one clause
 ``(= m!g (store m!h key val))``, zero-initialization equates the
@@ -49,10 +41,13 @@ the target point, before the target instruction's own effect; the replay
 oracle mirrors this by stopping at the first arrival that satisfies the
 condition.
 
-The bundled solver reads those terms in process.  SMT-LIB 2 text is
-rendered from them (``SmtScript.text``) only when something reads it: the
-``--emit-smt`` dumps and an external ``--solver-cmd`` process, whose answer
-``parse_solver_output`` reads back.
+The bundled solver reads those terms in process; a check that needs only
+sat or unsat reads its assertions alone.  A script's symbol table, and the
+declarations and queries built from it, are assembled only for a model or
+for SMT-LIB 2 text (``SmtScript.text``), which is rendered only when
+something reads it: the ``--emit-smt`` dumps and an external
+``--solver-cmd`` process, whose answer ``parse_solver_output`` reads
+back.
 """
 
 from __future__ import annotations
@@ -171,7 +166,7 @@ class _Run:
     def link(self, cur, saved):
         """A reverting segment's link: for every state variable and mapping
         whose live version `cur` differs from the one live after the
-        segment (`saved`), the clause equating them, with both names."""
+        segment (`saved`), the clause equating them."""
         ctx = self.ctx
         out = []
         for name, sort in self.sorts.items():
@@ -180,7 +175,7 @@ class _Run:
                 continue
             a = ctx.var("%s!%d" % (name, after), sort)
             c = ctx.var("%s!%d" % (name, inside), sort)
-            out.append((ctx.mk("=", a, c), a.val, c.val))
+            out.append(ctx.mk("=", a, c))
         return out
 
 
@@ -201,8 +196,8 @@ class _Link:
 
 class _Seg:
     """The transaction segment the frontier is in: its index, function and
-    environment, the version of every local it has touched, the symbols of
-    its own that its clauses mention, and, for a reverting segment, the
+    environment, the version of every local it has touched, the live local
+    symbols its clauses read (`marks`), and, for a reverting segment, the
     state versions live after it (`saved`)."""
     __slots__ = ("index", "fn", "env", "env_clauses", "locals", "marks",
                  "saved")
@@ -232,13 +227,9 @@ class Numbering:
 
     Immutable: ``step`` returns the numbering one node longer and shares
     every part it leaves unchanged.  `cur` and `high` map each state
-    variable and mapping to its live and its highest version, `marks` holds
-    the live state symbols (map generations among them) the clauses
-    mention, and `front_shared` says whether the last node's clauses, or
-    the moving ones, mention a symbol the clauses before it mention."""
-    __slots__ = ("run", "link", "length", "node", "cur", "high", "marks",
-                 "nseg", "seg", "target", "written0", "front_shared",
-                 "complete")
+    variable and mapping to its live and its highest version."""
+    __slots__ = ("run", "link", "length", "node", "cur", "high", "nseg",
+                 "seg", "target", "written0", "complete")
 
     @classmethod
     def empty(cls, program, graph, ctx):
@@ -248,12 +239,10 @@ class Numbering:
         n.length = 0
         n.node = None
         n.cur, n.high = {}, {}
-        n.marks = frozenset()
         n.nseg = 0
         n.seg = None
         n.target = None
         n.written0 = None              # slots the root segment writes
-        n.front_shared = False
         n.complete = False
         return n
 
@@ -263,19 +252,15 @@ class Numbering:
         return _Step(self, node_id).result()
 
     def moving(self):
-        """The clauses that move with the frontier, with the names they
-        mention: the open segment's account clauses and, if it reverts,
-        its link."""
+        """The clauses that move with the frontier: the open segment's
+        account clauses and, if it reverts, its link."""
         seg = self.seg
         if seg is None:
-            return [], []
+            return []
         clauses = list(seg.env_clauses)
-        names = [seg.env["msg.sender"].val, seg.env["tx.origin"].val]
         if seg.saved is not None:
-            for clause, a, c in self.run.link(self.cur, seg.saved):
-                clauses.append(clause)
-                names += (a, c)
-        return clauses, names
+            clauses += self.run.link(self.cur, seg.saved)
+        return clauses
 
 
 class _Step:
@@ -296,8 +281,7 @@ class _Step:
         self.decls = {}                # name -> var term
         self.defined = None
         self.tx = None
-        self.mentioned, self.dead = set(), set()           # state symbols
-        self.seg_mentioned, self.seg_dead = set(), set()   # locals and env
+        self.seg_mentioned, self.seg_dead = set(), set()   # local symbols
 
     # -- symbols ---------------------------------------------------------------
 
@@ -307,9 +291,7 @@ class _Step:
         return term
 
     def state_term(self, name, ver, type_):
-        term = self.declare("%s!%d" % (name, ver), type_)
-        self.mentioned.add(term.val)
-        return term
+        return self.declare("%s!%d" % (name, ver), type_)
 
     def local_term(self, slot, ver, type_):
         term = self.declare("%s!t%d!%d" % (slot, self.seg.index, ver), type_)
@@ -353,9 +335,7 @@ class _Step:
         if op.kind == "lit":
             return _lit(self.ctx, op.value, op.type_)
         if op.kind == "env":
-            term = self.seg.env[op.name]
-            self.seg_mentioned.add(term.val)
-            return term
+            return self.seg.env[op.name]
         if op.kind == "state":
             return self.state_term(op.name, self.live(op.name), op.type_)
         ver = self.seg.locals.get(op.name)       # a local or a parameter
@@ -379,7 +359,6 @@ class _Step:
         """The version of state variable or mapping `name` defined here; an
         earlier one is live now."""
         term = self.state_term(name, self.live(name), type_)
-        self.dead.add(term.val)
         self.bump(name)
         self.defined = term.val
         return term
@@ -416,18 +395,10 @@ class _Step:
         n.complete = self.complete
         n.link = _Link(parent.link, tuple(self.clauses),
                        tuple(self.decls.values()), self.defined, self.tx)
-        n.marks = parent.marks
-        if self.mentioned or self.dead:
-            n.marks = (n.marks | self.mentioned) - self.dead
         if n.seg is not None and (self.seg_mentioned or self.seg_dead):
             seg = self.own_seg()
             seg.marks = (seg.marks | self.seg_mentioned) - self.seg_dead
             n.seg = seg
-        _moving, names = n.moving()
-        front = self.mentioned.union(self.seg_mentioned, names)
-        seg_marks = parent.seg.marks if parent.seg is not None else ()
-        n.front_shared = any(name in parent.marks or name in seg_marks
-                             for name in front)
         return n
 
     def open_segment(self, node):
@@ -465,14 +436,10 @@ class _Step:
                 raise EncodeError("local %r read before any write on the "
                                   "walk" % slot)
         self.clauses.extend(seg.env_clauses)
-        self.seg_mentioned.update((seg.env["msg.sender"].val,
-                                   seg.env["tx.origin"].val))
         if seg.saved is not None:
-            for clause, a, c in self.run.link(self.cur, seg.saved):
-                self.clauses.append(clause)
-                _symbols([clause], self.decls)
-                self.mentioned.update((a, c))
-                self.dead.add(a)
+            link = self.run.link(self.cur, seg.saved)
+            self.clauses.extend(link)
+            _symbols(link, self.decls)
         self.tx = seg.tx(params, partial=False)
         for (_, sym), (_, type_) in zip(self.tx.params, params):
             self.declare(sym, type_)
@@ -564,7 +531,8 @@ def _symbols(terms, symbols=None):
 class SsaScript:
     """A numbered walk.  Its clause list is assembled on demand from the
     numbering: the frontier's moving clauses, then each numbered node's
-    clauses from the frontier to the root, which is execution order."""
+    clauses from the frontier to the root, which is execution order.  Its
+    symbol table is assembled apart, on its first read."""
 
     def __init__(self, numbering):
         self.numbering = numbering
@@ -579,7 +547,7 @@ class SsaScript:
 
     @cached_property
     def moving(self):
-        return self.numbering.moving()[0]
+        return self.numbering.moving()
 
     def links(self):
         """The numbered nodes' links, frontier first."""
@@ -589,22 +557,21 @@ class SsaScript:
             link = link.parent
 
     @cached_property
-    def _assembled(self):
+    def clauses(self):
         clauses = list(self.moving)
-        symbols = _symbols(clauses)
         for link in self.links():
             clauses.extend(link.clauses)
+        return clauses
+
+    @cached_property
+    def symbols(self):
+        """Name -> var term of every symbol the walk declares, in
+        declaration order."""
+        symbols = _symbols(self.moving)
+        for link in self.links():
             for term in link.decls:
                 symbols.setdefault(term.val, term)
-        return clauses, symbols
-
-    @property
-    def clauses(self):
-        return self._assembled[0]
-
-    @property
-    def symbols(self):
-        return self._assembled[1]
+        return symbols
 
     @cached_property
     def transactions(self):
@@ -712,127 +679,62 @@ def _resolve(run, e, tp, params, reads):
 
 
 # ---------------------------------------------------------------------------
-# The frontier's clauses, when they decide an extension alone
-# ---------------------------------------------------------------------------
-
-@dataclass
-class FrontierScript:
-    """The frontier's clauses as a script of their own."""
-    ctx: smt_terms.Ctx
-    clauses: list
-    symbols: dict
-
-
-def frontier_script(script, safety=None, program=None):
-    """The frontier's clauses (the moving ones and the last numbered
-    node's) as a script of their own, or None when they mention a symbol
-    that the walk's other clauses or the resolved safety condition
-    mention.
-
-    Map generations are symbols like any other.  The safety condition is
-    resolved only once the clauses pass; a walk it cannot be resolved on
-    raises here, or in `encode` when None sends the check to a full
-    solve."""
-    n = script.numbering
-    if n.front_shared:
-        return None
-    clauses = list(script.moving) + list(n.link.clauses)
-    symbols = _symbols(clauses)
-    if safety is not None and not resolve_safety(
-            script, safety, program).symbols.keys().isdisjoint(symbols):
-        return None
-    return FrontierScript(script.ctx, clauses, symbols)
-
-
-SHAPE_LIMIT = 8                    # assertions of a script keyed by shape
-
-
-def answer_key(asserts):
-    """What a run keys an incomplete walk's answer on: a script of at most
-    SHAPE_LIMIT assertions on its shape, any other on its very terms.
-
-    Frontier scripts and the whole scripts of short walks are that small,
-    and repeat one another up to a renaming of their symbols: a frontier
-    script often has the shape of an earlier short walk's.  A long script
-    is a whole walk's; its shape costs time and memory in proportion to
-    the walk, and its repeats are mostly term for term.  On the benchmark,
-    every limit from 3 to 8 finds the same repeats, and shaping every
-    script finds a few more but makes the long workloads 16-26% slower."""
-    if len(asserts) <= SHAPE_LIMIT:
-        return clause_shape(asserts)
-    return tuple(asserts)
-
-
-def clause_shape(clauses):
-    """`clauses` up to a consistent renaming of their symbols, sorts kept.  Two clause lists of one shape are renamings of
-    each other, so one is satisfiable exactly when the other is."""
-    names, memo = {}, {}
-    return tuple(_shape(c, names, memo) for c in clauses)
-
-
-def _shape(t, names, memo):
-    """The shape of term `t`: symbols numbered in order of first occurrence
-    (`names`), shared subterms shaped once (`memo`)."""
-    out = memo.get(id(t))
-    if out is not None:
-        return out
-    if t.op == "var":
-        out = ("var", names.setdefault(t.val, len(names)), t.sort)
-    else:
-        out = (t.op, t.val) + tuple(_shape(a, names, memo) for a in t.args)
-    memo[id(t)] = out
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Solver input
 # ---------------------------------------------------------------------------
 
-@dataclass
 class SmtScript:
-    """One check's solver input: the terms ``smt.solve_commands`` reads, in
-    the ``Ctx`` they were built in, and the symbols the model must value,
-    one per get-value answer position.  ``text`` is the same script as
-    SMT-LIB 2, rendered on first use."""
-    ctx: smt_terms.Ctx
-    commands: Script
-    manifest: list                 # (scalar symbol, sort) in declaration order
+    """One check's solver input: its assertions, terms of the ``Ctx`` they
+    were built in, and a function giving the symbols they mention (name ->
+    var term, in declaration order).  ``commands`` is the script
+    ``smt.solve_commands`` reads for a model and ``text`` the same script
+    as SMT-LIB 2; both are built on first read, so a check that needs only
+    sat or unsat builds neither, nor the symbol table."""
+
+    def __init__(self, ctx, asserts, symbols):
+        self.ctx = ctx
+        self.asserts = asserts
+        self._symbols = symbols
+
+    @cached_property
+    def commands(self):
+        """Declarations, assertions and one get-value query per scalar
+        symbol."""
+        symbols = self._symbols()
+        queries = [t for t in symbols.values() if t.sort[0] != "array"]
+        return Script(decls={name: t.sort for name, t in symbols.items()},
+                      asserts=self.asserts, queries=queries,
+                      query_texts=[t.val for t in queries], has_check=True)
+
+    @property
+    def manifest(self):
+        """(scalar symbol, sort), one per get-value answer position."""
+        return [(t.val, t.sort) for t in self.commands.queries]
 
     @cached_property
     def text(self):
         return smt_terms.print_script(self.commands)
 
 
-@dataclass
-class Model:
-    values: dict                   # symbol -> int (bools as 0/1)
-
-    def __getitem__(self, sym):
-        return self.values[sym]
-
-
 def encode(script, safety=None, program=None) -> SmtScript:
-    """The solver input for a numbered walk or a frontier script, plus the
-    optional safety condition, in the context its clauses were built in.
-    Deterministic: identical walks render byte-identically."""
+    """The solver input for a numbered walk, plus the optional safety
+    condition, in the context its clauses were built in.  Deterministic:
+    identical walks render byte-identically."""
     asserts = list(script.clauses)
-    symbols = dict(script.symbols)
+    extra = {}
     if safety is not None:
         if program is None:
             raise EncodeError("safety resolution needs the program")
         safe = resolve_safety(script, safety, program)
         asserts.append(safe.term)
         # the safety condition can read versions no clause mentions
-        for name, term in safe.symbols.items():
-            symbols.setdefault(name, term)
-    decls = {name: term.sort for name, term in symbols.items()}
-    manifest = [(name, sort) for name, sort in decls.items()
-                if sort[0] != "array"]
-    commands = Script(decls=decls, asserts=asserts,
-                      queries=[symbols[name] for name, _sort in manifest],
-                      query_texts=[name for name, _sort in manifest],
-                      has_check=True)
-    return SmtScript(script.ctx, commands, manifest)
+        extra = safe.symbols
+
+    def symbols():
+        out = dict(script.symbols)
+        for name, term in extra.items():
+            out.setdefault(name, term)
+        return out
+    return SmtScript(script.ctx, asserts, symbols)
 
 
 # ---------------------------------------------------------------------------
@@ -841,8 +743,12 @@ def encode(script, safety=None, program=None) -> SmtScript:
 
 @dataclass
 class SatResult:
+    """One check's answer.  On SAT, when a model was asked for, `model`
+    maps each scalar symbol to its value (bools as 0/1).  `reason` is
+    ``repeated`` for an answer taken from the run's table, or says why
+    the answer is ``unknown``."""
     status: str                    # 'sat' | 'unsat' | 'unknown'
-    model: Optional[Model] = None
+    model: Optional[dict] = None
     reason: str = ""
     # the checked walk's ``Numbering``: the checks of its extensions resume
     # from it, and a found walk's transactions are read from it
@@ -862,8 +768,9 @@ class SolverSession:
     """One exploration's solver channel; counts every submission and
     optionally dumps each script as a numbered .smt2 file.  It owns the
     run's term context (`terms`), which every numbering of the run builds
-    its clauses in, and the run's answer table (`answers`: an incomplete
-    walk's script's key -> sat | unsat), whose keys are terms of it."""
+    its clauses in, and the run's answer table (`answers`: the tuple of an
+    incomplete walk's assertion terms, its clauses then the resolved
+    safety condition -> sat | unsat)."""
 
     def __init__(self, config: SolverConfig = None):
         self.config = config or SolverConfig()
@@ -894,8 +801,9 @@ class SolverSession:
         return self._run(smt_script, deadline)
 
     def _solve(self, smt_script, deadline, base, model):
-        """The bundled solver, in process, on the script's terms."""
-        commands = smt_script.commands
+        """The bundled solver, in process, on the script's terms; without
+        a `model` it reads only the assertions."""
+        commands = smt_script.commands if model else smt_script
         try:
             result = smt.solve.solve_commands(
                 smt_script.ctx, commands, smt.solve.DEFAULT_CONFLICT_BUDGET,
@@ -908,10 +816,9 @@ class SolverSession:
             return SatResult(result.status, reason=result.reason)
         if not model:
             return SatResult("sat", reduction=result.reduction)
-        return SatResult("sat", Model(
-            {sym: int(v) for sym, v in zip(commands.query_texts,
-                                           result.values)}),
-            reduction=result.reduction)
+        return SatResult("sat", {sym: int(v) for sym, v in
+                                 zip(commands.query_texts, result.values)},
+                         reduction=result.reduction)
 
     def _run(self, smt_script, deadline):
         """The external solver, as a process given the time left."""
@@ -962,7 +869,7 @@ def parse_solver_output(output, smt_script) -> SatResult:
                               % (len(manifest), len(pairs)))
         for (sym, _sort), pair in zip(manifest, pairs):
             values[sym] = _parse_value(pair[-1])
-    return SatResult("sat", Model(values))
+    return SatResult("sat", values)
 
 
 def _parse_value(sexp):

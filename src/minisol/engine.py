@@ -12,8 +12,7 @@ from . import concretize as conc
 from . import oracle
 from .cfg import build_cfg_plus
 from .encoder import (SatResult, SolverConfig, SolverSession, SsaScript,
-                      answer_key, encode, frontier_script, resolve_safety,
-                      ssa_number)
+                      encode, resolve_safety, ssa_number)
 from .errors import ConfigError, MiniSolError, TargetError
 from .explorer import (HEURISTICS, Limits, Walk, build_context,
                        find_minimal_satisfiable_walk)
@@ -92,51 +91,32 @@ def search(graph, target, *, heuristic="floyd-warshall",
     context = build_context(graph, target.safety)
     deadline = t0 + limits.wall_timeout
 
-    def solve(script, complete, safety=None, base=None):
-        """Submit `script` (a numbered walk, or a frontier script), plus the
-        safety condition, or answer it from the session's table: an
-        incomplete walk needs only sat or unsat, which an earlier script of
-        the same clauses has settled, so it is encoded only on a miss.  A
-        complete walk needs a model and is always solved; ``unknown``
-        settles nothing.  An in-process solve starts from `base`."""
+    def solve(script, base):
+        """Decide a numbered walk plus the safety condition.  A complete
+        walk needs a model and is always solved.  Any other needs only sat
+        or unsat, which an earlier script of the same assertions has
+        settled: it is looked up in the session's table on the tuple of its
+        assertion terms, and encoded and solved only on a miss; ``unknown``
+        settles nothing.  An in-process solve starts from `base`, the kept
+        reduction of its prefix."""
+        safety = target.safety
         key = None
-        if not complete:
-            asserts = script.clauses
+        if not script.complete:
+            key = tuple(script.clauses)
             if safety is not None:
-                asserts = asserts + [resolve_safety(script, safety,
-                                                    program).term]
-            key = answer_key(asserts)
+                key += (resolve_safety(script, safety, program).term,)
             status = session.answers.get(key)
             if status is not None:
                 return SatResult(status, reason="repeated")
         result = session.check(encode(script, safety, program), deadline,
-                               base, complete)
+                               base, script.complete)
         if key is not None and result.status != "unknown":
             session.answers[key] = result.status
         return result
 
-    def decide(walk, script):
-        # the rest of an extension of a parent checked SAT (a SAT prefix one
-        # node short) is SAT: if the new node's clauses are independent of
-        # it, they decide; a complete walk needs the whole model
-        prefix = walk.prefix
-        if prefix.status == "sat" and not script.complete \
-                and prefix.numbering.length == len(walk) - 1:
-            front = frontier_script(script, target.safety, program)
-            if front is not None:
-                if not front.clauses:
-                    return SatResult("sat", reason="inherited")
-                result = solve(front, False)
-                if result.reason == "repeated":
-                    return result
-                if result.status != "unknown":
-                    return SatResult(result.status, reason="inherited")
-        return solve(script, script.complete, target.safety,
-                     prefix.reduction)
-
     def check(walk):
         script = ssa_number(walk, program, ctx=session.terms)
-        result = decide(walk, script)
+        result = solve(script, walk.prefix.reduction)
         # for the extensions: the numbering, and the reduction their solves
         # start from (a check that made none passes on its prefix's)
         result.numbering = script.numbering
@@ -144,8 +124,7 @@ def search(graph, target, *, heuristic="floyd-warshall",
             result.reduction = walk.prefix.reduction
         return result
 
-    # every walk starts at the target's node: number it once, for all; the
-    # unchecked root reads as not SAT (the safety condition may be UNSAT)
+    # every walk starts at the target's node: number it once, for all
     root = graph.target_node(target.line)
     prefix = None if root is None else SatResult("unknown", numbering=(
         ssa_number(Walk((root,), graph), program,

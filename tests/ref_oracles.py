@@ -43,7 +43,6 @@ from minisol.lang import (ADDRESS, BOOL, ENV_NAMES, ENV_TYPES, NUM_ACCOUNTS,
                           IntLit, Require, Return, Unary, VarDecl, While,
                           iter_statements, mask)
 from minisol.smt import terms as smt_terms
-from minisol.smt.parse import Script
 from minisol.oracle import (EvmState, Interpreter, _binary, _Env,
                             _eval_expr, _Revert, _wrap)
 
@@ -944,11 +943,8 @@ def forward_encode(script, safety=None, program=None, ctx=None):
             raise EncodeError("safety resolution needs the program")
         asserts.append(t.term(forward_resolve_safety(script, safety, program)))
 
-    manifest = [(name, _sort(type_)) for name, type_ in t.symbols.items()]
-    decls = dict(manifest)
-    decls.update((name, var.sort) for name, var in t.arrays.items())
-    commands = Script(decls=decls,
-                      asserts=[ctx.checked("assert", a) for a in asserts],
-                      queries=[ctx.var(n, s) for n, s in manifest],
-                      query_texts=[n for n, _s in manifest], has_check=True)
-    return SmtScript(ctx, commands, manifest)
+    symbols = {name: ctx.var(name, _sort(type_))
+               for name, type_ in t.symbols.items()}
+    symbols.update(t.arrays)
+    return SmtScript(ctx, [ctx.checked("assert", a) for a in asserts],
+                     lambda: symbols)

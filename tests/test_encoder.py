@@ -5,8 +5,7 @@ import pytest
 
 from minisol.cfg import ReversedView
 from minisol.encoder import (SatResult, SolverConfig, SolverSession,
-                             encode, frontier_script, resolve_safety,
-                             ssa_number)
+                             encode, resolve_safety, ssa_number)
 from minisol.engine import prepare
 from minisol.errors import EncodeError, SolverError
 from minisol.explorer import Walk
@@ -491,7 +490,6 @@ def test_write_in_a_reverted_segment_moves_the_link_and_is_solved(corpus):
     assert parent_link is not child_link
     assert all(c is not parent_link for c in child.clauses)
     assert "g!1" in definition_symbols(child)
-    assert frontier_script(child) is None
     assert SolverSession().check(encode(child)).status == "sat"
     # once the entry is numbered, the link is the entry's own clause
     entry = ssa_number(Walk(nodes + (f.entry_id,), graph), program, ctx=ctx)
@@ -521,18 +519,17 @@ def _walks_for_reference(rng, corpus):
 def _pinned(smt, pins):
     """`smt` with each symbol of `pins` fixed to its value."""
     from minisol.encoder import SmtScript
-    from minisol.smt.parse import Script
     from minisol.smt.terms import BOOL
-    ctx, commands = smt.ctx, smt.commands
+    ctx, decls = smt.ctx, smt.commands.decls
     extra = []
     for name, value in pins.items():
-        sort = commands.decls[name]
+        sort = decls[name]
         extra.append(ctx.mk("=", ctx.var(name, sort),
                             ctx.cbool(bool(value)) if sort == BOOL
                             else ctx.const(value, sort[1])))
-    return SmtScript(ctx, Script(commands.decls, commands.asserts + extra,
-                                 commands.queries, commands.query_texts,
-                                 True), smt.manifest)
+    return SmtScript(ctx, smt.asserts + extra,
+                     lambda: {name: ctx.var(name, sort)
+                              for name, sort in decls.items()})
 
 
 def _input_symbols(script):
@@ -634,7 +631,7 @@ def test_external_process_route_equals_in_process(corpus):
     ext = SolverSession(SolverConfig(command=bundled_solver_command()))
     out = ext.check(smt)
     assert out.status == in_proc.status == "sat"
-    assert out.model.values == in_proc.model.values
+    assert out.model == in_proc.model
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -662,8 +659,8 @@ def test_parse_solver_output_accepts_hex_and_binary_values(corpus):
     output = "sat\n(%s)\n" % " ".join(fake_values)
     result = parse_solver_output(output, smt)
     assert result.status == "sat"
-    assert result.model.values == {sym: i % 7 if i % 2 else 1
-                                   for i, sym in enumerate(names)}
+    assert result.model == {sym: i % 7 if i % 2 else 1
+                            for i, sym in enumerate(names)}
 
 
 def test_parse_solver_output_rejects_truncated_model(corpus):
@@ -701,9 +698,8 @@ def test_in_process_answers_equal_rendered_text_answers(name, corpus):
         via_text = parse_solver_output(smt.solve_text(script.text), script)
         assert via_text.status == direct.status
         if direct.status == "sat":
-            assert direct.model.values == via_text.model.values
-            assert set(direct.model.values) == {s for s, _t in
-                                                script.manifest}
+            assert direct.model == via_text.model
+            assert set(direct.model) == {s for s, _t in script.manifest}
         statuses.append(direct.status)
         return direct
 
