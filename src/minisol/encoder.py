@@ -182,16 +182,18 @@ class _Run:
 class _Link:
     """The persistent part of one numbered node: its clauses in execution
     order, the symbols it declares, the symbol it defines, the transaction
-    its entry completes, and the link of the node after it in execution
-    order."""
-    __slots__ = ("parent", "clauses", "decls", "defined", "tx")
+    its entry completes, the link of the node after it in execution order,
+    and the clause chain of the walk up to it (its clauses on its
+    parent's)."""
+    __slots__ = ("parent", "clauses", "decls", "defined", "tx", "chain")
 
-    def __init__(self, parent, clauses, decls, defined, tx):
+    def __init__(self, parent, clauses, decls, defined, tx, ctx):
         self.parent = parent
         self.clauses = clauses
         self.decls = decls
         self.defined = defined
         self.tx = tx
+        self.chain = ctx.chained(clauses, parent and parent.chain)
 
 
 class _Seg:
@@ -394,7 +396,8 @@ class _Step:
         n.target, n.written0 = self.target, self.written0
         n.complete = self.complete
         n.link = _Link(parent.link, tuple(self.clauses),
-                       tuple(self.decls.values()), self.defined, self.tx)
+                       tuple(self.decls.values()), self.defined, self.tx,
+                       self.ctx)
         if n.seg is not None and (self.seg_mentioned or self.seg_dead):
             seg = self.own_seg()
             seg.marks = (seg.marks | self.seg_mentioned) - self.seg_dead
@@ -529,13 +532,14 @@ def _symbols(terms, symbols=None):
 
 
 class SsaScript:
-    """A numbered walk.  Its clause list is assembled on demand from the
-    numbering: the frontier's moving clauses, then each numbered node's
-    clauses from the frontier to the root, which is execution order.  Its
+    """A numbered walk.  Its clauses are the frontier's moving clauses,
+    then each numbered node's clauses from the frontier to the root, which
+    is execution order: `moving` on the numbered nodes' `chain`.  Its
     symbol table is assembled apart, on its first read."""
 
     def __init__(self, numbering):
         self.numbering = numbering
+        self.moving = numbering.moving()
 
     @property
     def ctx(self):
@@ -545,9 +549,15 @@ class SsaScript:
     def complete(self):
         return self.numbering.complete
 
-    @cached_property
-    def moving(self):
-        return self.numbering.moving()
+    @property
+    def chain(self):
+        return self.numbering.link and self.numbering.link.chain
+
+    @property
+    def clause_chain(self):
+        """All the walk's clauses as one chain: equal clause sequences are
+        one object, wherever their node boundaries fall."""
+        return self.ctx.chained(self.moving, self.chain)
 
     def links(self):
         """The numbered nodes' links, frontier first."""
@@ -558,10 +568,7 @@ class SsaScript:
 
     @cached_property
     def clauses(self):
-        clauses = list(self.moving)
-        for link in self.links():
-            clauses.extend(link.clauses)
-        return clauses
+        return list(self.clause_chain or ())
 
     @cached_property
     def symbols(self):
@@ -593,7 +600,7 @@ def ssa_number(walk, program, ctx=None):
         numbering = Numbering.empty(program, walk.graph,
                                     ctx if ctx is not None
                                     else smt_terms.Ctx())
-    for node_id in walk.nodes[numbering.length:]:
+    for node_id in walk.nodes_after(numbering.length):
         numbering = numbering.step(node_id)
     return SsaScript(numbering)
 
@@ -685,15 +692,26 @@ def _resolve(run, e, tp, params, reads):
 class SmtScript:
     """One check's solver input: its assertions, terms of the ``Ctx`` they
     were built in, and a function giving the symbols they mention (name ->
-    var term, in declaration order).  ``commands`` is the script
-    ``smt.solve_commands`` reads for a model and ``text`` the same script
-    as SMT-LIB 2; both are built on first read, so a check that needs only
-    sat or unsat builds neither, nor the symbol table."""
+    var term, in declaration order).  The assertions are `front` (a
+    walk's moving clauses, or a list's every assertion), the clauses of
+    `chain` and `back` (the safety condition).  ``commands`` and ``text``,
+    the same script as SMT-LIB 2, are built on first read, so a check
+    that needs only sat or unsat builds neither, nor the symbol table."""
 
-    def __init__(self, ctx, asserts, symbols):
+    def __init__(self, ctx, front, symbols, chain=None, back=()):
         self.ctx = ctx
-        self.asserts = asserts
+        self.front = front
+        self.chain = chain
+        self.back = back
         self._symbols = symbols
+
+    @cached_property
+    def asserts(self):
+        return [*self.front, *(self.chain or ()), *self.back]
+
+    @property
+    def queries(self):
+        return self.commands.queries
 
     @cached_property
     def commands(self):
@@ -719,13 +737,13 @@ def encode(script, safety=None, program=None) -> SmtScript:
     """The solver input for a numbered walk, plus the optional safety
     condition, in the context its clauses were built in.  Deterministic:
     identical walks render byte-identically."""
-    asserts = list(script.clauses)
+    back = ()
     extra = {}
     if safety is not None:
         if program is None:
             raise EncodeError("safety resolution needs the program")
         safe = resolve_safety(script, safety, program)
-        asserts.append(safe.term)
+        back = (safe.term,)
         # the safety condition can read versions no clause mentions
         extra = safe.symbols
 
@@ -734,7 +752,7 @@ def encode(script, safety=None, program=None) -> SmtScript:
         for name, term in extra.items():
             out.setdefault(name, term)
         return out
-    return SmtScript(script.ctx, asserts, symbols)
+    return SmtScript(script.ctx, script.moving, symbols, script.chain, back)
 
 
 # ---------------------------------------------------------------------------
@@ -768,9 +786,9 @@ class SolverSession:
     """One exploration's solver channel; counts every submission and
     optionally dumps each script as a numbered .smt2 file.  It owns the
     run's term context (`terms`), which every numbering of the run builds
-    its clauses in, and the run's answer table (`answers`: the tuple of an
-    incomplete walk's assertion terms, its clauses then the resolved
-    safety condition -> sat | unsat)."""
+    its clauses in, and the run's answer table (`answers`: an incomplete
+    walk's ``SsaScript.clause_chain`` and resolved safety condition ->
+    sat | unsat)."""
 
     def __init__(self, config: SolverConfig = None):
         self.config = config or SolverConfig()
@@ -785,10 +803,10 @@ class SolverSession:
         passes `deadline`.
 
         In process, the solve starts from `base`, the kept reduction of an
-        earlier SAT script, when its assertions are among this one's (see
-        ``smt.solve.solve_commands``), and a SAT answer keeps its own
-        (``SatResult.reduction``); a model is read only with `model`.  An
-        external solver is given the whole script."""
+        earlier SAT script, when it can (see ``smt.solve.solve_commands``),
+        and a SAT answer keeps its own (``SatResult.reduction``); a model
+        is read only with `model`.  An external solver is given the whole
+        script."""
         self.n_submissions += 1
         if self.config.emit_dir:
             import os
@@ -803,11 +821,10 @@ class SolverSession:
     def _solve(self, smt_script, deadline, base, model):
         """The bundled solver, in process, on the script's terms; without
         a `model` it reads only the assertions."""
-        commands = smt_script.commands if model else smt_script
         try:
             result = smt.solve.solve_commands(
-                smt_script.ctx, commands, smt.solve.DEFAULT_CONFLICT_BUDGET,
-                deadline, base, model)
+                smt_script.ctx, smt_script,
+                smt.solve.DEFAULT_CONFLICT_BUDGET, deadline, base, model)
         except smt.SmtUnknown as exc:
             return SatResult("unknown", reason=str(exc))
         except smt.SmtError as exc:
@@ -817,7 +834,8 @@ class SolverSession:
         if not model:
             return SatResult("sat", reduction=result.reduction)
         return SatResult("sat", {sym: int(v) for sym, v in
-                                 zip(commands.query_texts, result.values)},
+                                 zip(smt_script.commands.query_texts,
+                                     result.values)},
                          reduction=result.reduction)
 
     def _run(self, smt_script, deadline):

@@ -95,16 +95,15 @@ def search(graph, target, *, heuristic="floyd-warshall",
         """Decide a numbered walk plus the safety condition.  A complete
         walk needs a model and is always solved.  Any other needs only sat
         or unsat, which an earlier script of the same assertions has
-        settled: it is looked up in the session's table on the tuple of its
-        assertion terms, and encoded and solved only on a miss; ``unknown``
+        settled: it is looked up in the session's table on its clause chain
+        and safety term, and encoded and solved only on a miss; ``unknown``
         settles nothing.  An in-process solve starts from `base`, the kept
         reduction of its prefix."""
         safety = target.safety
         key = None
         if not script.complete:
-            key = tuple(script.clauses)
-            if safety is not None:
-                key += (resolve_safety(script, safety, program).term,)
+            key = (script.clause_chain, None if safety is None else
+                   resolve_safety(script, safety, program).term)
             status = session.answers.get(key)
             if status is not None:
                 return SatResult(status, reason="repeated")

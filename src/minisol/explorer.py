@@ -41,15 +41,34 @@ from .cfg import CfgPlus, ReversedView
 from .errors import ConfigError, TargetError
 
 
-@dataclass
 class Walk:
-    nodes: tuple
-    graph: CfgPlus
-    # the result of the check of the walk's nearest checked prefix
-    prefix: Optional[object] = None
+    """A backward walk on `graph`, target first, and the result of the
+    check of its nearest checked prefix.  One the explorer grows is a tree
+    node (`leaf`) plus a graph node (`last`), read back from the tree only
+    as far as asked."""
+    __slots__ = ("graph", "prefix", "_nodes", "_leaf", "_last")
 
-    def __len__(self):
-        return len(self.nodes)
+    def __init__(self, nodes, graph: CfgPlus, prefix=None, leaf=None,
+                 last=None):
+        self._nodes, self.graph, self.prefix = nodes, graph, prefix
+        self._leaf, self._last = leaf, last
+
+    @property
+    def nodes(self):
+        if self._nodes is None:
+            self._nodes = self.nodes_after(0)
+        return self._nodes
+
+    def nodes_after(self, length):
+        """The walk's nodes after its first `length`."""
+        if self._nodes is not None:
+            return self._nodes[length:]
+        out = [self._last]
+        node = self._leaf
+        while node is not None and node.depth > length:
+            out.append(node.cfg_node)
+            node = node.parent
+        return tuple(reversed(out))
 
 
 @dataclass
@@ -140,7 +159,7 @@ def heuristic_state_var(ctx: ExplorationContext):
             if leaf.parent is None:
                 out = ctx.safety_reads
             else:
-                out = pending_at(tree, tree.nodes[leaf.parent])
+                out = pending_at(tree, leaf.parent)
                 if instr is not None and instr.state_writes():
                     out = out.difference(instr.state_writes())
             if instr is not None and instr.state_reads():
@@ -179,7 +198,7 @@ def register_heuristic(name, factory):
 class TreeNode:
     idx: int
     cfg_node: int
-    parent: Optional[int]
+    parent: Optional[TreeNode]
     depth: int
     # while some of its options wait in the heap: its check's result, or
     # its nearest checked ancestor's, for the checks of its extensions
@@ -188,23 +207,14 @@ class TreeNode:
 
 
 class WalkTree:
-    def __init__(self, root_cfg_node, ctx):
-        self.ctx = ctx
+    def __init__(self, root_cfg_node):
         self.nodes = [TreeNode(0, root_cfg_node, None, 1)]
 
     def extend(self, leaf_idx, cfg_node):
         leaf = self.nodes[leaf_idx]
-        child = TreeNode(len(self.nodes), cfg_node, leaf_idx, leaf.depth + 1)
+        child = TreeNode(len(self.nodes), cfg_node, leaf, leaf.depth + 1)
         self.nodes.append(child)
         return child
-
-    def path(self, idx):
-        out = []
-        while idx is not None:
-            out.append(self.nodes[idx].cfg_node)
-            idx = self.nodes[idx].parent
-        out.reverse()
-        return tuple(out)                  # target first, frontier last
 
 
 @dataclass
@@ -239,7 +249,7 @@ def find_minimal_satisfiable_walk(graph: CfgPlus, target, heuristic, limits,
         raise TargetError("target line %d has no IR node" % target.line)
     ctx = context or build_context(graph, target.safety)
     h = heuristic(ctx)                     # heuristic is a factory over ctx
-    tree = WalkTree(root, ctx)
+    tree = WalkTree(root)
     explored = 0
     heap = []
     counter = 0
@@ -282,11 +292,12 @@ def find_minimal_satisfiable_walk(graph: CfgPlus, target, heuristic, limits,
         if explored >= limits.max_walks:
             return ExploreResult("notfound", walks_explored=explored,
                                  reason="budget")
-        candidate = Walk(tree.path(leaf_idx) + (option,), graph, prefix)
+        candidate = Walk(None, graph, prefix, leaf, option)
         result = check(candidate)
         explored += 1
         if result.status == "sat" and complete:
-            return ExploreResult("found", candidate, result, explored)
+            return ExploreResult("found", Walk(candidate.nodes, graph, prefix),
+                                 result, explored)
         if result.status == "unknown" and time.monotonic() > deadline:
             return timed_out()
         child = tree.extend(leaf_idx, option)

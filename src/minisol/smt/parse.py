@@ -103,6 +103,10 @@ class Script:
     query_texts: list = field(default_factory=list)
     has_check: bool = False
 
+    # what ``solve.solve_commands`` reads: every assertion is in `front`
+    chain, back = None, ()
+    front = property(lambda self: self.asserts)
+
 
 def parse_script(text):
     ctx = Ctx()

@@ -1,15 +1,16 @@
 """Word-level refutation: unsat answers for residuals whose conjuncts cannot
-all hold, found without bit-blasting.  Both stages only ever refute: a
+all hold, found without bit-blasting.  The stages only ever refute: a
 conjunct found true, or left undecided, stays in the residual and nothing
 is rewritten, so a satisfiable check passes through unchanged.
 
 * ``refuted_linear`` runs on every residual, before the greedy model
   search.  A bitvector (dis)equality is false when its sides' linear
   forms differ only by a constant (``x + 2 = x``).
-* ``refutation`` runs only when the greedy search found no model, before
-  bit-blasting.  It reads the conjuncts, with ``and`` flattened and ``not``
-  pushed into comparisons, as facts ``a op b`` and answers with the first
-  reason it finds:
+* ``refuted_negation`` runs only when the greedy search found no model: a
+  conjunct next to its own negation (``t`` and ``(not t)``) is false.
+* ``refutation`` runs after it, before bit-blasting.  It reads the
+  conjuncts, with ``and`` flattened and ``not`` pushed into comparisons,
+  as facts ``a op b`` and answers with the first reason it finds:
 
   - ``bounds``: the unsigned bounds that comparisons against constants put
     on one term (intersected across the conjuncts, and carried from
@@ -114,6 +115,14 @@ def refuted_linear(residual):
     sides differ only by a constant (x + 2 = x)."""
     memo = {}
     return any(linear_truth(a, memo) is False for a in residual)
+
+
+def refuted_negation(residual):
+    """True when some conjunct's negation, ``(not t)`` for a conjunct
+    ``t``, is another conjunct (terms are hash-consed, so ``t`` is one
+    object)."""
+    present = set(map(id, residual))
+    return any(a.op == "not" and id(a.args[0]) in present for a in residual)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Solving pipeline, in order: fold/resolve -> word-level reduction -> linear
-refutation -> greedy model -> bound/interval/parity refutation -> bit-blast
--> CDCL -> model self-check.
+refutation -> greedy model -> negation and bound/interval/parity
+refutation -> bit-blast -> CDCL -> model self-check.
 
 Folding is a function of the hash-consed term: each distinct term is folded
 once per :class:`~.terms.Ctx` and the result kept in ``Ctx.folded``.  A
@@ -23,38 +23,42 @@ linear difference of two sides that share a variable, tries maximum
 values when both sides of a comparison share one (``a + v < a``), and
 from its second round keeps the conjuncts that held when a comparison
 can be met by moving either side.  When it fails, the residual is
-refuted by bounds, intervals or parity if it can be, and only then is it
-bit-blasted to CNF for the CDCL solver.
+refuted by a conjunct next to its negation, bounds, intervals or parity
+if it can be, and only then is it bit-blasted to CNF for the CDCL solver.
 
 The front half, fold/resolve and reduction, is a ``Reduction`` that can be
-extended, and it keeps its solve's model.  It holds the array
-definitions, the Ackermann reads, the substitution, the residual (with
-each conjunct's variables), the rewritten assertions (with the free
-variables each one reads through the substitution) and the model.  A SAT
-answer keeps it, and the engine hands it to the checks of the walk's
-extensions: a child's clauses are its parent's, term for term, plus its
-new node's.  A solve starts from the reduction it is given when the
-reduction's assertions are among the script's, by term identity, and
-from ``EMPTY`` otherwise; a whole-script solve is the same code started
-from ``EMPTY``.  It folds, resolves and reduces only the assertions the
-base lacks.  Those bind their definitional conjuncts first; once one
-binds, every conjunct left that reads a variable bound here, the base's
-included, is rewritten again.  An array the base read while undefined
-and the new assertions define has each of its Ackermann reads bound to
-the read through the definition, and each new read of an undefined array
-is paired by congruence with every earlier read of it.  Linear refutation
-sees the whole residual.  The model search starts from the base's model:
-every variable the solve binds leaves it, its definition solved back to
-the value the variable had, and only the conjuncts that are new or read
-a variable whose value moved are evaluated (``_Reuse``); greedy rounds
-run from there if one fails, then from zeros, and only then is the
-residual bit-blasted.  The self-check evaluates every new assertion and
-every base assertion with a free variable whose value moved; the others
-hold as they held under the base's model.  A solve from a base values no
-query.  Its model, though valid, need not be the one a whole-script solve
-finds, so a SAT script whose model is read is solved again from empty,
-where no model is reused: the model, and every sequence built from it,
-is the whole script's.
+extended, and it keeps its solve's model.  It holds where the script's
+assertions were: ``front``, the clauses of a hash-consed ``chain`` and
+``back`` (a walk's moving clauses, numbered clauses and safety
+condition; a script read from text is all front).  It also holds the
+array definitions, the Ackermann reads, the substitution, the residual
+(with each conjunct's variables), the rewritten assertions with the
+readers of each free variable, and the model.  A SAT answer keeps it, and
+the engine hands it to the checks of the walk's extensions: a child's
+clauses are its parent's, term for term, plus its new node's.  A solve
+starts from the reduction it is given when the reduction's chain is the
+script's or one the script's extends and its other assertions are among
+the script's others, and from ``EMPTY`` otherwise; a whole-script solve
+is the same code started from ``EMPTY``.  It reads, folds, resolves and
+reduces only what the base lacks: the chain cells above the base's and
+the new front and back.  Those bind their definitional conjuncts first;
+once one binds, every conjunct left that reads a variable bound here,
+the base's included, is rewritten again.  An array the base read while
+undefined and the new assertions define has each of its Ackermann reads
+bound to the read through the definition, and each new read of an
+undefined array is paired by congruence with every earlier read of it.
+Linear refutation reads the conjuncts that are not the base's.  The
+model search starts from the base's model: every variable the solve
+binds leaves it, its definition solved back to the value the variable
+had, and only the conjuncts that are new or read a variable whose value
+moved are evaluated (``_Reuse``); greedy rounds run from there if one
+fails, then from zeros, and only then is the residual bit-blasted.  The
+self-check evaluates every new assertion and every reader of a variable
+whose value moved.  A solve from a base values no query.  Its model,
+though valid, need not be the one a whole-script solve finds, so a SAT
+script whose model is read is solved again from empty, where no model is
+reused: the model, and every sequence built from it, is the whole
+script's.
 
 Arrays (QF_ABV) are read by ``select`` only.  A top-level ``(= a t)`` whose
 ``a`` is an array variable defines ``a`` as ``t``, a ``store`` or constant
@@ -71,16 +75,17 @@ its values can have changed).
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from functools import partial
 from itertools import islice
 
 from .bitblast import DEADLINE_STRIDE, Blaster
 from .parse import parse_script
 from .refute import NEGATED, difference, linear, refutation, \
-    refuted_linear, solve_linear
+    refuted_linear, refuted_negation, solve_linear
 from .sat import SatBudgetExceeded, SatSolver
-from .terms import BOOL, BV_BINOPS, BV_CMPS, BV_UNOPS, SmtError, \
-    is_const, mask, print_term
+from .terms import BOOL, BV_BINOPS, BV_CMPS, BV_UNOPS, Chain, SmtError, \
+    chain_above, is_const, mask, print_term
 
 
 class SmtUnknown(SmtError):
@@ -123,7 +128,7 @@ def _fold(ctx, term):
     op = term.op
     if op in ("const", "cbool", "var"):
         return term
-    args = tuple(fold(ctx, a) for a in term.args)
+    args = tuple([fold(ctx, a) for a in term.args])
     if op in ("select", "store", "const_array"):
         return ctx.node(op, term.val, args)
 
@@ -366,8 +371,9 @@ def rewrite(ctx, term, subst, maps, memo):
         key = rewrite(ctx, term.args[1], subst, maps, memo)
         out = maps.resolve(term.args[0], key, subst, memo)
     elif term.args:
-        args = tuple(rewrite(ctx, a, subst, maps, memo) for a in term.args)
-        out = fold(ctx, ctx.node(op, term.val, args, term.sort))
+        args = tuple([rewrite(ctx, a, subst, maps, memo) for a in term.args])
+        out = fold(ctx, term if args == term.args
+                   else ctx.node(op, term.val, args, term.sort))
     else:
         out = term
     memo[id(term)] = out
@@ -500,86 +506,68 @@ class _Maps:
 # Problem pipeline
 # ---------------------------------------------------------------------------
 
+@dataclass(slots=True, eq=False)
 class Reduction:
     """The front half of a SAT solve, and its model, kept so that a script
     extending the one solved reduces only the assertions it adds and starts
-    its model search from this model.  It holds the script's assertions as
-    given (`asserts`), the array definitions and Ackermann reads (`defs`,
+    its model search from this model.  It holds the script's clause chain
+    (`chain`, a ``terms.Chain``) and its other assertions (`loose`, a
+    frozenset), the array definitions and Ackermann reads (`defs`,
     `apps`), the substitution word-level reduction found, the conjuncts
     left (`residual`, each rewritten under `subst`) with the sorts of each
     one's variables (`sorts`, name -> sort, one dict per conjunct), the
-    rewritten assertions every model is checked against (`checked`) with
-    the names of each one's free variables read through `subst`
-    (`leaves`, one frozenset per assertion; None from a whole-script
-    solve, until an extension needs them), and the model (`env`: name ->
-    value of free variables only, since ``_Evaluator`` reads it before
-    `subst`; a free variable it lacks is 0 or false)."""
-    __slots__ = ("asserts", "defs", "apps", "subst", "residual", "sorts",
-                 "checked", "leaves", "env")
-
-    def __init__(self, asserts, defs, apps, subst, residual, sorts, checked,
-                 leaves, env):
-        self.asserts = asserts
-        self.defs = defs
-        self.apps = apps
-        self.subst = subst
-        self.residual = residual
-        self.sorts = sorts
-        self.checked = checked
-        self.leaves = leaves
-        self.env = env
+    rewritten assertions every model is checked against (`checked`, a
+    chain) with the readers of each free variable through `subst`
+    (`users`: name -> tuple of assertions; None from a whole-script solve,
+    until an extension needs them), and the model (`env`: name -> value
+    of free variables only, since ``_Evaluator`` reads it before `subst`;
+    a free variable it lacks is 0 or false)."""
+    chain: object
+    loose: frozenset
+    defs: dict
+    apps: dict
+    subst: dict
+    residual: object
+    sorts: object
+    checked: object
+    users: object
+    env: object
 
 
 # where a whole-script solve starts; a solve copies what it extends.  It
 # has no model, so a solve from it searches from zeros and checks all.
-EMPTY = Reduction(frozenset(), {}, {}, {}, (), (), (), (), None)
+EMPTY = Reduction(None, frozenset(), {}, {}, {}, (), (), None, {}, None)
 
 
-def _leaves(ctx, term, subst):
-    """The names of the free variables `term` reads through `subst`, as the
-    context's one copy of that set."""
-    names = set()
-    seen = set()
-    stack = [term]
-    while stack:
-        term = stack.pop()
-        if id(term) in seen:
-            continue
-        seen.add(id(term))
-        if term.op == "var":
-            value = subst.get(term)
-            if value is None:
-                names.add(term.val)
-            else:
-                stack.append(value)
-        else:
-            stack.extend(term.args)
-    names = frozenset(names)
-    return ctx.name_sets.setdefault(names, names)
+def _lacks(script, base):
+    """The script's assertions `base` lacks, in order: the chain cells
+    above the base's, and the front and back less the base's loose ones.
+    None when the base cannot be extended to the script."""
+    above = chain_above(script.chain, base.chain)
+    fresh = [*script.front, *(above or ()), *script.back]
+    if above is None or not base.loose.issubset(fresh):
+        return None
+    return [a for a in fresh if a not in base.loose]
 
 
-def _carried_leaves(ctx, leaves, bound):
-    """A base's `leaves` under an extension that binds `bound` (name ->
-    (variable, definition over free variables)): each bound name is
-    replaced by the free variables of its definition."""
-    if not bound:
-        return list(leaves)
-    names = frozenset(bound)
-    carried = {}
-    out = []
-    for own in leaves:
-        if names.isdisjoint(own):
-            out.append(own)
-            continue
-        free = carried.get(own)
-        if free is None:
-            free = set(own - names)
-            for name in own & names:
-                free |= _leaves(ctx, bound[name][1], {})
-            free = frozenset(free)
-            free = carried[own] = ctx.name_sets.setdefault(free, free)
-        out.append(free)
-    return out
+def _add_users(users, checked, subst):
+    """Record in `users` each of `checked` as a reader of every free
+    variable it reads through `subst` (found in order)."""
+    for a in checked:
+        names, seen, stack = {}, set(), [a]
+        while stack:
+            term = stack.pop()
+            if id(term) not in seen:
+                seen.add(id(term))
+                value = subst.get(term) if term.op == "var" else None
+                if term.op != "var":
+                    stack.extend(term.args)
+                elif value is None:
+                    names[term.val] = None
+                else:
+                    stack.append(value)
+        for name in names:
+            users[name] = users.get(name, ()) + (a,)
 
 
 def _moved(parent, env, bound, evaluator):
@@ -610,32 +598,33 @@ def solve_commands(ctx, script, conflict_budget=None, deadline=None,
     `deadline` (a ``time.monotonic()`` value) the time spent in bit-blasting
     and CDCL; running out of either gives ``unknown``.
 
-    `base` is the ``Reduction`` of an earlier SAT script.  The solve
-    starts from it, and its model search from the base's model, when its
-    assertions are among the script's, by term identity, and from
-    ``EMPTY`` otherwise.  Only with a `model` are the script's queries
+    The script's assertions are ``script.front``, the clauses of
+    ``script.chain`` and ``script.back``.  `base` is the ``Reduction`` of
+    an earlier SAT script.  The solve starts from it, and its model search
+    from the base's model, when the base's chain is the script's or one
+    the script's extends and its other assertions are among the script's
+    others; it is handed only what the base lacks (``_lacks``).  Otherwise
+    it starts from ``EMPTY``.  Only with a `model` are the script's queries
     valued, from a solve started from empty: a SAT answer reached from a
     base is solved again from empty for it, with no model to start from."""
-    asserts = frozenset(script.asserts)
-    if base is None or not base.asserts <= asserts:
-        base = EMPTY
-    result = _solve(ctx, script, asserts, base, model and base is EMPTY,
+    new = None if base is None else _lacks(script, base)
+    if new is None:
+        base, new = EMPTY, _lacks(script, EMPTY)
+    result = _solve(ctx, script, new, base, model and base is EMPTY,
                     conflict_budget, deadline)
     if model and base is not EMPTY and result.status == "sat":
-        result = _solve(ctx, script, asserts, EMPTY, True, conflict_budget,
-                        deadline)
+        result = _solve(ctx, script, _lacks(script, EMPTY), EMPTY, True,
+                        conflict_budget, deadline)
     return result
 
 
-def _solve(ctx, script, asserts, base, model, conflict_budget, deadline):
-    """Extend `base` by the script's assertions it lacks and decide the
-    whole; the queries are valued only with `model`."""
+def _solve(ctx, script, new, base, model, conflict_budget, deadline):
+    """Extend `base` by `new`, the script's assertions it lacks, and decide
+    the whole; the queries are valued only with `model`."""
     maps = _Maps(ctx, base)
     ground = []
     defined = []
-    for a in script.asserts:
-        if a in base.asserts:
-            continue
+    for a in new:
         a = fold(ctx, a)
         if a.op == "=" and a.args[0].sort[0] == "array":
             var = maps.define(a)
@@ -668,20 +657,23 @@ def _solve(ctx, script, asserts, base, model, conflict_budget, deadline):
     kept = dict(zip(map(id, base.residual), base.sorts))
     subst = dict(base.subst)
     residual = _reduce(ctx, maps, subst, checked, list(base.residual), kept)
-    if residual is None or refuted_linear(residual):
+    # a conjunct kept from the base is the same term, which its linear
+    # form did not refute there
+    if residual is None or refuted_linear(
+            [a for a in residual if id(a) not in kept]):
         return Result("unsat")
 
-    # each conjunct's variables (a base conjunct has its own already)
+    # each conjunct's variables (a base conjunct has its own already), and
+    # those of the others
     var_sorts = []
+    fresh = {}
     for a in residual:
         own = kept.get(id(a))
         if own is None:
             own = {}
             _collect_vars(a, own, set())
+            fresh.update(own)
         var_sorts.append(own)
-    sorts = {}
-    for own in var_sorts:
-        sorts.update(own)
 
     # the model search starts from the base's model, if it has one, with
     # each variable this solve binds solved back to its value there
@@ -691,13 +683,14 @@ def _solve(ctx, script, asserts, base, model, conflict_budget, deadline):
         memo = {}              # the bindings made here follow the base's
         for var, value in islice(subst.items(), len(base.subst), None):
             bound[var.val] = (var, rewrite(ctx, value, subst, maps, memo))
-        reuse = _Reuse(base.env, bound, kept)
+        reuse = _Reuse(base.env, bound, kept, fresh)
 
     # cheap word-level model search first; bit-blast only when it fails
     if residual:
-        model_env = _greedy_model(residual, sorts, reuse)
+        model_env = _greedy_model(residual, var_sorts, reuse)
         if model_env is None:
-            if refutation(residual) is not None:
+            if refuted_negation(residual) \
+                    or refutation(residual) is not None:
                 return Result("unsat")
             if deadline is not None and time.monotonic() > deadline:
                 return Result("unknown", reason="deadline")
@@ -724,7 +717,7 @@ def _solve(ctx, script, asserts, base, model, conflict_budget, deadline):
                 else:
                     model_env[name] = _lit_value(assignment, lits)
     elif reuse is not None:
-        model_env = reuse.start(sorts)
+        model_env = reuse.start(var_sorts)
     else:
         model_env = {}
 
@@ -732,26 +725,36 @@ def _solve(ctx, script, asserts, base, model, conflict_budget, deadline):
     # that reads a variable whose value moved from the base's model (the
     # others hold, as they did there)
     evaluator = _Evaluator(model_env, subst)
-    recheck, leaves = checked, None
+    recheck, users = checked, None
     if base.env is not None:
-        if base.leaves is None:
-            # found once a whole-script solve is extended, as most (frontier
-            # scripts, found walks) never are
-            base.leaves = [_leaves(ctx, a, base.subst) for a in base.checked]
+        if base.users is None:
+            # found once a whole-script solve is extended, as most (found
+            # walks) never are
+            base.users = {}
+            _add_users(base.users, base.checked or (), base.subst)
         moved = _moved(base.env, model_env, bound, evaluator)
-        recheck = checked + [a for a, names in zip(base.checked, base.leaves)
-                             if not moved.isdisjoint(names)]
-        leaves = _carried_leaves(ctx, base.leaves, bound) \
-            + [_leaves(ctx, a, subst) for a in checked]
+        recheck = checked + [a for name in moved
+                             for a in base.users.get(name, ())]
+        # the readers of a variable bound here read its definition's
+        users = dict(base.users)
+        for name, (_var, definition) in bound.items():
+            readers, free = users.pop(name, None), {}
+            if readers:
+                _collect_vars(definition, free, set())
+            for var in free:
+                users[var] = users.get(var, ()) + readers
+        _add_users(users, checked, subst)
     for a in recheck:
         if evaluator.eval(a) is not True:
             raise SmtInternalError("model fails %s" % print_term(a))
 
+    chain = base.checked
+    for a in checked:
+        chain = Chain(chain, a)
     return Result("sat", [evaluator.eval(q) for q in queries],
-                  reduction=Reduction(asserts, maps.defs, maps.apps, subst,
-                                      residual, var_sorts,
-                                      list(base.checked) + checked, leaves,
-                                      model_env))
+                  reduction=Reduction(script.chain, frozenset(
+                      (*script.front, *script.back)), maps.defs, maps.apps,
+                      subst, residual, var_sorts, chain, users, model_env))
 
 
 def _reduce(ctx, maps, subst, fresh, residual, known):
@@ -834,7 +837,8 @@ def _set_var(env, term, value):
 def _force(term, want, env, sorts, depth=0, held=None):
     """Best effort at making a boolean term evaluate to `want` by assigning
     variables; every candidate model is re-verified afterwards.  `sorts`
-    maps each variable name of the residual to its sort; `held`, when
+    maps each residual conjunct's variable names to their sorts, one dict
+    per conjunct; `held`, when
     given, lists the conjuncts a comparison move should keep true."""
     if depth > 12:
         return False
@@ -976,7 +980,7 @@ def _fresh_value(var, value, env, sorts):
     variable of its sort holds, trying ``value ^ 1`` first; ``value ^ 1``
     when every value of the sort is taken."""
     top = mask(var.sort[1])
-    taken = {env[name] for name, sort in sorts.items()
+    taken = {env.get(name, 0) for own in sorts for name, sort in own.items()
              if sort == var.sort and name != var.val}
     taken.add(value)
     candidate = (value ^ 1) & top
@@ -1073,30 +1077,32 @@ def _force_cmp_side(term, bound, op, left, env, sorts, depth):
     return False
 
 
+@dataclass(slots=True, eq=False)
 class _Reuse:
     """What a solve from a kept reduction reuses of its base's model: the
     base's env (`parent`), the variables the solve binds (`bound`: name ->
-    (variable, definition rewritten through the solve's substitution)) and
+    (variable, definition rewritten through the solve's substitution)),
     the sorts of each base residual conjunct's variables (`kept`: conjunct
-    id -> name -> sort)."""
-    __slots__ = ("parent", "bound", "kept")
-
-    def __init__(self, parent, bound, kept):
-        self.parent = parent
-        self.bound = bound
-        self.kept = kept
+    id -> name -> sort) and those of the other residual conjuncts'
+    (`fresh`: name -> sort)."""
+    parent: dict
+    bound: dict
+    kept: dict
+    fresh: dict
 
     def start(self, sorts):
         """The base's model, each newly bound variable taken out, since the
         evaluator reads the env before the substitution, and its definition
         solved back to the value the variable had, so that every conjunct
-        the binding rewrote keeps its truth value; every variable of
-        `sorts` has a value."""
+        the binding rewrote keeps its truth value.  Every variable of the
+        residual (`sorts`, one dict per conjunct) has a value: a kept
+        conjunct's has one in the base's model, which values every
+        variable of the base's residual."""
         parent = self.parent
         env = dict(parent)
         for name in self.bound:
             env.pop(name, None)
-        for name, sort in sorts.items():
+        for name, sort in self.fresh.items():
             env.setdefault(name, False if sort == BOOL else 0)
         for name, (var, definition) in self.bound.items():
             value = parent.get(name, 0)
@@ -1125,7 +1131,8 @@ class _Reuse:
 
 def _greedy_model(residual, sorts, reuse):
     """Deterministic best-effort assignment of the variables of `residual`
-    (`sorts`: name -> sort); returns a full env that makes every conjunct
+    (`sorts`: each conjunct's, name -> sort); returns a full env that makes
+    every conjunct
     true, or None to fall back to bit-blasting.  With `reuse` (a
     ``_Reuse``) the search starts from the base's model: it is the model
     when every conjunct that is new or reads a moved variable holds there,
@@ -1136,7 +1143,7 @@ def _greedy_model(residual, sorts, reuse):
         if reuse.holds(residual, env) or _greedy_rounds(residual, env, sorts):
             return env
     env = {name: (False if sort == BOOL else 0)
-           for name, sort in sorts.items()}
+           for own in sorts for name, sort in own.items()}
     return env if _greedy_rounds(residual, env, sorts) else None
 
 

@@ -6,12 +6,13 @@ equality is identity equality and memo tables can key on ``id(term)``.
 id of every term ``solve.fold`` has seen, and of every folded result, to
 the folded term.  A context may serve many scripts (``minisol.synthesize``
 keeps one for a whole run), so every distinct term is built and folded once
-for all of them.  ``Ctx.name_sets`` keeps one copy of every set of variable
-names a kept reduction records (``solve.Reduction.leaves``): a run's many
-assertions read few distinct sets.  Sorts are ``('bool',)``,
-``('bv', width)`` or ``('array', key sort, value sort)``: an SMT-LIB
-array, read with ``select``, updated with ``store`` and built constant
-with ``const_array`` (whose ``val`` is its array sort).
+for all of them.  A :class:`Chain` is a sequence of clauses, hash-consed in
+the same way: ``Ctx.chained`` keeps one cell per (chain, clause), so equal
+clause sequences are one chain of the context, however they were built.
+Sorts are ``('bool',)``, ``('bv', width)`` or ``('array', key sort, value
+sort)``: an SMT-LIB array, read with ``select``, updated with ``store``
+and built constant with ``const_array`` (whose ``val`` is its array
+sort).
 """
 
 from __future__ import annotations
@@ -49,6 +50,24 @@ class Term:
         return "<%s>" % print_term(self)
 
 
+class Chain:
+    """A persistent sequence of terms, read from its head: `clause`, then
+    `parent`'s (None is the empty chain); `length` terms in all.  Only the
+    cells ``Ctx.chained`` builds are hash-consed."""
+    __slots__ = ("parent", "clause", "length")
+
+    def __init__(self, parent, clause):
+        self.parent = parent
+        self.clause = clause
+        self.length = 1 if parent is None else parent.length + 1
+
+    def __iter__(self):
+        cell = self
+        while cell is not None:
+            yield cell.clause
+            cell = cell.parent
+
+
 # operator -> (arity, result sort rule); 'same' means operand sort
 BV_BINOPS = {"bvadd", "bvsub", "bvmul", "bvudiv", "bvurem", "bvand", "bvor",
              "bvxor", "bvshl", "bvlshr"}
@@ -61,12 +80,12 @@ class Ctx:
     def __init__(self):
         self._intern = {}
         self.folded = {}           # id(term) -> folded term, see solve.fold
-        self.name_sets = {}        # frozenset of names -> itself, one copy
+        self._chains = {}          # (parent, clause) -> Chain
         self.TRUE = self.node("cbool", True, ())
         self.FALSE = self.node("cbool", False, ())
 
     def node(self, op, val, args, sort=None):
-        ids = tuple(id(a) for a in args)
+        ids = tuple(map(id, args))
         # one name may have different sorts in the scripts that share the
         # context; every other op's sort follows from op, val and args
         key = (op, val, ids, sort) if op == "var" else (op, val, ids)
@@ -121,6 +140,16 @@ class Ctx:
     def const_array(self, sort, value):
         """The array of sort `sort` holding `value` at every key."""
         return self.node("const_array", sort, (value,))
+
+    def chained(self, clauses, parent=None):
+        """The context's one chain of `clauses`, in order, on `parent`."""
+        chains = self._chains
+        for clause in reversed(clauses):
+            cell = chains.get((parent, clause))
+            if cell is None:
+                cell = chains[parent, clause] = Chain(parent, clause)
+            parent = cell
+        return parent
 
     def mk(self, op, *args, val=None):
         return self.node(op, val, args)
@@ -179,6 +208,17 @@ def _well_sorted(op, val, sorts):
     if op in ("zero_extend", "sign_extend"):
         return n == 1 and val >= 0
     return False
+
+
+def chain_above(chain, tail):
+    """The clauses of `chain` above `tail` when `chain` is `tail` or
+    extends it, in as many steps; None otherwise."""
+    out, cell = [], chain
+    for _ in range((chain.length if chain else 0)
+                   - (tail.length if tail else 0)):
+        out.append(cell.clause)
+        cell = cell.parent
+    return out if cell is tail else None
 
 
 def is_const(term):

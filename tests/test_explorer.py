@@ -106,8 +106,7 @@ def test_state_var_heuristic_infinity_and_tie_break(corpus):
     ctx = build_context(graph, None)
     sv = HEURISTICS["state-var"](ctx)
     fw = HEURISTICS["floyd-warshall"](ctx)
-    tree = WalkTree(_instr(graph, "check", reads=["counter", "threshold"]),
-                    ctx)
+    tree = WalkTree(_instr(graph, "check", reads=["counter", "threshold"]))
     leaf = tree.extend(0, graph.fn_cfgs["check"].entry_id)
 
     check_exit = graph.fn_cfgs["check"].exit_id
@@ -127,7 +126,7 @@ def test_state_var_heuristic_infinity_and_tie_break(corpus):
 
     # degenerate case: no pending reads, identical costs everywhere
     sv = HEURISTICS["state-var"](ctx)
-    tree = WalkTree(graph.fn_cfgs["check"].exit_id, ctx)
+    tree = WalkTree(graph.fn_cfgs["check"].exit_id)
     no_pending = tree.extend(0, graph.fn_cfgs["bid"].exit_id)
     for node in range(len(graph.nodes)):
         assert sv(tree, no_pending, node) == fw(tree, no_pending, node)

@@ -15,7 +15,8 @@ from minisol.smt.parse import Script, SmtParseError, parse_script
 from minisol.smt.refute import linear_truth, refuted_linear
 from minisol.smt.solve import (DEFAULT_CONFLICT_BUDGET, SmtUnknown,
                                solve_commands)
-from minisol.smt.terms import Ctx, SmtError, array, bv, print_term
+from minisol.smt.terms import BOOL, Ctx, SmtError, array, bv, chain_above, \
+    print_term
 
 A8 = "(Array (_ BitVec 8) (_ BitVec 8))"
 
@@ -863,15 +864,18 @@ CARRIED_BOUNDS = {"x + k", "k - x"}
 
 
 def test_random_terms_match_enumeration(monkeypatch):
-    """Random scripts of nested terms over two variables at widths 2-4:
-    the solver's sat/unsat is enumeration's, and every model holds.  Every
-    rule of ``_fold_trivial``, every reason the refuter gives, every shape
-    its intervals narrow and both ways it carries a bound to a variable
-    are met along the way."""
+    """Random scripts of nested terms over two variables at widths 2-4,
+    one in ten with the negation of one of its assertions added: the
+    solver's sat/unsat is enumeration's, and every model holds.  Every
+    rule of ``_fold_trivial``, every reason the refuter gives, a conjunct
+    next to its negation, every shape its intervals narrow and both ways
+    it carries a bound to a variable are met along the way."""
     folds, refuted, shapes, carried = (Counter() for _ in range(4))
     counted(monkeypatch, solve_mod, "_fold_trivial", fold_rule, folds)
     counted(monkeypatch, solve_mod, "refutation",
             lambda out, _residual: out, refuted)
+    counted(monkeypatch, solve_mod, "refuted_negation",
+            lambda out, _residual: "negation" if out else None, refuted)
     counted(monkeypatch, refute_mod, "interval", interval_shape, shapes)
     counted(monkeypatch, refute_mod, "_narrow_atom", carried_bound, carried)
     for seed in range(1500):
@@ -881,6 +885,8 @@ def test_random_terms_match_enumeration(monkeypatch):
         fuzzer = TermFuzzer(rng, ctx, width)
         asserts = [fuzzer.boolean(rng.randint(1, 3))
                    for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.1:
+            asserts.append(ctx.mk("not", rng.choice(asserts)))
         envs = [{"x": x, "y": y}
                 for x, y in itertools.product(range(1 << width), repeat=2)]
         expected = any(all(evaluate(a, env) for a in asserts)
@@ -893,7 +899,7 @@ def test_random_terms_match_enumeration(monkeypatch):
             env = dict(zip("xy", result.values))
             assert all(evaluate(a, env) for a in asserts)
     assert set(folds) == FOLD_RULES
-    assert set(refuted) == REFUTER_BRANCHES
+    assert set(refuted) == REFUTER_BRANCHES | {"negation"}
     assert set(shapes) >= INTERVAL_SHAPES
     assert set(carried) == CARRIED_BOUNDS
 
@@ -914,6 +920,24 @@ def test_vars_are_interned_on_their_sort():
     assert narrow is not wide
     assert ctx.mk("select", narrow, key) is not ctx.mk("select", wide, key)
     assert ctx.mk("select", wide, key).sort == bv(256)
+
+
+def test_equal_clause_sequences_are_one_chain():
+    """A chain is hash-consed cell by cell, so one clause sequence is one
+    chain however it was built; what one chain adds above another it
+    extends is read off its head."""
+    ctx = Ctx()
+    a, b, c = (ctx.var(name, BOOL) for name in "abc")
+    abc = ctx.chained([a, b, c])
+    assert ctx.chained([a], ctx.chained([b, c])) is abc
+    assert ctx.chained([a, b], ctx.chained([c])) is abc
+    assert list(abc) == [a, b, c] and abc.length == 3
+    assert chain_above(abc, ctx.chained([c])) == [a, b]
+    assert chain_above(abc, abc) == []
+    assert chain_above(abc, None) == [a, b, c]
+    assert chain_above(abc, ctx.chained([b])) is None
+    assert chain_above(ctx.chained([c]), abc) is None
+    assert chain_above(None, None) == []
 
 
 def test_a_node_rebuilt_with_its_sort_is_the_one_built():
