@@ -5,7 +5,10 @@ toward its frontier, one node per step (``Numbering.step``), and builds
 each node's clauses as ``smt`` terms straight into the run's ``Ctx``.  The
 versions live at the target point are fixed: state variable ``x`` is
 ``x!0``, mapping ``m`` is the array ``m!0``, and the target's
-transaction is segment ``t0``.  A write defines the version live after it
+transaction is segment ``t0``.  A target's safety condition is the
+root's one clause, over those versions, before the target instruction's
+own effect; the replay oracle mirrors this by stopping at the first arrival
+that satisfies the condition.  A write defines the version live after it
 and leaves a fresh one live before it; each earlier transaction gets the
 next segment index.  A node's names therefore depend only on the walk from
 the target to it, and a numbered node's clauses never change: a one-node
@@ -15,7 +18,8 @@ A walk carries the check result of its nearest checked prefix
 nodes after that result's numbering.  Locals and the transaction
 environment belong to their segment; a local read with no earlier write in
 a complete segment is an error, found when the backward walk reaches the
-entry.
+entry, and so is a safety condition that reads a local the target's
+segment defines only after the target.
 
 Two kinds of clause move with the frontier and come first: the account
 clauses of the segment the frontier is in, until its entry is numbered,
@@ -35,11 +39,9 @@ an SMT-LIB array variable (QF_ABV): a write is the one clause
 generation with a constant array of zeros, a reverting segment's link
 equates two generations, and a read is ``(select m!g key)``.  Map
 generations are symbols like any other; only the scalar ones are
-queried for a model.  ``encode`` assembles one check's script:
-the numbered clauses plus the safety condition, over the versions live at
-the target point, before the target instruction's own effect; the replay
-oracle mirrors this by stopping at the first arrival that satisfies the
-condition.
+queried for a model.  ``encode`` assembles one check's script: the
+frontier's moving clauses, then the walk's clause chain, which ends in the
+root's.
 
 The bundled solver reads those terms in process; a check that needs only
 sat or unsat reads its assertions alone.  A script's symbol table, and the
@@ -47,7 +49,7 @@ declarations and queries built from it, are assembled only for a model or
 for SMT-LIB 2 text (``SmtScript.text``), which is rendered only when
 something reads it: the ``--emit-smt`` dumps and an external
 ``--solver-cmd`` process, whose answer ``parse_solver_output`` reads
-back.
+back, refusing any value that answers no query of its sort.
 """
 
 from __future__ import annotations
@@ -131,21 +133,15 @@ class TxEnv:
     aborted: bool = False
 
 
-@dataclass
-class TargetPoint:
-    """Where the walk root sits: its function and inline suffix.  The
-    versions live there are fixed (``x!0``, ``m!0``, segment ``t0``)."""
-    fn: Optional[str]
-    inline_suffix: str
-
-
 # ---------------------------------------------------------------------------
 # Backward numbering
 # ---------------------------------------------------------------------------
 
 class _Run:
     """What every numbering of one walk tree shares: the term context, the
-    program and graph, and caches over them."""
+    program and graph, caches over them, and the locals the safety
+    condition reads that are not parameters, as (slot, name), which the
+    root step sets."""
 
     def __init__(self, ctx, program, graph):
         self.ctx = ctx
@@ -154,7 +150,7 @@ class _Run:
         self.types = dict(program.state_vars)
         self.sorts = {name: _sort(type_) for name, type_ in self.types.items()}
         self.params = {}               # function name -> its parameters
-        self.safety = None             # the last ResolvedSafety
+        self.safety_reads = ()
 
     def fn_params(self, fn_name):
         params = self.params.get(fn_name)
@@ -231,7 +227,7 @@ class Numbering:
     every part it leaves unchanged.  `cur` and `high` map each state
     variable and mapping to its live and its highest version."""
     __slots__ = ("run", "link", "length", "node", "cur", "high", "nseg",
-                 "seg", "target", "written0", "complete")
+                 "seg", "complete")
 
     @classmethod
     def empty(cls, program, graph, ctx):
@@ -243,15 +239,14 @@ class Numbering:
         n.cur, n.high = {}, {}
         n.nseg = 0
         n.seg = None
-        n.target = None
-        n.written0 = None              # slots the root segment writes
         n.complete = False
         return n
 
-    def step(self, node_id):
+    def step(self, node_id, safety=None):
         """The numbering of the walk extended by `node_id`, which executes
-        just before the nodes numbered so far."""
-        return _Step(self, node_id).result()
+        just before the nodes numbered so far.  The root step asserts
+        `safety`, when given, at the root; later steps ignore it."""
+        return _Step(self, node_id).result(safety)
 
     def moving(self):
         """The clauses that move with the frontier: the open segment's
@@ -277,13 +272,12 @@ class _Step:
         self.node = parent.run.graph.node(node_id)
         self.cur, self.high, self.seg = parent.cur, parent.high, parent.seg
         self.nseg = parent.nseg
-        self.target, self.written0 = parent.target, parent.written0
         self.complete = parent.complete
         self.clauses = []
         self.decls = {}                # name -> var term
         self.defined = None
         self.tx = None
-        self.seg_mentioned, self.seg_dead = set(), set()   # local symbols
+        self.seg_mentioned = set()     # local symbols
 
     # -- symbols ---------------------------------------------------------------
 
@@ -352,7 +346,6 @@ class _Step:
             return self.write_state(op.name, op.type_)
         ver = self.seg.locals.get(op.name, 0)
         term = self.local_term(op.name, ver, op.type_)
-        self.seg_dead.add(term.val)
         self.set_local(op.name, ver + 1)
         self.defined = term.val
         return term
@@ -373,17 +366,15 @@ class _Step:
 
     # -- the step --------------------------------------------------------------
 
-    def result(self):
+    def result(self, safety):
         node = self.node
         parent = self.parent
         if node.fn is not None and self.seg is None:
             self.open_segment(node)
+        if parent.length == 0 and safety is not None:
+            self.assume_safety(node, safety)
         if node.kind == "instr":
-            if parent.length == 0:
-                # the walk root is the target node; the safety condition
-                # binds to the versions live here, before its effect
-                self.target = TargetPoint(node.fn, node.instr.inline_suffix)
-            else:
+            if parent.length > 0:
                 self.apply_instr(node, parent.node)
         elif node.kind == "entry":
             self.close_segment()
@@ -393,16 +384,29 @@ class _Step:
         n = Numbering()
         n.run, n.length, n.node = self.run, parent.length + 1, self.node_id
         n.cur, n.high, n.nseg, n.seg = self.cur, self.high, self.nseg, self.seg
-        n.target, n.written0 = self.target, self.written0
         n.complete = self.complete
         n.link = _Link(parent.link, tuple(self.clauses),
                        tuple(self.decls.values()), self.defined, self.tx,
                        self.ctx)
-        if n.seg is not None and (self.seg_mentioned or self.seg_dead):
+        if n.seg is not None and self.seg_mentioned:
             seg = self.own_seg()
-            seg.marks = (seg.marks | self.seg_mentioned) - self.seg_dead
+            seg.marks = seg.marks | self.seg_mentioned
             n.seg = seg
         return n
+
+    def assume_safety(self, node, safety):
+        """The walk root is the target node: the safety condition holds
+        over the versions live there, before its effect, and its symbols
+        are the root's."""
+        if node.kind != "instr":
+            raise EncodeError("walk never reaches the target line")
+        params = {p for p, _ in self.run.fn_params(node.fn)}
+        reads = []
+        term = _resolve(self.run, safety, node.instr.inline_suffix, params,
+                        reads)
+        self.run.safety_reads = tuple(reads)
+        self.assume(term)
+        _symbols([term], self.decls)
 
     def open_segment(self, node):
         """The backward walk enters a transaction at its last node; it
@@ -429,7 +433,9 @@ class _Step:
 
     def close_segment(self):
         """The backward walk reaches the segment's entry: its moving
-        clauses become the entry's, and its parameters are its inputs."""
+        clauses become the entry's, and its parameters are its inputs.
+        The target's segment must define every local the safety condition
+        reads before the target."""
         seg = self.seg
         params = self.run.fn_params(seg.fn)
         names = {p for p, _ in params}
@@ -438,6 +444,11 @@ class _Step:
                     "%s!t%d!%d" % (slot, seg.index, ver) in seg.marks:
                 raise EncodeError("local %r read before any write on the "
                                   "walk" % slot)
+        if seg.index == 0:
+            for slot, name in self.run.safety_reads:
+                if not seg.locals.get(slot):
+                    raise EncodeError("safety reads local %r before its "
+                                      "definition" % name)
         self.clauses.extend(seg.env_clauses)
         if seg.saved is not None:
             link = self.run.link(self.cur, seg.saved)
@@ -446,8 +457,6 @@ class _Step:
         self.tx = seg.tx(params, partial=False)
         for (_, sym), (_, type_) in zip(self.tx.params, params):
             self.declare(sym, type_)
-        if seg.index == 0:
-            self.written0 = frozenset(s for s, v in seg.locals.items() if v)
         self.seg = None
 
     def zero_state(self):
@@ -590,65 +599,26 @@ class SsaScript:
         return out
 
 
-def ssa_number(walk, program, ctx=None):
+def ssa_number(walk, program, ctx=None, safety=None):
     """Number a walk into an SsaScript, resuming from the numbering of the
     prefix result the walk carries (``walk.prefix``) if it has one, else
     from the walk root in `ctx` (a fresh ``Ctx`` by default), on the graph
-    the walk was found on."""
+    the walk was found on.  Numbered from the root, the root asserts the
+    safety condition `safety` (a resumed numbering has its prefix's)."""
     numbering = walk.prefix.numbering if walk.prefix is not None else None
     if numbering is None:
         numbering = Numbering.empty(program, walk.graph,
                                     ctx if ctx is not None
                                     else smt_terms.Ctx())
     for node_id in walk.nodes_after(numbering.length):
-        numbering = numbering.step(node_id)
+        numbering = numbering.step(node_id, safety)
     return SsaScript(numbering)
 
 
-# ---------------------------------------------------------------------------
-# Safety resolution at the target point
-# ---------------------------------------------------------------------------
-
-@dataclass(slots=True)
-class ResolvedSafety:
-    """A safety condition resolved at a target point: its term, the
-    symbols the term mentions, and the locals it reads that are not
-    parameters, as (slot, name)."""
-    expr: object
-    target: TargetPoint
-    term: object
-    symbols: dict
-    reads: list
-
-
-def resolve_safety(script, safety, program):
-    """The safety condition resolved over the versions live at the target
-    point (a ``ResolvedSafety``, kept by the run for the next check).  It
-    may read a local only if the target's segment defines it before the
-    target, unless that segment is still open."""
-    n = script.numbering
-    tp = n.target
-    if tp is None:
-        raise EncodeError("walk never reaches the target line")
-    run = n.run
-    out = run.safety
-    if out is None or out.expr is not safety or out.target is not tp:
-        params = {p for p, _ in run.fn_params(tp.fn)}
-        reads = []
-        term = _resolve(run, safety, tp, params, reads)
-        out = run.safety = ResolvedSafety(safety, tp, term, _symbols([term]),
-                                          reads)
-    if n.written0 is not None:
-        for slot, name in out.reads:
-            if slot not in n.written0:
-                raise EncodeError("safety reads local %r before its "
-                                  "definition" % name)
-    return out
-
-
-def _resolve(run, e, tp, params, reads):
-    """The term of safety expression `e` at target point `tp`; the locals
-    it reads that are not parameters go to `reads`."""
+def _resolve(run, e, suffix, params, reads):
+    """The term of safety expression `e` at the walk root, whose locals
+    carry inline suffix `suffix`; the locals it reads that are not
+    parameters go to `reads`."""
     ctx = run.ctx
     if isinstance(e, IntLit):
         return _lit(ctx, e.value, e.type_ if e.type_ is not None else U256)
@@ -661,21 +631,21 @@ def _resolve(run, e, tp, params, reads):
     if isinstance(e, Ident):
         if e.binding == "state":
             return ctx.var("%s!0" % e.name, _sort(e.type_))
-        slot = e.slot + tp.inline_suffix
+        slot = e.slot + suffix
         if e.binding != "param" and slot not in params:
             reads.append((slot, e.name))
         return ctx.var("%s!t0!0" % slot, _sort(e.type_))
     if isinstance(e, Index):
         name = e.base.name
-        key = _conv(ctx, _resolve(run, e.index, tp, params, reads),
+        key = _conv(ctx, _resolve(run, e.index, suffix, params, reads),
                     _key_type(run.types[name]).bit_width)
         return ctx.checked("select", ctx.var("%s!0" % name, run.sorts[name]),
                            key)
     if isinstance(e, Unary):
-        return ctx.mk("not", _resolve(run, e.operand, tp, params, reads))
+        return ctx.mk("not", _resolve(run, e.operand, suffix, params, reads))
     if isinstance(e, Binary):
-        a = _resolve(run, e.lhs, tp, params, reads)
-        b = _resolve(run, e.rhs, tp, params, reads)
+        a = _resolve(run, e.lhs, suffix, params, reads)
+        b = _resolve(run, e.rhs, suffix, params, reads)
         if e.op in ("&&", "||") or a.sort == smt_terms.BOOL \
                 or _ADDRESS_SORT in (a.sort, b.sort):
             return ctx.checked(_OPS[e.op], a, b)
@@ -693,21 +663,21 @@ class SmtScript:
     """One check's solver input: its assertions, terms of the ``Ctx`` they
     were built in, and a function giving the symbols they mention (name ->
     var term, in declaration order).  The assertions are `front` (a
-    walk's moving clauses, or a list's every assertion), the clauses of
-    `chain` and `back` (the safety condition).  ``commands`` and ``text``,
-    the same script as SMT-LIB 2, are built on first read, so a check
-    that needs only sat or unsat builds neither, nor the symbol table."""
+    walk's moving clauses, or a list's every assertion) and the clauses of
+    `chain`, whose last is the safety condition when there is one.
+    ``commands`` and ``text``, the same script as SMT-LIB 2, are built on
+    first read, so a check that needs only sat or unsat builds neither,
+    nor the symbol table."""
 
-    def __init__(self, ctx, front, symbols, chain=None, back=()):
+    def __init__(self, ctx, front, symbols, chain=None):
         self.ctx = ctx
         self.front = front
         self.chain = chain
-        self.back = back
         self._symbols = symbols
 
     @cached_property
     def asserts(self):
-        return [*self.front, *(self.chain or ()), *self.back]
+        return [*self.front, *(self.chain or ())]
 
     @property
     def queries(self):
@@ -733,26 +703,12 @@ class SmtScript:
         return smt_terms.print_script(self.commands)
 
 
-def encode(script, safety=None, program=None) -> SmtScript:
-    """The solver input for a numbered walk, plus the optional safety
-    condition, in the context its clauses were built in.  Deterministic:
-    identical walks render byte-identically."""
-    back = ()
-    extra = {}
-    if safety is not None:
-        if program is None:
-            raise EncodeError("safety resolution needs the program")
-        safe = resolve_safety(script, safety, program)
-        back = (safe.term,)
-        # the safety condition can read versions no clause mentions
-        extra = safe.symbols
-
-    def symbols():
-        out = dict(script.symbols)
-        for name, term in extra.items():
-            out.setdefault(name, term)
-        return out
-    return SmtScript(script.ctx, script.moving, symbols, script.chain, back)
+def encode(script) -> SmtScript:
+    """The solver input for a numbered walk, in the context its clauses
+    were built in.  Deterministic: identical walks render
+    byte-identically."""
+    return SmtScript(script.ctx, script.moving, lambda: script.symbols,
+                     script.chain)
 
 
 # ---------------------------------------------------------------------------
@@ -787,8 +743,7 @@ class SolverSession:
     optionally dumps each script as a numbered .smt2 file.  It owns the
     run's term context (`terms`), which every numbering of the run builds
     its clauses in, and the run's answer table (`answers`: an incomplete
-    walk's ``SsaScript.clause_chain`` and resolved safety condition ->
-    sat | unsat)."""
+    walk's ``SsaScript.clause_chain`` -> sat | unsat)."""
 
     def __init__(self, config: SolverConfig = None):
         self.config = config or SolverConfig()
@@ -860,6 +815,10 @@ class SolverSession:
 
 
 def parse_solver_output(output, smt_script) -> SatResult:
+    """An external solver's answer to `smt_script`.  On sat, the get-value
+    answer holds one pair per query, in query order: each names its
+    queried symbol, and its value fits that symbol's sort.  Anything else
+    is a ``SolverError`` of kind ``malformed``."""
     head, _, rest = output.strip().partition("\n")
     head = head.strip()
     if head == "unsat":
@@ -885,24 +844,40 @@ def parse_solver_output(output, smt_script) -> SatResult:
             raise SolverError("malformed",
                               "expected %d model values, got %d"
                               % (len(manifest), len(pairs)))
-        for (sym, _sort), pair in zip(manifest, pairs):
-            values[sym] = _parse_value(pair[-1])
+        for (sym, sort), pair in zip(manifest, pairs):
+            if len(pair) != 2 or pair[0] != sym:
+                raise SolverError("malformed", "model pair %r does not "
+                                  "answer the query of %s" % (pair, sym))
+            values[sym] = _parse_value(pair[1], sort)
     return SatResult("sat", values)
 
 
-def _parse_value(sexp):
-    if isinstance(sexp, list):
-        if len(sexp) == 3 and sexp[0] == "_" and sexp[1].startswith("bv"):
-            return int(sexp[1][2:])
-        raise SolverError("malformed", "bad model value %r" % (sexp,))
-    if sexp == "true":
-        return 1
-    if sexp == "false":
-        return 0
-    if sexp.startswith("#x"):
-        return int(sexp[2:], 16)
-    if sexp.startswith("#b"):
-        return int(sexp[2:], 2)
-    if sexp.isdigit():
-        return int(sexp)
-    raise SolverError("malformed", "bad model value %r" % (sexp,))
+_DIGITS = {2: "01", 10: "0123456789", 16: "0123456789abcdefABCDEF"}
+
+
+def _number(text, base):
+    """`text` read as an unsigned numeral in `base`; None if it is none."""
+    if text and all(c in _DIGITS[base] for c in text):
+        return int(text, base)
+    return None
+
+
+def _parse_value(sexp, sort):
+    """The value `sexp` gives a symbol of `sort`, a Bool as 0/1."""
+    value = None
+    if sort == smt_terms.BOOL:
+        if sexp in ("true", "false"):
+            value = int(sexp == "true")
+    else:
+        if isinstance(sexp, str):
+            base = {"#x": 16, "#b": 2}.get(sexp[:2], 10)
+            value = _number(sexp if base == 10 else sexp[2:], base)
+        elif len(sexp) == 3 and sexp[0] == "_" and sexp[2] == str(sort[1]) \
+                and isinstance(sexp[1], str) and sexp[1].startswith("bv"):
+            value = _number(sexp[1][2:], 10)
+        if value is not None and value >> sort[1]:
+            value = None
+    if value is None:
+        raise SolverError("malformed", "bad model value %r for sort %s"
+                          % (sexp, smt_terms.print_sort(sort)))
+    return value

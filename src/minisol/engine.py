@@ -12,7 +12,7 @@ from . import concretize as conc
 from . import oracle
 from .cfg import build_cfg_plus
 from .encoder import (SatResult, SolverConfig, SolverSession, SsaScript,
-                      encode, resolve_safety, ssa_number)
+                      encode, ssa_number)
 from .errors import ConfigError, MiniSolError, TargetError
 from .explorer import (HEURISTICS, Limits, Walk, build_context,
                        find_minimal_satisfiable_walk)
@@ -92,24 +92,21 @@ def search(graph, target, *, heuristic="floyd-warshall",
     deadline = t0 + limits.wall_timeout
 
     def solve(script, base):
-        """Decide a numbered walk plus the safety condition.  A complete
-        walk needs a model and is always solved.  Any other needs only sat
-        or unsat, which an earlier script of the same assertions has
-        settled: it is looked up in the session's table on its clause chain
-        and safety term, and encoded and solved only on a miss; ``unknown``
-        settles nothing.  An in-process solve starts from `base`, the kept
-        reduction of its prefix."""
-        safety = target.safety
-        key = None
+        """Decide a numbered walk, whose root asserts the safety condition.
+        A complete walk needs a model and is always solved.  Any other
+        needs only sat or unsat, which an earlier script of the same
+        assertions has settled: it is looked up in the session's table on
+        its clause chain, and encoded and solved only on a miss;
+        ``unknown`` settles nothing.  An in-process solve starts from
+        `base`, the kept reduction of its prefix."""
+        key = script.clause_chain
         if not script.complete:
-            key = (script.clause_chain, None if safety is None else
-                   resolve_safety(script, safety, program).term)
             status = session.answers.get(key)
             if status is not None:
                 return SatResult(status, reason="repeated")
-        result = session.check(encode(script, safety, program), deadline,
-                               base, script.complete)
-        if key is not None and result.status != "unknown":
+        result = session.check(encode(script), deadline, base,
+                               script.complete)
+        if not script.complete and result.status != "unknown":
             session.answers[key] = result.status
         return result
 
@@ -123,11 +120,12 @@ def search(graph, target, *, heuristic="floyd-warshall",
             result.reduction = walk.prefix.reduction
         return result
 
-    # every walk starts at the target's node: number it once, for all
+    # every walk starts at the target's node, which asserts the safety
+    # condition: number it once, for all
     root = graph.target_node(target.line)
     prefix = None if root is None else SatResult("unknown", numbering=(
-        ssa_number(Walk((root,), graph), program,
-                   ctx=session.terms).numbering))
+        ssa_number(Walk((root,), graph), program, ctx=session.terms,
+                   safety=target.safety).numbering))
     result = find_minimal_satisfiable_walk(
         graph, target, factory, limits, check=check, context=context,
         lazy_check=lazy_check, deadline=deadline, prefix=prefix)

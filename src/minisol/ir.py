@@ -125,12 +125,6 @@ class IrFunction:
         for block in self.blocks:
             yield from block.instrs
 
-    def state_reads(self):
-        out = set()
-        for ins in self.instructions():
-            out.update(ins.state_reads())
-        return out
-
     def state_writes(self):
         out = set()
         for ins in self.instructions():

@@ -133,7 +133,6 @@ class Interpreter:
         self.target = target
         self.step_limit = step_limit
         self._first_arrival = None
-        self._tx_index = 0
 
     def replay(self, seq: TransactionSequence) -> ReplayReport:
         report = ReplayReport()
@@ -150,7 +149,6 @@ class Interpreter:
                 if i > 0 and not state.deployed:
                     report.reverted.append(True)
                     continue
-                self._tx_index = i
                 reverted = self._run_tx(i, tx, state, report)
                 report.reverted.append(reverted)
                 if i == 0 and not reverted:

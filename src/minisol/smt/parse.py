@@ -104,7 +104,7 @@ class Script:
     has_check: bool = False
 
     # what ``solve.solve_commands`` reads: every assertion is in `front`
-    chain, back = None, ()
+    chain = None
     front = property(lambda self: self.asserts)
 
 

@@ -28,9 +28,9 @@ if it can be, and only then is it bit-blasted to CNF for the CDCL solver.
 
 The front half, fold/resolve and reduction, is a ``Reduction`` that can be
 extended, and it keeps its solve's model.  It holds where the script's
-assertions were: ``front``, the clauses of a hash-consed ``chain`` and
-``back`` (a walk's moving clauses, numbered clauses and safety
-condition; a script read from text is all front).  It also holds the
+assertions were: ``front`` and the clauses of a hash-consed ``chain`` (a
+walk's moving clauses, and its numbered clauses, the safety condition
+last; a script read from text is all front).  It also holds the
 array definitions, the Ackermann reads, the substitution, the residual
 (with each conjunct's variables), the rewritten assertions with the
 readers of each free variable, and the model.  A SAT answer keeps it, and
@@ -40,8 +40,8 @@ starts from the reduction it is given when the reduction's chain is the
 script's or one the script's extends and its other assertions are among
 the script's others, and from ``EMPTY`` otherwise; a whole-script solve
 is the same code started from ``EMPTY``.  It reads, folds, resolves and
-reduces only what the base lacks: the chain cells above the base's and
-the new front and back.  Those bind their definitional conjuncts first;
+reduces only what the base lacks: the new front and the chain cells
+above the base's.  Those bind their definitional conjuncts first;
 once one binds, every conjunct left that reads a variable bound here,
 the base's included, is rewritten again.  An array the base read while
 undefined and the new assertions define has each of its Ackermann reads
@@ -540,11 +540,11 @@ EMPTY = Reduction(None, frozenset(), {}, {}, {}, (), (), None, {}, None)
 
 
 def _lacks(script, base):
-    """The script's assertions `base` lacks, in order: the chain cells
-    above the base's, and the front and back less the base's loose ones.
-    None when the base cannot be extended to the script."""
+    """The script's assertions `base` lacks, in order: the front and the
+    chain cells above the base's, less the base's loose ones.  None when
+    the base cannot be extended to the script."""
     above = chain_above(script.chain, base.chain)
-    fresh = [*script.front, *(above or ()), *script.back]
+    fresh = [*script.front, *(above or ())]
     if above is None or not base.loose.issubset(fresh):
         return None
     return [a for a in fresh if a not in base.loose]
@@ -598,8 +598,8 @@ def solve_commands(ctx, script, conflict_budget=None, deadline=None,
     `deadline` (a ``time.monotonic()`` value) the time spent in bit-blasting
     and CDCL; running out of either gives ``unknown``.
 
-    The script's assertions are ``script.front``, the clauses of
-    ``script.chain`` and ``script.back``.  `base` is the ``Reduction`` of
+    The script's assertions are ``script.front`` and the clauses of
+    ``script.chain``.  `base` is the ``Reduction`` of
     an earlier SAT script.  The solve starts from it, and its model search
     from the base's model, when the base's chain is the script's or one
     the script's extends and its other assertions are among the script's
@@ -752,9 +752,9 @@ def _solve(ctx, script, new, base, model, conflict_budget, deadline):
     for a in checked:
         chain = Chain(chain, a)
     return Result("sat", [evaluator.eval(q) for q in queries],
-                  reduction=Reduction(script.chain, frozenset(
-                      (*script.front, *script.back)), maps.defs, maps.apps,
-                      subst, residual, var_sorts, chain, users, model_env))
+                  reduction=Reduction(script.chain, frozenset(script.front),
+                                      maps.defs, maps.apps, subst, residual,
+                                      var_sorts, chain, users, model_env))
 
 
 def _reduce(ctx, maps, subst, fresh, residual, known):

@@ -5,7 +5,7 @@ import pytest
 
 from minisol.cfg import ReversedView
 from minisol.encoder import (SatResult, SolverConfig, SolverSession,
-                             encode, resolve_safety, ssa_number)
+                             encode, ssa_number)
 from minisol.engine import prepare
 from minisol.errors import EncodeError, SolverError
 from minisol.explorer import Walk
@@ -192,8 +192,8 @@ def test_never_written_map_read_zero_init(corpus):
             "(_ BitVec 256))) #x" in smt.text)
 
 
-def run_check(script, safety=None, program=None):
-    smt = encode(script, safety=safety, program=program)
+def run_check(script):
+    smt = encode(script)
     return SolverSession().check(smt), smt
 
 
@@ -247,8 +247,8 @@ def test_overflow_walk_sat_with_wraparound_model(corpus):
                                                graph.constructed_id,
                                                cfg.entry_id, instrs[0]])
     walk = Walk(tuple(reversed(exec_order)), graph=graph)
-    script = ssa_number(walk, program)
-    result, _ = run_check(script, safety=target.safety, program=program)
+    script = ssa_number(walk, program, safety=target.safety)
+    result, _ = run_check(script)
     assert result.status == "sat"
     first, second = script.transactions[1:]
     assert (first.params[0][1], second.params[0][1]) \
@@ -280,8 +280,8 @@ def test_guess_check_path_forces_key_and_value(corpus):
                   + check_instrs[:4])         # through the taken true branch
     assert graph.node(check_instrs[3]).line == target.line
     walk = Walk(tuple(reversed(exec_order)), graph=graph)
-    script = ssa_number(walk, program)
-    result, _ = run_check(script, safety=target.safety, program=program)
+    script = ssa_number(walk, program, safety=target.safety)
+    result, _ = run_check(script)
     assert result.status == "sat"
     assert result.model["index!t1!0"] == 10
     assert result.model["value!t1!0"] == 1
@@ -398,8 +398,8 @@ def test_child_clauses_are_parent_clauses_plus_new_node(corpus):
     """The basis for checking one node per extension: a child's clauses
     after `frontier_end(child)` are its parent's clauses (less the ones
     that move with the parent's frontier), term for term; its frontier is
-    its moving clauses plus the new node's; the safety condition is the
-    same term.
+    its moving clauses plus the new node's; a walk rooted at the target
+    ends in the safety condition, the root's one clause.
     Numbering the child from its parent's numbering or from the root gives
     the same terms."""
     rng = random.Random(11)
@@ -412,18 +412,19 @@ def test_child_clauses_are_parent_clauses_plus_new_node(corpus):
         for i in range(24):
             root = graph.target_node(target.line) if i % 2 \
                 else rng.choice(instrs)
+            safety = target.safety if i % 2 else None
             walk = _random_backward_walk(rng, graph, root, 40)
             ctx = Ctx()
             for k in range(1, len(walk.nodes)):
                 try:
                     parent = ssa_number(Walk(walk.nodes[:k], graph), program,
-                                        ctx=ctx)
+                                        ctx=ctx, safety=safety)
                     child = ssa_number(Walk(walk.nodes[:k + 1], graph,
                                             SatResult("sat", numbering=(
                                                 parent.numbering))),
                                        program)
                     fresh = ssa_number(Walk(walk.nodes[:k + 1], graph),
-                                       program, ctx=ctx)
+                                       program, ctx=ctx, safety=safety)
                 except EncodeError:
                     continue
                 assert child.numbering.length == k + 1
@@ -437,16 +438,11 @@ def test_child_clauses_are_parent_clauses_plus_new_node(corpus):
                 assert len(rest) == len(kept) and all(
                     a is b for a, b in zip(rest, kept)), \
                     (name, walk.nodes[:k + 1])
-                if target.safety is not None:
-                    try:
-                        p_safety = resolve_safety(parent, target.safety,
-                                                  program)
-                        c_safety = resolve_safety(child, target.safety,
-                                                  program)
-                    except EncodeError:
-                        pass
-                    else:
-                        assert p_safety.term is c_safety.term
+                if safety is not None:
+                    root_link = list(child.links())[-1]
+                    assert len(root_link.clauses) == 1
+                    assert child.clauses[-1] is root_link.clauses[0] \
+                        is parent.clauses[-1]
                 checked += 1
     assert checked > 1000
 
@@ -553,8 +549,8 @@ def test_backward_numbering_is_equisatisfiable_with_forward(corpus):
             "maps": 0, "complete": 0}
     for program, walk, safety in _walks_for_reference(rng, corpus):
         try:
-            script = ssa_number(walk, program)
-            back = encode(script, safety, program)
+            script = ssa_number(walk, program, safety=safety)
+            back = encode(script)
         except EncodeError:
             with pytest.raises(EncodeError):
                 forward_encode(forward_ssa_number(walk, program), safety,
@@ -595,9 +591,8 @@ def test_emit_smt_dumps_are_deterministic(tmp_path, corpus):
             find_minimal_satisfiable_walk
 
         def check(walk):
-            return session.check(encode(ssa_number(walk, program),
-                                        safety=target.safety,
-                                        program=program))
+            return session.check(encode(ssa_number(
+                walk, program, safety=target.safety)))
 
         find_minimal_satisfiable_walk(graph, target,
                                       HEURISTICS["floyd-warshall"], Limits(),
@@ -676,6 +671,52 @@ def test_parse_solver_output_rejects_truncated_model(corpus):
         parse_solver_output("flub\n", smt)
 
 
+def _byte_and_flag():
+    """A script querying an 8-bit symbol `a`, then a Bool `b`."""
+    from minisol.encoder import SmtScript
+    from minisol.smt.terms import BOOL, bv
+    ctx = Ctx()
+    a, b = ctx.var("a", bv(8)), ctx.var("b", BOOL)
+    return SmtScript(ctx, [ctx.mk("=", b, ctx.mk("bvult", a, a))],
+                     lambda: {"a": a, "b": b})
+
+
+def test_parse_solver_output_reads_each_query_by_name_and_sort():
+    from minisol.encoder import parse_solver_output
+    smt = _byte_and_flag()
+    for answer in ("((a #xff) (b false))", "((a (_ bv255 8)) (b false))",
+                   "((a #b11111111)) ((b false))", "((a 255) (b false))"):
+        result = parse_solver_output("sat\n%s\n" % answer, smt)
+        assert result.model == {"a": 255, "b": 0}, answer
+    result = parse_solver_output("sat\n((|a| #x00) (|b| true))\n", smt)
+    assert result.model == {"a": 0, "b": 1}
+
+
+@pytest.mark.parametrize("answer", [
+    "((b false) (a #x01))",              # swapped names
+    "((c #x01) (b false))",              # a name no query has
+    "((a #x01 #x02) (b false))",         # a pair of three
+    "((a (_ bv300 8)) (b false))",       # too large for 8 bits
+    "((a (_ bv1 16)) (b false))",        # another width
+    "((a #x100) (b false))",
+    "((a #b111111111) (b false))",
+    "((a 256) (b false))",
+    "((a -1) (b false))",
+    "((a #xzz) (b false))",
+    "((a true) (b false))",              # a Bool for a bitvector
+    "((a #x01) (b #xff))",               # a bitvector for a Bool
+    "((a #x01) (b 1))",
+    "((a #x01) (b (_ bv1 1)))",
+])
+def test_parse_solver_output_rejects_answers_that_fit_no_query(answer):
+    """Each get-value pair must name the symbol queried in its place, with
+    a value of that symbol's sort."""
+    from minisol.encoder import parse_solver_output
+    with pytest.raises(SolverError) as err:
+        parse_solver_output("sat\n%s\n" % answer, _byte_and_flag())
+    assert err.value.kind == "malformed"
+
+
 @pytest.mark.parametrize("name", ["guess_check", "multi_tx", "token"])
 def test_in_process_answers_equal_rendered_text_answers(name, corpus):
     """Every check of a bounded search gets the same status, and on sat the
@@ -692,8 +733,7 @@ def test_in_process_answers_equal_rendered_text_answers(name, corpus):
     statuses = []
 
     def check(walk):
-        script = encode(ssa_number(walk, program), safety=target.safety,
-                        program=program)
+        script = encode(ssa_number(walk, program, safety=target.safety))
         direct = session.check(script)
         via_text = parse_solver_output(smt.solve_text(script.text), script)
         assert via_text.status == direct.status

@@ -12,7 +12,7 @@ from minisol.encoder import (SolverConfig, SolverSession, SsaScript, encode,
                              ssa_number)
 from minisol import engine
 from minisol.engine import pick_target, prepare, replay_file, synthesize
-from minisol.errors import ParseError, TargetError
+from minisol.errors import EncodeError, ParseError, TargetError
 from minisol.explorer import Limits, Walk
 from minisol import frontend
 from minisol.frontend import extract_targets
@@ -200,6 +200,39 @@ def test_safety_call_rejected():
 """
     with pytest.raises(TargetError):
         synthesize(source)
+
+
+LATE_LOCAL_SRC = """contract L {
+    uint256 x = 0;
+
+    function f(uint256 v) public {
+        x = v;  // @target v > 3
+        uint256 y = v + 1;
+        x = y;
+    }
+}
+"""
+
+
+def test_safety_may_not_read_a_local_defined_after_the_target():
+    """A safety condition over the target transaction's local ``y``, which
+    that transaction defines only after the target line, is refused once
+    the backward walk reaches the transaction's entry.  (The frontend
+    resolves a condition in the scope of its own line; this one is
+    resolved on the line after ``y``'s declaration.)"""
+    ast = frontend.parse_contract(LATE_LOCAL_SRC)
+    target = TargetSpec(5, frontend.parse_expression_at(ast, 7, "y > 3"),
+                        "y > 3")
+    with pytest.raises(EncodeError,
+                       match="safety reads local 'y' before its definition"):
+        synthesize(LATE_LOCAL_SRC, target=target)
+
+
+def test_safety_may_read_a_parameter_of_the_target_transaction():
+    result = synthesize(LATE_LOCAL_SRC)
+    assert result.status == "found"
+    assert result.sequence.transactions[-1].args[0] > 3
+    assert result.report.target_hit and result.report.safety_value
 
 
 def _outcome(result):
@@ -626,8 +659,8 @@ def test_run_context_changes_no_answer(corpus, check_log, name, heuristic,
     session = SolverSession()
     for nodes, status in repeated:
         assert nodes[-1] != graph.start_id
-        fresh = session.check(encode(ssa_number(Walk(nodes, graph), program),
-                                     target.safety, program))
+        fresh = session.check(encode(ssa_number(Walk(nodes, graph), program,
+                                                safety=target.safety)))
         assert fresh.status == status, nodes
     if (name, heuristic) == ("token", "state-var"):
         assert repeated
@@ -711,8 +744,8 @@ def test_only_a_decided_answer_is_reused(corpus, monkeypatch, solver_answers):
 
 def test_a_script_answered_from_the_table_is_not_encoded(corpus, monkeypatch,
                                                         check_log):
-    """The answer table is looked up on a script's clauses, plus the
-    resolved safety condition, before ``encode``: every script encoded is
+    """The answer table is looked up on a script's clause chain, whose
+    last clause is the safety condition, before ``encode``: every script encoded is
     submitted.  On token (state-var) 1170 checks are answered from the
     table, and none of them is lost."""
     real_encode, real_check = engine.encode, SolverSession.check

@@ -24,8 +24,8 @@ def explore(source, *, heuristic="floyd-warshall", limits=None,
     def check(walk):
         if spy is not None:
             spy(walk)
-        return session.check(encode(ssa_number(walk, program),
-                                    safety=target.safety, program=program))
+        return session.check(encode(ssa_number(walk, program,
+                                               safety=target.safety)))
 
     result = find_minimal_satisfiable_walk(
         graph, target, HEURISTICS[heuristic], limits or Limits(),
@@ -214,8 +214,8 @@ def test_pruning_soundness_no_unsat_prefix_extended(corpus):
     session = SolverSession()
 
     def check(walk):
-        result = session.check(encode(ssa_number(walk, program),
-                                      safety=target.safety, program=program))
+        result = session.check(encode(ssa_number(walk, program,
+                                                 safety=target.safety)))
         outcomes.append((walk.nodes, result.status))
         return result
 
