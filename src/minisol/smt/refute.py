@@ -8,7 +8,8 @@ is rewritten, so a satisfiable check passes through unchanged.
   forms differ only by a constant (``x + 2 = x``).
 * ``refuted_negation`` runs only when the greedy search found no model: a
   conjunct next to its own negation (``t`` and ``(not t)``) is false.
-* ``refutation`` runs after it, before bit-blasting.  It reads the
+* ``refutation`` runs after it, before the split on ite conditions and
+  bit-blasting.  It reads the
   conjuncts, with ``and`` flattened and ``not`` pushed into comparisons,
   as facts ``a op b`` and answers with the first reason it finds:
 

@@ -1,6 +1,7 @@
 """Solving pipeline, in order: fold/resolve -> word-level reduction -> linear
 refutation -> greedy model -> negation and bound/interval/parity
-refutation -> bit-blast -> CDCL -> model self-check.
+refutation -> cases on ite conditions -> bit-blast -> CDCL -> model
+self-check.
 
 Folding is a function of the hash-consed term: each distinct term is folded
 once per :class:`~.terms.Ctx` and the result kept in ``Ctx.folded``.  A
@@ -24,7 +25,13 @@ values when both sides of a comparison share one (``a + v < a``), and
 from its second round keeps the conjuncts that held when a comparison
 can be met by moving either side.  When it fails, the residual is
 refuted by a conjunct next to its negation, bounds, intervals or parity
-if it can be, and only then is it bit-blasted to CNF for the CDCL solver.
+if it can be.  If not, it is split on up to ``SPLIT_ATOMS`` of its ite
+conditions: each truth assignment of them is a leaf, the residual with
+the conditions replaced by their values and their literals added, which
+the reduction, the refuters and greedy from zeros decide at word level
+(``_split``).  Every leaf refuted is unsat; the first leaf greedy
+satisfies gives the model.  Only when neither holds is the residual
+bit-blasted to CNF for the CDCL solver.
 
 The front half, fold/resolve and reduction, is a ``Reduction`` that can be
 extended, and it keeps its solve's model.  It holds where the script's
@@ -52,13 +59,13 @@ model search starts from the base's model: every variable the solve
 binds leaves it, its definition solved back to the value the variable
 had, and only the conjuncts that are new or read a variable whose value
 moved are evaluated (``_Reuse``); greedy rounds run from there if one
-fails, then from zeros, and only then is the residual bit-blasted.  The
-self-check evaluates every new assertion and every reader of a variable
-whose value moved.  A solve from a base values no query.  Its model,
-though valid, need not be the one a whole-script solve finds, so a SAT
-script whose model is read is solved again from empty, where no model is
-reused: the model, and every sequence built from it, is the whole
-script's.
+fails, then from zeros, then the refuters and the split, and only then is
+the residual bit-blasted.  The self-check evaluates every new assertion
+and every reader of a variable whose value moved.  A solve from a base
+values no query.  Its model, though valid, need not be the one a
+whole-script solve finds, so a SAT script whose model is read is solved
+again from empty, where no model is reused: the model, and every sequence
+built from it, is the whole script's.
 
 Arrays (QF_ABV) are read by ``select`` only.  A top-level ``(= a t)`` whose
 ``a`` is an array variable defines ``a`` as ``t``, a ``store`` or constant
@@ -77,7 +84,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
+from itertools import islice, product
 
 from .bitblast import DEADLINE_STRIDE, Blaster
 from .parse import parse_script
@@ -685,13 +692,18 @@ def _solve(ctx, script, new, base, model, conflict_budget, deadline):
             bound[var.val] = (var, rewrite(ctx, value, subst, maps, memo))
         reuse = _Reuse(base.env, bound, kept, fresh)
 
-    # cheap word-level model search first; bit-blast only when it fails
+    # cheap word-level model search first, then refutation and cases on
+    # ite conditions; bit-blast only when they all fail
     if residual:
         model_env = _greedy_model(residual, var_sorts, reuse)
         if model_env is None:
             if refuted_negation(residual) \
                     or refutation(residual) is not None:
                 return Result("unsat")
+            model_env = _split(ctx, maps, residual, var_sorts, deadline)
+            if isinstance(model_env, Result):
+                return model_env
+        if model_env is None:
             if deadline is not None and time.monotonic() > deadline:
                 return Result("unknown", reason="deadline")
             model_env = {}
@@ -791,6 +803,79 @@ def _reduce(ctx, maps, subst, fresh, residual, known):
         if len(bound) == binds:
             return keep + residual
         fresh, residual = keep + residual, []
+
+
+# the most ite conditions the split stage cases on: at most 8 leaves
+SPLIT_ATOMS = 3
+
+
+def _split(ctx, maps, residual, sorts, deadline):
+    """Decide `residual` by cases on its first ``SPLIT_ATOMS`` distinct ite
+    conditions (splitting on demand: Barrett, Nieuwenhuis, Oliveras &
+    Tinelli, LPAR 2006).  Each truth assignment of those atoms is one leaf:
+    the residual with every atom replaced by its value, refolded, next to
+    the atoms' literals, reduced under a substitution of its own (a literal
+    ``t0 = t1`` binds), then refuted or satisfied by greedy rounds from
+    zeros.  The leaves cover every assignment of the atoms, so the residual
+    is unsat when each leaf is refuted.  The first leaf greedy satisfies
+    gives a model of the residual (`sorts`: each conjunct's variables).
+    None when the residual has no ite condition or neither holds; unknown
+    once the deadline has passed before a leaf."""
+    atoms = _ite_conditions(residual)
+    if not atoms:
+        return None
+    undecided = False
+    for values in product((True, False), repeat=len(atoms)):
+        if deadline is not None and time.monotonic() > deadline:
+            return Result("unknown", reason="deadline")
+        # rewrite reads its memo first: seeded, it replaces the atoms
+        memo = {id(atom): ctx.cbool(value)
+                for atom, value in zip(atoms, values)}
+        leaf = [rewrite(ctx, a, {}, maps, memo) for a in residual]
+        leaf += [atom if value else fold(ctx, ctx.mk("not", atom))
+                 for atom, value in zip(atoms, values)]
+        subst = {}
+        leaf = _reduce(ctx, maps, subst, leaf, [], {})
+        if leaf is None or refuted_linear(leaf) or refuted_negation(leaf) \
+                or refutation(leaf) is not None:
+            continue
+        leaf_sorts = []
+        for a in leaf:
+            leaf_sorts.append({})
+            _collect_vars(a, leaf_sorts[-1], set())
+        env = _zeros(leaf_sorts)
+        if not _greedy_rounds(leaf, env, leaf_sorts):
+            undecided = True
+            continue
+        # the variables the leaf bound take their definitions' values
+        evaluator = _Evaluator(env, subst)
+        model = _zeros(sorts)
+        model.update(env)
+        model.update((var.val, evaluator.eval(var)) for var in subst)
+        evaluator = _Evaluator(model, {})
+        for a in residual:
+            if evaluator.eval(a) is not True:
+                raise SmtInternalError("split model fails %s" % print_term(a))
+        return model
+    return None if undecided else Result("unsat")
+
+
+def _ite_conditions(residual):
+    """The distinct non-constant conditions of the ite terms of `residual`,
+    in first-occurrence order (depth first, conjunct by conjunct), at most
+    ``SPLIT_ATOMS``."""
+    atoms, seen = [], set()
+    stack = residual[::-1]
+    while stack and len(atoms) < SPLIT_ATOMS:
+        term = stack.pop()
+        if id(term) in seen:
+            continue
+        seen.add(id(term))
+        if term.op == "ite" and term.args[0].op != "cbool" \
+                and term.args[0] not in atoms:
+            atoms.append(term.args[0])
+        stack.extend(term.args[::-1])
+    return atoms
 
 
 def _lit_value(assignment, lit):
@@ -1142,9 +1227,14 @@ def _greedy_model(residual, sorts, reuse):
         env = reuse.start(sorts)
         if reuse.holds(residual, env) or _greedy_rounds(residual, env, sorts):
             return env
-    env = {name: (False if sort == BOOL else 0)
-           for own in sorts for name, sort in own.items()}
+    env = _zeros(sorts)
     return env if _greedy_rounds(residual, env, sorts) else None
+
+
+def _zeros(sorts):
+    """Every variable of `sorts` (one dict per conjunct) at 0 or false."""
+    return {name: (False if sort == BOOL else 0)
+            for own in sorts for name, sort in own.items()}
 
 
 def _greedy_rounds(residual, env, sorts):

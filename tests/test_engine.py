@@ -9,7 +9,7 @@ import pytest
 
 from minisol.concretize import from_json, to_json
 from minisol.encoder import (SolverConfig, SolverSession, SsaScript, encode,
-                             ssa_number)
+                             parse_solver_output, ssa_number)
 from minisol import engine
 from minisol.engine import pick_target, prepare, replay_file, synthesize
 from minisol.errors import EncodeError, ParseError, TargetError
@@ -598,6 +598,84 @@ def test_no_check_of_multi_tx_is_bit_blasted(corpus, monkeypatch, lazy_check):
     monkeypatch.setattr(smt_solve, "Blaster", blaster)
     assert synthesize(corpus["multi_tx"],
                       lazy_check=lazy_check).status == "found"
+
+
+@pytest.mark.parametrize("lazy_check", [False, True])
+@pytest.mark.parametrize("heuristic", ["floyd-warshall", "state-var"])
+def test_case_split_changes_no_answer(corpus, monkeypatch, check_log,
+                                      heuristic, lazy_check):
+    """The split on ite conditions only decides early what bit-blasting
+    decides.  With ``_split`` patched to decide nothing, every residual it
+    decided goes on to Blaster and SatSolver.  On token and 60 generated
+    programs (20 walks each at most) every check keeps its walk, status
+    and reason, and every run its status, walk count and reason.  A found
+    sequence may move, since a leaf's model need not be CDCL's; each one
+    replays.  On token the split decides an unsat check and a sat one.  A
+    run in which the split decided nothing is deterministic and would be
+    the same with the patch, so only the others are run again."""
+    sources = [(corpus["token"], Limits())]
+    sources += [(_annotated(seed), Limits(max_walks=20, wall_timeout=60))
+                for seed in range(7000, 7060)]
+    decided = Counter()
+    split = smt_solve._split
+
+    def recorded(*args):
+        out = split(*args)
+        if out is not None:
+            decided["sat" if isinstance(out, dict) else out.status] += 1
+        return out
+
+    def run(source, limits):
+        check_log.clear()
+        result = synthesize(source, heuristic=heuristic,
+                            lazy_check=lazy_check, limits=limits)
+        assert result.reason != "timeout"
+        if result.sequence is not None:
+            report = replay_file(source, to_json(result.sequence))
+            assert report.target_hit and report.safety_value
+        return (result.status, result.walks_explored, result.reason,
+                list(check_log))
+
+    monkeypatch.setattr(smt_solve, "_split", recorded)
+    with_split = []
+    for source, limits in sources:
+        before = sum(decided.values())
+        outcome = run(source, limits)
+        if sum(decided.values()) > before:
+            with_split.append((source, limits, outcome))
+    assert decided["unsat"] > 0 and decided["sat"] > 0
+    monkeypatch.setattr(smt_solve, "_split", lambda *args: None)
+    for source, limits, outcome in with_split:
+        assert run(source, limits) == outcome
+
+
+def test_token_found_model_is_the_whole_scripts(corpus, monkeypatch,
+                                                tmp_path):
+    """The found walk's script, as dumped and solved as text by the
+    bundled solver's process entry point (``solve_text``, which ``python
+    -m minisol.smt`` runs), gives the model the in-process run found, and
+    neither solve bit-blasts: cases on ite conditions decide token's
+    residuals at word level.  (Solving every check of token through the
+    external process takes minutes, too long for CI's agreement step.)"""
+    def blaster(*_args):
+        raise AssertionError("a check was bit-blasted")
+    monkeypatch.setattr(smt_solve, "Blaster", blaster)
+    check = SolverSession.check
+    last = []
+
+    def recorded(self, smt_script, *args):
+        result = check(self, smt_script, *args)
+        last[:] = [smt_script, result]
+        return result
+    monkeypatch.setattr(SolverSession, "check", recorded)
+    result = synthesize(corpus["token"], heuristic="state-var",
+                        solver=SolverConfig(emit_dir=str(tmp_path)))
+    assert result.status == "found"
+    smt_script, found = last
+    dump = max(tmp_path.iterdir()).read_text()
+    assert dump == smt_script.text
+    answer = parse_solver_output(smt_solve.solve_text(dump), smt_script)
+    assert answer.model == found.model and len(found.model) > 10
 
 
 LOOP_GUARD_SRC = """contract C {

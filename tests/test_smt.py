@@ -728,14 +728,17 @@ FUZZ_CMPS = ["bvult", "bvule", "bvugt", "bvuge", "=", "distinct"]
 class TermFuzzer:
     """Random nested terms over x and y at one width: repeated subterms
     (a pool of the terms built so far), shared operands (x - x, x < x),
-    ite, extract/concat and zero_extend back to the width, the shifts,
-    linear shapes (p + p + k), and comparisons against 0, the maximum and
-    other constants."""
+    ite, half of them on equality atoms the script's ites share,
+    extract/concat and zero_extend back to the width, the shifts, linear
+    shapes (p + p + k), and comparisons against 0, the maximum and other
+    constants."""
 
     def __init__(self, rng, ctx, width):
         self.rng, self.ctx, self.width = rng, ctx, width
         self.vars = [ctx.var("x", bv(width)), ctx.var("y", bv(width))]
         self.pool = list(self.vars)
+        x, y = self.vars
+        self.atoms = [ctx.mk("=", x, y), ctx.mk("=", x, self.const())]
 
     def const(self, value=None):
         mask = (1 << self.width) - 1
@@ -759,7 +762,7 @@ class TermFuzzer:
         elif kind == "unop":
             out = ctx.mk(rng.choice(["bvneg", "bvnot"]), sub)
         elif kind == "ite":
-            out = ctx.mk("ite", self.boolean(depth - 1), sub,
+            out = ctx.mk("ite", self.condition(depth - 1), sub,
                          self.term(depth - 1))
         elif kind == "slice":
             k = rng.randint(1, w - 1)
@@ -783,6 +786,14 @@ class TermFuzzer:
                            else (self.const(), scale)))
         self.pool.append(out)
         return out
+
+    def condition(self, depth):
+        """An ite condition: half the time one of the script's two shared
+        equality atoms (x = y, and x = k for one constant k), so that
+        several ites branch on one atom; otherwise a fresh boolean."""
+        if self.rng.random() < 0.5:
+            return self.rng.choice(self.atoms)
+        return self.boolean(depth)
 
     def boolean(self, depth):
         rng, ctx = self.rng, self.ctx
@@ -863,14 +874,22 @@ INTERVAL_SHAPES = {"const", "zero_extend", "ite", "bvadd", "bvsub",
 CARRIED_BOUNDS = {"x + k", "k - x"}
 
 
+def split_answer(out, *_args):
+    """What ``_split`` decided: unsat, unknown, sat (a model), or None."""
+    if out is None:
+        return None
+    return "sat" if isinstance(out, dict) else out.status
+
+
 def test_random_terms_match_enumeration(monkeypatch):
     """Random scripts of nested terms over two variables at widths 2-4,
     one in ten with the negation of one of its assertions added: the
     solver's sat/unsat is enumeration's, and every model holds.  Every
     rule of ``_fold_trivial``, every reason the refuter gives, a conjunct
-    next to its negation, every shape its intervals narrow and both ways
-    it carries a bound to a variable are met along the way."""
-    folds, refuted, shapes, carried = (Counter() for _ in range(4))
+    next to its negation, every shape its intervals narrow, both ways it
+    carries a bound to a variable, and the split on ite conditions both
+    refuting every leaf and satisfying one are met along the way."""
+    folds, refuted, shapes, carried, split = (Counter() for _ in range(5))
     counted(monkeypatch, solve_mod, "_fold_trivial", fold_rule, folds)
     counted(monkeypatch, solve_mod, "refutation",
             lambda out, _residual: out, refuted)
@@ -878,6 +897,7 @@ def test_random_terms_match_enumeration(monkeypatch):
             lambda out, _residual: "negation" if out else None, refuted)
     counted(monkeypatch, refute_mod, "interval", interval_shape, shapes)
     counted(monkeypatch, refute_mod, "_narrow_atom", carried_bound, carried)
+    counted(monkeypatch, solve_mod, "_split", split_answer, split)
     for seed in range(1500):
         rng = random.Random(seed)
         ctx = Ctx()
@@ -902,6 +922,7 @@ def test_random_terms_match_enumeration(monkeypatch):
     assert set(refuted) == REFUTER_BRANCHES | {"negation"}
     assert set(shapes) >= INTERVAL_SHAPES
     assert set(carried) == CARRIED_BOUNDS
+    assert set(split) == {"unsat", "sat"}
 
 
 # -- interning -----------------------------------------------------------------
@@ -1147,6 +1168,55 @@ def test_the_self_check_follows_a_variable_into_a_later_binding(
         greedy(*args), y=0))
     with pytest.raises(solve_mod.SmtInternalError, match="bvugt"):
         solve_commands(ctx, scripts[2], None, None, child.reduction, False)
+
+# -- cases on ite conditions ---------------------------------------------------
+
+# From x = y = 0 greedy keeps the else branch that x = 0 selects and cannot
+# move y through bvnot; the leaf x = 2 holds at once.
+SPLIT_SAT = """
+(declare-const x (_ BitVec 2))
+(declare-const y (_ BitVec 2))
+(assert (distinct (ite (= x (_ bv2 2)) (_ bv1 2) (bvnot y)) (_ bv3 2)))
+(check-sat)
+(get-value (x y))
+"""
+
+# 6 - x = 7 needs x = 7 (mod 8), where the ite takes its then branch and
+# gives 6 - 6 = 0: the refuters refute each leaf, though not the script.
+SPLIT_UNSAT = """
+(declare-const x (_ BitVec 3))
+(assert (= (bvsub (_ bv6 3) (ite (= x (_ bv7 3)) (_ bv6 3) x)) (_ bv7 3)))
+(check-sat)
+"""
+
+
+def test_cases_on_an_ite_condition_decide_without_bit_blasting(monkeypatch):
+    """Greedy and the refuters decide neither script; the split on the
+    ite's condition decides both at word level, the sat one with the
+    first leaf's model."""
+    answers = Counter()
+    counted(monkeypatch, solve_mod, "_split", split_answer, answers)
+
+    def no_blaster(*_args):
+        raise AssertionError("bit-blasted a check the split decides")
+    monkeypatch.setattr(solve_mod, "Blaster", no_blaster)
+    assert solve(SPLIT_SAT) == "sat\n((x (_ bv2 2)) (y (_ bv0 2)))\n"
+    assert solve(SPLIT_UNSAT) == "unsat\n"
+    assert answers == Counter(sat=1, unsat=1)
+
+
+def test_the_split_reads_the_deadline_before_each_leaf(monkeypatch):
+    """Past the deadline the split answers unknown, with the reason
+    bit-blasting gives."""
+    answers = Counter()
+    counted(monkeypatch, solve_mod, "_split", split_answer, answers)
+    for text in (SPLIT_SAT, SPLIT_UNSAT):
+        ctx, script = parse_script(text)
+        result = solve_commands(ctx, script, DEFAULT_CONFLICT_BUDGET,
+                                time.monotonic() - 1)
+        assert (result.status, result.reason) == ("unknown", "deadline")
+    assert answers == Counter(unknown=2)
+
 
 # -- deadlines -----------------------------------------------------------------
 
