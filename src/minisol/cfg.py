@@ -81,18 +81,19 @@ def build_cfg(fn: IrFunction, id_base=0) -> Cfg:
             instr_nodes[(block.idx, i)] = new_node("instr", ins)
     exit_node = new_node("exit")
 
-    def block_head(idx, seen=()):
-        block = fn.blocks[idx]
-        if block.instrs:
-            return instr_nodes[(idx, 0)].id
-        if idx in seen:
-            raise ValueError("empty block cycle in %s" % fn.name)
-        term = block.term
-        if term.kind == "goto":
-            return block_head(term.targets[0], seen + (idx,))
-        if term.kind == "return":
-            return exit_node.id
-        raise ValueError("empty block with branch terminator")
+    def block_head(idx):
+        seen = set()
+        while not fn.blocks[idx].instrs:
+            if idx in seen:
+                raise ValueError("empty block cycle in %s" % fn.name)
+            seen.add(idx)
+            term = fn.blocks[idx].term
+            if term.kind == "return":
+                return exit_node.id
+            if term.kind != "goto":
+                raise ValueError("empty block with branch terminator")
+            idx = term.targets[0]
+        return instr_nodes[(idx, 0)].id
 
     edges.append((entry.id, block_head(0)))
     for block in fn.blocks:

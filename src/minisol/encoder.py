@@ -139,9 +139,9 @@ class TxEnv:
 
 class _Run:
     """What every numbering of one walk tree shares: the term context, the
-    program and graph, caches over them, and the locals the safety
-    condition reads that are not parameters, as (slot, name), which the
-    root step sets."""
+    program and graph, caches over them (among them each segment index's
+    environment, ``env``), and the locals the safety condition reads that
+    are not parameters, as (slot, name), which the root step sets."""
 
     def __init__(self, ctx, program, graph):
         self.ctx = ctx
@@ -150,6 +150,7 @@ class _Run:
         self.types = dict(program.state_vars)
         self.sorts = {name: _sort(type_) for name, type_ in self.types.items()}
         self.params = {}               # function name -> its parameters
+        self.envs = {}                 # segment index -> ``env(index)``
         self.safety_reads = ()
 
     def fn_params(self, fn_name):
@@ -158,6 +159,26 @@ class _Run:
             fn = self.program.function(fn_name)
             params = self.params[fn_name] = tuple(fn.params) if fn else ()
         return params
+
+    def env(self, index):
+        """Segment `index`'s environment (name -> var term), its two
+        account clauses (finite account universe; single-contract world:
+        origin == sender) and its symbols' declarations (symbol -> var
+        term).  Built once per run and shared by every segment of the
+        index, so none is ever mutated."""
+        out = self.envs.get(index)
+        if out is None:
+            ctx = self.ctx
+            env = {which: ctx.var("%s!t%d" % (which, index),
+                                  _sort(ENV_TYPES.get(which, U256)))
+                   for which in _ENV}
+            sender = env["msg.sender"]
+            out = self.envs[index] = (env, (
+                ctx.checked("bvule", sender,
+                            ctx.const(NUM_ACCOUNTS - 1, ADDRESS.bit_width)),
+                ctx.checked("=", env["tx.origin"], sender)),
+                {term.val: term for term in env.values()})
+        return out
 
     def link(self, cur, saved):
         """A reverting segment's link: for every state variable and mapping
@@ -411,21 +432,15 @@ class _Step:
     def open_segment(self, node):
         """The backward walk enters a transaction at its last node; it
         reverts when that node is a revert sink (reached from
-        tx_processed)."""
-        ctx = self.ctx
+        tx_processed).  The segment's environment and account clauses are
+        its index's, built once per run (``_Run.env``); the step declares
+        the environment's symbols first, in their order."""
         index = self.nseg
         self.nseg += 1
         seg = self.seg = _Seg()
         seg.index, seg.fn = index, node.fn
-        seg.env = {which: self.declare("%s!t%d" % (which, index),
-                                       ENV_TYPES.get(which, U256))
-                   for which in _ENV}
-        # finite account universe; single-contract world: origin == sender
-        sender = seg.env["msg.sender"]
-        seg.env_clauses = (
-            ctx.checked("bvule", sender,
-                        ctx.const(NUM_ACCOUNTS - 1, ADDRESS.bit_width)),
-            ctx.checked("=", seg.env["tx.origin"], sender))
+        seg.env, seg.env_clauses, decls = self.run.env(index)
+        self.decls.update(decls)
         seg.locals = {}
         seg.marks = frozenset()
         seg.saved = self.cur if node.is_revert_sink \
@@ -525,18 +540,11 @@ class _Step:
 
 def _symbols(terms, symbols=None):
     """The free symbols (name -> var term) of `terms`, in first-occurrence
-    order."""
+    order (``Term.free``)."""
     symbols = {} if symbols is None else symbols
-    seen = set()
-    stack = list(reversed(terms))
-    while stack:
-        t = stack.pop()
-        if id(t) in seen:
-            continue
-        seen.add(id(t))
-        if t.op == "var":
-            symbols.setdefault(t.val, t)
-        stack.extend(reversed(t.args))
+    for term in terms:
+        for var in term.free:
+            symbols.setdefault(var.val, var)
     return symbols
 
 

@@ -153,15 +153,19 @@ def heuristic_state_var(ctx: ExplorationContext):
         leaf writes, plus what it reads.  The root's start from the safety
         condition's reads."""
         out = pending.get(leaf.idx)
-        if out is None:
+        if out is not None:
+            return out
+        above = []
+        while leaf is not None and leaf.idx not in pending:
+            above.append(leaf)
+            leaf = leaf.parent
+        out = ctx.safety_reads if leaf is None else pending[leaf.idx]
+        for leaf in reversed(above):
             node = ctx.graph.node(leaf.cfg_node)
             instr = node.instr if node.kind == "instr" else None
-            if leaf.parent is None:
-                out = ctx.safety_reads
-            else:
-                out = pending_at(tree, leaf.parent)
-                if instr is not None and instr.state_writes():
-                    out = out.difference(instr.state_writes())
+            if leaf.parent is not None and instr is not None \
+                    and instr.state_writes():
+                out = out.difference(instr.state_writes())
             if instr is not None and instr.state_reads():
                 out = out.union(instr.state_reads())
             pending[leaf.idx] = out

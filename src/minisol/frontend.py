@@ -760,27 +760,31 @@ def scope_at(ast, line):
     for name, type_ in fn.params:
         bindings[name] = (name, type_, "param")
 
-    found = []
-
-    def walk(body, local):
-        for stmt in body:
-            if stmt.line == line and not found:
-                found.append(dict(local))
-                return True
-            if isinstance(stmt, VarDecl) and stmt.line < line:
-                local[stmt.name] = (stmt.slot, stmt.type_, "local")
-            if isinstance(stmt, If):
-                if walk(stmt.then, dict(local)) or walk(stmt.orelse, dict(local)):
-                    return True
-            elif isinstance(stmt, While):
-                if walk(stmt.body, dict(local)):
-                    return True
-        return False
-
-    walk(fn.body, dict(bindings))
-    if not found:
+    found = _scope_walk(fn.body, dict(bindings), line)
+    if found is None:
         raise TargetError("line %d is not a statement line" % line)
-    return fn, found[0]
+    return fn, found
+
+
+def _scope_walk(body, local, line):
+    """The bindings `local` holds at the first statement of `body` (nested
+    ones included) on `line`, each declaration before it added; None when
+    there is none."""
+    for stmt in body:
+        if stmt.line == line:
+            return dict(local)
+        if isinstance(stmt, VarDecl) and stmt.line < line:
+            local[stmt.name] = (stmt.slot, stmt.type_, "local")
+        found = None
+        if isinstance(stmt, If):
+            found = _scope_walk(stmt.then, dict(local), line)
+            if found is None:
+                found = _scope_walk(stmt.orelse, dict(local), line)
+        elif isinstance(stmt, While):
+            found = _scope_walk(stmt.body, dict(local), line)
+        if found is not None:
+            return found
+    return None
 
 
 def parse_expression_at(ast, line, text):

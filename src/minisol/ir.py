@@ -463,33 +463,32 @@ def _call_graph(program):
     return edges
 
 
-def _find_cycle(edges):
-    WHITE, GRAY, BLACK = 0, 1, 2
+WHITE, GRAY, BLACK = 0, 1, 2
+
+
+def _callees_first(edges):
+    """The functions of call graph `edges`, each after every function it
+    calls (depth first, in `edges` order); recursion is a lowering error."""
     color = {name: WHITE for name in edges}
-    stack = []
-
-    def visit(name):
-        color[name] = GRAY
-        stack.append(name)
-        for succ in edges.get(name, ()):
-            if succ not in color:
-                continue
-            if color[succ] == GRAY:
-                return stack[stack.index(succ):]
-            if color[succ] == WHITE:
-                cycle = visit(succ)
-                if cycle:
-                    return cycle
-        stack.pop()
-        color[name] = BLACK
-        return None
-
+    order = []
     for name in edges:
         if color[name] == WHITE:
-            cycle = visit(name)
-            if cycle:
-                return cycle
-    return None
+            _visit(name, edges, color, [], order)
+    return order
+
+
+def _visit(name, edges, color, stack, order):
+    color[name] = GRAY
+    stack.append(name)
+    for succ in edges.get(name, ()):
+        if color.get(succ) == GRAY:
+            raise LoweringError("recursion among functions: [%s]"
+                                % ", ".join(stack[stack.index(succ):]))
+        if color.get(succ) == WHITE:
+            _visit(succ, edges, color, stack, order)
+    stack.pop()
+    color[name] = BLACK
+    order.append(name)
 
 
 def _rename_operand(operand, suffix):
@@ -578,28 +577,10 @@ def _is_sink(block):
 
 def inline_internal_calls(program):
     """Inline every call site; the result contains public functions only."""
-    edges = _call_graph(program)
-    cycle = _find_cycle(edges)
-    if cycle:
-        raise LoweringError("recursion among functions: [%s]"
-                            % ", ".join(c for c in cycle))
-    callees = {fn.name: fn for fn in program.functions}
     counter = [0]
 
     # inline bottom-up so callee bodies are call-free before they are copied
-    order = []
-    seen = set()
-
-    def topo(name):
-        if name in seen:
-            return
-        seen.add(name)
-        for succ in edges.get(name, ()):
-            topo(succ)
-        order.append(name)
-
-    for fn in program.all_functions():
-        topo(fn.name)
+    order = _callees_first(_call_graph(program))
 
     result = {}
     for name in order:

@@ -12,8 +12,11 @@ its array variable's definition, and replaces every ``select`` by a term
 over bitvectors.  Word-level reduction substitutes definitional conjuncts
 (``x = t``) until none is left.  Resolution and substitution are one
 ``rewrite`` pass, which first resolves reads and then substitutes
-definitions, refolding each node it rebuilds; folding also settles what
-needs no operand's value (``x - x``, ``x < x``, ``x < 0``, ``x <= max``).
+definitions, refolding each node it rebuilds; a term that reads no
+substituted variable and holds no array (facts each term keeps:
+``Term.free``, ``Term.plain``) is not walked, so a binding rewrites only
+what reads its variable.  Folding also settles what needs no operand's
+value (``x - x``, ``x < x``, ``x < 0``, ``x <= max``).
 The two refutation stages (``refute``) only answer unsat, so satisfiable
 checks pass through them unchanged.  The greedy model search assigns
 variables at word level, forcing one false conjunct at a time: it keeps
@@ -362,15 +365,24 @@ def _bv_arith(op, x, y, width):
 
 def rewrite(ctx, term, subst, maps, memo):
     """Replace variables through `subst` (following chains) and array reads
-    through `maps.resolve`, folding every rebuilt node, bottom up."""
+    through `maps.resolve`, folding every rebuilt node, bottom up.  A term
+    that reads no variable of `subst` (``Term.free``) and holds no array
+    (``Term.plain``) is not walked: it rewrites to its fold.  `memo` maps
+    the id of each term rewritten to its result and is read first; a
+    variable `subst` maps to None is kept, but its readers are walked, so
+    a caller that seeds `memo` with replacements of terms over such
+    variables (``_split``) has them applied."""
     hit = memo.get(id(term))
     if hit is not None:
         return hit
     op = term.op
-    if term.sort[0] == "array":
+    if op != "var" and term.plain \
+            and subst.keys().isdisjoint(term.free.keys()):
+        out = fold(ctx, term) if term.args else term
+    elif term.sort[0] == "array":
         raise SmtUnknown("array term outside a definition or select: %s"
                          % print_term(term))
-    if op == "var":
+    elif op == "var":
         value = subst.get(term)
         out = term if value is None \
             else rewrite(ctx, value, subst, maps, memo)
@@ -388,18 +400,9 @@ def rewrite(ctx, term, subst, maps, memo):
 
 
 def occurs(var, term):
-    """True when `var` is `term` or one of its subterms; each shared
-    subterm of the DAG is visited once."""
-    seen = set()
-    stack = [term]
-    while stack:
-        term = stack.pop()
-        if term is var:
-            return True
-        if id(term) not in seen:
-            seen.add(id(term))
-            stack.extend(term.args)
-    return False
+    """True when variable `var` is `term` or one of its subterms: a lookup
+    in the term's free variables, with no walk."""
+    return var in term.free
 
 
 # ---------------------------------------------------------------------------
@@ -559,22 +562,20 @@ def _lacks(script, base):
 
 def _add_users(users, checked, subst):
     """Record in `users` each of `checked` as a reader of every free
-    variable it reads through `subst` (found in order)."""
+    variable it reads through `subst`: its own free variables, and a
+    bound one's definition's, in turn."""
     for a in checked:
-        names, seen, stack = {}, set(), [a]
+        reached = dict(a.free)
+        stack = list(reached)
         while stack:
-            term = stack.pop()
-            if id(term) not in seen:
-                seen.add(id(term))
-                value = subst.get(term) if term.op == "var" else None
-                if term.op != "var":
-                    stack.extend(term.args)
-                elif value is None:
-                    names[term.val] = None
-                else:
-                    stack.append(value)
-        for name in names:
-            users[name] = users.get(name, ()) + (a,)
+            value = subst.get(stack.pop())
+            for var in () if value is None else value.free:
+                if var not in reached:
+                    reached[var] = None
+                    stack.append(var)
+        for var in reached:
+            if var not in subst:
+                users[var.val] = users.get(var.val, ()) + (a,)
 
 
 def _moved(parent, env, bound, evaluator):
@@ -677,8 +678,7 @@ def _solve(ctx, script, new, base, model, conflict_budget, deadline):
     for a in residual:
         own = kept.get(id(a))
         if own is None:
-            own = {}
-            _collect_vars(a, own, set())
+            own = _collect_vars(a)
             fresh.update(own)
         var_sorts.append(own)
 
@@ -750,11 +750,9 @@ def _solve(ctx, script, new, base, model, conflict_budget, deadline):
         # the readers of a variable bound here read its definition's
         users = dict(base.users)
         for name, (_var, definition) in bound.items():
-            readers, free = users.pop(name, None), {}
-            if readers:
-                _collect_vars(definition, free, set())
-            for var in free:
-                users[var] = users.get(var, ()) + readers
+            readers = users.pop(name, None)
+            for var in definition.free if readers else ():
+                users[var.val] = users.get(var.val, ()) + readers
         _add_users(users, checked, subst)
     for a in recheck:
         if evaluator.eval(a) is not True:
@@ -825,13 +823,16 @@ def _split(ctx, maps, residual, sorts, deadline):
     if not atoms:
         return None
     undecided = False
+    # rewrite walks every term that reads an atom's variable (a folded atom
+    # that is not constant has one) and reads its memo first: seeded, the
+    # memo replaces the atoms
+    touched = dict.fromkeys(var for atom in atoms for var in atom.free)
     for values in product((True, False), repeat=len(atoms)):
         if deadline is not None and time.monotonic() > deadline:
             return Result("unknown", reason="deadline")
-        # rewrite reads its memo first: seeded, it replaces the atoms
         memo = {id(atom): ctx.cbool(value)
                 for atom, value in zip(atoms, values)}
-        leaf = [rewrite(ctx, a, {}, maps, memo) for a in residual]
+        leaf = [rewrite(ctx, a, touched, maps, memo) for a in residual]
         leaf += [atom if value else fold(ctx, ctx.mk("not", atom))
                  for atom, value in zip(atoms, values)]
         subst = {}
@@ -839,10 +840,7 @@ def _split(ctx, maps, residual, sorts, deadline):
         if leaf is None or refuted_linear(leaf) or refuted_negation(leaf) \
                 or refutation(leaf) is not None:
             continue
-        leaf_sorts = []
-        for a in leaf:
-            leaf_sorts.append({})
-            _collect_vars(a, leaf_sorts[-1], set())
+        leaf_sorts = [_collect_vars(a) for a in leaf]
         env = _zeros(leaf_sorts)
         if not _greedy_rounds(leaf, env, leaf_sorts):
             undecided = True
@@ -896,14 +894,9 @@ def _eval_plain(term, env):
     return _Evaluator(env, {}).eval(term)
 
 
-def _collect_vars(term, out, seen):
-    if id(term) in seen:
-        return
-    seen.add(id(term))
-    if term.op == "var":
-        out.setdefault(term.val, term.sort)
-    for a in term.args:
-        _collect_vars(a, out, seen)
+def _collect_vars(term):
+    """Name -> sort of the free variables of `term`, in their order."""
+    return {var.val: var.sort for var in term.free}
 
 
 def _set_var(env, term, value):
@@ -1123,16 +1116,13 @@ def _wrap_around(x, y, op, env):
     ``a + v < a`` and ``x >= x + 3``), set the comparison's bitvector
     variables to their maximum values one at a time on a trial env; keep
     the trial env, and answer True, as soon as the comparison holds."""
-    left, right = {}, {}
-    _collect_vars(x, left, set())
-    _collect_vars(y, right, set())
-    if left.keys().isdisjoint(right):
+    if x.free.keys().isdisjoint(y.free.keys()):
         return False
     trial = dict(env)
-    for name, sort in {**left, **right}.items():
-        if sort == BOOL:
+    for var in {**x.free, **y.free}:
+        if var.sort == BOOL:
             continue
-        trial[name] = mask(sort[1])
+        trial[var.val] = mask(var.sort[1])
         if _CMP_HOLDS[op](_eval_plain(x, trial), _eval_plain(y, trial)):
             env.update(trial)
             return True

@@ -2,6 +2,11 @@
 
 Terms are immutable and hash-consed through a :class:`Ctx`, so structural
 equality is identity equality and memo tables can key on ``id(term)``.
+Facts that depend only on a term are computed once, on first read, and
+kept on it: ``Term.free``, its free variables in first-occurrence order,
+and ``Term.plain``, whether it holds no array-sorted subterm.  The solver
+reads them instead of walking the DAG (``solve.rewrite`` returns a term
+that reads no substituted variable and holds no array as its fold).
 ``Ctx.folded`` is the one constant-folding memo of the context: it maps the
 id of every term ``solve.fold`` has seen, and of every folded result, to
 the folded term.  A context may serve many scripts (``minisol.synthesize``
@@ -33,18 +38,54 @@ def array(key, value):
     return ("array", key, value)
 
 
+_NO_VARS = {}                      # the free variables of a ground term
+
+
 class SmtError(Exception):
     pass
 
 
 class Term:
-    __slots__ = ("op", "val", "args", "sort")
+    __slots__ = ("op", "val", "args", "sort", "_free", "_plain")
 
     def __init__(self, op, val, args, sort):
         self.op = op
         self.val = val
         self.args = args
         self.sort = sort
+        self._free = self._plain = None
+
+    @property
+    def free(self):
+        """The term's free variables in depth-first, left-to-right order of
+        first occurrence, as a dict from variable term to None.  Computed
+        on first read and never mutated: a term whose other arguments add
+        no variable shares the table of its first argument that has one.
+        A variable's own table is built on each read, since one kept on it
+        would refer back to it, a cycle only the cyclic collector frees."""
+        out = self._free
+        if out is None:
+            if self.op == "var":
+                return {self: None}
+            out = _NO_VARS
+            for a in self.args:
+                more = a.free
+                if not more.keys() <= out.keys():
+                    out = {**out, **more} if out else more
+            self._free = out
+        return out
+
+    @property
+    def plain(self):
+        """True when no subterm, the term included, is array-sorted: the
+        term holds no select, store or constant array."""
+        out = self._plain
+        if out is None:
+            out = self.sort[0] != "array"
+            for a in self.args:
+                out = out and a.plain
+            self._plain = out
+        return out
 
     def __repr__(self):
         return "<%s>" % print_term(self)

@@ -18,6 +18,11 @@ numbering: they reverse a walk into execution order and number it forward
 from its earliest node, as tagged tuples turned into terms afterwards.
 The backward numbering must give equisatisfiable scripts.
 
+``reference_free_vars``, ``reference_array_free`` and ``reference_rewrite``
+compute by a walk of every node what a hash-consed term keeps
+(``Term.free``, ``Term.plain``) and what ``smt.solve.rewrite`` returns
+without walking the terms its shortcut skips.
+
 ``reference_tokenize`` is the frontend's former lexer, one anchored match
 per token with a running column; the single-pass lexer must give the same
 token stream and the same errors.  ``to_source``/``ast_equal`` (the
@@ -948,3 +953,95 @@ def forward_encode(script, safety=None, program=None, ctx=None):
     symbols.update(t.arrays)
     return SmtScript(ctx, [ctx.checked("assert", a) for a in asserts],
                      lambda: symbols)
+
+
+# ---------------------------------------------------------------------------
+# Term facts and rewriting, by a walk of every node
+# ---------------------------------------------------------------------------
+
+def reference_free_vars(term, out=None, seen=None):
+    """The variables of `term`, depth first, left to right, each at its
+    first occurrence: a list of variable terms.  A subterm met again adds
+    nothing, so it is not walked again (`seen`: ids of subterms met)."""
+    out = [] if out is None else out
+    seen = set() if seen is None else seen
+    if id(term) not in seen:
+        seen.add(id(term))
+        if term.op == "var":
+            out.append(term)
+        for a in term.args:
+            reference_free_vars(a, out, seen)
+    return out
+
+
+def reference_array_free(term):
+    """True when no select, store, constant array or other array-sorted
+    term occurs in `term`."""
+    stack, seen = [term], set()
+    while stack:
+        term = stack.pop()
+        if id(term) in seen:
+            continue
+        seen.add(id(term))
+        if term.sort[0] == "array" \
+                or term.op in ("select", "store", "const_array"):
+            return False
+        stack.extend(term.args)
+    return True
+
+
+def reference_rewrite(ctx, term, subst, maps, memo):
+    """``smt.solve.rewrite`` with no shortcut: every node is walked, each
+    rebuilt one folded, variables replaced through `subst` (following
+    chains) and reads resolved through the definitions of `maps` (a
+    ``smt.solve._Maps``), down to its Ackermann reads."""
+    from minisol.smt.solve import SmtUnknown, fold
+
+    hit = memo.get(id(term))
+    if hit is not None:
+        return hit
+    if term.sort[0] == "array":
+        raise SmtUnknown("array term outside a definition or select")
+    if term.op == "var":
+        value = subst.get(term)
+        out = term if value is None \
+            else reference_rewrite(ctx, value, subst, maps, memo)
+    elif term.op == "select":
+        key = reference_rewrite(ctx, term.args[1], subst, maps, memo)
+        out = _reference_read(ctx, term.args[0], key, subst, maps, memo)
+    elif term.args:
+        args = tuple(reference_rewrite(ctx, a, subst, maps, memo)
+                     for a in term.args)
+        out = fold(ctx, term if args == term.args
+                   else ctx.node(term.op, term.val, args, term.sort))
+    else:
+        out = term
+    memo[id(term)] = out
+    return out
+
+
+def _reference_read(ctx, array, key, subst, maps, memo):
+    """The value `array` holds at the rewritten `key`: through definitions,
+    stores and constant arrays, as ``_Maps.resolve`` reads them."""
+    from minisol.smt.solve import fold
+
+    def value(t):
+        return reference_rewrite(ctx, t, subst, maps, memo)
+
+    while True:
+        if array.op == "var":
+            if array not in maps.defs:
+                return maps._read(array, key)
+            array = maps.defs[array]
+        elif array.op == "const_array":
+            return value(array.args[0])
+        else:
+            below, index, stored = array.args
+            hit = fold(ctx, ctx.mk("=", key, value(index)))
+            if hit.op != "cbool":
+                return fold(ctx, ctx.mk(
+                    "ite", hit, value(stored),
+                    _reference_read(ctx, below, key, subst, maps, memo)))
+            if hit.val:
+                return value(stored)
+            array = below

@@ -8,6 +8,7 @@ from collections import Counter
 import pytest
 
 from minisol.concretize import from_json, to_json
+from minisol import encoder
 from minisol.encoder import (SolverConfig, SolverSession, SsaScript, encode,
                              parse_solver_output, ssa_number)
 from minisol import engine
@@ -18,7 +19,7 @@ from minisol import frontend
 from minisol.frontend import extract_targets
 from minisol.lang import TargetSpec
 from minisol import oracle
-from minisol.smt import solve as smt_solve
+from minisol.smt import solve as smt_solve, terms as smt_terms
 
 TIMESTAMP_SRC = """contract Timed {
     bool opened = false;
@@ -330,6 +331,49 @@ def test_word_level_refutation_changes_no_answer(corpus, monkeypatch,
     monkeypatch.setattr(smt_solve, "refutation", lambda residual: None)
     monkeypatch.setattr(smt_solve, "_fold_trivial", lambda *args: None)
     assert runs() == with_rules
+
+
+@pytest.mark.parametrize("lazy_check", [False, True])
+@pytest.mark.parametrize("heuristic", ["floyd-warshall", "state-var"])
+def test_the_rewrite_shortcut_changes_no_answer(corpus, monkeypatch,
+                                                check_log, heuristic,
+                                                lazy_check):
+    """``rewrite`` returns a term that reads no substituted variable and
+    holds no array as its fold, without walking it.  With the shortcut
+    patched off (no term is ``plain``), every term is walked.  On multi_tx,
+    token, guess_check, address_scores and 20 generated programs (20 walks
+    each at most) every check keeps its walk, status and reason, and every
+    run its outcome and sequence.  In every run, each segment index has
+    one environment and one pair of account clauses, whichever step opens
+    a segment of it."""
+    sources = [(corpus[name], Limits()) for name in
+               ("multi_tx", "token", "guess_check", "address_scores")]
+    sources += [(_annotated(seed), Limits(max_walks=20, wall_timeout=60))
+                for seed in range(7000, 7020)]
+    envs = {}                      # (run, segment index) -> env, clauses
+    open_segment = encoder._Step.open_segment
+
+    def recorded(step, node):
+        open_segment(step, node)
+        env = (step.seg.env, step.seg.env_clauses)
+        kept = envs.setdefault((step.run, step.seg.index), env)
+        assert kept[0] is env[0] and kept[1] is env[1]
+
+    def runs():
+        out = []
+        for source, limits in sources:
+            check_log.clear()
+            result = synthesize(source, heuristic=heuristic,
+                                lazy_check=lazy_check, limits=limits)
+            assert result.reason != "timeout"
+            out.append((_outcome(result), list(check_log)))
+            envs.clear()
+        return out
+
+    monkeypatch.setattr(encoder._Step, "open_segment", recorded)
+    with_shortcut = runs()
+    monkeypatch.setattr(smt_terms.Term, "plain", property(lambda term: False))
+    assert runs() == with_shortcut
 
 
 @pytest.fixture
@@ -890,16 +934,23 @@ def test_emit_smt_dumps_every_submission_deterministically(
 
 
 def test_a_run_leaves_no_cyclic_garbage(corpus):
-    """A check's terms, scripts and closures are freed by reference
-    counting alone.  A multi_tx run used to leave about a million objects
-    in reference cycles; 61 are left now, all built once per run."""
-    gc.collect()
-    gc.disable()
-    try:
-        synthesize(corpus["multi_tx"])
-        assert gc.collect() < 1000
-    finally:
-        gc.enable()
+    """A run's frontend, IR, CFG+, terms, scripts and closures are freed by
+    reference counting alone: no recursive closure refers to itself, and
+    no term keeps a table that refers back to it.  A multi_tx run used to
+    leave about a million objects in reference cycles; none are left, by
+    it, by token under state-var, or by a generated program (20 walks at
+    most)."""
+    runs = [(corpus["multi_tx"], {}),
+            (corpus["token"], {"heuristic": "state-var"}),
+            (_annotated(7000), {"limits": Limits(max_walks=20)})]
+    for source, kwargs in runs:
+        gc.collect()
+        gc.disable()
+        try:
+            synthesize(source, **kwargs)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def test_wall_timeout_ends_the_search_with_timeout(corpus):

@@ -17,6 +17,8 @@ from minisol.smt.solve import (DEFAULT_CONFLICT_BUDGET, SmtUnknown,
                                solve_commands)
 from minisol.smt.terms import BOOL, Ctx, SmtError, array, bv, chain_above, \
     print_term
+from ref_oracles import (reference_array_free, reference_free_vars,
+                         reference_rewrite)
 
 A8 = "(Array (_ BitVec 8) (_ BitVec 8))"
 
@@ -923,6 +925,106 @@ def test_random_terms_match_enumeration(monkeypatch):
     assert set(shapes) >= INTERVAL_SHAPES
     assert set(carried) == CARRIED_BOUNDS
     assert set(split) == {"unsat", "sat"}
+
+
+# -- term facts ----------------------------------------------------------------
+
+def _subterms(terms):
+    """The distinct subterms of `terms`, each once."""
+    out, seen, stack = [], set(), list(terms)
+    while stack:
+        term = stack.pop()
+        if id(term) not in seen:
+            seen.add(id(term))
+            out.append(term)
+            stack.extend(term.args)
+    return out
+
+
+def test_term_facts_and_rewrite_match_a_walk_of_every_node():
+    """Random terms over x, y and z at widths 2-4, some reading two arrays
+    (m, defined as a store chain or a constant array over n, and n, left
+    undefined) directly or through store chains.  For every subterm, the
+    facts read on the top-level terms first: ``Term.free`` is a
+    depth-first collection of its variables, order included, and
+    ``occurs`` agrees with it; ``Term.plain`` holds exactly when no
+    select, store or array-sorted subterm occurs.  ``rewrite`` gives what
+    a rewrite that walks every node gives, under a random acyclic
+    substitution, and with split atoms seeded into its memo (each atom
+    has a variable, as a folded non-constant atom of a residual does)."""
+    met = Counter()
+    for seed in range(300):
+        rng = random.Random(seed)
+        ctx = Ctx()
+        width = rng.randint(2, 4)
+        fuzzer = TermFuzzer(rng, ctx, width)
+        z = ctx.var("z", bv(width))
+        fuzzer.vars.append(z)
+        fuzzer.pool.append(z)
+        sort = array(bv(width), bv(width))
+        m, n = ctx.var("m", sort), ctx.var("n", sort)
+
+        def stores(base):
+            for _ in range(rng.randint(0, 2)):
+                base = ctx.mk("store", base, fuzzer.term(1), fuzzer.term(1))
+            return base
+
+        definition = stores(rng.choice(
+            [n, ctx.const_array(sort, fuzzer.const())]))
+        for _ in range(rng.randint(0, 3)):
+            fuzzer.pool.append(ctx.mk("select", stores(rng.choice([m, n])),
+                                      fuzzer.term(1)))
+        terms = [fuzzer.boolean(rng.randint(1, 3)) for _ in range(4)]
+
+        # the top-level terms' facts first: their subterms' are computed
+        # on the way
+        for term in terms:
+            term.free, term.plain
+        for term in _subterms(terms):
+            walked = reference_free_vars(term)
+            assert list(term.free) == walked, print_term(term)
+            assert term.plain == reference_array_free(term)
+            for var in fuzzer.vars + [m, n]:
+                assert solve_mod.occurs(var, term) \
+                    == any(v is var for v in walked)
+            met["array read"] += not term.plain
+
+        order = rng.sample(fuzzer.vars, 3)
+        subst = {}
+        for i, var in enumerate(order[:rng.randint(0, 3)]):
+            later = order[i + 1:]
+            values = [t for t in fuzzer.pool if all(
+                any(v is w for w in later) for v in reference_free_vars(t))]
+            subst[var] = rng.choice(values + [fuzzer.const()])
+        met["substitution"] += bool(subst)
+
+        folded = [solve_mod.fold(ctx, t) for t in terms]
+        candidates = [t for t in _subterms(folded) if t.sort == BOOL
+                      and t.op != "cbool" and reference_free_vars(t)]
+        atoms = rng.sample(candidates, min(3, len(candidates)))
+        truth = [rng.random() < 0.5 for _ in atoms]
+        touched = dict.fromkeys(v for a in atoms for v in a.free)
+
+        def seeded():
+            return {id(a): ctx.cbool(t) for a, t in zip(atoms, truth)}
+
+        def maps():
+            out = solve_mod._Maps(ctx, solve_mod.EMPTY)
+            out.defs[m] = definition
+            return out
+
+        real, ref = maps(), maps()
+        for term, flat in zip(terms, folded):
+            assert solve_mod.rewrite(ctx, term, subst, real, {}) is \
+                reference_rewrite(ctx, term, subst, ref, {}), \
+                print_term(term)
+            split = solve_mod.rewrite(ctx, flat, touched, real, seeded())
+            assert split is reference_rewrite(ctx, flat, {}, ref, seeded())
+            held = _subterms([flat])
+            met["atom seeded"] += any(any(a is t for t in held)
+                                      for a in atoms)
+    assert met["array read"] and met["substitution"] \
+        and met["atom seeded"], met
 
 
 # -- interning -----------------------------------------------------------------
