@@ -15,11 +15,12 @@ the target to it, and a numbered node's clauses never change: a one-node
 extension's clauses are its parent's, term for term, plus the new node's.
 A walk carries the check result of its nearest checked prefix
 (``Walk.prefix``, a ``SatResult``), and ``ssa_number`` numbers only the
-nodes after that result's numbering.  Locals and the transaction
-environment belong to their segment; a local read with no earlier write in
-a complete segment is an error, found when the backward walk reaches the
-entry, and so is a safety condition that reads a local the target's
-segment defines only after the target.
+nodes after that result's numbering.  A run numbers a node once per
+numbering state (``Numbering.step``), however many walks reach it.  Locals
+and the transaction environment belong to their segment; a local read with
+no earlier write in a complete segment is an error, found when the
+backward walk reaches the entry, and so is a safety condition that reads a
+local the target's segment defines only after the target.
 
 Two kinds of clause move with the frontier and come first: the account
 clauses of the segment the frontier is in, until its entry is numbered,
@@ -140,8 +141,9 @@ class TxEnv:
 class _Run:
     """What every numbering of one walk tree shares: the term context, the
     program and graph, caches over them (among them each segment index's
-    environment, ``env``), and the locals the safety condition reads that
-    are not parameters, as (slot, name), which the root step sets."""
+    environment, ``env``), the locals the safety condition reads that are
+    not parameters, as (slot, name), which the root step sets, and the
+    step memo that ``Numbering.step`` keeps."""
 
     def __init__(self, ctx, program, graph):
         self.ctx = ctx
@@ -152,6 +154,8 @@ class _Run:
         self.params = {}               # function name -> its parameters
         self.envs = {}                 # segment index -> ``env(index)``
         self.safety_reads = ()
+        self.states = {}               # numbering state -> its number
+        self.steps = {}                # (state number, node) -> step outputs
 
     def fn_params(self, fn_name):
         params = self.params.get(fn_name)
@@ -179,6 +183,20 @@ class _Run:
                 ctx.checked("=", env["tx.origin"], sender)),
                 {term.val: term for term in env.values()})
         return out
+
+    def number(self, n):
+        """The number of `n`'s state: its last node, segment count and
+        live versions, and its open segment's marks, locals and saved
+        versions, each table of versions sorted by name.  The segment's
+        index (``nseg - 1``) and function (the last node's) follow, and a
+        complete `n` is never stepped."""
+        seg = n.seg
+        if seg is not None:
+            saved = seg.saved
+            saved = saved if saved is None else tuple(sorted(saved.items()))
+            seg = seg.marks, *sorted(seg.locals.items()), saved
+        key = n.node, n.nseg, *sorted(n.cur.items()), seg
+        return self.states.setdefault(key, len(self.states))
 
     def link(self, cur, saved):
         """A reverting segment's link: for every state variable and mapping
@@ -245,10 +263,12 @@ class Numbering:
     """The numbering of a walk's first `length` nodes, root first.
 
     Immutable: ``step`` returns the numbering one node longer and shares
-    every part it leaves unchanged.  `cur` and `high` map each state
-    variable and mapping to its live and its highest version."""
-    __slots__ = ("run", "link", "length", "node", "cur", "high", "nseg",
-                 "seg", "complete")
+    every part it leaves unchanged.  `cur` maps each state variable and
+    mapping to its live version, which is also its highest: versions only
+    grow toward the frontier.  `state` is the run's number for what a step
+    from it reads (``_Run.number``)."""
+    __slots__ = ("run", "link", "length", "node", "cur", "nseg", "seg",
+                 "complete", "state")
 
     @classmethod
     def empty(cls, program, graph, ctx):
@@ -257,17 +277,36 @@ class Numbering:
         n.link = None
         n.length = 0
         n.node = None
-        n.cur, n.high = {}, {}
+        n.cur = {}
         n.nseg = 0
         n.seg = None
         n.complete = False
+        n.state = None
         return n
 
     def step(self, node_id, safety=None):
         """The numbering of the walk extended by `node_id`, which executes
         just before the nodes numbered so far.  The root step asserts
-        `safety`, when given, at the root; later steps ignore it."""
-        return _Step(self, node_id).result(safety)
+        `safety`, when given, at the root; later steps ignore it.
+
+        The run keeps each later step's outputs on (state number, node),
+        and a step from an equal state builds only the numbering and a link
+        on its own parent's.  A step that raises is not kept."""
+        if self.length == 0:
+            return _Step(self, node_id).result(safety)
+        run, key = self.run, (self.state, node_id)
+        out = run.steps.get(key)
+        if out is None:
+            n = _Step(self, node_id).result(None)
+            link = n.link
+            run.steps[key] = (n.state, n.cur, n.nseg, n.seg, n.complete,
+                              link.clauses, link.decls, link.defined, link.tx)
+            return n
+        n = Numbering()
+        n.run, n.length, n.node = run, self.length + 1, node_id
+        n.state, n.cur, n.nseg, n.seg, n.complete, *made = out
+        n.link = _Link(self.link, *made, run.ctx)
+        return n
 
     def moving(self):
         """The clauses that move with the frontier: the open segment's
@@ -291,7 +330,7 @@ class _Step:
         self.ctx = parent.run.ctx
         self.node_id = node_id
         self.node = parent.run.graph.node(node_id)
-        self.cur, self.high, self.seg = parent.cur, parent.high, parent.seg
+        self.cur, self.seg = parent.cur, parent.seg
         self.nseg = parent.nseg
         self.complete = parent.complete
         self.clauses = []
@@ -329,11 +368,9 @@ class _Step:
 
     def bump(self, name):
         """Make the next version of state variable or mapping `name` live."""
-        if self.high is self.parent.high:
-            self.high = dict(self.high)
         if self.cur is self.parent.cur:
             self.cur = dict(self.cur)
-        ver = self.high[name] = self.cur[name] = self.high.get(name, 0) + 1
+        ver = self.cur[name] = self.cur.get(name, 0) + 1
         return ver
 
     def live(self, name):
@@ -404,7 +441,7 @@ class _Step:
 
         n = Numbering()
         n.run, n.length, n.node = self.run, parent.length + 1, self.node_id
-        n.cur, n.high, n.nseg, n.seg = self.cur, self.high, self.nseg, self.seg
+        n.cur, n.nseg, n.seg = self.cur, self.nseg, self.seg
         n.complete = self.complete
         n.link = _Link(parent.link, tuple(self.clauses),
                        tuple(self.decls.values()), self.defined, self.tx,
@@ -413,6 +450,7 @@ class _Step:
             seg = self.own_seg()
             seg.marks = seg.marks | self.seg_mentioned
             n.seg = seg
+        n.state = self.run.number(n)
         return n
 
     def assume_safety(self, node, safety):

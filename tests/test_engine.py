@@ -376,6 +376,244 @@ def test_the_rewrite_shortcut_changes_no_answer(corpus, monkeypatch,
     assert runs() == with_shortcut
 
 
+def _step_parts(n):
+    """What a step makes: the numbering's state and its link's terms, by
+    identity."""
+    seg, link, tx = n.seg, n.link, n.link.tx
+    return (n.length, n.node, n.state, n.cur, n.nseg, n.complete,
+            seg and (seg.index, seg.fn, id(seg.env), seg.locals, seg.marks,
+                     seg.saved),
+            link.parent, list(map(id, link.clauses)),
+            list(map(id, link.decls)), link.defined, tx and vars(tx))
+
+
+@pytest.fixture
+def step_hits(monkeypatch):
+    """Every step a run takes from its step memo is checked against a fresh
+    ``_Step`` from the hitting walk's own parent; returns the count of such
+    hits."""
+    real = encoder.Numbering.step
+    hits = [0]
+
+    def step(parent, node_id, safety=None):
+        hit = (parent.state, node_id) in parent.run.steps
+        n = real(parent, node_id, safety)
+        if hit:
+            hits[0] += 1
+            fresh = encoder._Step(parent, node_id).result(None)
+            assert _step_parts(n) == _step_parts(fresh)
+        return n
+
+    monkeypatch.setattr(encoder.Numbering, "step", step)
+    return hits
+
+
+@pytest.mark.parametrize("lazy_check", [False, True])
+@pytest.mark.parametrize("heuristic", ["floyd-warshall", "state-var"])
+def test_the_step_memo_changes_no_answer(corpus, monkeypatch, check_log,
+                                         step_hits, heuristic, lazy_check):
+    """A run numbers a node once per numbering state: a step from a state
+    already stepped by the same node takes the kept outputs, and every
+    such hit equals a fresh step from its own parent.  With the memo
+    patched never to hit, on multi_tx, token, guess_check, address_scores
+    and 20 generated programs (20 walks each at most) every check keeps its
+    walk, status and reason, and every run its outcome and sequence."""
+    sources = [(corpus[name], Limits()) for name in
+               ("multi_tx", "token", "guess_check", "address_scores")]
+    sources += [(_annotated(seed), Limits(max_walks=20, wall_timeout=60))
+                for seed in range(7000, 7020)]
+
+    def runs():
+        out = []
+        for source, limits in sources:
+            check_log.clear()
+            result = synthesize(source, heuristic=heuristic,
+                                lazy_check=lazy_check, limits=limits)
+            assert result.reason != "timeout"
+            out.append((_outcome(result), list(check_log)))
+        return out
+
+    with_memo = runs()
+    assert step_hits[0] > 100
+    monkeypatch.setattr(encoder.Numbering, "step",
+                        lambda parent, node_id, safety=None:
+                        encoder._Step(parent, node_id).result(safety))
+    assert runs() == with_memo
+
+
+KEYS_SRC = """contract Keys {
+    uint256 x = 0;
+    uint256 y = 0;
+
+    function f(uint256 p, uint256 q) public {
+        uint256 a = q;
+        if (p > 5) {
+            x = x + 1;
+        }
+        if (q > 7) {
+            a = 2;
+        }
+        if (p == 3) {
+            y = 1;
+        } else {
+            y = 1;
+        }
+        y = y + a;
+    }
+
+    function g(uint256 p) public {
+        if (p > 1) {
+            x = 5;
+        }
+        require(p < 3);
+    }
+
+    function h() public {
+        if (y == 77)
+            y = 1;  // @target x == 3
+    }
+}
+"""
+
+
+def _nodes(graph):
+    """Node id by label (``entry f``, ``7: condition $t1``, ...)."""
+    return {node.label(): node.id for node in graph.nodes}
+
+
+def _numbered(graph, *walks):
+    """Each walk (node labels, root first) numbered in one run, in order:
+    each walk's numbering after every step."""
+    ids = _nodes(graph)
+    empty = encoder.Numbering.empty(graph.program, graph, smt_terms.Ctx())
+    out = []
+    for labels in walks:
+        n, steps = empty, []
+        for label in labels:
+            n = n.step(ids[label])
+            steps.append(n)
+        out.append(steps)
+    return out
+
+
+def test_the_state_number_keeps_apart_what_a_step_reads(step_hits):
+    """Two walks that meet at one node of ``Keys`` get different state
+    numbers, and share no later step, when they hold different versions
+    of state variable ``x`` (``f`` writes it on one side of a branch
+    only), different versions of local ``a`` (likewise), or when one
+    reverts ``g`` and the other returns from it; the difference shows
+    where a step reads it.  On searches of the contract, under both
+    heuristics, eager and lazy, every step taken from the memo equals a
+    fresh one."""
+    _ast, _program, graph = prepare(KEYS_SRC)
+    tail = ["exit f", "18: y = assign $t5", "18: $t5 = + y a",
+            "14: y = assign 1", "13: condition $t4", "13: $t4 = == p 3"]
+    x_pair = _numbered(
+        graph,
+        tail + ["10: condition $t3", "10: $t3 = > q 7", "8: x = assign $t2",
+                "8: $t2 = + x 1", "7: condition $t1"],
+        tail + ["10: condition $t3", "10: $t3 = > q 7", "7: condition $t1"])
+    a_pair = _numbered(
+        graph,
+        tail + ["11: a = assign 2", "10: condition $t3"],
+        tail + ["10: condition $t3"])
+    revert_pair = _numbered(graph, ["tx_processed", "25: revert_sink",
+                                    "25: require $t2"],
+                            ["tx_processed", "exit g", "25: require $t2"])
+    pairs = [
+        (x_pair, ["7: $t1 = > p 5", "6: a = assign q", "entry f",
+                  "constructed", "exit <constructor>", "3: y = assign 0",
+                  "2: x = assign 0"]),
+        (a_pair, ["10: $t3 = > q 7", "7: condition $t1", "7: $t1 = > p 5",
+                  "6: a = assign q"]),
+        (revert_pair, ["25: $t2 = < p 3", "22: condition $t1",
+                       "22: $t1 = > p 1", "entry g"])]
+    assert x_pair[0][-1].cur["x"] == 1 and "x" not in x_pair[1][-1].cur
+    assert a_pair[0][-1].seg.locals["a"] == 1
+    assert a_pair[1][-1].seg.locals["a"] == 0
+    assert revert_pair[0][-1].seg.saved == {}
+    assert revert_pair[1][-1].seg.saved is None
+    ids = _nodes(graph)
+    last = []
+    for (one, other), rest in pairs:
+        one, other = one[-1], other[-1]
+        assert one.node == other.node
+        for label in rest:
+            assert one.state != other.state
+            node = ids[label]
+            keys = (one.state, node), (other.state, node)
+            one, other = one.step(node), other.step(node)
+            assert all(key in one.run.steps for key in keys)
+        last.append((one.link, other.link))
+    (x_one, x_other), (a_one, a_other), (r_one, r_other) = last
+    assert x_one.clauses != x_other.clauses     # x!1 = 0, x!0 = 0
+    assert a_one.clauses != a_other.clauses     # a!t0!1 = q, a!t0!0 = q
+    assert r_one.tx.aborted and not r_other.tx.aborted
+
+    for heuristic in ("floyd-warshall", "state-var"):
+        for lazy_check in (False, True):
+            result = synthesize(KEYS_SRC, heuristic=heuristic,
+                                lazy_check=lazy_check,
+                                limits=Limits(max_walks=300))
+            assert result.status == "notfound"
+    assert step_hits[0] > 100
+
+
+READ_BEFORE_WRITE_SRC = """contract R {
+    uint256 x = 0;
+
+    function f(uint256 p) public {
+        x = p;
+        bool c = p > 1;
+        if (c) {
+            x = 1;
+        }
+        c = false;
+    }
+}
+"""
+
+
+def test_a_step_that_raises_is_not_kept():
+    """A step that raises ``EncodeError`` is not kept, so a second walk in
+    the same state raises again.  Two hand-made walks of ``R`` skip
+    ``c``'s declaration and meet at ``x = p`` in states that differ only
+    in their marks: the one that reads ``c`` there is refused at the
+    entry, after the one that does not was numbered through it.  And a
+    safety condition reading a local its transaction defines only after
+    the target is refused at the entry each time."""
+    _ast, _program, graph = prepare(READ_BEFORE_WRITE_SRC)
+    ids = _nodes(graph)
+    plain, reading, again = (steps[-1] for steps in _numbered(
+        graph, ["exit f", "10: c = assign 0", "5: x = assign p"],
+        ["exit f", "10: c = assign 0", "7: condition c",
+         "5: x = assign p"],
+        ["exit f", "10: c = assign 0", "7: condition c",
+         "5: x = assign p"]))
+    assert plain.cur == reading.cur
+    assert plain.seg.locals == reading.seg.locals
+    assert plain.seg.marks < reading.seg.marks
+    entry = ids["entry f"]
+    assert plain.step(entry).seg is None
+    assert reading.state != plain.state and again.state == reading.state
+    for walk in (reading, again):
+        with pytest.raises(EncodeError, match="local 'c' read before any"):
+            walk.step(entry)
+        assert (walk.state, entry) not in walk.run.steps
+
+    ast = frontend.parse_contract(LATE_LOCAL_SRC)
+    target = TargetSpec(5, frontend.parse_expression_at(ast, 7, "y > 3"),
+                        "y > 3")
+    _ast, program, graph = prepare(LATE_LOCAL_SRC)
+    root = encoder.Numbering.empty(program, graph, smt_terms.Ctx()).step(
+        graph.target_node(5), target.safety)
+    entry = graph.fn_cfgs["f"].entry_id
+    for _ in range(2):
+        with pytest.raises(EncodeError, match="safety reads local 'y'"):
+            root.step(entry)
+        assert (root.state, entry) not in root.run.steps
+
+
 @pytest.fixture
 def kept_evaluations(monkeypatch):
     """Every value an ``_Evaluator`` answers from its memo to a call from
