@@ -41,9 +41,10 @@ extended, and it keeps its solve's model.  It holds where the script's
 assertions were: ``front`` and the clauses of a hash-consed ``chain`` (a
 walk's moving clauses, and its numbered clauses, the safety condition
 last; a script read from text is all front).  It also holds the
-array definitions, the Ackermann reads, the substitution, the residual
-(with each conjunct's variables), the rewritten assertions with the
-readers of each free variable, and the model.  A SAT answer keeps it, and
+array definitions, the Ackermann reads, the substitution, the residual,
+the rewritten assertions with the readers of each free variable, and the
+model.  A conjunct's variables are its ``Term.free``; the solver keeps no
+table of them.  A SAT answer keeps it, and
 the engine hands it to the checks of the walk's extensions: a child's
 clauses are its parent's, term for term, plus its new node's.  A solve
 starts from the reduction it is given when the reduction's chain is the
@@ -524,21 +525,20 @@ class Reduction:
     (`chain`, a ``terms.Chain``) and its other assertions (`loose`, a
     frozenset), the array definitions and Ackermann reads (`defs`,
     `apps`), the substitution word-level reduction found, the conjuncts
-    left (`residual`, each rewritten under `subst`) with the sorts of each
-    one's variables (`sorts`, name -> sort, one dict per conjunct), the
-    rewritten assertions every model is checked against (`checked`, a
-    chain) with the readers of each free variable through `subst`
-    (`users`: name -> tuple of assertions; None from a whole-script solve,
-    until an extension needs them), and the model (`env`: name -> value
-    of free variables only, since ``_Evaluator`` reads it before `subst`;
-    a free variable it lacks is 0 or false)."""
+    left (`residual`, each rewritten under `subst`; a conjunct's variables
+    are its ``Term.free``), the rewritten assertions every model is
+    checked against (`checked`, a chain) with the readers of each free
+    variable through `subst` (`users`: name -> tuple of assertions; None
+    from a whole-script solve, until an extension needs them), and the
+    model (`env`: name -> value of free variables only, since
+    ``_Evaluator`` reads it before `subst`; a free variable it lacks is 0
+    or false)."""
     chain: object
     loose: frozenset
     defs: dict
     apps: dict
     subst: dict
     residual: object
-    sorts: object
     checked: object
     users: object
     env: object
@@ -546,7 +546,7 @@ class Reduction:
 
 # where a whole-script solve starts; a solve copies what it extends.  It
 # has no model, so a solve from it searches from zeros and checks all.
-EMPTY = Reduction(None, frozenset(), {}, {}, {}, (), (), None, {}, None)
+EMPTY = Reduction(None, frozenset(), {}, {}, {}, (), None, {}, None)
 
 
 def _lacks(script, base):
@@ -662,7 +662,7 @@ def _solve(ctx, script, new, base, model, conflict_budget, deadline):
     # new conjuncts, then, once one binds, through every conjunct left
     # (a conjunct of the base's residual, the same term, reading no
     # variable bound here is left as it is)
-    kept = dict(zip(map(id, base.residual), base.sorts))
+    kept = set(map(id, base.residual))
     subst = dict(base.subst)
     residual = _reduce(ctx, maps, subst, checked, list(base.residual), kept)
     # a conjunct kept from the base is the same term, which its linear
@@ -670,17 +670,6 @@ def _solve(ctx, script, new, base, model, conflict_budget, deadline):
     if residual is None or refuted_linear(
             [a for a in residual if id(a) not in kept]):
         return Result("unsat")
-
-    # each conjunct's variables (a base conjunct has its own already), and
-    # those of the others
-    var_sorts = []
-    fresh = {}
-    for a in residual:
-        own = kept.get(id(a))
-        if own is None:
-            own = _collect_vars(a)
-            fresh.update(own)
-        var_sorts.append(own)
 
     # the model search starts from the base's model, if it has one, with
     # each variable this solve binds solved back to its value there
@@ -690,17 +679,17 @@ def _solve(ctx, script, new, base, model, conflict_budget, deadline):
         memo = {}              # the bindings made here follow the base's
         for var, value in islice(subst.items(), len(base.subst), None):
             bound[var.val] = (var, rewrite(ctx, value, subst, maps, memo))
-        reuse = _Reuse(base.env, bound, kept, fresh)
+        reuse = _Reuse(base.env, bound, kept)
 
     # cheap word-level model search first, then refutation and cases on
     # ite conditions; bit-blast only when they all fail
     if residual:
-        model_env = _greedy_model(residual, var_sorts, reuse)
+        model_env = _greedy_model(residual, reuse)
         if model_env is None:
             if refuted_negation(residual) \
                     or refutation(residual) is not None:
                 return Result("unsat")
-            model_env = _split(ctx, maps, residual, var_sorts, deadline)
+            model_env = _split(ctx, maps, residual, deadline)
             if isinstance(model_env, Result):
                 return model_env
         if model_env is None:
@@ -729,7 +718,7 @@ def _solve(ctx, script, new, base, model, conflict_budget, deadline):
                 else:
                     model_env[name] = _lit_value(assignment, lits)
     elif reuse is not None:
-        model_env = reuse.start(var_sorts)
+        model_env = reuse.start(residual)
     else:
         model_env = {}
 
@@ -764,25 +753,24 @@ def _solve(ctx, script, new, base, model, conflict_budget, deadline):
     return Result("sat", [evaluator.eval(q) for q in queries],
                   reduction=Reduction(script.chain, frozenset(script.front),
                                       maps.defs, maps.apps, subst, residual,
-                                      var_sorts, chain, users, model_env))
+                                      chain, users, model_env))
 
 
 def _reduce(ctx, maps, subst, fresh, residual, known):
     """Word-level reduction of the conjuncts `fresh`, next to `residual`,
     whose conjuncts are reduced under `subst` already: every definitional
     conjunct (``x = t``) extends `subst`, and after a round that bound one,
-    every conjunct left is rewritten again, but for one of `known` (id ->
-    its variables) that reads no variable bound here: rewriting gives it
-    back, and it was no definition where it was reduced.  The conjuncts
-    left, new ones first, or None when one is false."""
-    bound = set()
+    every conjunct left is rewritten again, but for one whose id is in
+    `known` that reads no variable bound here: rewriting gives it back,
+    and it was no definition where it was reduced.  The conjuncts left,
+    new ones first, or None when one is false."""
+    bound = set()                  # the variable terms bound here
     while True:
         binds = len(bound)
         keep = []
         memo = {}
         for a in fresh:
-            own = known.get(id(a))
-            if own is not None and bound.isdisjoint(own):
+            if id(a) in known and bound.isdisjoint(a.free):
                 keep.append(a)
                 continue
             a2 = rewrite(ctx, a, subst, maps, memo)
@@ -794,7 +782,7 @@ def _reduce(ctx, maps, subst, fresh, residual, known):
             if bind is not None:
                 var, value = bind
                 subst[var] = value
-                bound.add(var.val)
+                bound.add(var)
                 memo = {}
                 continue
             keep.append(a2)
@@ -807,7 +795,7 @@ def _reduce(ctx, maps, subst, fresh, residual, known):
 SPLIT_ATOMS = 3
 
 
-def _split(ctx, maps, residual, sorts, deadline):
+def _split(ctx, maps, residual, deadline):
     """Decide `residual` by cases on its first ``SPLIT_ATOMS`` distinct ite
     conditions (splitting on demand: Barrett, Nieuwenhuis, Oliveras &
     Tinelli, LPAR 2006).  Each truth assignment of those atoms is one leaf:
@@ -816,7 +804,8 @@ def _split(ctx, maps, residual, sorts, deadline):
     ``t0 = t1`` binds), then refuted or satisfied by greedy rounds from
     zeros.  The leaves cover every assignment of the atoms, so the residual
     is unsat when each leaf is refuted.  The first leaf greedy satisfies
-    gives a model of the residual (`sorts`: each conjunct's variables).
+    gives a model of the residual: the leaf's, with each variable the leaf
+    bound at its definition's value (a variable it lacks is 0 or false).
     None when the residual has no ite condition or neither holds; unknown
     once the deadline has passed before a leaf."""
     atoms = _ite_conditions(residual)
@@ -836,19 +825,17 @@ def _split(ctx, maps, residual, sorts, deadline):
         leaf += [atom if value else fold(ctx, ctx.mk("not", atom))
                  for atom, value in zip(atoms, values)]
         subst = {}
-        leaf = _reduce(ctx, maps, subst, leaf, [], {})
+        leaf = _reduce(ctx, maps, subst, leaf, [], set())
         if leaf is None or refuted_linear(leaf) or refuted_negation(leaf) \
                 or refutation(leaf) is not None:
             continue
-        leaf_sorts = [_collect_vars(a) for a in leaf]
-        env = _zeros(leaf_sorts)
-        if not _greedy_rounds(leaf, env, leaf_sorts):
+        env = {}
+        if not _greedy_rounds(leaf, env):
             undecided = True
             continue
         # the variables the leaf bound take their definitions' values
         evaluator = _Evaluator(env, subst)
-        model = _zeros(sorts)
-        model.update(env)
+        model = dict(env)
         model.update((var.val, evaluator.eval(var)) for var in subst)
         evaluator = _Evaluator(model, {})
         for a in residual:
@@ -890,13 +877,9 @@ def _lit_value(assignment, lit):
 # ---------------------------------------------------------------------------
 
 def _eval_plain(term, env):
-    """Evaluate a ground term under a total env (missing vars are 0)."""
+    """Evaluate a ground term under `env` (a variable it lacks is 0 or
+    false)."""
     return _Evaluator(env, {}).eval(term)
-
-
-def _collect_vars(term):
-    """Name -> sort of the free variables of `term`, in their order."""
-    return {var.val: var.sort for var in term.free}
 
 
 def _set_var(env, term, value):
@@ -912,12 +895,12 @@ def _set_var(env, term, value):
     return True
 
 
-def _force(term, want, env, sorts, depth=0, held=None):
+def _force(term, want, env, residual, depth=0, held=None):
     """Best effort at making a boolean term evaluate to `want` by assigning
-    variables; every candidate model is re-verified afterwards.  `sorts`
-    maps each residual conjunct's variable names to their sorts, one dict
-    per conjunct; `held`, when
-    given, lists the conjuncts a comparison move should keep true."""
+    variables; every candidate model is re-verified afterwards.  `residual`
+    is the conjuncts the model is searched for, whose variables a fresh
+    value avoids (``_fresh_value``); `held`, when given, lists the
+    conjuncts a comparison move should keep true."""
     if depth > 12:
         return False
     op = term.op
@@ -926,25 +909,25 @@ def _force(term, want, env, sorts, depth=0, held=None):
     if op == "var":
         return _set_var(env, term, want)
     if op == "not":
-        return _force(term.args[0], not want, env, sorts, depth + 1, held)
+        return _force(term.args[0], not want, env, residual, depth + 1, held)
     if (op == "and" and want) or (op == "or" and not want):
         evaluator = _Evaluator(env, {})
         for sub in term.args:
             if evaluator.eval(sub) != want:
-                if not _force(sub, want, env, sorts, depth + 1, held):
+                if not _force(sub, want, env, residual, depth + 1, held):
                     return False
                 evaluator = _Evaluator(env, {})
         return True
     if (op == "or" and want) or (op == "and" and not want):
-        return any(_force(sub, want, env, sorts, depth + 1, held)
+        return any(_force(sub, want, env, residual, depth + 1, held)
                    for sub in term.args)
     if op in ("=", "distinct"):
         equal = (op == "=") == want
-        return _force_eq(term.args[0], term.args[1], equal, env, sorts,
+        return _force_eq(term.args[0], term.args[1], equal, env, residual,
                          depth)
     if op in BV_CMPS:
         cmp_op = op if want else NEGATED[op]
-        return _force_cmp(term.args[0], term.args[1], cmp_op, env, sorts,
+        return _force_cmp(term.args[0], term.args[1], cmp_op, env, residual,
                           depth, held)
     return False
 
@@ -956,7 +939,7 @@ def _branches(cond, then, els, env):
     return (taken, other) if _eval_plain(cond, env) else (other, taken)
 
 
-def _solve_to_value(term, value, env, sorts, depth=0):
+def _solve_to_value(term, value, env, residual, depth=0):
     """Assign variables so that `term` evaluates to `value`: a linear term
     over one variable is solved in closed form, otherwise ite/add/sub/extend
     chains are inverted one free side at a time, the ite branch the
@@ -974,13 +957,13 @@ def _solve_to_value(term, value, env, sorts, depth=0):
         inner = term.args[0]
         if value > mask(inner.sort[1]):
             return False
-        return _solve_to_value(inner, value, env, sorts, depth + 1)
+        return _solve_to_value(inner, value, env, residual, depth + 1)
     if op == "ite":
         cond, then, els = term.args
         for pick, sub in _branches(cond, then, els, env):
             if _eval_plain(sub, env) == value or _solvable_leaf(sub):
-                if _solve_to_value(sub, value, env, sorts, depth + 1) \
-                        and _force(cond, pick, env, sorts, depth + 1):
+                if _solve_to_value(sub, value, env, residual, depth + 1) \
+                        and _force(cond, pick, env, residual, depth + 1):
                     return True
         return False
     if op in ("bvadd", "bvsub", "bvneg", "bvmul"):
@@ -1002,7 +985,7 @@ def _solve_to_value(term, value, env, sorts, depth=0):
                 want = (value + fixed_val) & mask(width)
             else:                            # solve b in a - b = value
                 want = (fixed_val - value) & mask(width)
-            if _solve_to_value(free, want, env, sorts, depth + 1):
+            if _solve_to_value(free, want, env, residual, depth + 1):
                 return True
         return False
     return _eval_plain(term, env) == value
@@ -1014,8 +997,9 @@ def _solvable_leaf(term):
     return term.op in ("var", "ite")
 
 
-def _force_eq(x, y, equal, env, sorts, depth):
-    if x.sort != BOOL and _force_difference(x, y, equal, env, sorts, depth):
+def _force_eq(x, y, equal, env, residual, depth):
+    if x.sort != BOOL \
+            and _force_difference(x, y, equal, env, residual, depth):
         return True
     for side, other in ((x, y), (y, x)):
         value = _eval_plain(other, env)
@@ -1024,15 +1008,15 @@ def _force_eq(x, y, equal, env, sorts, depth):
                 value = not value
             elif side.op == "var":
                 return _set_var(env, side, _fresh_value(side, value, env,
-                                                        sorts))
+                                                        residual))
             else:
                 value = (value ^ 1) & mask(side.sort[1])
-        if _solve_to_value(side, value, env, sorts, depth + 1):
+        if _solve_to_value(side, value, env, residual, depth + 1):
             return True
     return False
 
 
-def _force_difference(x, y, equal, env, sorts, depth):
+def _force_difference(x, y, equal, env, residual, depth):
     """When the sides of ``x = y`` (``x != y`` unless `equal`) share an atom,
     solve their linear difference c*a + k for its one atom: c*a + k = 0, or,
     if it is 0, a's value with its low bit flipped (moving it by c, not 0)."""
@@ -1047,19 +1031,20 @@ def _force_difference(x, y, equal, env, sorts, depth):
     if equal:
         value = solve_linear(c, -k & mask(width), width)
         return value is not None \
-            and _solve_to_value(atom, value, env, sorts, depth + 1)
+            and _solve_to_value(atom, value, env, residual, depth + 1)
     current = _eval_plain(atom, env)
     return (c * current + k) & mask(width) != 0 \
-        or _solve_to_value(atom, current ^ 1, env, sorts, depth + 1)
+        or _solve_to_value(atom, current ^ 1, env, residual, depth + 1)
 
 
-def _fresh_value(var, value, env, sorts):
+def _fresh_value(var, value, env, residual):
     """A value for the bitvector `var` other than `value` that no other
-    variable of its sort holds, trying ``value ^ 1`` first; ``value ^ 1``
-    when every value of the sort is taken."""
+    variable of its sort in `residual` holds under `env` (a variable it
+    lacks holds 0), trying ``value ^ 1`` first; ``value ^ 1`` when every
+    value of the sort is taken."""
     top = mask(var.sort[1])
-    taken = {env.get(name, 0) for own in sorts for name, sort in own.items()
-             if sort == var.sort and name != var.val}
+    taken = {env.get(other.val, 0) for a in residual for other in a.free
+             if other.sort == var.sort and other.val != var.val}
     taken.add(value)
     candidate = (value ^ 1) & top
     if len(taken) > top:
@@ -1069,14 +1054,14 @@ def _fresh_value(var, value, env, sorts):
     return candidate
 
 
-def _force_cmp(x, y, op, env, sorts, depth, held=None):
+def _force_cmp(x, y, op, env, residual, depth, held=None):
     """Make ``x op y`` hold by the first of three moves that succeeds: the
     wrap-around values, a move of `x`, a move of `y`.  A move that falsifies
     a conjunct of `held` gives way to a later one that keeps them all
     (``i + 1 < n`` met by ``n := i + 2``, not by wrapping i to n - 2)."""
     moves = (partial(_wrap_around, x, y, op),
-             partial(_move_side, x, y, True, op, sorts, depth),
-             partial(_move_side, y, x, False, op, sorts, depth))
+             partial(_move_side, x, y, True, op, residual, depth),
+             partial(_move_side, y, x, False, op, residual, depth))
     if held is None:
         return any(move(env) for move in moves)
     first = None
@@ -1101,14 +1086,14 @@ def _force_cmp(x, y, op, env, sorts, depth, held=None):
 _CMP_STEP = {"bvult": -1, "bvule": 0, "bvugt": 1, "bvuge": 0}
 
 
-def _move_side(side, other, left, op, sorts, depth, env):
+def _move_side(side, other, left, op, residual, depth, env):
     """Make ``side op other`` (``other op side`` unless `left`) hold: move
     `side` next to the other side's value, or steer the ites inside it."""
     bound = _eval_plain(other, env)
     want = bound + _CMP_STEP[op] if left else bound - _CMP_STEP[op]
     return (0 <= want <= mask(side.sort[1])
-            and _solve_to_value(side, want, env, sorts, depth + 1)) \
-        or _force_cmp_side(side, bound, op, left, env, sorts, depth + 1)
+            and _solve_to_value(side, want, env, residual, depth + 1)) \
+        or _force_cmp_side(side, bound, op, left, env, residual, depth + 1)
 
 
 def _wrap_around(x, y, op, env):
@@ -1129,7 +1114,7 @@ def _wrap_around(x, y, op, env):
     return False
 
 
-def _force_cmp_side(term, bound, op, left, env, sorts, depth):
+def _force_cmp_side(term, bound, op, left, env, residual, depth):
     """Make `term <op> bound` (or `bound <op> term`) hold by steering ite
     conditions toward a branch that already satisfies the comparison."""
     if depth > 12:
@@ -1145,9 +1130,9 @@ def _force_cmp_side(term, bound, op, left, env, sorts, depth):
         value = _eval_plain(sub, env)
         ok = _CMP_HOLDS[op](value, bound) if left \
             else _CMP_HOLDS[op](bound, value)
-        if (ok or _force_cmp_side(sub, bound, op, left, env, sorts,
+        if (ok or _force_cmp_side(sub, bound, op, left, env, residual,
                                   depth + 1)) \
-                and _force(cond, pick, env, sorts, depth + 1):
+                and _force(cond, pick, env, residual, depth + 1):
             return True
     return False
 
@@ -1156,35 +1141,28 @@ def _force_cmp_side(term, bound, op, left, env, sorts, depth):
 class _Reuse:
     """What a solve from a kept reduction reuses of its base's model: the
     base's env (`parent`), the variables the solve binds (`bound`: name ->
-    (variable, definition rewritten through the solve's substitution)),
-    the sorts of each base residual conjunct's variables (`kept`: conjunct
-    id -> name -> sort) and those of the other residual conjuncts'
-    (`fresh`: name -> sort)."""
+    (variable, definition rewritten through the solve's substitution)) and
+    the ids of the base's residual conjuncts (`kept`)."""
     parent: dict
     bound: dict
-    kept: dict
-    fresh: dict
+    kept: set
 
-    def start(self, sorts):
+    def start(self, residual):
         """The base's model, each newly bound variable taken out, since the
         evaluator reads the env before the substitution, and its definition
         solved back to the value the variable had, so that every conjunct
-        the binding rewrote keeps its truth value.  Every variable of the
-        residual (`sorts`, one dict per conjunct) has a value: a kept
-        conjunct's has one in the base's model, which values every
-        variable of the base's residual."""
+        the binding rewrote keeps its truth value.  A variable of
+        `residual` the base's model lacks is 0 or false."""
         parent = self.parent
         env = dict(parent)
         for name in self.bound:
             env.pop(name, None)
-        for name, sort in self.fresh.items():
-            env.setdefault(name, False if sort == BOOL else 0)
         for name, (var, definition) in self.bound.items():
             value = parent.get(name, 0)
             if var.sort == BOOL:
-                _force(definition, bool(value), env, sorts)
+                _force(definition, bool(value), env, residual)
             else:
-                _solve_to_value(definition, value, env, sorts)
+                _solve_to_value(definition, value, env, residual)
         return env
 
     def holds(self, residual, env):
@@ -1197,39 +1175,33 @@ class _Reuse:
                  if parent.get(name, 0) != value}
         evaluator = _Evaluator(env, {})
         for a in residual:
-            own = kept.get(id(a))
-            if (own is None or not moved.isdisjoint(own)) \
+            if (id(a) not in kept
+                    or not moved.isdisjoint([var.val for var in a.free])) \
                     and not evaluator.eval(a):
                 return False
         return True
 
 
-def _greedy_model(residual, sorts, reuse):
-    """Deterministic best-effort assignment of the variables of `residual`
-    (`sorts`: each conjunct's, name -> sort); returns a full env that makes
-    every conjunct
-    true, or None to fall back to bit-blasting.  With `reuse` (a
+def _greedy_model(residual, reuse):
+    """Deterministic best-effort assignment of the variables of `residual`;
+    returns an env that makes every conjunct true (a variable it lacks is
+    0 or false), or None to fall back to bit-blasting.  With `reuse` (a
     ``_Reuse``) the search starts from the base's model: it is the model
     when every conjunct that is new or reads a moved variable holds there,
     and the greedy rounds run from it otherwise.  Only when they fail do
     they run again from zeros, as in a solve without a base."""
     if reuse is not None:
-        env = reuse.start(sorts)
-        if reuse.holds(residual, env) or _greedy_rounds(residual, env, sorts):
+        env = reuse.start(residual)
+        if reuse.holds(residual, env) or _greedy_rounds(residual, env):
             return env
-    env = _zeros(sorts)
-    return env if _greedy_rounds(residual, env, sorts) else None
+    env = {}
+    return env if _greedy_rounds(residual, env) else None
 
 
-def _zeros(sorts):
-    """Every variable of `sorts` (one dict per conjunct) at 0 or false."""
-    return {name: (False if sort == BOOL else 0)
-            for own in sorts for name, sort in own.items()}
-
-
-def _greedy_rounds(residual, env, sorts):
+def _greedy_rounds(residual, env):
     """Force the false conjuncts of `residual` true, one at a time, for at
-    most 8 rounds; True when `env` then makes every conjunct true.  One
+    most 8 rounds; True when `env` then makes every conjunct true (a
+    variable `env` lacks is 0 or false, and a move adds it).  One
     evaluator serves until a move changes `env`.  From the second round on
     a comparison move keeps the conjuncts that held before it when it can
     (``_force_cmp``); in the first, every move is the first that succeeds."""
@@ -1242,7 +1214,7 @@ def _greedy_rounds(residual, env, sorts):
             all_ok = False
             held = [b for b in residual if evaluator.eval(b)] \
                 if round_ else None
-            if not _force(a, True, env, sorts, held=held):
+            if not _force(a, True, env, residual, held=held):
                 return False
             evaluator = _Evaluator(env, {})
         if all_ok:

@@ -812,8 +812,8 @@ def reused_models(monkeypatch):
     starts = []
     counts = {"solves": 0, "reused": 0, "bound": 0, "moved": 0}
 
-    def start(self, sorts):
-        env = real_start(self, sorts)
+    def start(self, residual):
+        env = real_start(self, residual)
         starts.append(env)
         return env
 

@@ -586,6 +586,21 @@ def test_greedy_gives_a_distinct_variable_a_fresh_value(no_bit_blasting):
     assert solve(TOKEN_FRESH_SENDER) == "sat\n"
 
 
+def test_a_variable_missing_from_the_env_is_zero_or_false():
+    """The greedy search keeps no table of a conjunct's variables and no
+    explicit zeros: a fresh value avoids the values the residual's other
+    variables hold under the env, 0 for one the env lacks, and the
+    evaluator reads a missing variable as 0 or false."""
+    ctx = Ctx()
+    x, y, z = (ctx.var(name, bv(8)) for name in "xyz")
+    residual = [ctx.mk("distinct", x, y), ctx.mk("distinct", x, z)]
+    # 0 is z's (missing), 1 is y's
+    assert solve_mod._fresh_value(x, 0, {"y": 1}, residual) == 2
+    evaluator = solve_mod._Evaluator({}, {})
+    assert evaluator.eval(x) == 0
+    assert evaluator.eval(ctx.var("b", BOOL)) is False
+
+
 def test_greedy_solves_one_variable_linear_equations(no_bit_blasting):
     """For c*x + k = v at 8 bits, every coefficient 1-255: whenever brute
     force finds an x, the greedy search does."""
