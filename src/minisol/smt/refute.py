@@ -1,11 +1,13 @@
 """Word-level refutation: unsat answers for residuals whose conjuncts cannot
 all hold, found without bit-blasting.  The stages only ever refute: a
 conjunct found true, or left undecided, stays in the residual and nothing
-is rewritten, so a satisfiable check passes through unchanged.
+is rewritten, so a satisfiable check passes through unchanged.  The linear
+forms here also serve ``solve.fold``: it decides a bitvector (dis)equality
+whose sides differ only by a constant (``x + 2 = x``) and solves an
+equality whose sides differ by ``c*x + k``, c odd, to ``x = v``.  Every
+residual conjunct is folded, so none is a comparison its linear form
+decides.
 
-* ``refuted_linear`` runs on every residual, before the greedy model
-  search.  A bitvector (dis)equality is false when its sides' linear
-  forms differ only by a constant (``x + 2 = x``).
 * ``refuted_negation`` runs only when the greedy search found no model: a
   conjunct next to its own negation (``t`` and ``(not t)``) is false.
 * ``refutation`` runs after it, before the split on ite conditions and
@@ -94,28 +96,6 @@ def solve_linear(c, r, width):
         return None
     modulus = 1 << (width - t)
     return (r >> t) * pow(c >> t, -1, modulus) % modulus
-
-
-def linear_truth(term, memo):
-    """True/False when a bitvector (dis)equality, or its negation, is
-    decided by its sides' linear forms alone (equal coefficients on every
-    atom, so only the constants differ); None otherwise."""
-    want = True
-    if term.op == "not":
-        term, want = term.args[0], False
-    if term.op not in ("=", "distinct") or term.args[0].sort == BOOL:
-        return None
-    (ca, ka), (cb, kb) = (linear(a, memo) for a in term.args)
-    if ca != cb:
-        return None
-    return ((ka == kb) == (term.op == "=")) == want
-
-
-def refuted_linear(residual):
-    """True when some conjunct is false on every assignment because its two
-    sides differ only by a constant (x + 2 = x)."""
-    memo = {}
-    return any(linear_truth(a, memo) is False for a in residual)
 
 
 def refuted_negation(residual):

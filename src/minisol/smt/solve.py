@@ -1,7 +1,6 @@
-"""Solving pipeline, in order: fold/resolve -> word-level reduction -> linear
-refutation -> greedy model -> negation and bound/interval/parity
-refutation -> cases on ite conditions -> bit-blast -> CDCL -> model
-self-check.
+"""Solving pipeline, in order: fold/resolve -> word-level reduction -> greedy
+model -> negation and bound/interval/parity refutation -> cases on ite
+conditions -> bit-blast -> CDCL -> model self-check.
 
 Folding is a function of the hash-consed term: each distinct term is folded
 once per :class:`~.terms.Ctx` and the result kept in ``Ctx.folded``.  A
@@ -16,7 +15,12 @@ definitions, refolding each node it rebuilds; a term that reads no
 substituted variable and holds no array (facts each term keeps:
 ``Term.free``, ``Term.plain``) is not walked, so a binding rewrites only
 what reads its variable.  Folding also settles what needs no operand's
-value (``x - x``, ``x < x``, ``x < 0``, ``x <= max``).
+value (``x - x``, ``x < x``, ``x < 0``, ``x <= max``), and reads a
+bitvector (dis)equality with a bvadd, bvsub, bvneg or bvmul side through
+the linear form of its difference: it is true or false when no atom is
+left (``x + 1 + 1 = x``), and an equality whose one atom is a variable
+with an odd coefficient is solved for it (``x + 1 = 5`` is ``x = 4``),
+which reduction then binds.
 The two refutation stages (``refute``) only answer unsat, so satisfiable
 checks pass through them unchanged.  The greedy model search assigns
 variables at word level, forcing one false conjunct at a time: it keeps
@@ -58,8 +62,7 @@ the base's included, is rewritten again.  An array the base read while
 undefined and the new assertions define has each of its Ackermann reads
 bound to the read through the definition, and each new read of an
 undefined array is paired by congruence with every earlier read of it.
-Linear refutation reads the conjuncts that are not the base's.  The
-model search starts from the base's model: every variable the solve
+The model search starts from the base's model: every variable the solve
 binds leaves it, its definition solved back to the value the variable
 had, and only the conjuncts that are new or read a variable whose value
 moved are evaluated (``_Reuse``); greedy rounds run from there if one
@@ -93,7 +96,7 @@ from itertools import islice, product
 from .bitblast import DEADLINE_STRIDE, Blaster
 from .parse import parse_script
 from .refute import NEGATED, difference, linear, refutation, \
-    refuted_linear, refuted_negation, solve_linear
+    refuted_negation, solve_linear
 from .sat import SatBudgetExceeded, SatSolver
 from .terms import BOOL, BV_BINOPS, BV_CMPS, BV_UNOPS, Chain, SmtError, \
     chain_above, is_const, mask, print_term
@@ -189,17 +192,16 @@ def _fold(ctx, term):
                 return b if a.val else fold(ctx, ctx.mk("not", b))
             if b.op == "cbool":
                 return a if b.val else fold(ctx, ctx.mk("not", a))
-        distributed = _distribute_cmp(ctx, "=", a, b)
-        if distributed is not None:
-            return distributed
-        return ctx.mk("=", a, b)
+        return _distribute_cmp(ctx, "=", a, b) \
+            or _fold_linear(ctx, "=", a, b) or ctx.mk("=", a, b)
     if op == "distinct":
         a, b = args
         if a is b:
             return ctx.FALSE
         if is_const(a) and is_const(b):
             return ctx.cbool(a.val != b.val)
-        return ctx.mk("distinct", a, b)
+        return _fold_linear(ctx, "distinct", a, b) \
+            or ctx.mk("distinct", a, b)
     if op == "ite":
         c, t, e = args
         if c.op == "cbool":
@@ -334,6 +336,31 @@ def _distribute_cmp(ctx, op, a, b):
                                 fold(ctx, ctx.mk(op, *args_t)),
                                 fold(ctx, ctx.mk(op, *args_e))))
     return None
+
+
+_LINEAR_OPS = {"bvadd", "bvsub", "bvneg", "bvmul"}
+
+
+def _fold_linear(ctx, op, a, b):
+    """A bitvector ``a = b`` (`op` ``=``) or ``a != b`` with a side built by
+    bvadd, bvsub, bvneg or bvmul, read through the linear form of ``a - b``
+    (memoized in ``ctx.linear``): true or false when no atom is left, and,
+    for an equality, ``x = v`` when one variable x is left, with an odd
+    coefficient, so v is x's one solution modulo 2^width (Ganesh & Dill,
+    CAV 2007).  None otherwise."""
+    if a.op not in _LINEAR_OPS and b.op not in _LINEAR_OPS:
+        return None
+    coeffs, k = difference(a, b, ctx.linear)
+    if not coeffs:
+        return ctx.cbool((k == 0) == (op == "="))
+    if op != "=" or len(coeffs) != 1:
+        return None
+    (atom, c), = coeffs.items()
+    if atom.op != "var" or not c & 1:
+        return None
+    width = a.sort[1]
+    return ctx.mk("=", atom,
+                  ctx.const(solve_linear(c, -k & mask(width), width), width))
 
 
 def _bv_arith(op, x, y, width):
@@ -665,10 +692,7 @@ def _solve(ctx, script, new, base, model, conflict_budget, deadline):
     kept = set(map(id, base.residual))
     subst = dict(base.subst)
     residual = _reduce(ctx, maps, subst, checked, list(base.residual), kept)
-    # a conjunct kept from the base is the same term, which its linear
-    # form did not refute there
-    if residual is None or refuted_linear(
-            [a for a in residual if id(a) not in kept]):
+    if residual is None:
         return Result("unsat")
 
     # the model search starts from the base's model, if it has one, with
@@ -826,7 +850,7 @@ def _split(ctx, maps, residual, deadline):
                  for atom, value in zip(atoms, values)]
         subst = {}
         leaf = _reduce(ctx, maps, subst, leaf, [], set())
-        if leaf is None or refuted_linear(leaf) or refuted_negation(leaf) \
+        if leaf is None or refuted_negation(leaf) \
                 or refutation(leaf) is not None:
             continue
         env = {}
@@ -1176,7 +1200,8 @@ class _Reuse:
         evaluator = _Evaluator(env, {})
         for a in residual:
             if (id(a) not in kept
-                    or not moved.isdisjoint([var.val for var in a.free])) \
+                    or moved and not moved.isdisjoint(
+                        [var.val for var in a.free])) \
                     and not evaluator.eval(a):
                 return False
         return True

@@ -9,9 +9,10 @@ reads them instead of walking the DAG (``solve.rewrite`` returns a term
 that reads no substituted variable and holds no array as its fold).
 ``Ctx.folded`` is the one constant-folding memo of the context: it maps the
 id of every term ``solve.fold`` has seen, and of every folded result, to
-the folded term.  A context may serve many scripts (``minisol.synthesize``
-keeps one for a whole run), so every distinct term is built and folded once
-for all of them.  A :class:`Chain` is a sequence of clauses, hash-consed in
+the folded term; ``Ctx.linear`` maps the id of every term whose linear form
+folding has read to that form (``refute.linear``).  A context may serve
+many scripts (``minisol.synthesize`` keeps one for a whole run), so every
+distinct term is built and folded once for all of them.  A :class:`Chain` is a sequence of clauses, hash-consed in
 the same way: ``Ctx.chained`` keeps one cell per (chain, clause), so equal
 clause sequences are one chain of the context, however they were built.
 Sorts are ``('bool',)``, ``('bv', width)`` or ``('array', key sort, value
@@ -121,6 +122,7 @@ class Ctx:
     def __init__(self):
         self._intern = {}
         self.folded = {}           # id(term) -> folded term, see solve.fold
+        self.linear = {}           # id(term) -> linear form, see refute.linear
         self._chains = {}          # (parent, clause) -> Chain
         self.TRUE = self.node("cbool", True, ())
         self.FALSE = self.node("cbool", False, ())

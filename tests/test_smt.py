@@ -12,7 +12,6 @@ from minisol.engine import synthesize
 from minisol.explorer import Limits
 from minisol.smt import refute as refute_mod, solve as solve_mod, solve_text
 from minisol.smt.parse import Script, SmtParseError, parse_script
-from minisol.smt.refute import linear_truth, refuted_linear
 from minisol.smt.solve import (DEFAULT_CONFLICT_BUDGET, SmtUnknown,
                                solve_commands)
 from minisol.smt.terms import BOOL, Ctx, SmtError, array, bv, chain_above, \
@@ -381,7 +380,7 @@ def test_random_store_chains_match_dict_semantics(seed):
     assert got == [table.get(p, 0) for p in probes]
 
 
-# -- word-level linear refutation ---------------------------------------------
+# -- linear (dis)equalities, folded -------------------------------------------
 
 def evaluate(term, env):
     """Plain evaluation of the operators the random suites build."""
@@ -455,10 +454,20 @@ def random_comparison(rng, ctx, atoms, width):
     return ctx.mk("not", term) if rng.random() < 0.3 else term
 
 
+def linear_fold(term):
+    """Whether folding read `term`, or the comparison it negates, through
+    its linear form: decided it (a constant) or solved it (``x = v``)."""
+    if term.op == "not":
+        term = term.args[0]
+    return term.op == "cbool" or (term.op == "=" and term.args[0].op == "var"
+                                  and term.args[1].op == "const")
+
+
 @pytest.mark.parametrize("seed", range(30))
 def test_linear_refuter_matches_brute_force(seed):
-    """Whenever the linear form decides a comparison, it holds (or fails)
-    on every assignment of its variables."""
+    """Whenever folding decides a random comparison through its linear
+    form, or solves it to ``x = v``, the result holds exactly where the
+    comparison does, on every assignment of its variables."""
     rng = random.Random(seed)
     ctx = Ctx()
     width = rng.randint(1, 4)
@@ -469,12 +478,12 @@ def test_linear_refuter_matches_brute_force(seed):
     decided = 0
     for _ in range(8):
         term = random_comparison(rng, ctx, atoms, width)
-        truth = linear_truth(term, {})
-        assert refuted_linear([term]) == (truth is False)
-        if truth is None:
+        out = solve_mod.fold(ctx, term)
+        if not linear_fold(out):
             continue
         decided += 1
-        assert all(evaluate(term, env) == truth for env in envs), term
+        assert all(evaluate(out, env) == evaluate(term, env)
+                   for env in envs), (term, out)
     assert decided
 
 
@@ -487,25 +496,36 @@ def test_linear_refuter_fixed_cases():
     def plus(a, k):
         return ctx.mk("bvadd", a, ctx.const(k, 8))
 
-    assert refuted_linear([ctx.mk("=", plus(plus(x, 1), 1), x)])
-    # x + 255 + 1 wraps back to x: true, so not refuted
-    wraps = ctx.mk("=", plus(plus(x, 255), 1), x)
-    assert linear_truth(wraps, {}) is True
-    assert not refuted_linear([wraps])
-    assert refuted_linear([ctx.mk("distinct",
-                                  ctx.mk("bvsub", plus(x, 1), x), one)])
+    def folded(op, *args):
+        return solve_mod.fold(ctx, ctx.mk(op, *args))
+
+    assert folded("=", plus(plus(x, 1), 1), x) is ctx.FALSE
+    # x + 255 + 1 wraps back to x: true
+    assert folded("=", plus(plus(x, 255), 1), x) is ctx.TRUE
+    assert folded("distinct", ctx.mk("bvsub", plus(x, 1), x), one) \
+        is ctx.FALSE
     # an ite is an atom: the same one on both sides cancels
     ite = ctx.mk("ite", c, x, ctx.var("y", bv(8)))
-    assert refuted_linear([ctx.mk("=", ctx.mk("bvadd", ite, one), ite)])
-    assert refuted_linear([ctx.mk("not", ctx.mk(
-        "=", ctx.mk("bvsub", ctx.mk("bvadd", ite, x), x), ite))])
+    assert folded("=", ctx.mk("bvadd", ite, one), ite) is ctx.FALSE
+    assert folded("not", ctx.mk(
+        "=", ctx.mk("bvsub", ctx.mk("bvadd", ite, x), x), ite)) is ctx.FALSE
     # a different atom on one side leaves the comparison undecided
-    assert linear_truth(ctx.mk("=", plus(ite, 1), plus(x, 1)), {}) is None
+    undecided = ctx.mk("=", plus(ite, 1), plus(x, 1))
+    assert solve_mod.fold(ctx, undecided) is undecided
+    # one variable with an odd coefficient is solved: 3x + 1 = 7 is x = 2
+    assert folded("=", plus(ctx.mk("bvmul", ctx.const(3, 8), x), 1),
+                  ctx.const(7, 8)) is ctx.mk("=", x, ctx.const(2, 8))
+    # an even coefficient, an ite atom and a disequality stay as they are
+    for kept in (ctx.mk("=", ctx.mk("bvmul", ctx.const(2, 8), x),
+                        ctx.const(4, 8)),
+                 ctx.mk("=", plus(ite, 1), ctx.const(5, 8)),
+                 ctx.mk("distinct", plus(x, 1), ctx.const(5, 8))):
+        assert solve_mod.fold(ctx, kept) is kept
 
 
 def test_offset_cancelling_check_is_unsat_without_bit_blasting(monkeypatch):
     def no_blaster():
-        raise AssertionError("bit-blasted a check the refuter decides")
+        raise AssertionError("bit-blasted a check folding decides")
     monkeypatch.setattr(solve_mod, "Blaster", no_blaster)
     one = "#x" + "0" * 63 + "1"
     assert solve("""
@@ -860,6 +880,16 @@ def fold_rule(out, _ctx, op, a, b):
     return "%s %s %s" % (op, end, "right" if const is b else "left")
 
 
+def linear_rule(out, _ctx, _op, _a, _b):
+    """What ``_fold_linear`` made of a comparison: decided it true or
+    false, or solved it to ``x = v``."""
+    if out is None:
+        return None
+    if out.op == "cbool":
+        return "linear true" if out.val else "linear false"
+    return "linear solved"
+
+
 def interval_shape(out, term, bounds, _memo):
     """The operator of a term whose shape narrows its interval below its
     sort's range, or "bounded var" for a variable the conjuncts bound."""
@@ -885,6 +915,7 @@ FOLD_RULES = {"self bvsub", "self bvxor", "self bvurem", "self bvand",
               "bvult 0 right", "bvugt 0 left", "bvule 0 left",
               "bvuge 0 right", "bvugt max right", "bvult max left",
               "bvule max right", "bvuge max left"}
+LINEAR_RULES = {"linear true", "linear false", "linear solved"}
 REFUTER_BRANCHES = {"bounds", "interval", "parity"}
 INTERVAL_SHAPES = {"const", "zero_extend", "ite", "bvadd", "bvsub",
                    "bounded var"}
@@ -902,12 +933,14 @@ def test_random_terms_match_enumeration(monkeypatch):
     """Random scripts of nested terms over two variables at widths 2-4,
     one in ten with the negation of one of its assertions added: the
     solver's sat/unsat is enumeration's, and every model holds.  Every
-    rule of ``_fold_trivial``, every reason the refuter gives, a conjunct
+    rule of ``_fold_trivial``, each outcome of ``_fold_linear`` (decided
+    true, decided false, solved), every reason the refuter gives, a conjunct
     next to its negation, every shape its intervals narrow, both ways it
     carries a bound to a variable, and the split on ite conditions both
     refuting every leaf and satisfying one are met along the way."""
     folds, refuted, shapes, carried, split = (Counter() for _ in range(5))
     counted(monkeypatch, solve_mod, "_fold_trivial", fold_rule, folds)
+    counted(monkeypatch, solve_mod, "_fold_linear", linear_rule, folds)
     counted(monkeypatch, solve_mod, "refutation",
             lambda out, _residual: out, refuted)
     counted(monkeypatch, solve_mod, "refuted_negation",
@@ -935,7 +968,7 @@ def test_random_terms_match_enumeration(monkeypatch):
         if expected:
             env = dict(zip("xy", result.values))
             assert all(evaluate(a, env) for a in asserts)
-    assert set(folds) == FOLD_RULES
+    assert set(folds) == FOLD_RULES | LINEAR_RULES
     assert set(refuted) == REFUTER_BRANCHES | {"negation"}
     assert set(shapes) >= INTERVAL_SHAPES
     assert set(carried) == CARRIED_BOUNDS
