@@ -7,8 +7,10 @@ mutant-list JSON file.
 
 Exit codes: 0 found (or replay hit / mutants processed), 1 not found
 (or replay miss), 2 usage, parse, solver or file errors (a path that
-cannot be read or written).  stderr always carries one machine-parseable
-line: ``result=<found|notfound|error> walks=<n> time_ms=<t>``.
+cannot be read or written), 3 an internal error (any other exception, a
+fault of minisol's, never an answer about the input).  stderr always
+carries one machine-parseable line: ``result=<found|notfound|error>
+walks=<n> time_ms=<t>``.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import json
 import os
 import sys
 import time
+import traceback
 
 from .cfg import to_dot
 from .concretize import to_json
@@ -148,6 +151,11 @@ def main(argv=None):
         sys.stderr.write("error: %s\n" % exc)
         summary()
         return 2
+    except Exception:               # any other exception is a bug
+        sys.stderr.write("internal error:\n")
+        traceback.print_exc()
+        summary()
+        return 3
 
 
 if __name__ == "__main__":

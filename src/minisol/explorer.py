@@ -34,7 +34,7 @@ import heapq
 import math
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .cfg import CfgPlus, ReversedView
@@ -104,19 +104,57 @@ def distances_to_start(rv: ReversedView) -> list:
 # Exploration context and heuristics
 # ---------------------------------------------------------------------------
 
+@dataclass(slots=True)
+class NodeFacts:
+    """What the search reads of one graph node: its options (its
+    reversed-graph successors, sorted), the state variables its
+    instruction reads and writes, and those its function writes (None
+    outside a function)."""
+    options: tuple
+    reads: frozenset
+    writes: frozenset
+    fn_writes: Optional[frozenset]
+
+
 @dataclass
 class ExplorationContext:
+    """What the search reads of the graph.  A node's ``NodeFacts`` are
+    computed once per run, on its first read (``node_facts``), and kept in
+    `facts`, indexed by node id: a small program's search reads few of
+    its nodes."""
     graph: CfgPlus
     rv: ReversedView
     to_start: list                         # node id -> distance to start
-    fn_writes: dict                        # function name -> set of state vars
+    fn_writes: dict                        # function name -> frozenset
     safety_reads: frozenset = frozenset()
+    facts: list = field(init=False)        # node id -> NodeFacts, once read
+
+    def __post_init__(self):
+        self.facts = [None] * len(self.graph.nodes)
+
+
+_NO_VARS = frozenset()
+
+
+def node_facts(ctx: ExplorationContext, node_id) -> NodeFacts:
+    """The facts of node `node_id`, computed on its first read; a caller
+    that reads ``ctx.facts`` first calls this only then."""
+    facts = ctx.facts[node_id]
+    if facts is None:
+        node = ctx.graph.node(node_id)
+        instr = node.instr if node.kind == "instr" else None
+        facts = ctx.facts[node_id] = NodeFacts(
+            tuple(sorted(ctx.rv.successors(node_id))),
+            frozenset(instr.state_reads()) if instr else _NO_VARS,
+            frozenset(instr.state_writes()) if instr else _NO_VARS,
+            None if node.fn is None else ctx.fn_writes.get(node.fn, _NO_VARS))
+    return facts
 
 
 def build_context(graph: CfgPlus, safety=None) -> ExplorationContext:
     rv = ReversedView(graph)
     to_start = distances_to_start(rv)
-    fn_writes = {fn.name: fn.state_writes()
+    fn_writes = {fn.name: frozenset(fn.state_writes())
                  for fn in graph.program.all_functions()}
     safety_reads = frozenset(safety_state_reads(safety)) if safety is not None \
         else frozenset()
@@ -145,6 +183,7 @@ def heuristic_floyd_warshall(ctx: ExplorationContext):
 
 def heuristic_state_var(ctx: ExplorationContext):
     fw = heuristic_floyd_warshall(ctx)
+    facts = ctx.facts
     pending = {}    # tree-node index -> state variables read, not yet written
 
     def pending_at(tree, leaf):
@@ -161,22 +200,20 @@ def heuristic_state_var(ctx: ExplorationContext):
             leaf = leaf.parent
         out = ctx.safety_reads if leaf is None else pending[leaf.idx]
         for leaf in reversed(above):
-            node = ctx.graph.node(leaf.cfg_node)
-            instr = node.instr if node.kind == "instr" else None
-            if leaf.parent is not None and instr is not None \
-                    and instr.state_writes():
-                out = out.difference(instr.state_writes())
-            if instr is not None and instr.state_reads():
-                out = out.union(instr.state_reads())
+            node = facts[leaf.cfg_node] or node_facts(ctx, leaf.cfg_node)
+            if leaf.parent is not None and node.writes:
+                out = out - node.writes
+            if node.reads:
+                out = out | node.reads
             pending[leaf.idx] = out
         return out
 
     def cost(tree, leaf, option):
         reads = pending_at(tree, leaf)
         if reads:
-            fn = ctx.graph.node(option).fn
-            if fn is not None and not (ctx.fn_writes.get(fn, set()) & reads):
-                return float("inf")
+            writes = (facts[option] or node_facts(ctx, option)).fn_writes
+            if writes is not None and writes.isdisjoint(reads):
+                return math.inf
         return fw(tree, leaf, option)
 
     return cost
@@ -258,11 +295,14 @@ def find_minimal_satisfiable_walk(graph: CfgPlus, target, heuristic, limits,
     heap = []
     counter = 0
 
+    facts = ctx.facts
+
     def push_options(tree_node, prefix):
         nonlocal counter
         if tree_node.depth >= limits.max_walk_len:
             return
-        for succ in sorted(ctx.rv.successors(tree_node.cfg_node)):
+        node = tree_node.cfg_node
+        for succ in (facts[node] or node_facts(ctx, node)).options:
             cost = h(tree, tree_node, succ)
             counter += 1
             heapq.heappush(heap, (cost, succ, tree_node.idx, counter))

@@ -576,15 +576,21 @@ def _is_sink(block):
 
 
 def inline_internal_calls(program):
-    """Inline every call site; the result contains public functions only."""
+    """Inline every call site; the result contains public functions only.
+    A function with no call site is kept as lowered, not copied: inlining
+    only reads a callee, and nothing downstream writes to a function."""
     counter = [0]
 
     # inline bottom-up so callee bodies are call-free before they are copied
-    order = _callees_first(_call_graph(program))
+    edges = _call_graph(program)
+    order = _callees_first(edges)
 
     result = {}
     for name in order:
         fn = program.function(name)
+        if not edges[name]:
+            result[name] = fn
+            continue
         clone = IrFunction(fn.name, list(fn.params), fn.ret, fn.visibility,
                            [Block(b.idx, list(b.instrs),
                                   Terminator(b.term.kind, tuple(b.term.targets)))

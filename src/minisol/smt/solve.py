@@ -88,6 +88,7 @@ its values can have changed).
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -114,8 +115,23 @@ class SmtInternalError(SmtError):
 # Constant folding
 # ---------------------------------------------------------------------------
 
-_CMP_HOLDS = {"bvult": lambda a, b: a < b, "bvule": lambda a, b: a <= b,
-              "bvugt": lambda a, b: a > b, "bvuge": lambda a, b: a >= b}
+_CMP_HOLDS = {"bvult": operator.lt, "bvule": operator.le,
+              "bvugt": operator.gt, "bvuge": operator.ge}
+
+# bitvector operator -> its value on `width`-bit operands x and y, before
+# it is masked to the width
+_BV_ARITH = {
+    "bvadd": lambda x, y, _width: x + y,
+    "bvsub": lambda x, y, _width: x - y,
+    "bvmul": lambda x, y, _width: x * y,
+    "bvudiv": lambda x, y, width: x // y if y else mask(width),
+    "bvurem": lambda x, y, _width: x % y if y else x,
+    "bvand": lambda x, y, _width: x & y,
+    "bvor": lambda x, y, _width: x | y,
+    "bvxor": lambda x, y, _width: x ^ y,
+    "bvshl": lambda x, y, width: x << y if y < width else 0,
+    "bvlshr": lambda x, y, width: x >> y if y < width else 0,
+}
 
 
 def _sign_extend(value, width, extra):
@@ -142,7 +158,8 @@ def _fold(ctx, term):
     op = term.op
     if op in ("const", "cbool", "var"):
         return term
-    args = tuple([fold(ctx, a) for a in term.args])
+    folded = ctx.folded
+    args = tuple([folded.get(id(a)) or fold(ctx, a) for a in term.args])
     if op in ("select", "store", "const_array"):
         return ctx.node(op, term.val, args)
 
@@ -225,7 +242,8 @@ def _fold(ctx, term):
         a, b = args
         width = a.sort[1]
         if a.op == "const" and b.op == "const":
-            return ctx.const(_bv_arith(op, a.val[0], b.val[0], width), width)
+            return ctx.const(_BV_ARITH[op](a.val[0], b.val[0], width),
+                             width)
         trivial = _fold_trivial(ctx, op, a, b)
         if trivial is not None:
             return trivial
@@ -363,30 +381,6 @@ def _fold_linear(ctx, op, a, b):
                   ctx.const(solve_linear(c, -k & mask(width), width), width))
 
 
-def _bv_arith(op, x, y, width):
-    if op == "bvadd":
-        return x + y
-    if op == "bvsub":
-        return x - y
-    if op == "bvmul":
-        return x * y
-    if op == "bvudiv":
-        return x // y if y else mask(width)
-    if op == "bvurem":
-        return x % y if y else x
-    if op == "bvand":
-        return x & y
-    if op == "bvor":
-        return x | y
-    if op == "bvxor":
-        return x ^ y
-    if op == "bvshl":
-        return x << y if y < width else 0
-    if op == "bvlshr":
-        return x >> y if y < width else 0
-    raise SmtError(op)
-
-
 # ---------------------------------------------------------------------------
 # Rewriting: array reads and substitution
 # ---------------------------------------------------------------------------
@@ -399,14 +393,18 @@ def rewrite(ctx, term, subst, maps, memo):
     the id of each term rewritten to its result and is read first; a
     variable `subst` maps to None is kept, but its readers are walked, so
     a caller that seeds `memo` with replacements of terms over such
-    variables (``_split``) has them applied."""
+    variables (``_split``) has them applied.  A node reads the memo and
+    tries the fold shortcut for each of its arguments itself, so only an
+    argument that must be walked costs a call."""
     hit = memo.get(id(term))
     if hit is not None:
         return hit
     op = term.op
+    if not term.args and op != "var":
+        return term                        # a constant is its own fold
     if op != "var" and term.plain \
             and subst.keys().isdisjoint(term.free.keys()):
-        out = fold(ctx, term) if term.args else term
+        out = fold(ctx, term)
     elif term.sort[0] == "array":
         raise SmtUnknown("array term outside a definition or select: %s"
                          % print_term(term))
@@ -417,12 +415,28 @@ def rewrite(ctx, term, subst, maps, memo):
     elif op == "select":
         key = rewrite(ctx, term.args[1], subst, maps, memo)
         out = maps.resolve(term.args[0], key, subst, memo)
-    elif term.args:
-        args = tuple([rewrite(ctx, a, subst, maps, memo) for a in term.args])
-        out = fold(ctx, term if args == term.args
-                   else ctx.node(op, term.val, args, term.sort))
     else:
-        out = term
+        folded, keys = ctx.folded, subst.keys()
+        args = []
+        for a in term.args:
+            new = memo.get(id(a))
+            if new is None:
+                if not a.plain:
+                    new = rewrite(ctx, a, subst, maps, memo)
+                elif a.op == "var":        # itself, or its value's rewrite
+                    new = subst.get(a)
+                    new = a if new is None \
+                        else rewrite(ctx, new, subst, maps, memo)
+                elif keys.isdisjoint(a.free.keys()):
+                    new = (folded.get(id(a)) or fold(ctx, a)) if a.args \
+                        else a
+                else:
+                    new = rewrite(ctx, a, subst, maps, memo)
+            args.append(new)
+        args = tuple(args)
+        node = term if args == term.args \
+            else ctx.node(op, term.val, args, term.sort)
+        out = folded.get(id(node)) or fold(ctx, node)
     memo[id(term)] = out
     return out
 
@@ -659,8 +673,9 @@ def _solve(ctx, script, new, base, model, conflict_budget, deadline):
     maps = _Maps(ctx, base)
     ground = []
     defined = []
+    folded = ctx.folded
     for a in new:
-        a = fold(ctx, a)
+        a = folded.get(id(a)) or fold(ctx, a)
         if a.op == "=" and a.args[0].sort[0] == "array":
             var = maps.define(a)
             if var is None:
@@ -675,7 +690,10 @@ def _solve(ctx, script, new, base, model, conflict_budget, deadline):
 
     resolved = {}                  # term -> term with array reads resolved
     rewritten = maps.rebind(defined, resolved)
-    rewritten += [rewrite(ctx, a, {}, maps, resolved) for a in ground]
+    # a folded term that holds no array is its own rewrite under no
+    # substitution
+    rewritten += [a if a.plain else rewrite(ctx, a, {}, maps, resolved)
+                  for a in ground]
     # a read only a query makes is still bound by congruence to the others
     queries = [rewrite(ctx, fold(ctx, q), {}, maps, resolved)
                for q in script.queries] if model else []
@@ -789,15 +807,20 @@ def _reduce(ctx, maps, subst, fresh, residual, known):
     and it was no definition where it was reduced.  The conjuncts left,
     new ones first, or None when one is false."""
     bound = set()                  # the variable terms bound here
+    folded, keys = ctx.folded, subst.keys()
     while True:
         binds = len(bound)
         keep = []
         memo = {}
         for a in fresh:
-            if id(a) in known and bound.isdisjoint(a.free):
+            free = a.free
+            if id(a) in known and bound.isdisjoint(free):
                 keep.append(a)
                 continue
-            a2 = rewrite(ctx, a, subst, maps, memo)
+            # rewrite's own shortcut, taken here without a call
+            a2 = (folded.get(id(a)) or fold(ctx, a)) \
+                if a.plain and keys.isdisjoint(free.keys()) \
+                else rewrite(ctx, a, subst, maps, memo)
             if a2.op == "cbool":
                 if not a2.val:
                     return None
@@ -1265,74 +1288,102 @@ def _match_binding(ctx, term, subst):
 
 
 class _Evaluator:
+    """The values of terms under a model: a variable's is its value in
+    `env` (name -> int or bool), else its definition's in `subst` (term ->
+    term), else 0 or false.  A constant or a variable is read where it
+    stands; any other term is evaluated once, by its operator's kernel in
+    ``_EVAL``, and kept in `memo` by id."""
+    __slots__ = ("env", "subst", "memo")
+
     def __init__(self, env, subst):
-        self.env = env             # var name -> int/bool (residual model)
-        self.subst = subst         # var term -> term
+        self.env = env
+        self.subst = subst
         self.memo = {}
 
     def eval(self, term):
-        hit = self.memo.get(id(term))
-        if hit is not None:
-            return hit
-        out = self._eval(term)
-        self.memo[id(term)] = out
-        return out
-
-    def _eval(self, term):
         op = term.op
-        if op == "cbool":
-            return term.val
         if op == "const":
             return term.val[0]
+        if op == "cbool":
+            return term.val
         if op == "var":
-            if term.val in self.env:
-                return self.env[term.val]
-            if term in self.subst:
-                return self.eval(self.subst[term])
+            value = self.env.get(term.val)
+            if value is not None:
+                return value
+            definition = self.subst.get(term)
+            if definition is not None:
+                return self.eval(definition)
             return False if term.sort == BOOL else 0
-        if op == "not":
-            return not self.eval(term.args[0])
-        if op == "and":
-            return all(self.eval(a) for a in term.args)
-        if op == "or":
-            return any(self.eval(a) for a in term.args)
-        if op == "xor":
-            out = False
-            for a in term.args:
-                out ^= self.eval(a)
-            return out
-        if op == "=>":
-            return (not self.eval(term.args[0])) or self.eval(term.args[1])
-        if op == "=":
-            return self.eval(term.args[0]) == self.eval(term.args[1])
-        if op == "distinct":
-            return self.eval(term.args[0]) != self.eval(term.args[1])
-        if op == "ite":
-            return self.eval(term.args[1] if self.eval(term.args[0])
-                             else term.args[2])
-        if op in BV_BINOPS:
-            width = term.sort[1]
-            return _bv_arith(op, self.eval(term.args[0]),
-                             self.eval(term.args[1]), width) & mask(width)
-        if op in BV_CMPS:
-            return _CMP_HOLDS[op](self.eval(term.args[0]),
-                                  self.eval(term.args[1]))
-        if op == "bvnot":
-            return ~self.eval(term.args[0]) & mask(term.sort[1])
-        if op == "bvneg":
-            return -self.eval(term.args[0]) & mask(term.sort[1])
-        if op == "zero_extend":
-            return self.eval(term.args[0])
-        if op == "sign_extend":
-            return _sign_extend(self.eval(term.args[0]),
-                                term.args[0].sort[1], term.val)
-        if op == "extract":
-            hi, lo = term.val
-            return (self.eval(term.args[0]) >> lo) & mask(hi - lo + 1)
-        if op == "concat":
-            low_w = term.args[1].sort[1]
-            return (self.eval(term.args[0]) << low_w) | self.eval(term.args[1])
-        raise SmtError("cannot evaluate %r" % op)
+        out = self.memo.get(id(term))
+        if out is None:
+            kernel = _EVAL.get(op)
+            if kernel is None:
+                raise SmtError("cannot evaluate %r" % op)
+            out = self.memo[id(term)] = kernel(self, term)
+        return out
+
+
+# the evaluation kernels: each takes the evaluator and a term of its
+# operator, whose arguments it evaluates through the evaluator
+
+def _eval_xor(ev, term):
+    out = False
+    for a in term.args:
+        out ^= ev.eval(a)
+    return out
+
+
+def _eval_ite(ev, term):
+    cond, then, els = term.args
+    return ev.eval(then if ev.eval(cond) else els)
+
+
+def _eval_bv_binop(ev, term):
+    a, b = term.args
+    width = term.sort[1]
+    return _BV_ARITH[term.op](ev.eval(a), ev.eval(b), width) & mask(width)
+
+
+def _eval_bv_cmp(ev, term):
+    a, b = term.args
+    return _CMP_HOLDS[term.op](ev.eval(a), ev.eval(b))
+
+
+def _eval_sign_extend(ev, term):
+    a = term.args[0]
+    return _sign_extend(ev.eval(a), a.sort[1], term.val)
+
+
+def _eval_extract(ev, term):
+    hi, lo = term.val
+    return ev.eval(term.args[0]) >> lo & mask(hi - lo + 1)
+
+
+def _eval_concat(ev, term):
+    high, low = term.args
+    return ev.eval(high) << low.sort[1] | ev.eval(low)
+
+
+_EVAL = {
+    "not": lambda ev, term: not ev.eval(term.args[0]),
+    "and": lambda ev, term: all(map(ev.eval, term.args)),
+    "or": lambda ev, term: any(map(ev.eval, term.args)),
+    "xor": _eval_xor,
+    "=>": lambda ev, term: (not ev.eval(term.args[0])
+                            or ev.eval(term.args[1])),
+    "=": lambda ev, term: ev.eval(term.args[0]) == ev.eval(term.args[1]),
+    "distinct": lambda ev, term: (ev.eval(term.args[0])
+                                  != ev.eval(term.args[1])),
+    "ite": _eval_ite,
+    **dict.fromkeys(BV_BINOPS, _eval_bv_binop),
+    **dict.fromkeys(BV_CMPS, _eval_bv_cmp),
+    "bvnot": lambda ev, term: ~ev.eval(term.args[0]) & mask(term.sort[1]),
+    "bvneg": lambda ev, term: -ev.eval(term.args[0]) & mask(term.sort[1]),
+    "zero_extend": lambda ev, term: ev.eval(term.args[0]),
+    "sign_extend": _eval_sign_extend,
+    "extract": _eval_extract,
+    "concat": _eval_concat,
+}
 
 
 # ---------------------------------------------------------------------------

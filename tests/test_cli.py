@@ -230,6 +230,23 @@ def test_a_bad_path_is_exit_2_with_a_summary(tmp_path, flag):
     assert summary_of(proc)[0] == "error"
 
 
+def test_an_internal_error_is_exit_3_with_a_summary(monkeypatch, capsys):
+    """An exception that is neither a MiniSolError nor an OSError (here a
+    RecursionError, as a deeply nested expression can raise) is a fault of
+    the tool, not an answer: exit 3 and the error summary, never exit 1,
+    which means "not found"."""
+    from minisol import cli
+
+    def failing(*_args, **_kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+    monkeypatch.setattr(cli, "synthesize", failing)
+    assert cli.main([msol("guess_check"), "--out", "/dev/null"]) == 3
+    err = capsys.readouterr().err
+    assert "RecursionError" in err
+    line = err.strip().splitlines()[-1]
+    assert re.fullmatch(r"result=error walks=0 time_ms=\d+", line), err
+
+
 def test_lazy_check_flag_finds_fewer_walks(tmp_path):
     eager = run_cli(msol("guess_check"), "--out", "/dev/null")
     lazy = run_cli(msol("guess_check"), "--lazy-check", "--out", "/dev/null")

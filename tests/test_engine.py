@@ -619,27 +619,26 @@ def test_a_step_that_raises_is_not_kept():
 
 @pytest.fixture
 def kept_evaluations(monkeypatch):
-    """Every value an ``_Evaluator`` answers from its memo to a call from
-    outside (not one of its own recursive calls) is checked against a
+    """Every value an ``_Evaluator`` answers from its memo, to a call from
+    outside or to one of its own recursive calls, is checked against a
     fresh evaluator under the env as it is now; returns the count of such
     answers.  A greedy round keeps one evaluator until a move changes its
-    env, so a value it kept is never stale."""
+    env, so a value it kept is never stale.  (A constant or a variable is
+    read where it stands, never kept.)"""
     real = smt_solve._Evaluator.eval
-    nested = []
+    checking = []
     kept = [0]
 
-    def inner(evaluator, term):
-        nested.append(term)
-        try:
-            return real(evaluator, term)
-        finally:
-            nested.pop()
-
     def evaluate(self, term):
-        if nested or id(term) not in self.memo:
-            return inner(self, term)
+        if checking or id(term) not in self.memo:
+            return real(self, term)
         kept[0] += 1
-        fresh = inner(smt_solve._Evaluator(dict(self.env), self.subst), term)
+        checking.append(term)
+        try:
+            fresh = real(smt_solve._Evaluator(dict(self.env), self.subst),
+                         term)
+        finally:
+            checking.pop()
         assert self.memo[id(term)] == fresh, smt_solve.print_term(term)
         return fresh
 

@@ -9,7 +9,8 @@ from minisol.engine import prepare, synthesize
 from minisol.errors import ConfigError
 from minisol.explorer import (HEURISTICS, Limits, WalkTree, build_context,
                               find_minimal_satisfiable_walk,
-                              distances_to_start, register_heuristic)
+                              distances_to_start, node_facts,
+                              register_heuristic)
 from minisol.frontend import extract_targets
 
 
@@ -138,6 +139,29 @@ def test_safety_reads_seed_pending(corpus):
     _ast, _program, graph = prepare(source)
     ctx = build_context(graph, target.safety)
     assert ctx.safety_reads == {"maximum_bid"}
+
+
+def test_node_facts_are_the_graphs_and_computed_once(corpus):
+    """A node's facts, on token's graph: its sorted reversed-graph
+    successors, its instruction's state reads and writes, its function's
+    writes (None outside a function); none is computed before it is read,
+    and a second read gives the same object."""
+    _ast, program, graph = prepare(corpus["token"])
+    ctx = build_context(graph, None)
+    assert ctx.facts == [None] * len(graph.nodes)
+    rv = ReversedView(graph)
+    writes = {fn.name: fn.state_writes() for fn in program.all_functions()}
+    for node in graph.nodes:
+        facts = node_facts(ctx, node.id)
+        assert facts.options == tuple(sorted(rv.successors(node.id)))
+        instr = node.instr if node.kind == "instr" else None
+        assert facts.reads == set(instr.state_reads() if instr else ())
+        assert facts.writes == set(instr.state_writes() if instr else ())
+        assert facts.fn_writes == (None if node.fn is None
+                                   else writes.get(node.fn, set()))
+        assert node_facts(ctx, node.id) is facts is ctx.facts[node.id]
+    assert any(f.reads for f in ctx.facts) and any(f.writes
+                                                   for f in ctx.facts)
 
 
 def test_guess_check_concretizes_to_expected_calls(engine_cache):

@@ -96,6 +96,23 @@ def test_inline_identity_without_calls(corpus):
     assert dump_ir(program) == dump_ir(inlined)
 
 
+def test_inline_keeps_a_call_free_function_and_leaves_the_lowered_alone(
+        corpus):
+    """A function with no call site is kept as lowered, not copied; one
+    with a call is a copy with the callee spliced in, and inlining writes
+    to no lowered function: the lowered program dumps the same after."""
+    program = lower_src(corpus["internal_call"])
+    before = dump_ir(program)
+    inlined = inline_internal_calls(program)
+    assert inlined.function("reset") is program.function("reset")
+    assert inlined.constructor is program.constructor
+    boost = inlined.function("boost")
+    assert boost is not program.function("boost")
+    assert "call" not in [i.kind for i in boost.instructions()]
+    assert "call" in [i.kind for i in program.function("boost").instructions()]
+    assert dump_ir(program) == before
+
+
 def test_inline_recursion_detected():
     src = """contract R {
     function f() public { g(); }

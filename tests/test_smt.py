@@ -14,8 +14,8 @@ from minisol.smt import refute as refute_mod, solve as solve_mod, solve_text
 from minisol.smt.parse import Script, SmtParseError, parse_script
 from minisol.smt.solve import (DEFAULT_CONFLICT_BUDGET, SmtUnknown,
                                solve_commands)
-from minisol.smt.terms import BOOL, Ctx, SmtError, array, bv, chain_above, \
-    print_term
+from minisol.smt.terms import BOOL, BV_BINOPS, BV_CMPS, Ctx, SmtError, \
+    array, bv, chain_above, print_term
 from ref_oracles import (reference_array_free, reference_free_vars,
                          reference_rewrite)
 
@@ -383,7 +383,8 @@ def test_random_store_chains_match_dict_semantics(seed):
 # -- linear (dis)equalities, folded -------------------------------------------
 
 def evaluate(term, env):
-    """Plain evaluation of the operators the random suites build."""
+    """Plain evaluation of the operators the random suites build: every
+    operator the solver evaluates."""
     op = term.op
     if op == "var":
         return env[term.val]
@@ -395,6 +396,10 @@ def evaluate(term, env):
     args = [evaluate(a, env) for a in term.args]
     if op in ("and", "or", "not"):
         return {"and": all, "or": any, "not": lambda a: not a[0]}[op](args)
+    if op == "xor":
+        return sum(args) % 2 == 1
+    if op == "=>":
+        return not args[0] or args[1]
     if op in ("=", "distinct", "bvult", "bvule", "bvugt", "bvuge"):
         return py_cmp(op, *args) if op != "distinct" else args[0] != args[1]
     width = term.sort[1]
@@ -412,6 +417,9 @@ def evaluate(term, env):
         return args[0] >> lo & ((1 << (hi - lo + 1)) - 1)
     if op == "zero_extend":
         return args[0]
+    if op == "sign_extend":
+        inner = term.args[0].sort[1]
+        return args[0] - (args[0] >> (inner - 1) << inner) & mask
     if op == "concat":
         return args[0] << term.args[1].sort[1] | args[1]
     return py_arith(op, args[0], args[1], width)
@@ -973,6 +981,143 @@ def test_random_terms_match_enumeration(monkeypatch):
     assert set(shapes) >= INTERVAL_SHAPES
     assert set(carried) == CARRIED_BOUNDS
     assert set(split) == {"unsat", "sat"}
+
+
+# -- evaluation kernels --------------------------------------------------------
+
+class KernelFuzzer:
+    """Random terms over every operator the evaluator has a kernel for, at
+    widths 1-8: bitvector variables x and y of each width, z defined
+    through the substitution, boolean variables p and q, constants (0, 1,
+    the maximum, the width), shifts by at least the width, bvudiv and
+    bvurem by 0, extract, concat, and zero and sign extension."""
+
+    def __init__(self, rng, ctx):
+        self.rng, self.ctx = rng, ctx
+        self.subst = {}
+        self.names = "xyz"
+
+    def var(self, name, width):
+        var = self.ctx.var("%s%d" % (name, width), bv(width))
+        if name == "z" and var not in self.subst:
+            self.names = "xy"           # a definition reads no z
+            self.subst[var] = self.bv(width, 2)
+            self.names = "xyz"
+        return var
+
+    def const(self, width):
+        mask = (1 << width) - 1
+        return self.ctx.const(self.rng.choice(
+            [0, 1, mask, width, self.rng.randrange(mask + 1)]), width)
+
+    def bv(self, width, depth):
+        rng, ctx = self.rng, self.ctx
+        if depth == 0 or rng.random() < 0.15:
+            if rng.random() < 0.3:
+                return self.const(width)
+            return self.var(rng.choice(self.names), width)
+        kind = rng.choice(["binop", "binop", "unop", "ite", "extract",
+                           "concat", "extend"])
+        if kind in ("concat", "extend") and width == 1:
+            kind = "extract"
+        if kind == "binop":
+            op = rng.choice(sorted(BV_BINOPS))
+            b = self.bv(width, depth - 1)
+            if op in ("bvshl", "bvlshr") and rng.random() < 0.3:
+                b = ctx.const(rng.randrange(width, 1 << width) if width > 1
+                              else 1, width)
+            elif op in ("bvudiv", "bvurem") and rng.random() < 0.3:
+                b = ctx.const(0, width)
+            return ctx.mk(op, self.bv(width, depth - 1), b)
+        if kind == "unop":
+            return ctx.mk(rng.choice(["bvnot", "bvneg"]),
+                          self.bv(width, depth - 1))
+        if kind == "ite":
+            return ctx.mk("ite", self.boolean(depth - 1),
+                          self.bv(width, depth - 1), self.bv(width, depth - 1))
+        if kind == "extract":
+            inner = rng.randint(width, 8)
+            lo = rng.randint(0, inner - width)
+            return ctx.mk("extract", self.bv(inner, depth - 1),
+                          val=(lo + width - 1, lo))
+        k = rng.randint(1, width - 1)
+        if kind == "concat":
+            return ctx.mk("concat", self.bv(width - k, depth - 1),
+                          self.bv(k, depth - 1))
+        return ctx.mk(rng.choice(["zero_extend", "sign_extend"]),
+                      self.bv(width - k, depth - 1), val=k)
+
+    def boolean(self, depth):
+        rng, ctx = self.rng, self.ctx
+        if depth == 0 or rng.random() < 0.15:
+            return rng.choice([ctx.var("p", BOOL), ctx.var("q", BOOL),
+                               ctx.TRUE, ctx.FALSE])
+        kind = rng.choice(["cmp", "cmp", "not", "nary", "=>", "bool=",
+                           "ite"])
+        if kind == "cmp":
+            width = rng.randint(1, 8)
+            return ctx.mk(rng.choice(sorted(BV_CMPS) + ["=", "distinct"]),
+                          self.bv(width, depth - 1), self.bv(width, depth - 1))
+        if kind == "not":
+            return ctx.mk("not", self.boolean(depth - 1))
+        if kind == "nary":
+            return ctx.mk(rng.choice(["and", "or", "xor"]),
+                          *(self.boolean(depth - 1)
+                            for _ in range(rng.randint(2, 3))))
+        if kind == "ite":
+            return ctx.mk("ite", *(self.boolean(depth - 1) for _ in "cte"))
+        return ctx.mk("=" if kind == "bool=" else "=>",
+                      self.boolean(depth - 1), self.boolean(depth - 1))
+
+
+def test_evaluation_kernels_match_plain_evaluation():
+    """On random terms over every operator with an evaluation kernel, the
+    evaluator (one per term set, so later terms read its memo) gives on
+    every subterm the value, and the type, plain evaluation gives, a
+    variable defined in the substitution taking its definition's value.
+    Every kernel runs, shifts by the width or more and division and
+    remainder by zero among them.  An operator with no kernel, or an array
+    read, cannot be evaluated."""
+    met = Counter()
+    for seed in range(400):
+        rng = random.Random(seed)
+        ctx = Ctx()
+        fuzzer = KernelFuzzer(rng, ctx)
+        terms = [fuzzer.boolean(rng.randint(1, 4)) for _ in range(3)]
+        terms += [fuzzer.bv(rng.randint(1, 8), rng.randint(1, 4))
+                  for _ in range(3)]
+        env = {}
+        for var in _subterms(terms + list(fuzzer.subst.values())):
+            if var.op == "var" and var not in fuzzer.subst:
+                env[var.val] = rng.random() < 0.5 if var.sort == BOOL \
+                    else rng.randrange(1 << var.sort[1])
+        plain = dict(env)
+        for var, definition in fuzzer.subst.items():
+            plain[var.val] = evaluate(definition, plain)
+        evaluator = solve_mod._Evaluator(env, fuzzer.subst)
+        for term in _subterms(terms):
+            got, want = evaluator.eval(term), evaluate(term, plain)
+            assert got == want and type(got) is type(want), print_term(term)
+            met[term.op] += 1
+            if term.op in ("bvshl", "bvlshr") \
+                    and evaluate(term.args[1], plain) >= term.sort[1]:
+                met["shift by the width or more"] += 1
+            if term.op in ("bvudiv", "bvurem") \
+                    and evaluate(term.args[1], plain) == 0:
+                met[term.op + " by 0"] += 1
+            met["read through subst"] += term in fuzzer.subst
+    assert set(solve_mod._EVAL) <= set(met), set(solve_mod._EVAL) - set(met)
+    for case in ("shift by the width or more", "bvudiv by 0", "bvurem by 0",
+                 "read through subst"):
+        assert met[case], case
+
+    ctx = Ctx()
+    x = ctx.var("x", bv(8))
+    m = ctx.var("m", array(bv(8), bv(8)))
+    for term in (ctx.node("bvrotate", None, (x,), bv(8)),
+                 ctx.mk("select", m, x)):
+        with pytest.raises(SmtError, match="cannot evaluate"):
+            solve_mod._Evaluator({}, {}).eval(term)
 
 
 # -- term facts ----------------------------------------------------------------
