@@ -58,27 +58,23 @@ def tokenize(text):
 
 
 def read_sexprs(tokens):
-    pos = 0
+    """The s-expressions of `tokens`: a list for each parenthesized one, a
+    string for each atom.  The lists still open are kept on a stack, so a
+    deep nesting costs no recursion."""
     out = []
-
-    def read():
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
+    stack = []                     # the open lists, innermost last
+    for tok in tokens:
         if tok == "(":
-            items = []
-            while pos < len(tokens) and tokens[pos] != ")":
-                items.append(read())
-            if pos >= len(tokens):
-                raise SmtParseError("unbalanced parenthesis")
-            pos += 1
-            return items
-        if tok == ")":
-            raise SmtParseError("unexpected ')'")
-        return tok
-
-    while pos < len(tokens):
-        out.append(read())
+            stack.append([])
+        elif tok == ")":
+            if not stack:
+                raise SmtParseError("unexpected ')'")
+            done = stack.pop()
+            (stack[-1] if stack else out).append(done)
+        else:
+            (stack[-1] if stack else out).append(tok)
+    if stack:
+        raise SmtParseError("unbalanced parenthesis")
     return out
 
 

@@ -1,90 +1,42 @@
 """Word-level refutation: unsat answers for residuals whose conjuncts cannot
-all hold, found without bit-blasting.  The stages only ever refute: a
+all hold, found without bit-blasting.  The pass only ever refutes: a
 conjunct found true, or left undecided, stays in the residual and nothing
-is rewritten, so a satisfiable check passes through unchanged.  The linear
-forms here also serve ``solve.fold``: it decides a bitvector (dis)equality
-whose sides differ only by a constant (``x + 2 = x``) and solves an
-equality whose sides differ by ``c*x + k``, c odd, to ``x = v``.  Every
-residual conjunct is folded, so none is a comparison its linear form
+is rewritten, so a satisfiable check passes through unchanged.  Linear
+forms (``Term.linear``) also serve ``solve.fold``: it decides a bitvector
+(dis)equality whose sides differ only by a constant (``x + 2 = x``) and
+solves an equality whose sides differ by ``c*x + k``, c odd, to ``x = v``.
+Every residual conjunct is folded, so none is a comparison its linear form
 decides.
 
-* ``refuted_negation`` runs only when the greedy search found no model: a
-  conjunct next to its own negation (``t`` and ``(not t)``) is false.
-* ``refutation`` runs after it, before the split on ite conditions and
-  bit-blasting.  It reads the
-  conjuncts, with ``and`` flattened and ``not`` pushed into comparisons,
-  as facts ``a op b`` and answers with the first reason it finds:
+``refutation`` runs when the greedy search found no model, before the
+split on ite conditions and bit-blasting, and on each leaf of the split.
+It reads the conjuncts, with ``and`` flattened and ``not`` pushed into
+comparisons, as terms stated true or false and as facts ``a op b``, and
+answers with the first reason it finds:
 
-  - ``bounds``: the unsigned bounds that comparisons against constants put
-    on one term (intersected across the conjuncts, and carried from
-    ``x + k`` and ``k - x`` to ``x``) are empty, or miss the term's own
-    interval;
-  - ``interval``: a comparison fails on the intervals of its sides.  The
-    interval of a term is its bounds intersected with what its shape
-    allows: a constant, a zero extension, the hull of an ite's branches,
-    and an add or subtract whose results all wrap the same number of times
-    (Cousot & Cousot, POPL 1977);
-  - ``parity``: a linear term sum(c_i * x_i) + k only takes values that are
-    k modulo 2^m, where 2^m is the largest power of two dividing every
-    c_i, and its bounds hold no such value (``p + p = 5``).
+- ``negation``: one term is stated both true and false (``t`` next to
+  ``(not t)``, also inside a conjunction);
+- ``bounds``: the unsigned bounds that comparisons against constants put
+  on one term (intersected across the conjuncts, and carried from ``x + k``
+  and ``k - x`` to ``x``) are empty, or miss the term's own interval;
+- ``interval``: a comparison fails on the intervals of its sides.  The
+  interval of a term is its bounds intersected with what its shape allows:
+  a constant, a zero extension, the hull of an ite's branches, and an add
+  or subtract whose results all wrap the same number of times (Cousot &
+  Cousot, POPL 1977);
+- ``parity``: a linear term sum(c_i * x_i) + k only takes values that are
+  k modulo 2^m, where 2^m is the largest power of two dividing every c_i,
+  and its bounds hold no such value (``p + p = 5``).
 """
 
 from __future__ import annotations
 
-from .terms import BOOL, BV_CMPS, mask
+from .terms import BOOL, BV_CMPS, combine, mask
 
 
-def linear(term, memo):
-    """The linear form of a bitvector term, modulo 2^width: a pair
-    (coefficients, constant) whose coefficients map atoms to non-zero
-    multipliers.  bvadd, bvsub, bvneg and bvmul by a constant are linear;
-    every other term (var, ite, extract, ...) is an atom, keyed by the
-    hash-consed term itself."""
-    hit = memo.get(id(term))
-    if hit is not None:
-        return hit
-    op = term.op
-    top = mask(term.sort[1])
-    if op == "const":
-        out = ({}, term.val[0])
-    elif op in ("bvadd", "bvsub"):
-        out = _combine(tuple(linear(a, memo) for a in term.args),
-                       1 if op == "bvadd" else -1, top)
-    elif op == "bvneg":
-        coeffs, k = linear(term.args[0], memo)
-        out = ({atom: -c & top for atom, c in coeffs.items()}, -k & top)
-    elif op == "bvmul" and any(a.op == "const" for a in term.args):
-        a, b = term.args
-        scale, other = (a.val[0], b) if a.op == "const" else (b.val[0], a)
-        coeffs, k = linear(other, memo)
-        scaled = {}
-        for atom, c in coeffs.items():
-            c = c * scale & top
-            if c:
-                scaled[atom] = c
-        out = (scaled, k * scale & top)
-    else:
-        out = ({term: 1}, 0)
-    memo[id(term)] = out
-    return out
-
-
-def _combine(forms, sign, top):
-    """The linear form of ``a + sign * b`` from those of a and b."""
-    (ca, ka), (cb, kb) = forms
-    coeffs = dict(ca)
-    for atom, c in cb.items():
-        c = (coeffs.get(atom, 0) + sign * c) & top
-        if c:
-            coeffs[atom] = c
-        else:
-            coeffs.pop(atom, None)
-    return coeffs, (ka + sign * kb) & top
-
-
-def difference(a, b, memo):
+def difference(a, b):
     """The linear form of ``a - b``."""
-    return _combine((linear(a, memo), linear(b, memo)), -1, mask(a.sort[1]))
+    return combine(a.linear, b.linear, -1, mask(a.sort[1]))
 
 
 def solve_linear(c, r, width):
@@ -98,16 +50,8 @@ def solve_linear(c, r, width):
     return (r >> t) * pow(c >> t, -1, modulus) % modulus
 
 
-def refuted_negation(residual):
-    """True when some conjunct's negation, ``(not t)`` for a conjunct
-    ``t``, is another conjunct (terms are hash-consed, so ``t`` is one
-    object)."""
-    present = set(map(id, residual))
-    return any(a.op == "not" and id(a.args[0]) in present for a in residual)
-
-
 # ---------------------------------------------------------------------------
-# Bounds, intervals and parity
+# Negation, bounds, intervals and parity
 # ---------------------------------------------------------------------------
 
 # c op t holds when t MIRROR[op] c does
@@ -127,12 +71,13 @@ _FEASIBLE = {
 
 
 def refutation(residual):
-    """Why the conjuncts of `residual` cannot all hold: ``'bounds'``,
-    ``'interval'`` or ``'parity'`` (see the module docstring); None when
-    no reason is found, which proves nothing."""
-    facts = []
+    """Why the conjuncts of `residual` cannot all hold: ``'negation'``,
+    ``'bounds'``, ``'interval'`` or ``'parity'`` (see the module
+    docstring); None when no reason is found, which proves nothing."""
+    facts, stated = [], {}
     for conjunct in residual:
-        _facts(conjunct, True, facts)
+        if _facts(conjunct, True, stated, facts):
+            return "negation"
     bounds = {}
     for op, a, b in facts:
         for term, const, swap in ((a, b, False), (b, a, True)):
@@ -142,16 +87,15 @@ def refutation(residual):
                             mask(term.sort[1]))
             if not _narrow(bounds, term, lo, hi):
                 return "bounds"
-    linear_memo = {}
     for term, (lo, hi) in list(bounds.items()):
-        if not _narrow_atom(bounds, term, lo, hi, linear_memo):
+        if not _narrow_atom(bounds, term, lo, hi):
             return "bounds"
     memo = {}
     for term in bounds:
         lo, hi = interval(term, bounds, memo)
         if lo > hi:
             return "bounds"
-        coeffs, k = linear(term, linear_memo)
+        coeffs, k = term.linear
         if not _meets_residue(lo, hi, k, _modulus(coeffs, term.sort[1])):
             return "parity"
     for op, a, b in facts:
@@ -161,18 +105,24 @@ def refutation(residual):
     return None
 
 
-def _facts(term, want, out):
-    """Append the bitvector comparisons that `term` (made `want`) states,
-    as (op, a, b), through ``not`` and a conjunction; skip the rest."""
+def _facts(term, want, stated, out):
+    """Record in `stated` whether `term` (made `want`) and each term it
+    states through ``not`` and a conjunction are stated true or false, a
+    conjunction before its parts, and append the bitvector comparisons
+    among them to `out` as (op, a, b); a term already recorded is not read
+    again.  True when some term is stated both ways."""
+    while term.op == "not":
+        term, want = term.args[0], not want
+    if term in stated:
+        return stated[term] != want
+    stated[term] = want
     op = term.op
-    if op == "not":
-        _facts(term.args[0], not want, out)
-    elif (op == "and" and want) or (op == "or" and not want):
-        for sub in term.args:
-            _facts(sub, want, out)
-    elif op in BV_CMPS or (op in ("=", "distinct")
-                           and term.args[0].sort != BOOL):
+    if (op == "and" and want) or (op == "or" and not want):
+        return any(_facts(sub, want, stated, out) for sub in term.args)
+    if op in BV_CMPS or (op in ("=", "distinct")
+                         and term.args[0].sort != BOOL):
         out.append((op if want else NEGATED[op],) + term.args)
+    return False
 
 
 def _range(op, c, top):
@@ -190,10 +140,10 @@ def _narrow(bounds, term, lo, hi):
     return lo <= hi
 
 
-def _narrow_atom(bounds, term, lo, hi, memo):
+def _narrow_atom(bounds, term, lo, hi):
     """Carry the bounds [lo, hi] of `term` to x when `term` is ``x + k`` or
     ``k - x``; False when that leaves x no value."""
-    coeffs, k = linear(term, memo)
+    coeffs, k = term.linear
     if len(coeffs) != 1:
         return True
     (atom, c), = coeffs.items()

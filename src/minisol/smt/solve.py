@@ -1,6 +1,6 @@
 """Solving pipeline, in order: fold/resolve -> word-level reduction -> greedy
-model -> negation and bound/interval/parity refutation -> cases on ite
-conditions -> bit-blast -> CDCL -> model self-check.
+model -> word-level refutation -> cases on ite conditions -> bit-blast ->
+CDCL -> model self-check.
 
 Folding is a function of the hash-consed term: each distinct term is folded
 once per :class:`~.terms.Ctx` and the result kept in ``Ctx.folded``.  A
@@ -17,12 +17,12 @@ substituted variable and holds no array (facts each term keeps:
 what reads its variable.  Folding also settles what needs no operand's
 value (``x - x``, ``x < x``, ``x < 0``, ``x <= max``), and reads a
 bitvector (dis)equality with a bvadd, bvsub, bvneg or bvmul side through
-the linear form of its difference: it is true or false when no atom is
-left (``x + 1 + 1 = x``), and an equality whose one atom is a variable
-with an odd coefficient is solved for it (``x + 1 = 5`` is ``x = 4``),
-which reduction then binds.
-The two refutation stages (``refute``) only answer unsat, so satisfiable
-checks pass through them unchanged.  The greedy model search assigns
+the linear form of its difference (``Term.linear``): it is true or false
+when no atom is left (``x + 1 + 1 = x``), and an equality whose one atom
+is a variable with an odd coefficient is solved for it (``x + 1 = 5`` is
+``x = 4``), which reduction then binds.
+The refuter (``refute.refutation``) only answers unsat, so satisfiable
+checks pass through it unchanged.  The greedy model search assigns
 variables at word level, forcing one false conjunct at a time: it keeps
 the ite branch a condition already selects, gives a variable forced to
 differ a value no other variable of its sort holds, solves one-variable
@@ -31,11 +31,11 @@ linear difference of two sides that share a variable, tries maximum
 values when both sides of a comparison share one (``a + v < a``), and
 from its second round keeps the conjuncts that held when a comparison
 can be met by moving either side.  When it fails, the residual is
-refuted by a conjunct next to its negation, bounds, intervals or parity
-if it can be.  If not, it is split on up to ``SPLIT_ATOMS`` of its ite
-conditions: each truth assignment of them is a leaf, the residual with
+refuted if it can be, by a term stated both true and false, bounds,
+intervals or parity.  If not, it is split on up to ``SPLIT_ATOMS`` of its
+ite conditions: each truth assignment of them is a leaf, the residual with
 the conditions replaced by their values and their literals added, which
-the reduction, the refuters and greedy from zeros decide at word level
+the reduction, the refuter and greedy from zeros decide at word level
 (``_split``).  Every leaf refuted is unsat; the first leaf greedy
 satisfies gives the model.  Only when neither holds is the residual
 bit-blasted to CNF for the CDCL solver.
@@ -66,7 +66,7 @@ The model search starts from the base's model: every variable the solve
 binds leaves it, its definition solved back to the value the variable
 had, and only the conjuncts that are new or read a variable whose value
 moved are evaluated (``_Reuse``); greedy rounds run from there if one
-fails, then from zeros, then the refuters and the split, and only then is
+fails, then from zeros, then the refuter and the split, and only then is
 the residual bit-blasted.  The self-check evaluates every new assertion
 and every reader of a variable whose value moved.  A solve from a base
 values no query.  Its model, though valid, need not be the one a
@@ -96,8 +96,7 @@ from itertools import islice, product
 
 from .bitblast import DEADLINE_STRIDE, Blaster
 from .parse import parse_script
-from .refute import NEGATED, difference, linear, refutation, \
-    refuted_negation, solve_linear
+from .refute import NEGATED, difference, refutation, solve_linear
 from .sat import SatBudgetExceeded, SatSolver
 from .terms import BOOL, BV_BINOPS, BV_CMPS, BV_UNOPS, Chain, SmtError, \
     chain_above, is_const, mask, print_term
@@ -362,13 +361,13 @@ _LINEAR_OPS = {"bvadd", "bvsub", "bvneg", "bvmul"}
 def _fold_linear(ctx, op, a, b):
     """A bitvector ``a = b`` (`op` ``=``) or ``a != b`` with a side built by
     bvadd, bvsub, bvneg or bvmul, read through the linear form of ``a - b``
-    (memoized in ``ctx.linear``): true or false when no atom is left, and,
-    for an equality, ``x = v`` when one variable x is left, with an odd
+    (``Term.linear``): true or false when no atom is left, and, for an
+    equality, ``x = v`` when one variable x is left, with an odd
     coefficient, so v is x's one solution modulo 2^width (Ganesh & Dill,
     CAV 2007).  None otherwise."""
     if a.op not in _LINEAR_OPS and b.op not in _LINEAR_OPS:
         return None
-    coeffs, k = difference(a, b, ctx.linear)
+    coeffs, k = difference(a, b)
     if not coeffs:
         return ctx.cbool((k == 0) == (op == "="))
     if op != "=" or len(coeffs) != 1:
@@ -439,12 +438,6 @@ def rewrite(ctx, term, subst, maps, memo):
         out = folded.get(id(node)) or fold(ctx, node)
     memo[id(term)] = out
     return out
-
-
-def occurs(var, term):
-    """True when variable `var` is `term` or one of its subterms: a lookup
-    in the term's free variables, with no walk."""
-    return var in term.free
 
 
 # ---------------------------------------------------------------------------
@@ -728,8 +721,7 @@ def _solve(ctx, script, new, base, model, conflict_budget, deadline):
     if residual:
         model_env = _greedy_model(residual, reuse)
         if model_env is None:
-            if refuted_negation(residual) \
-                    or refutation(residual) is not None:
+            if refutation(residual) is not None:
                 return Result("unsat")
             model_env = _split(ctx, maps, residual, deadline)
             if isinstance(model_env, Result):
@@ -873,8 +865,7 @@ def _split(ctx, maps, residual, deadline):
                  for atom, value in zip(atoms, values)]
         subst = {}
         leaf = _reduce(ctx, maps, subst, leaf, [], set())
-        if leaf is None or refuted_negation(leaf) \
-                or refutation(leaf) is not None:
+        if leaf is None or refutation(leaf) is not None:
             continue
         env = {}
         if not _greedy_rounds(leaf, env):
@@ -1014,7 +1005,7 @@ def _solve_to_value(term, value, env, residual, depth=0):
                     return True
         return False
     if op in ("bvadd", "bvsub", "bvneg", "bvmul"):
-        coeffs, k = linear(term, {})
+        coeffs, k = term.linear
         if len(coeffs) == 1 and next(iter(coeffs)).op == "var":
             (atom, c), = coeffs.items()
             width = term.sort[1]
@@ -1067,10 +1058,9 @@ def _force_difference(x, y, equal, env, residual, depth):
     """When the sides of ``x = y`` (``x != y`` unless `equal`) share an atom,
     solve their linear difference c*a + k for its one atom: c*a + k = 0, or,
     if it is 0, a's value with its low bit flipped (moving it by c, not 0)."""
-    memo = {}
-    if linear(x, memo)[0].keys().isdisjoint(linear(y, memo)[0]):
+    if x.linear[0].keys().isdisjoint(y.linear[0]):
         return False
-    coeffs, k = difference(x, y, memo)
+    coeffs, k = difference(x, y)
     if len(coeffs) != 1:
         return False
     (atom, c), = coeffs.items()
@@ -1282,7 +1272,7 @@ def _match_binding(ctx, term, subst):
         return None
     a, b = term.args
     for var, value in ((a, b), (b, a)):
-        if var.op == "var" and var not in subst and not occurs(var, value):
+        if var.op == "var" and var not in subst and var not in value.free:
             return var, value
     return None
 

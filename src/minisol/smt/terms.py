@@ -4,17 +4,17 @@ Terms are immutable and hash-consed through a :class:`Ctx`, so structural
 equality is identity equality and memo tables can key on ``id(term)``.
 Facts that depend only on a term are computed once, on first read, and
 kept on it: ``Term.free``, its free variables in first-occurrence order,
-and ``Term.plain``, whether it holds no array-sorted subterm.  The solver
-reads them instead of walking the DAG (``solve.rewrite`` returns a term
-that reads no substituted variable and holds no array as its fold).
-``Ctx.folded`` is the one constant-folding memo of the context: it maps the
-id of every term ``solve.fold`` has seen, and of every folded result, to
-the folded term; ``Ctx.linear`` maps the id of every term whose linear form
-folding has read to that form (``refute.linear``).  A context may serve
-many scripts (``minisol.synthesize`` keeps one for a whole run), so every
-distinct term is built and folded once for all of them.  A :class:`Chain` is a sequence of clauses, hash-consed in
-the same way: ``Ctx.chained`` keeps one cell per (chain, clause), so equal
-clause sequences are one chain of the context, however they were built.
+``Term.plain``, whether it holds no array-sorted subterm, and
+``Term.linear``, a bitvector term's linear form.  The solver reads them
+instead of walking the DAG (``solve.rewrite`` returns a term that reads no
+substituted variable and holds no array as its fold).  ``Ctx.folded`` is
+the one constant-folding memo of the context: it maps the id of every term
+``solve.fold`` has seen, and of every folded result, to the folded term.
+A context may serve many scripts (``minisol.synthesize`` keeps one for a
+whole run), so every distinct term is built and folded once for all of
+them.  A :class:`Chain` is a sequence of clauses, hash-consed in the same
+way: ``Ctx.chained`` keeps one cell per (chain, clause), so equal clause
+sequences are one chain of the context, however they were built.
 Sorts are ``('bool',)``, ``('bv', width)`` or ``('array', key sort, value
 sort)``: an SMT-LIB array, read with ``select``, updated with ``store``
 and built constant with ``const_array`` (whose ``val`` is its array
@@ -47,14 +47,14 @@ class SmtError(Exception):
 
 
 class Term:
-    __slots__ = ("op", "val", "args", "sort", "_free", "_plain")
+    __slots__ = ("op", "val", "args", "sort", "_free", "_plain", "_linear")
 
     def __init__(self, op, val, args, sort):
         self.op = op
         self.val = val
         self.args = args
         self.sort = sort
-        self._free = self._plain = None
+        self._free = self._plain = self._linear = None
 
     @property
     def free(self):
@@ -88,8 +88,58 @@ class Term:
             self._plain = out
         return out
 
+    @property
+    def linear(self):
+        """The linear form of a bitvector term, modulo 2^width: a pair
+        (coefficients, constant) whose coefficients map atoms to non-zero
+        multipliers.  bvadd, bvsub, bvneg and bvmul by a constant are
+        linear; every other term (var, ite, extract, ...) is an atom, keyed
+        by the hash-consed term itself.  Kept on a constant and a linear
+        term, and never mutated; an atom's form is built on each read, as
+        its own table would refer back to it (see ``free``)."""
+        out = self._linear
+        if out is None:
+            op, args = self.op, self.args
+            top = mask(self.sort[1])
+            if op == "const":
+                out = ({}, self.val[0])
+            elif op in ("bvadd", "bvsub"):
+                out = combine(args[0].linear, args[1].linear,
+                              1 if op == "bvadd" else -1, top)
+            elif op == "bvneg":
+                out = combine(({}, 0), args[0].linear, -1, top)
+            elif op == "bvmul" and any(a.op == "const" for a in args):
+                a, b = args
+                scale, other = (a.val[0], b) if a.op == "const" \
+                    else (b.val[0], a)
+                coeffs, k = other.linear
+                scaled = {}
+                for atom, c in coeffs.items():
+                    c = c * scale & top
+                    if c:
+                        scaled[atom] = c
+                out = (scaled, k * scale & top)
+            else:
+                return {self: 1}, 0
+            self._linear = out
+        return out
+
     def __repr__(self):
         return "<%s>" % print_term(self)
+
+
+def combine(a, b, sign, top):
+    """The linear form of ``a + sign * b`` from the forms `a` and `b`, modulo
+    ``top + 1``; `a`'s table itself when `b` has no atom."""
+    (ca, ka), (cb, kb) = a, b
+    coeffs = dict(ca) if cb else ca
+    for atom, c in cb.items():
+        c = (coeffs.get(atom, 0) + sign * c) & top
+        if c:
+            coeffs[atom] = c
+        else:
+            coeffs.pop(atom, None)
+    return coeffs, (ka + sign * kb) & top
 
 
 class Chain:
@@ -122,7 +172,6 @@ class Ctx:
     def __init__(self):
         self._intern = {}
         self.folded = {}           # id(term) -> folded term, see solve.fold
-        self.linear = {}           # id(term) -> linear form, see refute.linear
         self._chains = {}          # (parent, clause) -> Chain
         self.TRUE = self.node("cbool", True, ())
         self.FALSE = self.node("cbool", False, ())

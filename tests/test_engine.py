@@ -248,12 +248,12 @@ def _outcome(result):
 @pytest.mark.parametrize("heuristic", ["floyd-warshall", "state-var"])
 @pytest.mark.parametrize("name", ["guess_check", "two_tx_overflow",
                                   "loop_sum", "multi_tx"])
-def test_linear_refuter_changes_no_answer(corpus, monkeypatch, check_log,
-                                          name, heuristic):
+def test_linear_fold_changes_no_answer(corpus, monkeypatch, check_log,
+                                       name, heuristic):
     """Folding a (dis)equality through its linear form only decides early
     what the later stages decide.  With ``_fold_linear`` patched to fold
     nothing, every comparison it decided or solved goes on unchanged to
-    reduction, greedy, the refuters, the split, Blaster and SatSolver, and
+    reduction, greedy, the refuter, the split, Blaster and SatSolver, and
     every check keeps its walk, status and reason, and the run its status,
     walk count and sequence.  On multi_tx (floyd-warshall) the rule fires
     in some of the checks so compared."""
@@ -297,12 +297,12 @@ SMALL_CORPUS = ["address_scores", "condition_check", "contradiction",
 def test_word_level_refutation_changes_no_answer(corpus, monkeypatch,
                                                  check_log, heuristic,
                                                  lazy_check):
-    """The fold rules that need no operand's value and the bound, interval
-    and parity refuter only decide early what bit-blasting decides.  With
-    both patched out, every check they decided goes on to Blaster and
-    SatSolver.  Over the small corpus and 60 generated programs (20 walks
-    each at most), every check keeps its walk, status and reason, and
-    every run its outcome and sequence."""
+    """The fold rules that need no operand's value and the refuter (its
+    negation, bound, interval and parity reasons) only decide early what
+    bit-blasting decides.  With both patched out, every check they decided
+    goes on to Blaster and SatSolver.  Over the small corpus and 60
+    generated programs (20 walks each at most), every check keeps its
+    walk, status and reason, and every run its outcome and sequence."""
     sources = [(corpus[name], Limits()) for name in SMALL_CORPUS]
     sources += [(_annotated(seed), Limits(max_walks=20, wall_timeout=60))
                 for seed in range(7000, 7060)]

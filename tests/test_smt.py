@@ -384,7 +384,8 @@ def test_random_store_chains_match_dict_semantics(seed):
 
 def evaluate(term, env):
     """Plain evaluation of the operators the random suites build: every
-    operator the solver evaluates."""
+    operator the solver evaluates.  An array's value is a pair (default,
+    {key: value})."""
     op = term.op
     if op == "var":
         return env[term.val]
@@ -394,6 +395,14 @@ def evaluate(term, env):
         return evaluate(term.args[1] if evaluate(term.args[0], env)
                         else term.args[2], env)
     args = [evaluate(a, env) for a in term.args]
+    if op == "const_array":
+        return args[0], {}
+    if op == "select":
+        default, table = args[0]
+        return table.get(args[1], default)
+    if op == "store":
+        default, table = args[0]
+        return default, {**table, args[1]: args[2]}
     if op in ("and", "or", "not"):
         return {"and": all, "or": any, "not": lambda a: not a[0]}[op](args)
     if op == "xor":
@@ -472,7 +481,7 @@ def linear_fold(term):
 
 
 @pytest.mark.parametrize("seed", range(30))
-def test_linear_refuter_matches_brute_force(seed):
+def test_linear_fold_matches_brute_force(seed):
     """Whenever folding decides a random comparison through its linear
     form, or solves it to ``x = v``, the result holds exactly where the
     comparison does, on every assignment of its variables."""
@@ -495,7 +504,7 @@ def test_linear_refuter_matches_brute_force(seed):
     assert decided
 
 
-def test_linear_refuter_fixed_cases():
+def test_linear_fold_fixed_cases():
     ctx = Ctx()
     x = ctx.var("x", bv(8))
     c = ctx.var("c", ("bool",))
@@ -735,6 +744,13 @@ def test_greedy_solves_a_difference_the_sides_share_a_variable_in(
     ("(= ((_ zero_extend 248) p) %s)" % word(256, 257), "bounds"),
     ("(and (bvugt #x02 (bvsub p #xfe)) (bvult p (bvsub p #x7f)))",
      "interval"),
+    # a conjunct inside a conjunction next to its negation
+    ("(and (and (bvult (bvmul x p) x) (bvult (bvmul p p) x))"
+     " (not (bvult (bvmul x p) x)))", "negation"),
+    # a conjunction next to its negation
+    ("(and (and (bvult (bvmul x p) x) (bvult (bvmul p p) x))"
+     " (not (and (bvult (bvmul x p) x) (bvult (bvmul p p) x))))",
+     "negation"),
 ])
 def test_word_level_unsat(no_bit_blasting, monkeypatch, assertion,
                           decided_by):
@@ -908,9 +924,9 @@ def interval_shape(out, term, bounds, _memo):
     return None if term in bounds else term.op
 
 
-def carried_bound(out, _bounds, term, _lo, _hi, memo):
+def carried_bound(out, _bounds, term, _lo, _hi):
     """Whether ``_narrow_atom`` carried a bound through x + k or k - x."""
-    coeffs, _k = refute_mod.linear(term, memo)
+    coeffs, _k = term.linear
     if len(coeffs) != 1:
         return None
     c = next(iter(coeffs.values()))
@@ -924,7 +940,7 @@ FOLD_RULES = {"self bvsub", "self bvxor", "self bvurem", "self bvand",
               "bvuge 0 right", "bvugt max right", "bvult max left",
               "bvule max right", "bvuge max left"}
 LINEAR_RULES = {"linear true", "linear false", "linear solved"}
-REFUTER_BRANCHES = {"bounds", "interval", "parity"}
+REFUTER_BRANCHES = {"negation", "bounds", "interval", "parity"}
 INTERVAL_SHAPES = {"const", "zero_extend", "ite", "bvadd", "bvsub",
                    "bounded var"}
 CARRIED_BOUNDS = {"x + k", "k - x"}
@@ -942,17 +958,16 @@ def test_random_terms_match_enumeration(monkeypatch):
     one in ten with the negation of one of its assertions added: the
     solver's sat/unsat is enumeration's, and every model holds.  Every
     rule of ``_fold_trivial``, each outcome of ``_fold_linear`` (decided
-    true, decided false, solved), every reason the refuter gives, a conjunct
-    next to its negation, every shape its intervals narrow, both ways it
-    carries a bound to a variable, and the split on ite conditions both
-    refuting every leaf and satisfying one are met along the way."""
+    true, decided false, solved), every reason the refuter gives (a
+    conjunct next to its negation among them), every shape its intervals
+    narrow, both ways it carries a bound to a variable, and the split on
+    ite conditions both refuting every leaf and satisfying one are met
+    along the way."""
     folds, refuted, shapes, carried, split = (Counter() for _ in range(5))
     counted(monkeypatch, solve_mod, "_fold_trivial", fold_rule, folds)
     counted(monkeypatch, solve_mod, "_fold_linear", linear_rule, folds)
     counted(monkeypatch, solve_mod, "refutation",
             lambda out, _residual: out, refuted)
-    counted(monkeypatch, solve_mod, "refuted_negation",
-            lambda out, _residual: "negation" if out else None, refuted)
     counted(monkeypatch, refute_mod, "interval", interval_shape, shapes)
     counted(monkeypatch, refute_mod, "_narrow_atom", carried_bound, carried)
     counted(monkeypatch, solve_mod, "_split", split_answer, split)
@@ -977,7 +992,7 @@ def test_random_terms_match_enumeration(monkeypatch):
             env = dict(zip("xy", result.values))
             assert all(evaluate(a, env) for a in asserts)
     assert set(folds) == FOLD_RULES | LINEAR_RULES
-    assert set(refuted) == REFUTER_BRANCHES | {"negation"}
+    assert set(refuted) == REFUTER_BRANCHES
     assert set(shapes) >= INTERVAL_SHAPES
     assert set(carried) == CARRIED_BOUNDS
     assert set(split) == {"unsat", "sat"}
@@ -1139,12 +1154,15 @@ def test_term_facts_and_rewrite_match_a_walk_of_every_node():
     (m, defined as a store chain or a constant array over n, and n, left
     undefined) directly or through store chains.  For every subterm, the
     facts read on the top-level terms first: ``Term.free`` is a
-    depth-first collection of its variables, order included, and
-    ``occurs`` agrees with it; ``Term.plain`` holds exactly when no
-    select, store or array-sorted subterm occurs.  ``rewrite`` gives what
-    a rewrite that walks every node gives, under a random acyclic
-    substitution, and with split atoms seeded into its memo (each atom
-    has a variable, as a folded non-constant atom of a residual does)."""
+    depth-first collection of its variables, order included; ``Term.plain``
+    holds exactly when no select, store or array-sorted subterm occurs;
+    and a bitvector term's value is that of its ``Term.linear`` form,
+    sum(c * atom) + k modulo 2^width, under random values of the variables
+    and arrays, with each c and k reduced and each c non-zero.
+    ``rewrite`` gives what a rewrite that walks every node gives, under a
+    random acyclic substitution, and with split atoms seeded into its memo
+    (each atom has a variable, as a folded non-constant atom of a residual
+    does)."""
     met = Counter()
     for seed in range(300):
         rng = random.Random(seed)
@@ -1173,14 +1191,29 @@ def test_term_facts_and_rewrite_match_a_walk_of_every_node():
         # on the way
         for term in terms:
             term.free, term.plain
+        # values from a generator of their own: rng's later draws stay
+        value = random.Random(1000 + seed).randrange
+        env = {v.val: value(1 << width) for v in fuzzer.vars}
+        for a in (m, n):
+            env[a.val] = (value(1 << width), {
+                value(1 << width): value(1 << width) for _ in "kv"})
         for term in _subterms(terms):
             walked = reference_free_vars(term)
             assert list(term.free) == walked, print_term(term)
             assert term.plain == reference_array_free(term)
             for var in fuzzer.vars + [m, n]:
-                assert solve_mod.occurs(var, term) \
-                    == any(v is var for v in walked)
+                assert (var in term.free) == any(v is var for v in walked)
             met["array read"] += not term.plain
+            if term.sort[0] == "bv":
+                coeffs, k = term.linear
+                modulus = 1 << term.sort[1]
+                assert all(0 < c < modulus for c in coeffs.values()) \
+                    and 0 <= k < modulus, print_term(term)
+                assert (sum(c * evaluate(atom, env)
+                            for atom, c in coeffs.items()) + k) % modulus \
+                    == evaluate(term, env), print_term(term)
+                met["linear"] += term.op in ("bvadd", "bvsub", "bvneg",
+                                             "bvmul") and bool(coeffs)
 
         order = rng.sample(fuzzer.vars, 3)
         subst = {}
@@ -1217,7 +1250,7 @@ def test_term_facts_and_rewrite_match_a_walk_of_every_node():
             met["atom seeded"] += any(any(a is t for t in held)
                                       for a in atoms)
     assert met["array read"] and met["substitution"] \
-        and met["atom seeded"], met
+        and met["atom seeded"] and met["linear"], met
 
 
 # -- interning -----------------------------------------------------------------
@@ -1477,7 +1510,7 @@ SPLIT_SAT = """
 """
 
 # 6 - x = 7 needs x = 7 (mod 8), where the ite takes its then branch and
-# gives 6 - 6 = 0: the refuters refute each leaf, though not the script.
+# gives 6 - 6 = 0: the refuter refutes each leaf, though not the script.
 SPLIT_UNSAT = """
 (declare-const x (_ BitVec 3))
 (assert (= (bvsub (_ bv6 3) (ite (= x (_ bv7 3)) (_ bv6 3) x)) (_ bv7 3)))
@@ -1486,7 +1519,7 @@ SPLIT_UNSAT = """
 
 
 def test_cases_on_an_ite_condition_decide_without_bit_blasting(monkeypatch):
-    """Greedy and the refuters decide neither script; the split on the
+    """Greedy and the refuter decide neither script; the split on the
     ite's condition decides both at word level, the sat one with the
     first leaf's model."""
     answers = Counter()
@@ -1622,3 +1655,18 @@ def test_process_malformed_input_is_an_error():
     proc = run_process("(assert (undeclared_symbol))")
     assert proc.returncode != 0
     assert "error" in proc.stdout
+
+
+def test_process_deep_input_is_an_error():
+    """A term nested deeper than the solver's recursive passes reach is
+    read (the reader keeps an explicit stack) and answered with one
+    ``(error ...)`` line and exit 1, not a traceback."""
+    term = "x"
+    for _ in range(2000):
+        term = "(bvadd %s #x01)" % term
+    proc = run_process("(declare-const x (_ BitVec 8))\n"
+                       "(assert (= %s #x00))\n(check-sat)\n" % term)
+    assert proc.returncode == 1
+    assert proc.stdout.startswith("(error ") \
+        and len(proc.stdout.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
