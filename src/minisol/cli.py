@@ -65,6 +65,11 @@ def build_parser():
     return p
 
 
+def _read(path):
+    with open(path) as fh:
+        return fh.read()
+
+
 def _write_out(path, text):
     if path is None:
         sys.stdout.write(text)
@@ -86,7 +91,7 @@ def main(argv=None):
                          % (result_word, walks, elapsed))
 
     try:
-        source = open(args.input).read()
+        source = _read(args.input)
     except OSError as exc:
         sys.stderr.write("error: %s\n" % exc)
         summary()
@@ -106,8 +111,7 @@ def main(argv=None):
                 fh.write(to_dot(prepared[2]))
 
         if args.replay is not None:
-            report = replay_file(source, open(args.replay).read(),
-                                 prepared)
+            report = replay_file(source, _read(args.replay), prepared)
             _write_out(args.out,
                        json.dumps(report.to_obj(), indent=2) + "\n")
             result_word = "found" if report.target_hit else "notfound"
@@ -115,7 +119,7 @@ def main(argv=None):
             return 0 if report.target_hit else 1
 
         if args.mutants is not None:
-            specs = load_mutant_specs(open(args.mutants).read())
+            specs = load_mutant_specs(_read(args.mutants))
             outcomes = run_mutants(source, specs, heuristic=args.heuristic,
                                    solver=solver, limits=limits,
                                    lazy_check=args.lazy_check,

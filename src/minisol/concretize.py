@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import EncodeError, ReplayError
-from .ir import CONSTRUCTOR
 from .lang import ACCOUNTS
 
 
@@ -62,7 +61,7 @@ def concretize(model, script, *, target_line=0, safety_text=None,
         try:
             args = [model[sym] for _name, sym in env.params]
             tx = Transaction(
-                function=env.fn if env.fn != CONSTRUCTOR else CONSTRUCTOR,
+                function=env.fn,
                 caller="A%d" % model[env.sender],
                 args=args,
                 value=model[env.value],

@@ -47,8 +47,8 @@ root's.
 The bundled solver reads those terms in process; a check that needs only
 sat or unsat reads its assertions alone.  A script's symbol table, and the
 declarations and queries built from it, are assembled only for a model or
-for SMT-LIB 2 text (``SmtScript.text``), which is rendered only when
-something reads it: the ``--emit-smt`` dumps and an external
+for SMT-LIB 2 text (``smt.parse.Script.text``), which is rendered only
+when something reads it: the ``--emit-smt`` dumps and an external
 ``--solver-cmd`` process, whose answer ``parse_solver_output`` reads
 back, refusing any value that answers no query of its sort.
 """
@@ -70,6 +70,7 @@ from .lang import (ADDRESS, BOOL, ENV_NAMES, ENV_TYPES, NUM_ACCOUNTS,
 from . import smt
 from .smt import terms as smt_terms
 from .smt.parse import Script, read_sexprs, tokenize as smt_tokenize
+from .smt.solve import SatResult
 
 GAS = "gas"
 _ENV = ENV_NAMES + (GAS,)
@@ -705,78 +706,17 @@ def _resolve(run, e, suffix, params, reads):
 # Solver input
 # ---------------------------------------------------------------------------
 
-class SmtScript:
-    """One check's solver input: its assertions, terms of the ``Ctx`` they
-    were built in, and a function giving the symbols they mention (name ->
-    var term, in declaration order).  The assertions are `front` (a
-    walk's moving clauses, or a list's every assertion) and the clauses of
-    `chain`, whose last is the safety condition when there is one.
-    ``commands`` and ``text``, the same script as SMT-LIB 2, are built on
-    first read, so a check that needs only sat or unsat builds neither,
-    nor the symbol table."""
-
-    def __init__(self, ctx, front, symbols, chain=None):
-        self.ctx = ctx
-        self.front = front
-        self.chain = chain
-        self._symbols = symbols
-
-    @cached_property
-    def asserts(self):
-        return [*self.front, *(self.chain or ())]
-
-    @property
-    def queries(self):
-        return self.commands.queries
-
-    @cached_property
-    def commands(self):
-        """Declarations, assertions and one get-value query per scalar
-        symbol."""
-        symbols = self._symbols()
-        queries = [t for t in symbols.values() if t.sort[0] != "array"]
-        return Script(decls={name: t.sort for name, t in symbols.items()},
-                      asserts=self.asserts, queries=queries,
-                      query_texts=[t.val for t in queries], has_check=True)
-
-    @property
-    def manifest(self):
-        """(scalar symbol, sort), one per get-value answer position."""
-        return [(t.val, t.sort) for t in self.commands.queries]
-
-    @cached_property
-    def text(self):
-        return smt_terms.print_script(self.commands)
-
-
-def encode(script) -> SmtScript:
+def encode(script) -> Script:
     """The solver input for a numbered walk, in the context its clauses
     were built in.  Deterministic: identical walks render
     byte-identically."""
-    return SmtScript(script.ctx, script.moving, lambda: script.symbols,
-                     script.chain)
+    return Script(script.ctx, script.moving, script.chain,
+                  lambda: script.symbols)
 
 
 # ---------------------------------------------------------------------------
 # Solver invocation
 # ---------------------------------------------------------------------------
-
-@dataclass
-class SatResult:
-    """One check's answer.  On SAT, when a model was asked for, `model`
-    maps each scalar symbol to its value (bools as 0/1).  `reason` is
-    ``repeated`` for an answer taken from the run's table, or says why
-    the answer is ``unknown``."""
-    status: str                    # 'sat' | 'unsat' | 'unknown'
-    model: Optional[dict] = None
-    reason: str = ""
-    # the checked walk's ``Numbering``: the checks of its extensions resume
-    # from it, and a found walk's transactions are read from it
-    numbering: Optional[object] = None
-    # the kept ``smt.solve.Reduction`` its extensions' solves start from:
-    # an in-process SAT solve's own, else the one its prefix's result kept
-    reduction: Optional[object] = None
-
 
 @dataclass
 class SolverConfig:
@@ -797,7 +737,7 @@ class SolverSession:
         self.terms = smt_terms.Ctx()
         self.answers = {}
 
-    def check(self, smt_script: SmtScript, deadline=None, base=None,
+    def check(self, smt_script: Script, deadline=None, base=None,
               model=True) -> SatResult:
         """Decide one script.  The solver, bundled or external, gives up
         with ``unknown`` (reason ``deadline``) once ``time.monotonic()``
@@ -823,21 +763,13 @@ class SolverSession:
         """The bundled solver, in process, on the script's terms; without
         a `model` it reads only the assertions."""
         try:
-            result = smt.solve.solve_commands(
+            return smt.solve.solve_commands(
                 smt_script.ctx, smt_script,
                 smt.solve.DEFAULT_CONFLICT_BUDGET, deadline, base, model)
         except smt.SmtUnknown as exc:
             return SatResult("unknown", reason=str(exc))
         except smt.SmtError as exc:
             raise SolverError("crash", str(exc)) from exc
-        if result.status != "sat":
-            return SatResult(result.status, reason=result.reason)
-        if not model:
-            return SatResult("sat", reduction=result.reduction)
-        return SatResult("sat", {sym: int(v) for sym, v in
-                                 zip(smt_script.commands.query_texts,
-                                     result.values)},
-                         reduction=result.reduction)
 
     def _run(self, smt_script, deadline):
         """The external solver, as a process given the time left."""
@@ -875,8 +807,7 @@ def parse_solver_output(output, smt_script) -> SatResult:
         raise SolverError("malformed", "unrecognized solver output %r"
                           % output[:200])
     values = {}
-    manifest = smt_script.manifest
-    if manifest:
+    if smt_script.queries:
         try:
             forms = read_sexprs(smt_tokenize(rest))
         except smt.SmtError as exc:
@@ -886,15 +817,16 @@ def parse_solver_output(output, smt_script) -> SatResult:
         for form in forms:
             if isinstance(form, list):
                 pairs.extend(p for p in form if isinstance(p, list))
-        if len(pairs) != len(manifest):
+        if len(pairs) != len(smt_script.queries):
             raise SolverError("malformed",
                               "expected %d model values, got %d"
-                              % (len(manifest), len(pairs)))
-        for (sym, sort), pair in zip(manifest, pairs):
+                              % (len(smt_script.queries), len(pairs)))
+        for sym, query, pair in zip(smt_script.query_texts,
+                                    smt_script.queries, pairs):
             if len(pair) != 2 or pair[0] != sym:
                 raise SolverError("malformed", "model pair %r does not "
                                   "answer the query of %s" % (pair, sym))
-            values[sym] = _parse_value(pair[1], sort)
+            values[sym] = _parse_value(pair[1], query.sort)
     return SatResult("sat", values)
 
 

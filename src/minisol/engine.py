@@ -11,13 +11,14 @@ from typing import Optional
 from . import concretize as conc
 from . import oracle
 from .cfg import build_cfg_plus
-from .encoder import (SatResult, SolverConfig, SolverSession, SsaScript,
-                      encode, ssa_number)
+from .encoder import (SolverConfig, SolverSession, SsaScript, encode,
+                      ssa_number)
 from .errors import ConfigError, MiniSolError, TargetError
 from .explorer import (HEURISTICS, Limits, Walk, build_context,
                        find_minimal_satisfiable_walk)
 from .frontend import extract_targets, parse_contract, target_markers
 from .ir import inline_internal_calls, lower
+from .smt.solve import SatResult
 
 
 @dataclass

@@ -12,7 +12,7 @@ A tree node holds one opaque value while some of its options wait in the
 heap: the result of its own check or, unchecked in lazy mode, of its
 nearest checked ancestor's.  It hands that value to the check of each
 extension as ``Walk.prefix``, and the last option popped releases it.
-The engine's results (``encoder.SatResult``) carry the checked walk's
+The engine's results (``smt.solve.SatResult``) carry the checked walk's
 numbering, so a check numbers only the nodes after it, one in eager mode.
 The root's value comes from the caller.
 

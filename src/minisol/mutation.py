@@ -88,21 +88,16 @@ def apply_mutant(source, spec: MutantSpec) -> str:
     return "".join(lines)
 
 
-def _parse_fragment(ast, line, text):
-    expr = parse_expression_at(ast, line, text)
-    return expr
-
-
 def gen_condition_kill(ast, spec: MutantSpec) -> KillQuery:
     """Infection for a mutated condition: (original) xor (mutant)."""
     if spec.kind != "condition":
         raise MutationError("expected a condition mutant")
     for frag in (spec.original, spec.mutated):
-        expr = _parse_fragment(ast, spec.line, frag)
+        expr = parse_expression_at(ast, spec.line, frag)
         if expr.type_ is not BOOL:
             raise MutationError("fragment %r is not boolean" % frag)
     text = "(%s) != (%s)" % (spec.original, spec.mutated)
-    infection = _parse_fragment(ast, spec.line, text)
+    infection = parse_expression_at(ast, spec.line, text)
     return KillQuery(TargetSpec(spec.line, infection, text),
                      "condition %s -> %s" % (spec.original, spec.mutated))
 
@@ -112,11 +107,11 @@ def gen_assignment_kill(ast, spec: MutantSpec) -> KillQuery:
     if spec.kind != "assignment_rhs":
         raise MutationError("expected an assignment mutant")
     for frag in (spec.original, spec.mutated):
-        expr = _parse_fragment(ast, spec.line, frag)
+        expr = parse_expression_at(ast, spec.line, frag)
         if expr.type_ is BOOL:
             raise MutationError("fragment %r is not numeric" % frag)
     text = "(%s) != (%s)" % (spec.original, spec.mutated)
-    infection = _parse_fragment(ast, spec.line, text)
+    infection = parse_expression_at(ast, spec.line, text)
     return KillQuery(TargetSpec(spec.line, infection, text),
                      "rhs %s -> %s" % (spec.original, spec.mutated))
 
@@ -172,7 +167,7 @@ def gen_width_kill(mutated_ast, spec: MutantSpec) -> list:
     queries = []
     for line in _usage_lines(mutated_ast, var):
         text = "%s >= %d && %s <= %d" % (var, low, var, high)
-        infection = _parse_fragment(mutated_ast, line, text)
+        infection = parse_expression_at(mutated_ast, line, text)
         queries.append(KillQuery(
             TargetSpec(line, infection, text),
             "width %s: %s -> %s at line %d" % (var, spec.original,

@@ -9,10 +9,10 @@ raises :class:`SmtParseError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import cached_property
 
 from .terms import BOOL, BV_BINOPS, BV_CMPS, BV_UNOPS, Ctx, SmtError, \
-    array, bv
+    array, bv, print_script
 
 
 class SmtParseError(SmtError):
@@ -89,24 +89,54 @@ def parse_sort(sexp):
     raise SmtParseError("unsupported sort %r" % (sexp,))
 
 
-@dataclass
 class Script:
-    """A script's commands as terms; what ``solve.solve_commands`` reads
-    and ``terms.print_script`` renders."""
-    decls: dict = field(default_factory=dict)    # name -> sort
-    asserts: list = field(default_factory=list)
-    queries: list = field(default_factory=list)  # get-value terms, in order
-    query_texts: list = field(default_factory=list)
-    has_check: bool = False
+    """One check's solver input, what ``solve.solve_commands`` reads: terms
+    of the ``Ctx`` they were built in.  The assertions are `front` (a
+    walk's moving clauses, or a list's every assertion) and the clauses of
+    `chain`, whose last is the safety condition when there is one.
+    `symbols`, when given, is a function giving the symbols they mention
+    (name -> var term, in declaration order), and every scalar among them
+    is queried.  The declarations, the queries and the text are built from
+    it on first read, so a check that needs only sat or unsat builds none
+    of them; ``parse_script`` sets them as it reads."""
 
-    # what ``solve.solve_commands`` reads: every assertion is in `front`
-    chain = None
-    front = property(lambda self: self.asserts)
+    has_check = True
+
+    def __init__(self, ctx, front, chain=None, symbols=None):
+        self.ctx = ctx
+        self.front = front
+        self.chain = chain
+        self._symbols = symbols or dict
+
+    @cached_property
+    def asserts(self):
+        return [*self.front, *(self.chain or ())]
+
+    @cached_property
+    def decls(self):
+        """Name -> sort of every symbol."""
+        return {name: t.sort for name, t in self._symbols().items()}
+
+    @cached_property
+    def queries(self):
+        """The get-value terms, in order: one per scalar symbol."""
+        return [t for t in self._symbols().values() if t.sort[0] != "array"]
+
+    @cached_property
+    def query_texts(self):
+        return [t.val for t in self.queries]
+
+    @cached_property
+    def text(self):
+        """The script as SMT-LIB 2."""
+        return print_script(self)
 
 
 def parse_script(text):
     ctx = Ctx()
-    script = Script()
+    script = Script(ctx, [])
+    script.decls, script.queries, script.query_texts = {}, [], []
+    script.has_check = False
     for form in read_sexprs(tokenize(text)):
         if not isinstance(form, list) or not form:
             raise SmtParseError("top-level junk %r" % (form,))
@@ -124,7 +154,7 @@ def parse_script(text):
                                     % form[1])
             script.decls[form[1]] = parse_sort(form[3])
         elif head == "assert":
-            script.asserts.append(
+            script.front.append(
                 ctx.checked("assert", parse_term(ctx, script, form[1])))
         elif head == "check-sat":
             script.has_check = True

@@ -93,6 +93,7 @@ import time
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice, product
+from typing import Optional
 
 from .bitblast import DEADLINE_STRIDE, Blaster
 from .parse import parse_script
@@ -626,19 +627,30 @@ def _moved(parent, env, bound, evaluator):
     return moved
 
 
-class Result:
-    def __init__(self, status, values=None, reason="", reduction=None):
-        self.status = status       # 'sat' | 'unsat' | 'unknown'
-        self.values = values or []  # per query: int, or bool for a Bool
-        self.reason = reason
-        self.reduction = reduction  # on sat, the kept ``Reduction``
+@dataclass
+class SatResult:
+    """One check's answer.  On SAT, when a model was asked for, `model`
+    maps each query's text to its value (bools as 0/1).  `reason` is
+    ``repeated`` for an answer taken from a run's table, or says why the
+    answer is ``unknown``."""
+    status: str                    # 'sat' | 'unsat' | 'unknown'
+    model: Optional[dict] = None
+    reason: str = ""
+    # the checked walk's ``encoder.Numbering``, set by the engine: the
+    # checks of its extensions resume from it, and a found walk's
+    # transactions are read from it
+    numbering: Optional[object] = None
+    # on sat, the kept ``Reduction`` its extensions' solves start from (the
+    # engine passes a prefix's on to a check that made none)
+    reduction: Optional[object] = None
 
 
 def solve_commands(ctx, script, conflict_budget=None, deadline=None,
                    base=None, model=True):
-    """Decide one script.  `conflict_budget` bounds the CDCL search and
-    `deadline` (a ``time.monotonic()`` value) the time spent in bit-blasting
-    and CDCL; running out of either gives ``unknown``.
+    """Decide one ``parse.Script``; the answer is a ``SatResult``.
+    `conflict_budget` bounds the CDCL search and `deadline` (a
+    ``time.monotonic()`` value) the time spent in bit-blasting and CDCL;
+    running out of either gives ``unknown``.
 
     The script's assertions are ``script.front`` and the clauses of
     ``script.chain``.  `base` is the ``Reduction`` of
@@ -647,8 +659,10 @@ def solve_commands(ctx, script, conflict_budget=None, deadline=None,
     the script's extends and its other assertions are among the script's
     others; it is handed only what the base lacks (``_lacks``).  Otherwise
     it starts from ``EMPTY``.  Only with a `model` are the script's queries
-    valued, from a solve started from empty: a SAT answer reached from a
-    base is solved again from empty for it, with no model to start from."""
+    valued (``SatResult.model``, keyed by each query's text), from a solve
+    started from empty: a SAT answer reached from a base is solved again
+    from empty for it, with no model to start from.  Without one the
+    script's declarations and queries are not read."""
     new = None if base is None else _lacks(script, base)
     if new is None:
         base, new = EMPTY, _lacks(script, EMPTY)
@@ -677,7 +691,7 @@ def _solve(ctx, script, new, base, model, conflict_budget, deadline):
             defined.append(var)
         elif a.op == "cbool":
             if not a.val:
-                return Result("unsat")
+                return SatResult("unsat")
         else:
             ground.append(a)
 
@@ -688,13 +702,14 @@ def _solve(ctx, script, new, base, model, conflict_budget, deadline):
     rewritten += [a if a.plain else rewrite(ctx, a, {}, maps, resolved)
                   for a in ground]
     # a read only a query makes is still bound by congruence to the others
-    queries = [rewrite(ctx, fold(ctx, q), {}, maps, resolved)
-               for q in script.queries] if model else []
+    queries = {text: rewrite(ctx, fold(ctx, q), {}, maps, resolved)
+               for text, q in zip(script.query_texts, script.queries)
+               } if model else None
     rewritten += [fold(ctx, a) for a in maps.congruence_assertions()]
 
     checked = [a for a in rewritten if a.op != "cbool" or not a.val]
     if any(a.op == "cbool" and not a.val for a in checked):
-        return Result("unsat")
+        return SatResult("unsat")
 
     # word-level reduction: propagate single definitions, first through the
     # new conjuncts, then, once one binds, through every conjunct left
@@ -704,7 +719,7 @@ def _solve(ctx, script, new, base, model, conflict_budget, deadline):
     subst = dict(base.subst)
     residual = _reduce(ctx, maps, subst, checked, list(base.residual), kept)
     if residual is None:
-        return Result("unsat")
+        return SatResult("unsat")
 
     # the model search starts from the base's model, if it has one, with
     # each variable this solve binds solved back to its value there
@@ -722,13 +737,13 @@ def _solve(ctx, script, new, base, model, conflict_budget, deadline):
         model_env = _greedy_model(residual, reuse)
         if model_env is None:
             if refutation(residual) is not None:
-                return Result("unsat")
+                return SatResult("unsat")
             model_env = _split(ctx, maps, residual, deadline)
-            if isinstance(model_env, Result):
+            if isinstance(model_env, SatResult):
                 return model_env
         if model_env is None:
             if deadline is not None and time.monotonic() > deadline:
-                return Result("unknown", reason="deadline")
+                return SatResult("unknown", reason="deadline")
             model_env = {}
             try:
                 blaster = Blaster(deadline)
@@ -742,9 +757,9 @@ def _solve(ctx, script, new, base, model, conflict_budget, deadline):
                     solver.add_clause(clause)
                 assignment = solver.solve(conflict_budget, deadline)
             except SatBudgetExceeded as exc:
-                return Result("unknown", reason=str(exc))
+                return SatResult("unknown", reason=str(exc))
             if assignment is None:
-                return Result("unsat")
+                return SatResult("unsat")
             for name, lits in blaster.var_bits.items():
                 if isinstance(lits, tuple):
                     model_env[name] = sum(1 << i for i, lit in enumerate(lits)
@@ -784,10 +799,11 @@ def _solve(ctx, script, new, base, model, conflict_budget, deadline):
     chain = base.checked
     for a in checked:
         chain = Chain(chain, a)
-    return Result("sat", [evaluator.eval(q) for q in queries],
-                  reduction=Reduction(script.chain, frozenset(script.front),
-                                      maps.defs, maps.apps, subst, residual,
-                                      chain, users, model_env))
+    return SatResult("sat", None if queries is None else {
+        text: int(evaluator.eval(q)) for text, q in queries.items()},
+        reduction=Reduction(script.chain, frozenset(script.front), maps.defs,
+                            maps.apps, subst, residual, chain, users,
+                            model_env))
 
 
 def _reduce(ctx, maps, subst, fresh, residual, known):
@@ -857,7 +873,7 @@ def _split(ctx, maps, residual, deadline):
     touched = dict.fromkeys(var for atom in atoms for var in atom.free)
     for values in product((True, False), repeat=len(atoms)):
         if deadline is not None and time.monotonic() > deadline:
-            return Result("unknown", reason="deadline")
+            return SatResult("unknown", reason="deadline")
         memo = {id(atom): ctx.cbool(value)
                 for atom, value in zip(atoms, values)}
         leaf = [rewrite(ctx, a, touched, maps, memo) for a in residual]
@@ -880,7 +896,7 @@ def _split(ctx, maps, residual, deadline):
             if evaluator.eval(a) is not True:
                 raise SmtInternalError("split model fails %s" % print_term(a))
         return model
-    return None if undecided else Result("unsat")
+    return None if undecided else SatResult("unsat")
 
 
 def _ite_conditions(residual):
@@ -1385,7 +1401,8 @@ DEFAULT_CONFLICT_BUDGET = 50000
 
 def solve_text(text, conflict_budget=DEFAULT_CONFLICT_BUDGET):
     """Run one SMT-LIB 2 script; returns the response text the process
-    interface prints: sat/unsat/unknown, then one ((term value) ...) line.
+    interface prints: sat/unsat/unknown, then one ((term value) ...) line
+    answering each get-value query in order, a repeated one again.
 
     The conflict budget bounds pathological bit-level searches; exceeding
     it reports unknown (deterministically: conflicts are not time-based).
@@ -1402,11 +1419,10 @@ def solve_text(text, conflict_budget=DEFAULT_CONFLICT_BUDGET):
     if result.status == "unknown":
         return "unknown\n(:reason-unknown \"%s\")\n" % result.reason
     out = ["sat"]
-    if result.values:
+    if script.query_texts:
         out.append("(%s)" % " ".join(
-            "(%s %s)" % (text, _value_text(v, q.sort))
-            for text, q, v in zip(script.query_texts, script.queries,
-                                  result.values)))
+            "(%s %s)" % (text, _value_text(result.model[text], q.sort))
+            for text, q in zip(script.query_texts, script.queries)))
     return "\n".join(out) + "\n"
 
 

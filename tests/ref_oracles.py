@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from minisol.concretize import Transaction, TransactionSequence
-from minisol.encoder import GAS, SmtScript, TxEnv
+from minisol.encoder import GAS, TxEnv
 from minisol.errors import EncodeError, ParseError, ReplayError
 from minisol.frontend import _TOKEN_RE, KEYWORDS, Token
 from minisol.ir import BRANCH_KINDS, CONSTRUCTOR, IrProgram
@@ -48,6 +48,7 @@ from minisol.lang import (ADDRESS, BOOL, ENV_NAMES, ENV_TYPES, NUM_ACCOUNTS,
                           IntLit, Require, Return, Unary, VarDecl, While,
                           iter_statements, mask)
 from minisol.smt import terms as smt_terms
+from minisol.smt.parse import Script
 from minisol.oracle import (EvmState, Interpreter, _binary, _Env,
                             _eval_expr, _Revert, _wrap)
 
@@ -951,8 +952,8 @@ def forward_encode(script, safety=None, program=None, ctx=None):
     symbols = {name: ctx.var(name, _sort(type_))
                for name, type_ in t.symbols.items()}
     symbols.update(t.arrays)
-    return SmtScript(ctx, [ctx.checked("assert", a) for a in asserts],
-                     lambda: symbols)
+    return Script(ctx, [ctx.checked("assert", a) for a in asserts],
+                  symbols=lambda: symbols)
 
 
 # ---------------------------------------------------------------------------

@@ -211,6 +211,28 @@ def test_mutants_mode(tmp_path):
     assert obj["mutants"][0]["kill"]["strong"] is True
 
 
+def test_no_mode_leaves_a_file_open(tmp_path):
+    """The input, the --replay sequence and the --mutants list are closed
+    once read: under ``-W error::ResourceWarning`` no mode reports an
+    unclosed file."""
+    def run_strict(*args):
+        return subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+             "-m", "minisol.cli", *args], capture_output=True, text=True)
+
+    seq, mutants = tmp_path / "seq.json", tmp_path / "mutants.json"
+    mutants.write_text(json.dumps([{"kind": "condition", "line": 5,
+                                    "original": "a > b",
+                                    "mutated": "a >= b"}]))
+    runs = [run_strict(msol("guess_check"), "--out", str(seq))]
+    runs.append(run_strict(msol("guess_check"), "--replay", str(seq)))
+    runs.append(run_strict(msol("mutant_kill"), "--mutants", str(mutants),
+                           "--out", str(tmp_path / "res.json")))
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+        assert "ResourceWarning" not in proc.stderr, proc.stderr
+
+
 @pytest.mark.parametrize("flag", ["--replay", "--mutants", "--emit-dot",
                                   "--out", "--emit-smt"])
 def test_a_bad_path_is_exit_2_with_a_summary(tmp_path, flag):

@@ -514,18 +514,18 @@ def _walks_for_reference(rng, corpus):
 
 def _pinned(smt, pins):
     """`smt` with each symbol of `pins` fixed to its value."""
-    from minisol.encoder import SmtScript
+    from minisol.smt.parse import Script
     from minisol.smt.terms import BOOL
-    ctx, decls = smt.ctx, smt.commands.decls
+    ctx, decls = smt.ctx, smt.decls
     extra = []
     for name, value in pins.items():
         sort = decls[name]
         extra.append(ctx.mk("=", ctx.var(name, sort),
                             ctx.cbool(bool(value)) if sort == BOOL
                             else ctx.const(value, sort[1])))
-    return SmtScript(ctx, smt.asserts + extra,
-                     lambda: {name: ctx.var(name, sort)
-                              for name, sort in decls.items()})
+    return Script(ctx, smt.asserts + extra,
+                  symbols=lambda: {name: ctx.var(name, sort)
+                                   for name, sort in decls.items()})
 
 
 def _input_symbols(script):
@@ -648,7 +648,7 @@ def test_parse_solver_output_accepts_hex_and_binary_values(corpus):
     _ast, program, graph = prepare(corpus["ctor_target"])
     walk = forward_walk(graph, "touch")
     smt = encode(ssa_number(walk, program))
-    names = [sym for sym, _t in smt.manifest]
+    names = smt.query_texts
     fake_values = ["(%s %s)" % (sym, "#x%02x" % (i % 7) if i % 2 else "#b1")
                    for i, sym in enumerate(names)]
     output = "sat\n(%s)\n" % " ".join(fake_values)
@@ -673,12 +673,12 @@ def test_parse_solver_output_rejects_truncated_model(corpus):
 
 def _byte_and_flag():
     """A script querying an 8-bit symbol `a`, then a Bool `b`."""
-    from minisol.encoder import SmtScript
+    from minisol.smt.parse import Script
     from minisol.smt.terms import BOOL, bv
     ctx = Ctx()
     a, b = ctx.var("a", bv(8)), ctx.var("b", BOOL)
-    return SmtScript(ctx, [ctx.mk("=", b, ctx.mk("bvult", a, a))],
-                     lambda: {"a": a, "b": b})
+    return Script(ctx, [ctx.mk("=", b, ctx.mk("bvult", a, a))],
+                  symbols=lambda: {"a": a, "b": b})
 
 
 def test_parse_solver_output_reads_each_query_by_name_and_sort():
@@ -739,7 +739,7 @@ def test_in_process_answers_equal_rendered_text_answers(name, corpus):
         assert via_text.status == direct.status
         if direct.status == "sat":
             assert direct.model == via_text.model
-            assert set(direct.model) == {s for s, _t in script.manifest}
+            assert set(direct.model) == set(script.query_texts)
         statuses.append(direct.status)
         return direct
 

@@ -1130,7 +1130,7 @@ def test_only_a_decided_answer_is_reused(corpus, monkeypatch, solver_answers):
     def no_answer(*args):
         nonlocal submitted
         submitted += 1
-        return smt_solve.Result("unknown", reason="no answer")
+        return smt_solve.SatResult("unknown", reason="no answer")
 
     monkeypatch.setattr(engine, "find_minimal_satisfiable_walk", check_twice)
     if not solver_answers:

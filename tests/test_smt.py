@@ -653,11 +653,11 @@ def test_greedy_solves_one_variable_linear_equations(no_bit_blasting):
             x = ctx.var("x", bv(8))
             lhs = ctx.mk("bvadd", ctx.mk("bvmul", ctx.const(c, 8), x),
                          ctx.const(k, 8))
-            script = Script(asserts=[ctx.mk("=", lhs, ctx.const(v, 8))],
-                            queries=[x])
+            script = Script(ctx, [ctx.mk("=", lhs, ctx.const(v, 8))],
+                            symbols=lambda: {"x": x})
             result = solve_commands(ctx, script)
             assert result.status == "sat"
-            assert (c * result.values[0] + k) % 256 == v
+            assert (c * result.model["x"] + k) % 256 == v
             solved += 1
     assert solved > 255
 
@@ -984,12 +984,12 @@ def test_random_terms_match_enumeration(monkeypatch):
                 for x, y in itertools.product(range(1 << width), repeat=2)]
         expected = any(all(evaluate(a, env) for a in asserts)
                        for env in envs)
-        result = solve_commands(ctx, Script(asserts=asserts,
-                                            queries=fuzzer.vars))
+        result = solve_commands(ctx, Script(
+            ctx, asserts, symbols=lambda: {v.val: v for v in fuzzer.vars}))
         assert result.status == ("sat" if expected else "unsat"), \
             [print_term(a) for a in asserts]
         if expected:
-            env = dict(zip("xy", result.values))
+            env = result.model
             assert all(evaluate(a, env) for a in asserts)
     assert set(folds) == FOLD_RULES | LINEAR_RULES
     assert set(refuted) == REFUTER_BRANCHES
@@ -1364,8 +1364,8 @@ def _extension(decls, base, new):
     text = decls + "".join("(assert %s)\n" % a for a in base + new)
     ctx, whole = parse_script(text)
     kept = whole.asserts[:len(base)]
-    return ctx, Script(asserts=kept, has_check=True), \
-        Script(asserts=whole.asserts[len(base):] + kept, has_check=True)
+    return ctx, Script(ctx, kept), \
+        Script(ctx, whole.asserts[len(base):] + kept)
 
 
 def _solve_extension(monkeypatch, ctx, base, extended):
@@ -1439,7 +1439,7 @@ def test_a_base_that_is_no_subset_is_not_used():
     ctx, base, extended = _extension(
         ARRAYS, ["(= a (_ bv1 8))"], ["(= a (_ bv2 8))"])
     kept = solve_commands(ctx, base, None, None, None, False)
-    alone = Script(asserts=extended.asserts[:1], has_check=True)
+    alone = Script(ctx, extended.asserts[:1])
     assert solve_commands(ctx, alone, None, None, kept.reduction,
                           False).status == "sat"
     assert solve_commands(ctx, extended, None, None, kept.reduction,
@@ -1464,11 +1464,11 @@ def test_a_model_of_an_extension_is_the_whole_scripts():
         ["(= b (bvadd a (_ bv1 8)))", "(distinct (select f b) k)"])
     extended.queries = base.queries = [ctx.var(n, bv(8)) for n in "abk"]
     kept = solve_commands(ctx, base, None, None, None, False)
-    assert kept.values == []
+    assert kept.model is None
     whole = solve_commands(ctx, extended)
     again = solve_commands(ctx, extended, None, None, kept.reduction)
     assert again.status == whole.status == "sat"
-    assert again.values == whole.values
+    assert again.model == whole.model
 
 
 
@@ -1483,8 +1483,7 @@ def test_the_self_check_follows_a_variable_into_a_later_binding(
         "(declare-const x (_ BitVec 8))(declare-const y (_ BitVec 8))"
         "(declare-const z (_ BitVec 8))(assert (bvugt x (_ bv3 8)))"
         "(assert (= x (bvadd y (_ bv1 8))))(assert (bvult z (_ bv9 8)))")
-    scripts = [Script(asserts=whole.asserts[i::-1], has_check=True)
-               for i in range(3)]
+    scripts = [Script(ctx, whole.asserts[i::-1]) for i in range(3)]
     base = solve_commands(ctx, scripts[0], None, None, None, False)
     child = solve_commands(ctx, scripts[1], None, None, base.reduction,
                            False)
@@ -1649,6 +1648,26 @@ def test_process_unsat():
 (check-sat)
 """)
     assert proc.stdout == "unsat\n" and proc.returncode == 0
+
+
+def test_a_script_without_check_sat_is_answered_unknown():
+    assert solve_text("(declare-const x (_ BitVec 8))\n"
+                      "(assert (bvugt x (_ bv3 8)))\n(get-value (x))\n") \
+        == 'unknown\n(error "no check-sat command")\n'
+
+
+def test_get_value_answers_every_query_in_order():
+    """Each queried term is answered by its own text, in query order; a
+    term queried twice is answered twice."""
+    assert solve_text("""
+(declare-const x (_ BitVec 8))
+(declare-const b Bool)
+(assert (= x (_ bv5 8)))
+(assert b)
+(check-sat)
+(get-value ((bvadd x x) x b x))
+""") == ("sat\n(((bvadd x x) (_ bv10 8)) (x (_ bv5 8)) (b true) "
+             "(x (_ bv5 8)))\n")
 
 
 def test_process_malformed_input_is_an_error():
