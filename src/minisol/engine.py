@@ -4,7 +4,9 @@ replay-verify.  This is the library entry point the CLI and the tests use.
 
 from __future__ import annotations
 
+import gc
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,9 +30,28 @@ class EngineResult:
     report: Optional[oracle.ReplayReport] = None
     walk: Optional[object] = None
     walks_explored: int = 0
-    reason: str = ""
+    reason: str = ""                 # why notfound: see ExploreResult
     time_ms: int = 0
     target: Optional[object] = None
+
+
+@contextmanager
+def collector_paused():
+    """Pause CPython's cyclic garbage collector for the body, if it is on.
+    A run builds no reference cycles: its terms, clause chains, memo tables
+    and walk tree are freed by reference counting alone, so a collection
+    in the middle of one frees nothing and only re-walks what the run
+    keeps alive.  Re-entrant: only the use that paused the collector turns
+    it back on, also when the body raises.  As a decorator, every call of
+    the function is one use."""
+    paused = gc.isenabled()
+    if paused:
+        gc.disable()
+    try:
+        yield
+    finally:
+        if paused:
+            gc.enable()
 
 
 def prepare(source, ast=None):
@@ -61,10 +82,12 @@ def pick_target(source, target_line=None, ast=None):
     raise TargetError("no @target annotation on line %d" % target_line)
 
 
+@collector_paused()
 def synthesize(source, *, target=None, target_line=None,
                **options) -> EngineResult:
     """Find a transaction sequence reaching the (annotated) target line of
-    `source`: parse it once, then ``search`` its program with `options`."""
+    `source`: parse it once, then ``search`` its program with `options`.
+    The cyclic garbage collector is paused for the call."""
     ast = None      # parsed once, for the annotations and for lowering
     if target is None:
         # an unannotated source is a TargetError before it is parsed
@@ -74,13 +97,15 @@ def synthesize(source, *, target=None, target_line=None,
     return search(prepare(source, ast)[2], target, **options)
 
 
+@collector_paused()
 def search(graph, target, *, heuristic="floyd-warshall",
            solver: SolverConfig = None, limits: Limits = None,
            lazy_check=False, replay_check=True) -> EngineResult:
     """Find a transaction sequence reaching `target` in a prepared graph
     (see ``prepare``) of its program; the wall timeout counts from here.
     With `replay_check` (the default) a found sequence must be confirmed by
-    concrete replay before it is returned; a diverging sequence raises."""
+    concrete replay before it is returned; a diverging sequence raises.
+    The cyclic garbage collector is paused for the call."""
     t0 = time.monotonic()
     program = graph.program
     limits = limits or Limits()
@@ -157,10 +182,12 @@ def search(graph, target, *, heuristic="floyd-warshall",
                         time_ms=elapsed_ms, target=target)
 
 
+@collector_paused()
 def replay_file(source, seq_json_text, prepared=None):
     """Replay a JSON transaction sequence against a contract; the target is
     the file's annotation (first one if several).  `prepared`, when given,
-    is ``prepare(source)``, and the source is not parsed again."""
+    is ``prepare(source)``, and the source is not parsed again.  The cyclic
+    garbage collector is paused for the call."""
     ast = parse_contract(source) if prepared is None else prepared[0]
     targets = extract_targets(source, ast)
     target = targets[0] if targets else None

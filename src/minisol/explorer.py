@@ -260,6 +260,15 @@ class WalkTree:
 
 @dataclass
 class ExploreResult:
+    """A search's outcome.  A `notfound` one says which bound ended it
+    (`reason`):
+
+    * ``exhausted``: every walk was tried; no satisfiable one reaches the
+      start node.
+    * ``budget``: `max_walks` checks were made.
+    * ``timeout``: the wall clock passed the deadline.
+    * ``depth``: the walks ran out, but some were cut at `max_walk_len`,
+      whose longer extensions were never tried."""
     status: str                            # 'found' | 'notfound'
     walk: Optional[Walk] = None
     found: Optional[object] = None         # the found walk's check result
@@ -278,7 +287,8 @@ def find_minimal_satisfiable_walk(graph: CfgPlus, target, heuristic, limits,
     satisfiability is only decided at transaction boundaries instead of on
     every extension.  The search ends with reason ``timeout`` once
     ``time.monotonic()`` passes `deadline` (default: `limits.wall_timeout`
-    from now), also when a check gave up on ``unknown`` because of it.
+    from now), also when a check gave up on ``unknown`` because of it
+    (every reason: see ``ExploreResult``).
 
     `prefix` is the root's value for the checks of its extensions (see
     ``Walk.prefix``), if the caller has one; every other is a check's.
@@ -294,15 +304,18 @@ def find_minimal_satisfiable_walk(graph: CfgPlus, target, heuristic, limits,
     explored = 0
     heap = []
     counter = 0
+    cut = 0                                # options dropped at max_walk_len
 
     facts = ctx.facts
 
     def push_options(tree_node, prefix):
-        nonlocal counter
-        if tree_node.depth >= limits.max_walk_len:
-            return
+        nonlocal counter, cut
         node = tree_node.cfg_node
-        for succ in (facts[node] or node_facts(ctx, node)).options:
+        options = (facts[node] or node_facts(ctx, node)).options
+        if tree_node.depth >= limits.max_walk_len:
+            cut += len(options)
+            return
+        for succ in options:
             cost = h(tree, tree_node, succ)
             counter += 1
             heapq.heappush(heap, (cost, succ, tree_node.idx, counter))
@@ -349,4 +362,4 @@ def find_minimal_satisfiable_walk(graph: CfgPlus, target, heuristic, limits,
             push_options(child, result)
 
     return ExploreResult("notfound", walks_explored=explored,
-                         reason="exhausted")
+                         reason="depth" if cut else "exhausted")

@@ -24,6 +24,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
+from .engine import collector_paused, prepare, search
 from .errors import MutationError
 from .frontend import parse_expression_at
 from .lang import (BOOL, Ident, Index, TargetSpec, VarDecl, iter_exprs,
@@ -229,13 +230,14 @@ class MutantOutcome:
         return out
 
 
+@collector_paused()
 def run_mutants(source, specs, *, heuristic="floyd-warshall", solver=None,
                 limits=None, lazy_check=False, prepared=None):
     """Solve each mutant's kill queries and validate kills by differential
     replay.  The queries search the original program, prepared once (or
     given as `prepared`, ``prepare(source)``); the engine runs width
-    mutants against the widened program."""
-    from .engine import prepare, search
+    mutants against the widened program.  The cyclic garbage collector is
+    paused for the call."""
     outcomes = []
     ast, orig_program, orig_graph = prepared or prepare(source)
     for spec in specs:

@@ -1,3 +1,4 @@
+import gc
 import pathlib
 
 import pytest
@@ -10,6 +11,18 @@ CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
 def corpus_source(name):
     return (CORPUS / ("%s.msol" % name)).read_text()
+
+
+@pytest.fixture(autouse=True)
+def collector_left_on():
+    """Fail a test that ends with the cyclic garbage collector disabled (a
+    pause that leaked out of a call), and turn it back on for the tests
+    after it."""
+    yield
+    if not gc.isenabled():
+        gc.enable()
+        pytest.fail("the test ended with the cyclic garbage collector "
+                    "disabled")
 
 
 @pytest.fixture(scope="session")

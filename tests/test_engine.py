@@ -12,12 +12,15 @@ from minisol import encoder
 from minisol.encoder import (SolverConfig, SolverSession, SsaScript, encode,
                              parse_solver_output, ssa_number)
 from minisol import engine
-from minisol.engine import pick_target, prepare, replay_file, synthesize
-from minisol.errors import EncodeError, ParseError, TargetError
+from minisol.engine import (pick_target, prepare, replay_file, search,
+                            synthesize)
+from minisol.errors import (ConfigError, EncodeError, MutationError,
+                            ParseError, ReplayError, TargetError)
 from minisol.explorer import Limits, Walk
 from minisol import frontend
 from minisol.frontend import extract_targets
 from minisol.lang import TargetSpec
+from minisol.mutation import MutantSpec, run_mutants
 from minisol import oracle
 from minisol.smt import solve as smt_solve, terms as smt_terms
 
@@ -1217,24 +1220,128 @@ def test_emit_smt_dumps_every_submission_deterministically(
     assert dumps[0] == dumps[1]
 
 
-def test_a_run_leaves_no_cyclic_garbage(corpus):
+def test_a_run_leaves_no_cyclic_garbage(corpus, monkeypatch):
     """A run's frontend, IR, CFG+, terms, scripts and closures are freed by
     reference counting alone: no recursive closure refers to itself, and
     no term keeps a table that refers back to it.  A multi_tx run used to
-    leave about a million objects in reference cycles; none are left, by
-    it, by token under state-var, or by a generated program (20 walks at
-    most)."""
-    runs = [(corpus["multi_tx"], {}),
-            (corpus["token"], {"heuristic": "state-var"}),
-            (_annotated(7000), {"limits": Limits(max_walks=20)})]
-    for source, kwargs in runs:
+    leave about a million objects in reference cycles; none are left on
+    any path the entry points pause the cyclic collector for: eager and
+    lazy searches, runs that end found, exhausted and on the walk budget,
+    the bit-blaster, replay and mutant kill queries."""
+    blasters = []
+    blaster = smt_solve.Blaster
+
+    def counted_blaster(*args, **kwargs):
+        blasters.append(None)
+        return blaster(*args, **kwargs)
+
+    monkeypatch.setattr(smt_solve, "Blaster", counted_blaster)
+    sequence_json = to_json(synthesize(corpus["guess_check"]).sequence)
+    mutants = [MutantSpec("condition", 5, "a > b", "a >= b"),
+               MutantSpec("condition", 5, "a > b", "a > b")]
+
+    def found(result):
+        return result.status == "found"
+
+    def ended_on(reason):
+        return lambda result: (result.status, result.reason) == (
+            "notfound", reason)
+
+    runs = [   # (run, what it must have done)
+        (lambda: synthesize(corpus["multi_tx"]), found),
+        (lambda: synthesize(corpus["multi_tx"], lazy_check=True), found),
+        (lambda: synthesize(corpus["token"], heuristic="state-var"), found),
+        (lambda: synthesize(_annotated(7000), limits=Limits(max_walks=20)),
+         lambda result: True),
+        (lambda: synthesize(corpus["contradiction"]), ended_on("exhausted")),
+        (lambda: synthesize(corpus["multi_tx"], limits=Limits(max_walks=50)),
+         ended_on("budget")),
+        (lambda: synthesize(_annotated(9043), limits=Limits(max_walks=40)),
+         lambda result: blasters),
+        (lambda: replay_file(corpus["guess_check"], sequence_json),
+         lambda report: report.target_hit and report.safety_value),
+        (lambda: run_mutants(corpus["mutant_kill"], mutants),
+         lambda outcomes: [o.status for o in outcomes]
+         == ["killed", "no_kill_found"]),
+    ]
+    for i, (run, done) in enumerate(runs):
         gc.collect()
+        del blasters[:]
         gc.disable()
         try:
-            synthesize(source, **kwargs)
-            assert gc.collect() == 0
+            out = run()
+            assert gc.collect() == 0, "run %d" % i
         finally:
             gc.enable()
+        assert done(out), "run %d" % i
+
+
+def _watch_the_collector(monkeypatch):
+    """Whether the cyclic collector was on, at each solver check and each
+    replay from here on."""
+    seen = []
+    check, replay = SolverSession.check, oracle.replay
+
+    def watched_check(self, *args, **kwargs):
+        seen.append(gc.isenabled())
+        return check(self, *args, **kwargs)
+
+    def watched_replay(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return replay(*args, **kwargs)
+
+    monkeypatch.setattr(SolverSession, "check", watched_check)
+    monkeypatch.setattr(oracle, "replay", watched_replay)
+    return seen
+
+
+@pytest.mark.parametrize("entry", ["synthesize", "search", "replay_file",
+                                   "run_mutants"])
+def test_an_entry_point_pauses_the_collector_for_its_call(corpus,
+                                                          monkeypatch,
+                                                          entry):
+    """Each entry point runs with the cyclic collector off, turns it back
+    on when it returns or raises, and leaves it off for a caller that had
+    turned it off."""
+    source = corpus["guess_check"]
+    ast, _program, graph = prepare(source)
+    target = pick_target(source, ast=ast)
+    sequence_json = to_json(synthesize(source).sequence)
+    mutant = MutantSpec("condition", 5, "a > b", "a >= b")
+    call, failing, error = {
+        "synthesize": (lambda: synthesize(source),
+                       lambda: synthesize("contract C {}"), TargetError),
+        "search": (lambda: search(graph, target),
+                   lambda: search(graph, target, heuristic="none"),
+                   ConfigError),
+        "replay_file": (lambda: replay_file(source, sequence_json),
+                        lambda: replay_file(source, "{}"), ReplayError),
+        "run_mutants": (
+            lambda: run_mutants(corpus["mutant_kill"], [mutant]),
+            lambda: run_mutants(corpus["mutant_kill"],
+                                [mutant, MutantSpec("condition", 99, "a",
+                                                    "b")]),
+            MutationError),
+    }[entry]
+    seen = _watch_the_collector(monkeypatch)
+
+    call()
+    assert seen and not any(seen)
+    assert gc.isenabled()
+
+    with pytest.raises(error):
+        failing()
+    assert gc.isenabled()
+
+    gc.disable()
+    try:
+        call()
+        assert not gc.isenabled()
+        with pytest.raises(error):
+            failing()
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def test_wall_timeout_ends_the_search_with_timeout(corpus):

@@ -215,7 +215,24 @@ def test_walk_length_budget(corpus):
     result, _g, _p = explore(corpus["multi_tx"],
                              limits=Limits(max_walk_len=6))
     assert result.status == "notfound"
-    assert result.reason in ("exhausted", "budget")
+    assert result.reason == "depth"
+
+
+@pytest.mark.parametrize("lazy_check", [False, True])
+def test_a_walk_length_bound_short_of_the_answer_ends_on_depth(corpus,
+                                                              lazy_check):
+    """A satisfiable target whose every answer is longer than
+    `max_walk_len` is not reported as exhausted: the options cut at the
+    bound are counted and the run ends with reason ``depth``."""
+    source = corpus["guess_check"]
+    found, _g, _p = explore(source, lazy_check=lazy_check)
+    length = len(found.walk.nodes)
+    at_bound, _g, _p = explore(source, lazy_check=lazy_check,
+                               limits=Limits(max_walk_len=length))
+    assert at_bound.status == "found"
+    short, _g, _p = explore(source, lazy_check=lazy_check,
+                            limits=Limits(max_walk_len=length - 1))
+    assert (short.status, short.reason) == ("notfound", "depth")
 
 
 def test_every_checked_walk_is_a_reversed_path(corpus):
