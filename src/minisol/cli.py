@@ -11,6 +11,13 @@ cannot be read or written), 3 an internal error (any other exception, a
 fault of minisol's, never an answer about the input).  stderr always
 carries one machine-parseable line: ``result=<found|notfound|error>
 walks=<n> time_ms=<t>``.
+
+An external ``--solver-cmd`` process that fails ends the run: one that
+prints nothing (a crash, whatever its exit status) or prints anything but
+a well-formed ``sat``, ``unsat`` or ``unknown`` answer is exit 2 with
+``result=error``.  Running out of time is not a failure: a process still
+running when ``--timeout`` runs out is killed, its check is ``unknown``,
+and the run ends with reason ``timeout`` (exit 1, ``result=notfound``).
 """
 
 from __future__ import annotations

@@ -75,8 +75,10 @@ def concretize(model, script, *, target_line=0, safety_text=None,
                                walks_explored=walks_explored, time_ms=time_ms)
 
 
-def to_json(seq: TransactionSequence) -> str:
-    obj = {
+def to_obj(seq: TransactionSequence) -> dict:
+    """The JSON object of `seq`: its target, heuristic, walk count, time and
+    transactions, each transaction's numbers as decimal strings."""
+    return {
         "target": {"line": seq.target_line, "safety": seq.safety_text},
         "heuristic": seq.heuristic,
         "walks_explored": seq.walks_explored,
@@ -92,7 +94,11 @@ def to_json(seq: TransactionSequence) -> str:
             for tx in seq.transactions
         ],
     }
-    return json.dumps(obj, indent=2) + "\n"
+
+
+def to_json(seq: TransactionSequence) -> str:
+    """`seq` as the JSON text the CLI writes: ``to_obj`` indented by two."""
+    return json.dumps(to_obj(seq), indent=2) + "\n"
 
 
 def from_json(text: str) -> TransactionSequence:

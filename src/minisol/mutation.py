@@ -24,6 +24,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
+from .concretize import to_obj
 from .engine import collector_paused, prepare, search
 from .errors import MutationError
 from .frontend import parse_expression_at
@@ -211,7 +212,6 @@ class MutantOutcome:
     walks_explored: int = 0
 
     def to_obj(self):
-        from .concretize import to_json
         out = {
             "kind": self.spec.kind,
             "line": self.spec.line,
@@ -225,8 +225,7 @@ class MutantOutcome:
                            "weak": self.kill.weak,
                            "detail": self.kill.detail}
         if self.sequence is not None:
-            out["transactions"] = json.loads(to_json(self.sequence))[
-                "transactions"]
+            out["transactions"] = to_obj(self.sequence)["transactions"]
         return out
 
 

@@ -41,8 +41,8 @@ class Blaster:
     def __init__(self, deadline=None):
         self.cnf = Cnf(deadline)
         self.gate_cache = {}
-        self.bool_cache = {}       # id(term) -> lit
-        self.bits_cache = {}       # id(term) -> tuple of lits
+        self.bool_cache = {}       # term -> lit
+        self.bits_cache = {}       # term -> tuple of lits
         self.var_bits = {}         # var name -> tuple of lits / lit
 
     # -- gates ----------------------------------------------------------------
@@ -200,11 +200,11 @@ class Blaster:
         return self.var_bits[name]
 
     def bits_of(self, term):
-        hit = self.bits_cache.get(id(term))
+        hit = self.bits_cache.get(term)
         if hit is not None:
             return hit
         bits = self._bits_of(term)
-        self.bits_cache[id(term)] = bits
+        self.bits_cache[term] = bits
         return bits
 
     def _bits_of(self, term):
@@ -264,11 +264,11 @@ class Blaster:
         raise SmtError("cannot blast bitvector term %r" % op)
 
     def bool_of(self, term):
-        hit = self.bool_cache.get(id(term))
+        hit = self.bool_cache.get(term)
         if hit is not None:
             return hit
         lit = self._bool_of(term)
-        self.bool_cache[id(term)] = lit
+        self.bool_cache[term] = lit
         return lit
 
     def _bool_of(self, term):

@@ -168,7 +168,7 @@ def _wrapped(lo, hi, width):
 def interval(term, bounds, memo):
     """The unsigned interval (lo, hi) holding every value of `term` that
     satisfies `bounds`; lo > hi when there is none."""
-    hit = memo.get(id(term))
+    hit = memo.get(term)
     if hit is not None:
         return hit
     op = term.op
@@ -198,7 +198,7 @@ def interval(term, bounds, memo):
     bound = bounds.get(term)
     if bound is not None:
         out = (max(out[0], bound[0]), min(out[1], bound[1]))
-    memo[id(term)] = out
+    memo[term] = out
     return out
 
 

@@ -146,11 +146,11 @@ def fold(ctx, term):
     ``ctx.folded`` records the result for the term and, since folding is
     idempotent, for the result itself."""
     folded = ctx.folded
-    out = folded.get(id(term))
+    out = folded.get(term)
     if out is None:
         out = _fold(ctx, term)
-        folded[id(term)] = out
-        folded[id(out)] = out
+        folded[term] = out
+        folded[out] = out
     return out
 
 
@@ -159,7 +159,7 @@ def _fold(ctx, term):
     if op in ("const", "cbool", "var"):
         return term
     folded = ctx.folded
-    args = tuple([folded.get(id(a)) or fold(ctx, a) for a in term.args])
+    args = tuple([folded.get(a) or fold(ctx, a) for a in term.args])
     if op in ("select", "store", "const_array"):
         return ctx.node(op, term.val, args)
 
@@ -390,13 +390,13 @@ def rewrite(ctx, term, subst, maps, memo):
     through `maps.resolve`, folding every rebuilt node, bottom up.  A term
     that reads no variable of `subst` (``Term.free``) and holds no array
     (``Term.plain``) is not walked: it rewrites to its fold.  `memo` maps
-    the id of each term rewritten to its result and is read first; a
+    each term rewritten to its result and is read first; a
     variable `subst` maps to None is kept, but its readers are walked, so
     a caller that seeds `memo` with replacements of terms over such
     variables (``_split``) has them applied.  A node reads the memo and
     tries the fold shortcut for each of its arguments itself, so only an
     argument that must be walked costs a call."""
-    hit = memo.get(id(term))
+    hit = memo.get(term)
     if hit is not None:
         return hit
     op = term.op
@@ -419,7 +419,7 @@ def rewrite(ctx, term, subst, maps, memo):
         folded, keys = ctx.folded, subst.keys()
         args = []
         for a in term.args:
-            new = memo.get(id(a))
+            new = memo.get(a)
             if new is None:
                 if not a.plain:
                     new = rewrite(ctx, a, subst, maps, memo)
@@ -428,7 +428,7 @@ def rewrite(ctx, term, subst, maps, memo):
                     new = a if new is None \
                         else rewrite(ctx, new, subst, maps, memo)
                 elif keys.isdisjoint(a.free.keys()):
-                    new = (folded.get(id(a)) or fold(ctx, a)) if a.args \
+                    new = (folded.get(a) or fold(ctx, a)) if a.args \
                         else a
                 else:
                     new = rewrite(ctx, a, subst, maps, memo)
@@ -436,8 +436,8 @@ def rewrite(ctx, term, subst, maps, memo):
         args = tuple(args)
         node = term if args == term.args \
             else ctx.node(op, term.val, args, term.sort)
-        out = folded.get(id(node)) or fold(ctx, node)
-    memo[id(term)] = out
+        out = folded.get(node) or fold(ctx, node)
+    memo[term] = out
     return out
 
 
@@ -682,7 +682,7 @@ def _solve(ctx, script, new, base, model, conflict_budget, deadline):
     defined = []
     folded = ctx.folded
     for a in new:
-        a = folded.get(id(a)) or fold(ctx, a)
+        a = folded.get(a) or fold(ctx, a)
         if a.op == "=" and a.args[0].sort[0] == "array":
             var = maps.define(a)
             if var is None:
@@ -696,26 +696,35 @@ def _solve(ctx, script, new, base, model, conflict_budget, deadline):
             ground.append(a)
 
     resolved = {}                  # term -> term with array reads resolved
-    rewritten = maps.rebind(defined, resolved)
-    # a folded term that holds no array is its own rewrite under no
-    # substitution
-    rewritten += [a if a.plain else rewrite(ctx, a, {}, maps, resolved)
-                  for a in ground]
+    checked = []
+    # the rebound reads, then the new assertions; a folded term that holds
+    # no array is its own rewrite under no substitution
+    for a in maps.rebind(defined, resolved) + ground:
+        if not a.plain:
+            a = rewrite(ctx, a, {}, maps, resolved)
+        if a.op == "cbool":
+            if not a.val:
+                return SatResult("unsat")
+        else:
+            checked.append(a)
     # a read only a query makes is still bound by congruence to the others
     queries = {text: rewrite(ctx, fold(ctx, q), {}, maps, resolved)
                for text, q in zip(script.query_texts, script.queries)
                } if model else None
-    rewritten += [fold(ctx, a) for a in maps.congruence_assertions()]
-
-    checked = [a for a in rewritten if a.op != "cbool" or not a.val]
-    if any(a.op == "cbool" and not a.val for a in checked):
-        return SatResult("unsat")
+    if maps.since:
+        for a in maps.congruence_assertions():
+            a = fold(ctx, a)
+            if a.op == "cbool":
+                if not a.val:
+                    return SatResult("unsat")
+            else:
+                checked.append(a)
 
     # word-level reduction: propagate single definitions, first through the
     # new conjuncts, then, once one binds, through every conjunct left
     # (a conjunct of the base's residual, the same term, reading no
     # variable bound here is left as it is)
-    kept = set(map(id, base.residual))
+    kept = set(base.residual)
     subst = dict(base.subst)
     residual = _reduce(ctx, maps, subst, checked, list(base.residual), kept)
     if residual is None:
@@ -810,8 +819,8 @@ def _reduce(ctx, maps, subst, fresh, residual, known):
     """Word-level reduction of the conjuncts `fresh`, next to `residual`,
     whose conjuncts are reduced under `subst` already: every definitional
     conjunct (``x = t``) extends `subst`, and after a round that bound one,
-    every conjunct left is rewritten again, but for one whose id is in
-    `known` that reads no variable bound here: rewriting gives it back,
+    every conjunct left is rewritten again, but for one in `known` that
+    reads no variable bound here: rewriting gives it back,
     and it was no definition where it was reduced.  The conjuncts left,
     new ones first, or None when one is false."""
     bound = set()                  # the variable terms bound here
@@ -822,11 +831,11 @@ def _reduce(ctx, maps, subst, fresh, residual, known):
         memo = {}
         for a in fresh:
             free = a.free
-            if id(a) in known and bound.isdisjoint(free):
+            if a in known and bound.isdisjoint(free):
                 keep.append(a)
                 continue
             # rewrite's own shortcut, taken here without a call
-            a2 = (folded.get(id(a)) or fold(ctx, a)) \
+            a2 = (folded.get(a) or fold(ctx, a)) \
                 if a.plain and keys.isdisjoint(free.keys()) \
                 else rewrite(ctx, a, subst, maps, memo)
             if a2.op == "cbool":
@@ -874,7 +883,7 @@ def _split(ctx, maps, residual, deadline):
     for values in product((True, False), repeat=len(atoms)):
         if deadline is not None and time.monotonic() > deadline:
             return SatResult("unknown", reason="deadline")
-        memo = {id(atom): ctx.cbool(value)
+        memo = {atom: ctx.cbool(value)
                 for atom, value in zip(atoms, values)}
         leaf = [rewrite(ctx, a, touched, maps, memo) for a in residual]
         leaf += [atom if value else fold(ctx, ctx.mk("not", atom))
@@ -907,9 +916,9 @@ def _ite_conditions(residual):
     stack = residual[::-1]
     while stack and len(atoms) < SPLIT_ATOMS:
         term = stack.pop()
-        if id(term) in seen:
+        if term in seen:
             continue
-        seen.add(id(term))
+        seen.add(term)
         if term.op == "ite" and term.args[0].op != "cbool" \
                 and term.args[0] not in atoms:
             atoms.append(term.args[0])
@@ -1195,7 +1204,7 @@ class _Reuse:
     """What a solve from a kept reduction reuses of its base's model: the
     base's env (`parent`), the variables the solve binds (`bound`: name ->
     (variable, definition rewritten through the solve's substitution)) and
-    the ids of the base's residual conjuncts (`kept`)."""
+    the base's residual conjuncts (`kept`)."""
     parent: dict
     bound: dict
     kept: set
@@ -1228,7 +1237,7 @@ class _Reuse:
                  if parent.get(name, 0) != value}
         evaluator = _Evaluator(env, {})
         for a in residual:
-            if (id(a) not in kept
+            if (a not in kept
                     or moved and not moved.isdisjoint(
                         [var.val for var in a.free])) \
                     and not evaluator.eval(a):
@@ -1298,7 +1307,7 @@ class _Evaluator:
     `env` (name -> int or bool), else its definition's in `subst` (term ->
     term), else 0 or false.  A constant or a variable is read where it
     stands; any other term is evaluated once, by its operator's kernel in
-    ``_EVAL``, and kept in `memo` by id."""
+    ``_EVAL``, and kept in `memo`, keyed on the term."""
     __slots__ = ("env", "subst", "memo")
 
     def __init__(self, env, subst):
@@ -1320,12 +1329,12 @@ class _Evaluator:
             if definition is not None:
                 return self.eval(definition)
             return False if term.sort == BOOL else 0
-        out = self.memo.get(id(term))
+        out = self.memo.get(term)
         if out is None:
             kernel = _EVAL.get(op)
             if kernel is None:
                 raise SmtError("cannot evaluate %r" % op)
-            out = self.memo[id(term)] = kernel(self, term)
+            out = self.memo[term] = kernel(self, term)
         return out
 
 

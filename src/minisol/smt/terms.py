@@ -1,15 +1,20 @@
 """Interned term representation for the bundled SMT solver.
 
 Terms are immutable and hash-consed through a :class:`Ctx`, so structural
-equality is identity equality and memo tables can key on ``id(term)``.
+equality is identity equality.  ``Term`` keeps ``object``'s identity
+``__eq__`` and ``__hash__``, so every table of terms (the intern table,
+whose keys hold the argument tuple itself, ``Ctx.folded`` and the
+solver's memos) keys on the term itself, as precisely as on its id and
+without a call to ``id``; no order is read off a set of terms, which
+would follow addresses.
 Facts that depend only on a term are computed once, on first read, and
 kept on it: ``Term.free``, its free variables in first-occurrence order,
 ``Term.plain``, whether it holds no array-sorted subterm, and
 ``Term.linear``, a bitvector term's linear form.  The solver reads them
 instead of walking the DAG (``solve.rewrite`` returns a term that reads no
 substituted variable and holds no array as its fold).  ``Ctx.folded`` is
-the one constant-folding memo of the context: it maps the id of every term
-``solve.fold`` has seen, and of every folded result, to the folded term.
+the one constant-folding memo of the context: it maps every term
+``solve.fold`` has seen, and every folded result, to the folded term.
 A context may serve many scripts (``minisol.synthesize`` keeps one for a
 whole run), so every distinct term is built and folded once for all of
 them.  A :class:`Chain` is a sequence of clauses, hash-consed in the same
@@ -171,22 +176,22 @@ BOOL_OPS = {"and", "or", "xor", "not", "=>"}
 class Ctx:
     def __init__(self):
         self._intern = {}
-        self.folded = {}           # id(term) -> folded term, see solve.fold
+        self.folded = {}           # term -> folded term, see solve.fold
         self._chains = {}          # (parent, clause) -> Chain
         self.TRUE = self.node("cbool", True, ())
         self.FALSE = self.node("cbool", False, ())
 
     def node(self, op, val, args, sort=None):
-        ids = tuple(map(id, args))
+        args = tuple(args)
         # one name may have different sorts in the scripts that share the
         # context; every other op's sort follows from op, val and args
-        key = (op, val, ids, sort) if op == "var" else (op, val, ids)
+        key = (op, val, args, sort) if op == "var" else (op, val, args)
         hit = self._intern.get(key)
         if hit is not None:
             return hit
         if sort is None:
             sort = self._infer_sort(op, val, args)
-        term = Term(op, val, tuple(args), sort)
+        term = Term(op, val, args, sort)
         self._intern[key] = term
         return term
 

@@ -998,7 +998,7 @@ def reference_rewrite(ctx, term, subst, maps, memo):
     ``smt.solve._Maps``), down to its Ackermann reads."""
     from minisol.smt.solve import SmtUnknown, fold
 
-    hit = memo.get(id(term))
+    hit = memo.get(term)
     if hit is not None:
         return hit
     if term.sort[0] == "array":
@@ -1017,7 +1017,7 @@ def reference_rewrite(ctx, term, subst, maps, memo):
                    else ctx.node(term.op, term.val, args, term.sort))
     else:
         out = term
-    memo[id(term)] = out
+    memo[term] = out
     return out
 
 

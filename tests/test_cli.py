@@ -1,5 +1,6 @@
 import json
 import re
+import shlex
 import subprocess
 import sys
 
@@ -46,6 +47,34 @@ def test_missing_solver_is_exit_2():
     assert proc.returncode == 2
     assert "solver" in proc.stderr
     assert summary_of(proc)[0] == "error"
+
+
+def python_solver(code):
+    """A ``--solver-cmd`` that runs `code` in this interpreter."""
+    return shlex.join([sys.executable, "-c", code])
+
+
+@pytest.mark.parametrize("code", [
+    "import sys; sys.exit(3)",             # crashes with no output
+    "print('maybe')",                      # an answer that is none
+])
+def test_a_failing_external_solver_is_exit_2(code):
+    """A crash, empty output or a malformed answer ends the run as an
+    error, not as a pruned walk."""
+    proc = run_cli(msol("guess_check"), "--solver-cmd", python_solver(code))
+    assert proc.returncode == 2, proc.stderr
+    assert "solver" in proc.stderr
+    assert summary_of(proc)[0] == "error"
+
+
+def test_an_external_solver_out_of_time_ends_the_run_timeout():
+    """A solver still running at the deadline is killed; its check is
+    unknown and the run ends with reason timeout, exit 1."""
+    proc = run_cli(msol("guess_check"), "--timeout", "1", "--solver-cmd",
+                   python_solver("import time; time.sleep(60)"))
+    assert proc.returncode == 1, proc.stderr
+    assert "no satisfiable walk: timeout" in proc.stderr
+    assert summary_of(proc)[0] == "notfound"
 
 
 def test_parse_error_is_exit_2(tmp_path):

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from minisol.concretize import (Transaction, TransactionSequence, from_json,
-                                to_json)
+                                to_json, to_obj)
 from minisol.encoder import ssa_number
 from minisol.engine import prepare
 from minisol.errors import EncodeError
@@ -51,6 +51,16 @@ def test_json_round_trip_byte_identical(engine_cache):
     result = engine_cache.run("guess_check")
     text = to_json(result.sequence)
     assert to_json(from_json(text)) == text
+
+
+def test_json_text_is_the_object_dumped(engine_cache):
+    """``to_json`` is ``to_obj`` rendered: a reader of the object (the
+    mutant report) sees what the JSON text holds, field order included."""
+    for seq in (engine_cache.run("guess_check").sequence,
+                engine_cache.run("ctor_target").sequence):
+        obj = json.loads(to_json(seq))
+        assert obj == to_obj(seq)
+        assert list(obj) == list(to_obj(seq))
 
 
 def test_big_integers_survive_as_decimal_strings():

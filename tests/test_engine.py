@@ -633,7 +633,7 @@ def kept_evaluations(monkeypatch):
     kept = [0]
 
     def evaluate(self, term):
-        if checking or id(term) not in self.memo:
+        if checking or term not in self.memo:
             return real(self, term)
         kept[0] += 1
         checking.append(term)
@@ -642,7 +642,7 @@ def kept_evaluations(monkeypatch):
                          term)
         finally:
             checking.pop()
-        assert self.memo[id(term)] == fresh, smt_solve.print_term(term)
+        assert self.memo[term] == fresh, smt_solve.print_term(term)
         return fresh
 
     monkeypatch.setattr(smt_solve._Evaluator, "eval", evaluate)
@@ -1038,7 +1038,7 @@ def test_a_value_a_binding_moves_is_checked_where_it_is_read(monkeypatch):
     def holds(self, residual, env):
         evaluator = smt_solve._Evaluator(env, {})
         broken.extend(a for a in residual
-                      if id(a) in self.kept and not evaluator.eval(a))
+                      if a in self.kept and not evaluator.eval(a))
         return real(self, residual, env)
 
     monkeypatch.setattr(smt_solve._Reuse, "holds", holds)

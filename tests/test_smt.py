@@ -15,7 +15,7 @@ from minisol.smt.parse import Script, SmtParseError, parse_script
 from minisol.smt.solve import (DEFAULT_CONFLICT_BUDGET, SmtUnknown,
                                solve_commands)
 from minisol.smt.terms import BOOL, BV_BINOPS, BV_CMPS, Ctx, SmtError, \
-    array, bv, chain_above, print_term
+    Term, array, bv, chain_above, print_term
 from ref_oracles import (reference_array_free, reference_free_vars,
                          reference_rewrite)
 
@@ -1232,7 +1232,7 @@ def test_term_facts_and_rewrite_match_a_walk_of_every_node():
         touched = dict.fromkeys(v for a in atoms for v in a.free)
 
         def seeded():
-            return {id(a): ctx.cbool(t) for a, t in zip(atoms, truth)}
+            return {a: ctx.cbool(t) for a, t in zip(atoms, truth)}
 
         def maps():
             out = solve_mod._Maps(ctx, solve_mod.EMPTY)
@@ -1269,6 +1269,23 @@ def test_vars_are_interned_on_their_sort():
     assert narrow is not wide
     assert ctx.mk("select", narrow, key) is not ctx.mk("select", wide, key)
     assert ctx.mk("select", wide, key).sort == bv(256)
+
+
+def test_term_tables_key_on_the_interned_term():
+    """The context's intern table, its fold memo and the solver's memos key
+    on the term itself.  That is as precise as keying on its id only while
+    ``Term`` keeps ``object``'s identity ``__eq__`` and ``__hash__``: a
+    structural one would make every table compare structure."""
+    assert Term.__eq__ is object.__eq__
+    assert Term.__hash__ is object.__hash__
+    ctx = Ctx()
+    x, y = ctx.var("x", bv(8)), ctx.var("y", bv(8))
+    listed = ctx.node("bvadd", None, [x, y])
+    assert listed is ctx.node("bvadd", None, (x, y))
+    assert listed is ctx.mk("bvadd", x, y)
+    assert listed.args == (x, y) and type(listed.args) is tuple
+    assert ctx.var("x", bv(16)) is not x
+    assert ctx.var("x", BOOL) is not x and ctx.var("x", BOOL).sort == BOOL
 
 
 def test_equal_clause_sequences_are_one_chain():
